@@ -6,128 +6,4 @@ and turns those rates into the break-even success probability for sending
 a runner.
 """
 
-from .cache import StatsCache, fingerprint_paths, read_cache, write_cache
-from .eventfile import (
-    Diagnostic,
-    GameAccount,
-    Half,
-    PlayLine,
-    assemble_games,
-    tokenize_event_file,
-)
-from .oracle import (
-    InvalidModel,
-    Outcome,
-    OutcomeModel,
-    default_model,
-    emit_event_file,
-    exact_score_probability,
-    exact_tsf,
-    load_model,
-    simulate_season,
-)
-from .pipeline import IngestResult, ingest_paths, ingest_text
-from .playtoken import (
-    Advance,
-    Base,
-    MalformedAdvance,
-    ParsedPlay,
-    PlayKind,
-    UnparseableEvent,
-    parse_play_token,
-)
-from .state import (
-    BaseState,
-    GameReplay,
-    IllegalState,
-    Snapshot,
-    StateTimeline,
-    apply_play,
-    replay_game,
-    replay_half_inning,
-)
-from .stats import (
-    BRTValue,
-    ClassKind,
-    CountingMode,
-    Decision,
-    EmptyBucket,
-    EmptyCell,
-    InningCounts,
-    Rate,
-    RateTriple,
-    SituationClass,
-    SituationObservation,
-    TallyTable,
-    brt_from_rates,
-    bucket_report,
-    classify_state,
-    compute_brt,
-    decide,
-    extract_observations,
-    merge,
-    rates,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Advance",
-    "Base",
-    "BaseState",
-    "BRTValue",
-    "ClassKind",
-    "CountingMode",
-    "Decision",
-    "Diagnostic",
-    "EmptyBucket",
-    "EmptyCell",
-    "GameAccount",
-    "GameReplay",
-    "Half",
-    "IllegalState",
-    "IngestResult",
-    "InningCounts",
-    "InvalidModel",
-    "MalformedAdvance",
-    "Outcome",
-    "OutcomeModel",
-    "ParsedPlay",
-    "PlayKind",
-    "PlayLine",
-    "Rate",
-    "RateTriple",
-    "SituationClass",
-    "SituationObservation",
-    "Snapshot",
-    "StateTimeline",
-    "StatsCache",
-    "TallyTable",
-    "UnparseableEvent",
-    "apply_play",
-    "assemble_games",
-    "brt_from_rates",
-    "bucket_report",
-    "classify_state",
-    "compute_brt",
-    "decide",
-    "default_model",
-    "emit_event_file",
-    "exact_score_probability",
-    "exact_tsf",
-    "extract_observations",
-    "fingerprint_paths",
-    "ingest_paths",
-    "ingest_text",
-    "load_model",
-    "merge",
-    "parse_play_token",
-    "rates",
-    "read_cache",
-    "replay_game",
-    "replay_half_inning",
-    "simulate_season",
-    "tokenize_event_file",
-    "write_cache",
-    "__version__",
-]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,7 +68,16 @@ def render_cache(cache: StatsCache) -> str:
 
 
 def write_cache(path: str | Path, cache: StatsCache) -> None:
-    Path(path).write_text(render_cache(cache), encoding="utf-8")
+    """Write through a temp file beside ``path`` and rename it into place,
+    so a failed write leaves any earlier cache untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(render_cache(cache), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_cache(path: str | Path) -> StatsCache:

@@ -51,6 +51,10 @@ class DataError(Exception):
     """Inputs were found but could not be used."""
 
 
+# a threshold pairs classes at i and i + 1 outs, so i is 0 or 1
+_THRESHOLD_OUTS = click.IntRange(0, 1)
+_PROBABILITY = click.FloatRange(0.0, 1.0)
+
 _CLASS_NAMES = {
     "third": ClassKind.THIRD_OCCUPIED,
     "second": ClassKind.SECOND_NO_THIRD,
@@ -191,8 +195,8 @@ def table1(cache_path, years, fmt):
 
 @cli.command()
 @click.option("--cache", "cache_path", required=True, type=click.Path())
-@click.option("--outs", "outs_list", multiple=True, type=int, default=(1, 0),
-              show_default=True)
+@click.option("--outs", "outs_list", multiple=True, type=_THRESHOLD_OUTS,
+              default=(1, 0), show_default=True)
 @click.option("--boundaries", default="100,150,200,250,300,350",
               show_default=True, help="bucket edges in career HL innings")
 @click.option("--save-leaders", "leaders_path", type=click.Path(exists=True),
@@ -211,6 +215,8 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
         edges = tuple(int(b) for b in boundaries.split(",") if b.strip())
     except ValueError:
         raise click.UsageError(f"bad boundaries: {boundaries!r}")
+    if any(low >= high for low, high in zip(edges, edges[1:])):
+        raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = None
     if leaders_path:
         leaders = [line.strip() for line in Path(leaders_path).read_text().splitlines()
@@ -234,7 +240,7 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
 @click.option("--cache", "cache_path", required=True, type=click.Path())
 @click.option("--min-appearances", type=int, default=350, show_default=True,
               help="career high-leverage half-innings required")
-@click.option("--outs", type=int, default=1, show_default=True)
+@click.option("--outs", type=_THRESHOLD_OUTS, default=1, show_default=True)
 @click.option("--era", "era_path", type=click.Path(exists=True), default=None,
               help="csv of pitcher_id,era")
 @click.option("--roster", "roster_paths", multiple=True,
@@ -268,18 +274,16 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
 
 
 @cli.command(name="decide")
-@click.argument("p", type=float)
-@click.option("--tsf", nargs=3, type=float, default=None,
+@click.argument("p", type=_PROBABILITY)
+@click.option("--tsf", nargs=3, type=_PROBABILITY, default=None,
               help="rates T S F given directly")
 @click.option("--cache", "cache_path", type=click.Path(), default=None)
 @click.option("--pitcher", "pitcher_id", default=None)
-@click.option("--outs", type=int, default=1, show_default=True)
+@click.option("--outs", type=_THRESHOLD_OUTS, default=1, show_default=True)
 @click.option("--leverage/--all-innings", default=True, show_default=True)
 @click.option("--years", default=None)
 def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
     """Compare a success probability P against the break-even threshold."""
-    if not 0.0 <= p <= 1.0:
-        raise click.UsageError("P must lie in [0, 1]")
     if tsf:
         value = compute_brt(*tsf)
     elif cache_path:

@@ -7,23 +7,33 @@ tallies as a sequential pass, bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .eventfile import Diagnostic, assemble_games, tokenize_event_file
-from .state import replay_game
+from .state import StateTimeline, replay_game
 from .stats import (
     CountingMode,
     InningCounts,
     SituationObservation,
     TallyTable,
+    add_cells,
     extract_observations,
 )
 
-__all__ = ["IngestResult", "collect_observations", "ingest_paths", "ingest_text"]
+__all__ = [
+    "IngestResult",
+    "collect_observations",
+    "ingest_paths",
+    "ingest_text",
+    "iter_timelines",
+]
 
-MAX_KEPT_DIAGNOSTICS = 200
+# assembly diagnostics that drop the whole game they name
+_GAME_DROPPING = ("missing_info", "orphan_player", "malformed_record")
 
 
 @dataclass
@@ -36,40 +46,58 @@ class IngestResult:
     quarantined: int = 0
     incomplete: int = 0
     observations: int = 0
-    diagnostic_counts: dict[str, int] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostic_counts: Counter[str] = field(default_factory=Counter)
 
     def _note(self, diagnostics: list[Diagnostic]) -> None:
-        for diag in diagnostics:
-            self.diagnostic_counts[diag.code] = (
-                self.diagnostic_counts.get(diag.code, 0) + 1
-            )
-            if len(self.diagnostics) < MAX_KEPT_DIAGNOSTICS:
-                self.diagnostics.append(diag)
+        self.diagnostic_counts.update(diag.code for diag in diagnostics)
 
     def merge(self, other: "IngestResult") -> "IngestResult":
-        out = IngestResult()
-        for part in (self, other):
-            for key, cell in part.table.cells.items():
-                acc = out.table.cells.setdefault(key, [0, 0])
-                acc[0] += cell[0]
-                acc[1] += cell[1]
-            for key, cell in part.innings.counts.items():
-                acc = out.innings.counts.setdefault(key, [0, 0])
-                acc[0] += cell[0]
-                acc[1] += cell[1]
-            out.games += part.games
-            out.games_skipped += part.games_skipped
-            out.half_innings += part.half_innings
-            out.quarantined += part.quarantined
-            out.incomplete += part.incomplete
-            out.observations += part.observations
-            for code, count in part.diagnostic_counts.items():
-                out.diagnostic_counts[code] = out.diagnostic_counts.get(code, 0) + count
-            for diag in part.diagnostics:
-                if len(out.diagnostics) < MAX_KEPT_DIAGNOSTICS:
-                    out.diagnostics.append(diag)
-        return out
+        """Add other's tallies and counters into this result in place."""
+        add_cells(self.table.cells, other.table.cells)
+        add_cells(self.innings.counts, other.innings.counts)
+        self.games += other.games
+        self.games_skipped += other.games_skipped
+        self.half_innings += other.half_innings
+        self.quarantined += other.quarantined
+        self.incomplete += other.incomplete
+        self.observations += other.observations
+        self.diagnostic_counts.update(other.diagnostic_counts)
+        return self
+
+
+def iter_timelines(
+    text: str, years: tuple[int, int] | None, result: IngestResult
+) -> Iterator[StateTimeline]:
+    """Tokenize, assemble and replay one event file's text, yielding every
+    complete, unquarantined half-inning of the games inside ``years``.
+
+    Games, skipped games, half-innings, quarantined and incomplete halves
+    and diagnostic codes are counted into ``result`` along the way.
+    """
+    records, diags = tokenize_event_file(text)
+    result._note(diags)
+    games, diags = assemble_games(records)
+    result._note(diags)
+    result.games_skipped += len(
+        {d.game_id for d in diags if d.game_id and d.code in _GAME_DROPPING}
+    )
+    for account in games:
+        if years and not (years[0] <= account.season <= years[1]):
+            continue
+        replay = replay_game(account)
+        result._note(replay.diagnostics)
+        if not replay.timelines and replay.diagnostics:
+            result.games_skipped += 1
+            continue
+        result.games += 1
+        for timeline in replay.timelines:
+            result.half_innings += 1
+            if timeline.excluded is not None:
+                result.quarantined += 1
+            elif not timeline.complete:
+                result.incomplete += 1
+            else:
+                yield timeline
 
 
 def ingest_text(
@@ -79,43 +107,21 @@ def ingest_text(
 ) -> IngestResult:
     """Parse and replay one event file's text into tallies."""
     result = IngestResult()
-    records, diags = tokenize_event_file(text)
-    result._note(diags)
-    games, diags = assemble_games(records)
-    result._note(diags)
-    skipped = {d.game_id for d in diags if d.code in
-               ("missing_info", "orphan_player", "malformed_record")}
-    result.games_skipped += len([g for g in skipped if g])
-
-    for account in games:
-        if years and not (years[0] <= account.season <= years[1]):
-            continue
-        replay = replay_game(account)
-        if not replay.timelines and replay.diagnostics:
-            result.games_skipped += 1
-            result._note(replay.diagnostics)
-            continue
-        result.games += 1
-        result._note(replay.diagnostics)
-        for timeline in replay.timelines:
-            result.half_innings += 1
-            if timeline.excluded is not None:
-                result.quarantined += 1
-                continue
-            if not timeline.complete:
-                result.incomplete += 1
-                continue
-            observations = extract_observations(timeline, mode)
-            result.observations += len(observations)
-            result.table.add_all(observations)
-            result.innings.add_timeline(timeline)
+    for timeline in iter_timelines(text, years, result):
+        observations = extract_observations(timeline, mode)
+        result.observations += len(observations)
+        result.table.add_all(observations)
+        result.innings.add_timeline(timeline)
     return result
+
+
+def _read_event_file(path: str) -> str:
+    return Path(path).read_text(encoding="latin-1")
 
 
 def _ingest_one(args: tuple[str, str, tuple[int, int] | None]) -> IngestResult:
     path, mode_value, years = args
-    text = Path(path).read_text(encoding="latin-1")
-    return ingest_text(text, CountingMode(mode_value), years)
+    return ingest_text(_read_event_file(path), CountingMode(mode_value), years)
 
 
 def ingest_paths(
@@ -130,10 +136,10 @@ def ingest_paths(
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_ingest_one, work):
-                result = result.merge(part)
+                result.merge(part)
     else:
         for item in work:
-            result = result.merge(_ingest_one(item))
+            result.merge(_ingest_one(item))
     return result
 
 
@@ -143,14 +149,9 @@ def collect_observations(
     years: tuple[int, int] | None = None,
 ) -> list[SituationObservation]:
     """Observation-level pass over raw files, for ad-hoc queries."""
+    counts = IngestResult()  # query reports none of ingest's counters
     observations: list[SituationObservation] = []
     for path in sorted(str(p) for p in paths):
-        text = Path(path).read_text(encoding="latin-1")
-        records, _ = tokenize_event_file(text)
-        games, _ = assemble_games(records)
-        for account in games:
-            if years and not (years[0] <= account.season <= years[1]):
-                continue
-            for timeline in replay_game(account).timelines:
-                observations.extend(extract_observations(timeline, mode))
+        for timeline in iter_timelines(_read_event_file(path), years, counts):
+            observations.extend(extract_observations(timeline, mode))
     return observations

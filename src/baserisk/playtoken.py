@@ -96,20 +96,6 @@ BATTER_REACHES = {
     PlayKind.HOME_RUN: Base.HOME,
 }
 
-# Kinds with no plate-appearance resolution (baserunning / dead-ball events).
-RUNNER_EVENTS = {
-    PlayKind.STOLEN_BASE,
-    PlayKind.CAUGHT_STEALING,
-    PlayKind.PICKOFF,
-    PlayKind.PICKOFF_CAUGHT_STEALING,
-    PlayKind.WILD_PITCH,
-    PlayKind.PASSED_BALL,
-    PlayKind.BALK,
-    PlayKind.DEFENSIVE_INDIFFERENCE,
-    PlayKind.OTHER_ADVANCE,
-    PlayKind.FOUL_ERROR,
-}
-
 
 @dataclass
 class Advance:

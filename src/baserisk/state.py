@@ -74,7 +74,6 @@ class Snapshot:
     pitcher_id: str
     inning: int
     half: Half
-    play_index: int
 
 
 @dataclass
@@ -131,7 +130,7 @@ def initial_snapshot(
     score_fielding: int = 0,
 ) -> Snapshot:
     return Snapshot(
-        BaseState(), 0, score_batting, score_fielding, pitcher_id, inning, half, 0
+        BaseState(), 0, score_batting, score_fielding, pitcher_id, inning, half
     )
 
 
@@ -323,7 +322,7 @@ class _HalfBuilder:
             self.bases, self.outs,
             self.shared.scores[batting], self.shared.scores[1 - batting],
             self.shared.pitchers[1 - batting],
-            line.inning, line.half, len(self.timeline.snapshots),
+            line.inning, line.half,
         )
         try:
             effects = apply_play(snap, play, line.batter_id)

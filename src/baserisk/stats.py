@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .eventfile import Half
-from .state import BaseState, StateTimeline
+from .state import BaseState, Snapshot, StateTimeline
 
 __all__ = [
     "BRTValue",
@@ -43,6 +43,7 @@ __all__ = [
     "SituationClass",
     "SituationObservation",
     "TallyTable",
+    "add_cells",
     "bucket_report",
     "career_high_leverage_innings",
     "classify_state",
@@ -117,8 +118,16 @@ class SituationObservation:
     scored_later: bool
     high_leverage: bool
     season: int
-    score_diff_abs: int
-    inning: int
+
+
+def _high_leverage(snap: Snapshot, timeline: StateTimeline) -> bool:
+    """Late and close at this snapshot, and never once the game's running
+    score is no longer trustworthy."""
+    return (
+        snap.inning in HIGH_LEVERAGE_INNINGS
+        and abs(snap.score_batting - snap.score_fielding) <= HIGH_LEVERAGE_MARGIN
+        and timeline.score_reliable
+    )
 
 
 def extract_observations(
@@ -143,16 +152,10 @@ def extract_observations(
         later = runs_after[idx]
         if mode is CountingMode.EXCLUDE_PLAY:
             later -= timeline.runs_on_play[idx]
-        margin = abs(snap.score_batting - snap.score_fielding)
-        high_leverage = (
-            snap.inning in HIGH_LEVERAGE_INNINGS
-            and margin <= HIGH_LEVERAGE_MARGIN
-            and timeline.score_reliable
-        )
         observations.append(
             SituationObservation(
                 timeline.half_inning_key, snap.pitcher_id, situation,
-                later >= 1, high_leverage, timeline.season, margin, snap.inning,
+                later >= 1, _high_leverage(snap, timeline), timeline.season,
             )
         )
     return observations
@@ -181,16 +184,22 @@ class TallyTable:
             self.add(obs)
 
 
+def add_cells(into: dict, cells: dict) -> None:
+    """Add [numerator, denominator] pair cells into ``into`` key by key.
+    ``into`` never shares a list with ``cells``."""
+    for key, (num, den) in cells.items():
+        cell = into.setdefault(key, [0, 0])
+        cell[0] += num
+        cell[1] += den
+
+
 def merge(*tables: TallyTable) -> TallyTable:
     """Combine tally tables cell-wise.  Commutative and associative with
     the empty table as identity, so any parallel partition merges to the
     same result as a sequential pass."""
     out = TallyTable()
     for table in tables:
-        for key, (num, den) in table.cells.items():
-            cell = out.cells.setdefault(key, [0, 0])
-            cell[0] += num
-            cell[1] += den
+        add_cells(out.cells, table.cells)
     return out
 
 
@@ -207,26 +216,13 @@ class InningCounts:
         hl_pitchers: set[str] = set()
         for snap in timeline.snapshots:
             pitchers.add(snap.pitcher_id)
-            margin = abs(snap.score_batting - snap.score_fielding)
-            if (
-                snap.inning in HIGH_LEVERAGE_INNINGS
-                and margin <= HIGH_LEVERAGE_MARGIN
-                and timeline.score_reliable
-            ):
+            if _high_leverage(snap, timeline):
                 hl_pitchers.add(snap.pitcher_id)
         for pid in pitchers:
             cell = self.counts.setdefault((pid, timeline.season), [0, 0])
             cell[1] += 1
             if pid in hl_pitchers:
                 cell[0] += 1
-
-    def merge(self, other: "InningCounts") -> "InningCounts":
-        out = InningCounts({k: list(v) for k, v in self.counts.items()})
-        for key, (hl, total) in other.counts.items():
-            cell = out.counts.setdefault(key, [0, 0])
-            cell[0] += hl
-            cell[1] += total
-        return out
 
     def seasons(self, pitcher_id: str) -> list[int]:
         return sorted(s for (p, s) in self.counts if p == pitcher_id)

@@ -1,5 +1,7 @@
 """On-disk tally cache: round trips, determinism, and validation."""
 
+import os
+
 import pytest
 
 from baserisk.cache import (
@@ -37,6 +39,21 @@ def test_round_trip(tmp_path):
     assert loaded.innings.counts == SAMPLE_INNINGS
     assert loaded.counting_mode is CountingMode.EXCLUDE_PLAY
     assert loaded.fingerprint == "abcd1234abcd1234"
+
+
+def test_failed_write_leaves_old_cache(tmp_path, monkeypatch):
+    path = tmp_path / "stats.cache"
+    write_cache(path, sample_cache())
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("simulated failure")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_cache(path, sample_cache(CountingMode.EXCLUDE_PLAY))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_round_trip_empty(tmp_path):

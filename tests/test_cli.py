@@ -188,6 +188,18 @@ def test_decide_usage_errors(workspace):
     assert main(["decide", "0.5"]) == 1  # neither --tsf nor --cache
 
 
+@pytest.mark.parametrize("args", [
+    ["decide", "0.5", "--outs", "2"],
+    ["decide", "0.5", "--tsf", "0.5", "0.4", "1.5"],
+    ["table2", "--outs", "3"],
+    ["table2", "--boundaries", "5,1"],
+    ["table2", "--boundaries", "100,100"],
+    ["table3", "--outs", "2"],
+])
+def test_out_of_range_options_are_usage_errors(workspace, args):
+    assert main(args + ["--cache", str(workspace["cache"])]) == 1
+
+
 def test_decide_from_cache(workspace, capsys):
     args = ["decide", "0.9", "--cache", str(workspace["cache"]),
             "--pitcher", "vpit0001", "--outs", "1"]

@@ -1,5 +1,8 @@
 """End-to-end checks: synthetic seasons survive the full parse/replay path."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from baserisk.cache import StatsCache, render_cache
@@ -83,7 +86,6 @@ def test_ingest_counts_clean_season():
     assert result.quarantined == 0
     assert result.incomplete == 0
     assert result.diagnostic_counts == {}
-    assert result.diagnostics == []
     # every half contributes at most one observation per situation class
     assert 0 < result.observations <= 3 * result.half_innings
     total = sum(cell[1] for cell in result.table.cells.values())
@@ -153,13 +155,130 @@ def test_midgame_sub_switches_credited_pitcher():
     assert switches > 0
 
 
-def test_collect_observations_matches_ingest(tmp_path):
-    path = tmp_path / "season.evn"
-    path.write_text(emit_event_file(simulate_season(default_model(), 50, seed=11)))
-    result = ingest_paths([path])
-    observations = collect_observations([path])
+@pytest.mark.parametrize("mode", list(CountingMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("years", [None, (1984, 2005)], ids=["all-years", "1984-2005"])
+def test_collect_observations_matches_ingest(tmp_path, mode, years):
+    paths = []
+    for season in (2000, 2010):
+        path = tmp_path / f"season{season}.evn"
+        path.write_text(emit_event_file(
+            simulate_season(default_model(), 50, seed=11, season=season)))
+        paths.append(path)
+    result = ingest_paths(paths, mode, years)
+    observations = collect_observations(paths, mode, years)
     assert len(observations) == result.observations
-    assert {obs.season for obs in observations} == {2000}
+    assert {obs.season for obs in observations} == ({2000} if years else {2000, 2010})
     rebuilt = type(result.table)()
     rebuilt.add_all(observations)
     assert rebuilt.cells == result.table.cells
+
+
+# --- differential pins -------------------------------------------------------
+# SHA-256 digests of rendered caches and observation lists, computed before the
+# ingest and query paths were folded onto one replay loop.  Any change to the
+# chain that alters a single cell or observation changes a digest.
+
+WINDOW = (1984, 2005)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cache_digest(result, mode):
+    return _digest(render_cache(StatsCache(result.table, result.innings, mode, "0" * 16)))
+
+
+def _broken_text() -> str:
+    """Four relief-pitcher games, each damaged a different way."""
+    lines = emit_event_file(
+        simulate_season(default_model(), 4, seed=99, season=1990, midgame_subs=True)
+    ).splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("id,")]
+    games = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
+    # an unparseable token quarantines a half; an unknown record is reported
+    plays = [i for i, line in enumerate(games[0]) if line.startswith("play,3,")]
+    games[0][plays[1]] = games[0][plays[1]].rsplit(",", 1)[0] + ",ZZ9"
+    games[0].insert(plays[0], "bogus,record")
+    # no date: dropped at assembly; no visiting pitcher: dropped at replay
+    games[1] = [line for line in games[1] if not line.startswith("info,date")]
+    games[2] = [line for line in games[2] if not line.startswith("start,vpit")]
+    # the third out of the fourth inning's top half goes missing
+    plays = [i for i, line in enumerate(games[3]) if line.startswith("play,4,0,")]
+    del games[3][plays[-1]]
+    return "\n".join(line for game in games for line in game) + "\n"
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    """Twelve small relief-pitcher seasons spanning WINDOW, plus one broken file."""
+    root = tmp_path_factory.mktemp("archive")
+    paths = []
+    for n in range(12):
+        season = 1978 + 3 * n
+        path = root / f"s{season}.evn"
+        path.write_text(emit_event_file(simulate_season(
+            default_model(), 6, seed=500 + n, season=season, midgame_subs=True)))
+        paths.append(path)
+    broken = root / "broken.evn"
+    broken.write_text(_broken_text())
+    paths.append(broken)
+    return paths
+
+
+SEASON_DIGESTS = {
+    CountingMode.INCLUDE_PLAY:
+        "e46ccb74b374615053bdbb0d0715eb42ff8e2a2a8b4581814ccc93e38ab6906d",
+    CountingMode.EXCLUDE_PLAY:
+        "6c03032a23199f2e6fe43b93d06abc3871aa8a0bd1b535cefd12541269af4d2d",
+}
+
+
+@pytest.mark.parametrize("mode", list(CountingMode), ids=lambda mode: mode.value)
+def test_ingest_text_cache_pinned(mode):
+    text = emit_event_file(
+        simulate_season(default_model(), 300, seed=4242, midgame_subs=True))
+    assert _cache_digest(ingest_text(text, mode), mode) == SEASON_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ingest_paths_cache_pinned(archive, jobs):
+    result = ingest_paths(archive, years=WINDOW, jobs=jobs)
+    assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
+        "dc85477256e60d676f09e0b9f2a2c0983cc1dfd3b285029c903f782af9a528f0")
+    assert (result.games, result.games_skipped, result.observations) == (50, 2, 1144)
+    assert result.diagnostic_counts == {
+        "unknown_record_kind": 1, "missing_info": 2,
+        "quarantined_half_inning": 1, "incomplete_half_inning": 1,
+    }
+
+
+def test_collect_observations_pinned(archive):
+    observations = collect_observations(archive, CountingMode.EXCLUDE_PLAY, WINDOW)
+    rows = sorted(
+        (obs.half_inning_key[0], obs.half_inning_key[1], int(obs.half_inning_key[2]),
+         obs.pitcher_id, obs.situation.kind.value, obs.situation.outs,
+         obs.scored_later, obs.high_leverage, obs.season)
+        for obs in observations
+    )
+    assert len(rows) == 1144
+    assert _digest(repr(rows)) == (
+        "c66e5fd6ad477bd7d058eeaa9b087586f01d9abfdd0e17016f9e839e8c13432f")
+
+
+def test_benchmark_hooks_restore_originals(monkeypatch):
+    """Every name the traced benchmark run wraps exists and is put back."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import spans
+
+    calls = spans.LAYER_CALLS + spans.SETUP_CALLS
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in calls]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(calls)
+        assert all(owner.__dict__[attr] is not original
+                   for (owner, attr, _, _), original in zip(calls, originals))
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr, _, _), original in zip(calls, originals))

@@ -18,7 +18,7 @@ from conftest import make_game_text, run_half
 
 
 def snap(bases=BaseState(), outs=0, score=(0, 0), inning=1, half=Half.TOP):
-    return Snapshot(bases, outs, score[0], score[1], "hpit1", inning, half, 0)
+    return Snapshot(bases, outs, score[0], score[1], "hpit1", inning, half)
 
 
 def effects(token, bases=BaseState(), outs=0, batter="bat0"):

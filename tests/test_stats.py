@@ -16,6 +16,7 @@ from baserisk.stats import (
     InningCounts,
     SituationClass,
     TallyTable,
+    add_cells,
     brt_from_rates,
     bucket_report,
     career_high_leverage_innings,
@@ -87,7 +88,7 @@ def make_timeline(states, runs_on_play, scores=(0, 0), inning=9,
                   complete=True, score_reliable=True, pitchers=None):
     snapshots = [
         Snapshot(b, outs, scores[0], scores[1],
-                 (pitchers or ["p1"] * len(states))[i], inning, Half.TOP, i)
+                 (pitchers or ["p1"] * len(states))[i], inning, Half.TOP)
         for i, (b, outs) in enumerate(states)
     ]
     return StateTimeline(
@@ -136,10 +137,8 @@ def test_counting_modes_differ_on_scoring_play():
 def test_high_leverage_window():
     close = make_timeline([(bases(third=True), 0)], [0], scores=(3, 4))
     assert extract_observations(close)[0].high_leverage
-    assert extract_observations(close)[0].score_diff_abs == 1
     blowout = make_timeline([(bases(third=True), 0)], [0], scores=(1, 4))
     assert not extract_observations(blowout)[0].high_leverage
-    assert extract_observations(blowout)[0].score_diff_abs == 3
     early = make_timeline([(bases(third=True), 0)], [0], inning=5)
     assert not extract_observations(early)[0].high_leverage
     extras = make_timeline([(bases(third=True), 0)], [0], inning=10)
@@ -233,7 +232,9 @@ def test_inning_counts_and_career():
     assert career_high_leverage_innings("p1", innings) == 1
     assert career_high_leverage_innings("p1", innings, years=(1999, 1999)) == 0
     other = InningCounts({("p1", 2001): [2, 3]})
-    combined = innings.merge(other)
+    combined = InningCounts()
+    for part in (innings, other):
+        add_cells(combined.counts, part.counts)
     assert career_high_leverage_innings("p1", combined) == 3
     assert combined.seasons("p1") == [2000, 2001]
 

@@ -30,7 +30,6 @@ from .reports import (
     render_table3,
 )
 from .stats import (
-    BRTValue,
     ClassKind,
     CountingMode,
     EmptyBucket,
@@ -42,6 +41,7 @@ from .stats import (
     decide,
     group_summary,
     rates,
+    rates_by_pitcher,
 )
 
 __all__ = ["DataError", "cli", "main"]
@@ -147,8 +147,8 @@ def cli(ctx, config_path):
 @click.option("--counting-mode",
               type=click.Choice([m.value for m in CountingMode]),
               default=CountingMode.INCLUDE_PLAY.value, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes (one input file per task)")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes, at most one per input file")
 def ingest(inputs, cache_path, years, counting_mode, jobs):
     """Replay event files and write the aggregated tally cache."""
     mode = CountingMode(counting_mode)
@@ -215,6 +215,8 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
         edges = tuple(int(b) for b in boundaries.split(",") if b.strip())
     except ValueError:
         raise click.UsageError(f"bad boundaries: {boundaries!r}")
+    if not edges or edges[0] < 0:
+        raise click.UsageError(f"boundaries must be non-negative: {boundaries!r}")
     if any(low >= high for low, high in zip(edges, edges[1:])):
         raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = None
@@ -231,7 +233,7 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
                 extras[outs] = [
                     ("leaders", group_summary(cache.table, leaders, outs, years=span))
                 ]
-    except (EmptyBucket, EmptyCell) as exc:
+    except EmptyBucket as exc:
         raise DataError(str(exc))
     click.echo(render_table2(blocks, extras, fmt), nl=False)
 
@@ -254,19 +256,15 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
     span = _parse_years(years)
     eras = load_era_csv(era_path) if era_path else {}
     names = load_roster_names(list(roster_paths)) if roster_paths else {}
+    careers = career_high_leverage_innings(cache.innings, span)
+    by_pitcher = rates_by_pitcher(cache.table, outs, leverage=True, years=span)
     rows = []
-    for pid in sorted({key[0] for key in cache.table.cells}):
-        innings = career_high_leverage_innings(pid, cache.innings, years=span)
-        if innings < min_appearances:
-            continue
-        try:
-            triple = rates(cache.table, outs, pitchers=[pid], leverage=True,
-                           years=span)
-            value = brt_from_rates(triple)
-        except EmptyCell:
+    for pid in sorted(by_pitcher):
+        triple = by_pitcher[pid]
+        if careers.get(pid, 0) < min_appearances or not triple.complete():
             continue
         last, first = names.get(pid, (pid, ""))
-        rows.append(Table3Row(pid, last, first, value, eras.get(pid)))
+        rows.append(Table3Row(pid, last, first, brt_from_rates(triple), eras.get(pid)))
     if not rows:
         raise DataError(
             f"no pitcher reaches {min_appearances} high-leverage half-innings")

@@ -130,11 +130,13 @@ def ingest_paths(
     years: tuple[int, int] | None = None,
     jobs: int = 1,
 ) -> IngestResult:
-    """Ingest many event files, optionally fanning out one file per worker."""
+    """Ingest many event files over at most ``jobs`` workers, one file per task."""
     work = [(str(p), mode.value, years) for p in sorted(str(p) for p in paths)]
     result = IngestResult()
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))
+    if workers > 1:
+        # a fork-based pool starts every worker up front, so never more than files
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_ingest_one, work):
                 result.merge(part)
     else:

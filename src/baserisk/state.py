@@ -35,8 +35,6 @@ __all__ = [
     "replay_half_inning",
 ]
 
-BATTER_OUT = 0  # batter_final sentinel; 1-4 are bases, None means no resolution
-
 
 class IllegalState(ValueError):
     """A play that cannot be applied to the current base-out state."""
@@ -81,7 +79,6 @@ class PlayEffects:
     outs_recorded: int
     runs_scored: int
     new_bases: BaseState
-    batter_final: int | None  # 1-4 destination, BATTER_OUT, or None (no PA)
 
 
 @dataclass
@@ -224,20 +221,15 @@ def apply_play(snap: Snapshot, play: ParsedPlay, batter_id: str) -> PlayEffects:
 
     outs = 0
     runs = 0
-    batter_final: int | None = None
     if Base.BATTER in explicit:
         adv = explicit[Base.BATTER]
-        out = adv.is_out and not adv.negated_by_error
         # an explicit batter advance supersedes the strikeout / putout call,
         # e.g. K.B-1 on a dropped third strike is not an out
-        movers.append((Base.BATTER, batter_id, adv.to, out))
-        batter_final = BATTER_OUT if out else int(adv.to)
+        movers.append((Base.BATTER, batter_id, adv.to, adv.is_out and not adv.negated_by_error))
     elif batter_out:
         outs += 1
-        batter_final = BATTER_OUT
     elif batter_dest is not None:
         movers.append((Base.BATTER, batter_id, batter_dest, False))
-        batter_final = int(batter_dest)
 
     def place(runner: str, dest: Base) -> None:
         nonlocal runs
@@ -267,9 +259,7 @@ def apply_play(snap: Snapshot, play: ParsedPlay, batter_id: str) -> PlayEffects:
         raise IllegalState(f"{snap.outs} outs before play, {outs} more recorded")
 
     return PlayEffects(
-        outs, runs,
-        BaseState(new[Base.FIRST], new[Base.SECOND], new[Base.THIRD]),
-        batter_final,
+        outs, runs, BaseState(new[Base.FIRST], new[Base.SECOND], new[Base.THIRD])
     )
 
 
@@ -314,8 +304,15 @@ class _HalfBuilder:
         if kwargs:
             self.bases = replace(self.bases, **kwargs)
 
-    def apply(self, line: PlayLine, play: ParsedPlay, diagnostics: list[Diagnostic]) -> None:
-        if self.dead:
+    def feed(self, line: PlayLine, diagnostics: list[Diagnostic]) -> None:
+        """Parse and apply one play line.  An unreadable token quarantines
+        the half-inning, even one already quarantined."""
+        try:
+            play = parse_play_token(line.event_text)
+        except UnparseableEvent as exc:
+            self.quarantine(str(exc), diagnostics, line.line_no)
+            return
+        if self.dead or play.kind is PlayKind.NO_PLAY:
             return
         batting = self.batting_team
         snap = Snapshot(
@@ -363,14 +360,8 @@ def replay_half_inning(
     for item in items:
         if isinstance(item, SubLine):
             _apply_sub(item, shared, builder)
-            continue
-        try:
-            play = parse_play_token(item.event_text)
-        except UnparseableEvent as exc:
-            builder.quarantine(str(exc), diagnostics, item.line_no)
-            continue
-        if play.kind is not PlayKind.NO_PLAY:
-            builder.apply(item, play, diagnostics)
+        else:
+            builder.feed(item, diagnostics)
     return builder.close(at_game_end), diagnostics
 
 
@@ -428,13 +419,7 @@ def replay_game(account: GameAccount) -> GameReplay:
                     )
                 timelines.append(timeline)
             builder = _HalfBuilder(key, season, shared)
-        try:
-            play = parse_play_token(item.event_text)
-        except UnparseableEvent as exc:
-            builder.quarantine(str(exc), diagnostics, item.line_no)
-            continue
-        if play.kind is not PlayKind.NO_PLAY:
-            builder.apply(item, play, diagnostics)
+        builder.feed(item, diagnostics)
 
     if builder is not None:
         # the account simply ends: a walk-off or a home win with no bottom 9

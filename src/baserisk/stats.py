@@ -23,6 +23,7 @@ p is at least brt.
 from __future__ import annotations
 
 import statistics
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,6 +53,7 @@ __all__ = [
     "extract_observations",
     "merge",
     "rates",
+    "rates_by_pitcher",
 ]
 
 HIGH_LEVERAGE_INNINGS = (8, 9)
@@ -224,25 +226,18 @@ class InningCounts:
             if pid in hl_pitchers:
                 cell[0] += 1
 
-    def seasons(self, pitcher_id: str) -> list[int]:
-        return sorted(s for (p, s) in self.counts if p == pitcher_id)
-
 
 def career_high_leverage_innings(
-    pitcher_id: str,
-    innings: InningCounts,
-    years: tuple[int, int] | None = None,
-) -> int:
-    """Distinct half-innings in which the pitcher faced at least one
-    high-leverage snapshot."""
-    total = 0
+    innings: InningCounts, years: tuple[int, int] | None = None
+) -> dict[str, int]:
+    """Distinct half-innings in which each pitcher faced at least one
+    high-leverage snapshot, for every pitcher with an innings row (0 when
+    none of their seasons falls inside ``years``)."""
+    careers: dict[str, int] = {}
     for (pid, season), (hl, _) in innings.counts.items():
-        if pid != pitcher_id:
-            continue
-        if years and not (years[0] <= season <= years[1]):
-            continue
-        total += hl
-    return total
+        inside = not years or years[0] <= season <= years[1]
+        careers[pid] = careers.get(pid, 0) + (hl if inside else 0)
+    return careers
 
 
 @dataclass(frozen=True)
@@ -273,15 +268,15 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
-def rates(
+def rates_by_pitcher(
     table: TallyTable,
     outs: int,
-    pitchers: set[str] | None = None,
     leverage: bool | None = None,
     years: tuple[int, int] | None = None,
-) -> RateTriple:
-    """Aggregate scoring rates for the three classes at threshold index
-    ``outs`` (the first-only class is read at ``outs + 1``).
+) -> dict[str, RateTriple]:
+    """Scoring rates for the three classes at threshold index ``outs`` (the
+    first-only class is read at ``outs + 1``), for every pitcher with at
+    least one matching cell.
 
     leverage=True keeps only high-leverage observations, None keeps all.
     """
@@ -292,22 +287,43 @@ def rates(
         ClassKind.SECOND_NO_THIRD: outs,
         ClassKind.FIRST_ONLY: outs + 1,
     }
-    sums = {kind: [0, 0] for kind in wanted}
+    sums: dict[tuple[str, ClassKind], list[int]] = {}
     for (pid, kind, cell_outs, season, lev), (num, den) in table.cells.items():
         if wanted.get(kind) != cell_outs:
-            continue
-        if pitchers is not None and pid not in pitchers:
             continue
         if leverage is not None and lev != leverage:
             continue
         if years and not (years[0] <= season <= years[1]):
             continue
-        sums[kind][0] += num
-        sums[kind][1] += den
-    return RateTriple(
-        Rate(*sums[ClassKind.THIRD_OCCUPIED]),
-        Rate(*sums[ClassKind.SECOND_NO_THIRD]),
-        Rate(*sums[ClassKind.FIRST_ONLY]),
+        cell = sums.setdefault((pid, kind), [0, 0])
+        cell[0] += num
+        cell[1] += den
+    return {
+        pid: RateTriple(*(Rate(*sums.get((pid, kind), (0, 0))) for kind in wanted), outs)
+        for pid in dict.fromkeys(pid for pid, _ in sums)
+    }
+
+
+def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
+    sums = [[0, 0], [0, 0], [0, 0]]
+    for triple in triples:
+        for cell, rate in zip(sums, (triple.t, triple.s, triple.f)):
+            cell[0] += rate.numerator
+            cell[1] += rate.denominator
+    return RateTriple(*(Rate(*cell) for cell in sums), outs)
+
+
+def rates(
+    table: TallyTable,
+    outs: int,
+    pitchers: set[str] | None = None,
+    leverage: bool | None = None,
+    years: tuple[int, int] | None = None,
+) -> RateTriple:
+    """rates_by_pitcher pooled over ``pitchers``, or over all when None."""
+    return _pooled(
+        (triple for pid, triple in rates_by_pitcher(table, outs, leverage, years).items()
+         if pitchers is None or pid in pitchers),
         outs,
     )
 
@@ -374,26 +390,32 @@ class BucketRow:
     excluded: list[str]  # pitchers dropped from mean/stddev for empty cells
 
 
-def _group_stats(
-    table: TallyTable,
-    pitcher_ids: list[str],
+def _bucket_row(
+    label: str,
+    low: int,
+    high: int | None,
+    members: list[str],
+    by_pitcher: dict[str, RateTriple],
     outs: int,
-    leverage: bool | None,
-    years: tuple[int, int] | None,
-) -> tuple[BRTValue | None, float | None, float | None, list[str]]:
-    pooled = rates(table, outs, set(pitcher_ids), leverage, years)
+) -> BucketRow:
+    """Pooled threshold of the distinct members plus the spread of their
+    own thresholds, leaving out members with an empty cell."""
+    pooled = _pooled(
+        (by_pitcher[pid] for pid in dict.fromkeys(members) if pid in by_pitcher),
+        outs,
+    )
     cumulative = brt_from_rates(pooled) if pooled.complete() else None
     per_pitcher: list[float] = []
     excluded: list[str] = []
-    for pid in pitcher_ids:
-        triple = rates(table, outs, {pid}, leverage, years)
-        if triple.complete():
+    for pid in members:
+        triple = by_pitcher.get(pid)
+        if triple is not None and triple.complete():
             per_pitcher.append(brt_from_rates(triple).brt)
         else:
             excluded.append(pid)
     mean = statistics.fmean(per_pitcher) if per_pitcher else None
     stddev = statistics.pstdev(per_pitcher) if per_pitcher else None
-    return cumulative, mean, stddev, excluded
+    return BucketRow(label, low, high, sorted(members), cumulative, mean, stddev, excluded)
 
 
 def bucket_report(
@@ -410,31 +432,22 @@ def bucket_report(
 
     With a single pitcher in a bucket the population stddev is 0.
     """
-    careers: dict[str, int] = {}
-    for (pid, _season), _ in innings.counts.items():
-        careers.setdefault(pid, 0)
-    for pid in careers:
-        careers[pid] = career_high_leverage_innings(pid, innings, years)
-        if cohort_last_season_min is not None:
-            seasons = innings.seasons(pid)
-            if not seasons or seasons[-1] < cohort_last_season_min:
-                careers[pid] = -1  # marks the pitcher outside the cohort
+    careers = career_high_leverage_innings(innings, years)
+    if cohort_last_season_min is not None:
+        cohort = {pid for pid, season in innings.counts if season >= cohort_last_season_min}
+        careers = {pid: career for pid, career in careers.items() if pid in cohort}
+    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
 
     edges = list(boundaries) + [None]
     rows: list[BucketRow] = []
-    any_pitchers = False
     for low, high in zip(edges[:-1], edges[1:]):
         members = sorted(
             pid for pid, career in careers.items()
             if career >= low and (high is None or career < high)
         )
-        any_pitchers = any_pitchers or bool(members)
         label = f"{low}+" if high is None else f"{low}-{high - 1}"
-        cumulative, mean, stddev, excluded = _group_stats(
-            table, members, outs, leverage, years
-        )
-        rows.append(BucketRow(label, low, high, members, cumulative, mean, stddev, excluded))
-    if not any_pitchers:
+        rows.append(_bucket_row(label, low, high, members, by_pitcher, outs))
+    if not any(row.pitchers for row in rows):
         raise EmptyBucket("no pitcher reached the first boundary")
     return rows
 
@@ -449,9 +462,5 @@ def group_summary(
     """Bucket-style stats for an explicit pitcher list (e.g. save leaders)."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
-    cumulative, mean, stddev, excluded = _group_stats(
-        table, pitcher_ids, outs, leverage, years
-    )
-    return BucketRow(
-        "group", 0, None, sorted(pitcher_ids), cumulative, mean, stddev, excluded
-    )
+    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
+    return _bucket_row("group", 0, None, pitcher_ids, by_pitcher, outs)

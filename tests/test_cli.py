@@ -195,8 +195,12 @@ def test_decide_usage_errors(workspace):
     ["table2", "--boundaries", "5,1"],
     ["table2", "--boundaries", "100,100"],
     ["table3", "--outs", "2"],
+    ["table2", "--boundaries", ""],
+    ["table2", "--boundaries=-5,100"],
+    ["ingest", "-i", "EVN", "--jobs", "0"],
 ])
 def test_out_of_range_options_are_usage_errors(workspace, args):
+    args = [str(workspace["evn"]) if a == "EVN" else a for a in args]
     assert main(args + ["--cache", str(workspace["cache"])]) == 1
 
 
@@ -254,3 +258,102 @@ def test_config_rejects_garbage(tmp_path, capsys):
     cfg.write_text("this is not a key value pair\n")
     assert main(["--config", str(cfg), "table1", "--cache", "x"]) == 2
     assert "bad config line" in capsys.readouterr().err
+
+
+# --- report outputs pinned on a synthetic many-pitcher cache ----------------
+
+
+@pytest.fixture(scope="module")
+def report_cache(tmp_path_factory):
+    """A seeded cache of 60 pitchers over 1980-2009 with uneven careers.
+
+    Every seventh pitcher lacks the high-leverage first-only cell at two
+    outs and every ninth the one at one out, so buckets and table3 drop
+    them at the matching out count.  One pitcher has tallies but no
+    innings rows and one has innings rows but no tallies.
+    """
+    import random
+
+    from baserisk.cache import StatsCache, write_cache
+    from baserisk.stats import ClassKind, CountingMode, InningCounts, TallyTable
+
+    rng = random.Random(3)
+    # (class, outs, chance of scoring), so most thresholds are not clamped
+    cells = (
+        (ClassKind.THIRD_OCCUPIED, 0, 0.8), (ClassKind.THIRD_OCCUPIED, 1, 0.65),
+        (ClassKind.SECOND_NO_THIRD, 0, 0.6), (ClassKind.SECOND_NO_THIRD, 1, 0.4),
+        (ClassKind.FIRST_ONLY, 1, 0.27), (ClassKind.FIRST_ONLY, 2, 0.12),
+    )
+    table, innings = TallyTable(), InningCounts()
+    for n in range(60):
+        pid = f"p{n:03d}"
+        length = rng.randint(2, 12)
+        start = rng.randint(1980, 2010 - length)
+        for season in range(start, start + length):
+            if n != 58:
+                hl = rng.randint(0, 70)
+                innings.counts[(pid, season)] = [hl, hl + rng.randint(10, 60)]
+            if n == 59:
+                continue
+            for kind, outs, chance in cells:
+                for lev in (True, False):
+                    if lev and kind is ClassKind.FIRST_ONLY and (
+                        (outs == 2 and n % 7 == 3) or (outs == 1 and n % 9 == 4)
+                    ):
+                        continue
+                    den = rng.randint(1, 8) if lev else rng.randint(5, 40)
+                    scored = sum(rng.random() < chance for _ in range(den))
+                    table.cells[(pid, kind, outs, season, lev)] = [scored, den]
+    root = tmp_path_factory.mktemp("reports")
+    path = root / "many.cache"
+    write_cache(path, StatsCache(table, innings, CountingMode.INCLUDE_PLAY,
+                                 "synthetic"))
+    leaders = root / "leaders.txt"
+    leaders.write_text("p010\np003\nghost01\np010\np041\n")
+    return {"cache": str(path), "leaders": str(leaders)}
+
+
+# SHA-256 of stdout, recorded before the reports were rebuilt on one pass
+# over the tally store per question; any change to the output shows here.
+PINNED_REPORTS = [
+    (["table1"], 0,
+     "1ae55ebbac6de9f80bdc5d4ee6bedf7cb75b903528b945ae178415f26d86578d"),
+    (["table1", "--format", "csv"], 0,
+     "1aa3ca2333f00afd3bb4dc74eedc60f8a43af2f8130b9dd1b67ca54cc876f015"),
+    (["table2"], 0,
+     "6d36f5d9f773f0fbfb2bd23c6e22ca6890d7297228acc2052d395d170c9ba627"),
+    (["table2", "--format", "csv"], 0,
+     "50599ba9a91593062d04b6105029a2a35c67b5069bc89a7093b6cc69c1dde14e"),
+    (["table3"], 0,
+     "912f50eb9cbfd0344a963d7cca17aa7470cd83fb5faf092e3219ce7f97dd5ab6"),
+    (["table3", "--format", "csv"], 0,
+     "1f7745f0bac8bcec724620fbb3600afe3f3b57873024a5fd8d08e4d68f625dfc"),
+    (["table2", "--cohort-min-season", "1995", "--years", "1985-2004",
+      "--save-leaders", "LEADERS"], 0,
+     "2a03fa6e3c20f02df90f6c3a28452adcff5c240e543cc36ff62666afa67b032c"),
+    (["table2", "--boundaries", "0,50,400", "--outs", "0",
+      "--save-leaders", "LEADERS", "--format", "csv"], 0,
+     "ba682e26a354ac09c78e8c1c6baaf38bfd5aacfe2e65c5aaccc97e19feb4642d"),
+    (["table3", "--outs", "0", "--min-appearances", "120"], 0,
+     "4cfe60144b5114ef56693e88b7983df7927dc3294d8e22d424b4ef0b978c7676"),
+    (["table3", "--years", "1990-1999", "--min-appearances", "60"], 0,
+     "6c3f84074d00db4d6c51c834f959e8982de6116cb46c49ea3ffe7914eb1a0acb"),
+    (["table3", "--min-appearances", "0", "--format", "csv"], 0,
+     "d53f599a50be3e0c2db36c3d4277940f064505be9f4ff8da28ea047a688775f2"),
+    (["decide", "0.3", "--pitcher", "p007"], 0,
+     "37b3135ff6a52358d3120e828832ac9aa51d76ea615e758003c2a2ca4736d4e3"),
+    (["decide", "0.3", "--all-innings"], 0,
+     "5ddd23af97ec29017ae36da3dc4c07ee50a9ce3cdecfe6147b14f3ee78fdbbb0"),
+    (["decide", "0.3", "--pitcher", "ghost01"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED_REPORTS)
+def test_reports_pinned(report_cache, capsys, args, code, digest):
+    import hashlib
+
+    args = [report_cache["leaders"] if a == "LEADERS" else a for a in args]
+    assert main(args + ["--cache", report_cache["cache"]]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

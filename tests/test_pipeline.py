@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from baserisk import pipeline
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import Half, PlayLine, assemble_games, tokenize_event_file
 from baserisk.oracle import default_model, emit_event_file, simulate_season
@@ -97,6 +98,30 @@ def test_year_filter():
     assert ingest_text(text, years=(1984, 1984)).games == 5
     assert ingest_text(text, years=(1985, 1990)).games == 0
 
+
+def test_ingest_workers_capped_at_file_count(tmp_path, monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+    paths = []
+    for seed in range(2):
+        path = tmp_path / f"sim{seed}.evn"
+        path.write_text(emit_event_file(simulate_season(default_model(), 3, seed=seed)))
+        paths.append(path)
+    assert ingest_paths(paths, jobs=64).games == 6
+    assert started == [2]
 
 def test_counting_mode_changes_numerators_only():
     text = emit_event_file(simulate_season(default_model(), 200, seed=9))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from baserisk.eventfile import Half, assemble_games, tokenize_event_file
 from baserisk.playtoken import parse_play_token
 from baserisk.state import (
-    BATTER_OUT,
     BaseState,
     IllegalState,
     Snapshot,
@@ -35,7 +34,6 @@ def test_home_run_clears_bases():
     fx = effects("HR.1-H", BaseState(first="r1"), outs=1)
     assert (fx.outs_recorded, fx.runs_scored) == (0, 2)
     assert fx.new_bases == BaseState()
-    assert fx.batter_final == 4
 
 
 def test_home_run_implied_scoring():
@@ -49,7 +47,6 @@ def test_ground_double_play():
     fx = effects("64(1)3/GDP", BaseState(first="r1"), outs=1)
     assert (fx.outs_recorded, fx.runs_scored) == (2, 0)
     assert fx.new_bases == BaseState()
-    assert fx.batter_final == BATTER_OUT
 
 
 def test_strikeout_leaves_runners():
@@ -62,7 +59,6 @@ def test_dropped_third_strike():
     fx = effects("K.B-1")
     assert fx.outs_recorded == 0
     assert fx.new_bases.first == "bat0"
-    assert fx.batter_final == 1
 
 
 def test_walk_pushes_only_forced_runners():
@@ -81,7 +77,6 @@ def test_force_out_batter_reaches_first():
     fx = effects("64(1)", BaseState(first="r1"))
     assert fx.outs_recorded == 1
     assert fx.new_bases == BaseState(first="bat0")
-    assert fx.batter_final == 1
 
 
 def test_single_pushes_held_runner():
@@ -130,7 +125,6 @@ def test_pickoff():
 def test_batter_out_on_advance_to_home():
     fx = effects("T9.BXH(82)")
     assert fx.outs_recorded == 1
-    assert fx.batter_final == BATTER_OUT
     assert fx.new_bases == BaseState()
 
 

@@ -229,14 +229,13 @@ def test_inning_counts_and_career():
     innings.add_timeline(make_timeline([(bases(third=True), 0)], [0]))
     innings.add_timeline(make_timeline([(bases(third=True), 0)], [0], inning=5))
     assert innings.counts[("p1", 2000)] == [1, 2]
-    assert career_high_leverage_innings("p1", innings) == 1
-    assert career_high_leverage_innings("p1", innings, years=(1999, 1999)) == 0
+    assert career_high_leverage_innings(innings) == {"p1": 1}
+    assert career_high_leverage_innings(innings, years=(1999, 1999)) == {"p1": 0}
     other = InningCounts({("p1", 2001): [2, 3]})
     combined = InningCounts()
     for part in (innings, other):
         add_cells(combined.counts, part.counts)
-    assert career_high_leverage_innings("p1", combined) == 3
-    assert combined.seasons("p1") == [2000, 2001]
+    assert career_high_leverage_innings(combined) == {"p1": 3}
 
 
 def test_two_pitchers_in_one_half_both_credited():
@@ -383,10 +382,12 @@ def test_bucket_excludes_empty_cell_pitchers_from_mean():
 def test_cohort_filter_drops_early_retirees():
     table = homogeneous_table(["p0", "p1"])
     innings = InningCounts({("p0", 1990): [120, 150], ("p1", 2000): [120, 150]})
-    rows = bucket_report(
-        table, innings, outs=1, boundaries=(100,), cohort_last_season_min=1995
-    )
-    assert rows[0].pitchers == ["p1"]
+    # with a negative edge the bottom bucket must not catch the retiree either
+    for boundaries in ((100,), (-5, 100)):
+        rows = bucket_report(
+            table, innings, outs=1, boundaries=boundaries, cohort_last_season_min=1995
+        )
+        assert [pid for row in rows for pid in row.pitchers] == ["p1"]
 
 
 def test_empty_bucket_raises():

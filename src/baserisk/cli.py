@@ -286,6 +286,8 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
         value = compute_brt(*tsf)
     elif cache_path:
         cache = _load_cache(cache_path)
+        if pitcher_id and pitcher_id not in {key[0] for key in cache.table.cells}:
+            raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
         try:
             triple = rates(cache.table, outs,
                            pitchers=[pitcher_id] if pitcher_id else None,
@@ -344,7 +346,7 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
 @cli.command()
 @click.option("--model", "model_path", type=click.Path(exists=True),
               default=None, help="outcome model file (defaults to built-in)")
-@click.option("--games", type=int, default=100, show_default=True)
+@click.option("--games", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--season", type=int, default=2000, show_default=True)
 @click.option("--subs/--no-subs", default=False, show_default=True,
@@ -356,8 +358,6 @@ def simulate(model_path, games, seed, season, subs, out_path):
         model = oracle.load_model(model_path) if model_path else oracle.default_model()
     except oracle.InvalidModel as exc:
         raise DataError(str(exc))
-    if games <= 0:
-        raise click.UsageError("--games must be positive")
     sims = oracle.simulate_season(model, games, seed, season=season,
                                   midgame_subs=subs)
     Path(out_path).write_text(oracle.emit_event_file(sims), encoding="ascii")
@@ -369,9 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -154,9 +154,6 @@ _PUTOUT_GROUP_RE = re.compile(r"^\d+(?:/TH[123H]?)?$")
 _STRIKEOUT_RE = re.compile(r"^K(\d*)(?:\+(.+))?$")
 _WALK_RE = re.compile(r"^(IW|I|W)(?:\+(.+))?$")
 _STOLEN_RE = re.compile(r"^SB([23H])((?:;SB[23H])*)$")
-_CAUGHT_RE = re.compile(r"^CS([23H])((?:\([^)]*\))*)$")
-_POCS_RE = re.compile(r"^POCS([23H])((?:\([^)]*\))*)$")
-_PICKOFF_RE = re.compile(r"^PO([123])((?:\([^)]*\))*)$")
 _HOMER_RE = re.compile(r"^HR?(\d*)$")
 _DGR_RE = re.compile(r"^DGR(\d*)$")
 _HIT_RE = re.compile(r"^([SDT])(\d*)$")
@@ -165,6 +162,43 @@ _ERROR_RE = re.compile(r"^(\d*)E(\d+)$")
 _FOUL_ERROR_RE = re.compile(r"^FLE(\d+)$")
 _OUT_SEGMENT_RE = re.compile(r"(\d+)(?:\(([B123])\))?")
 _TRAILING_ERROR_RE = re.compile(r"^(\d*)E\d+$")
+
+# Basic events spelled by one fixed word.
+_FIXED_WORDS = {
+    "NP": PlayKind.NO_PLAY,
+    "C": PlayKind.CATCHER_INTERFERENCE,
+    "WP": PlayKind.WILD_PITCH,
+    "PB": PlayKind.PASSED_BALL,
+    "BK": PlayKind.BALK,
+    "DI": PlayKind.DEFENSIVE_INDIFFERENCE,
+    "OA": PlayKind.OTHER_ADVANCE,
+    "HP": PlayKind.HIT_BY_PITCH,
+}
+_HIT_KINDS = {"S": PlayKind.SINGLE, "D": PlayKind.DOUBLE, "T": PlayKind.TRIPLE}
+# Tag plays on a runner: target base, then (...) groups of fielder credits.
+_TAG_EVENTS = (
+    (re.compile(r"^POCS([23H])((?:\([^)]*\))*)$"), PlayKind.PICKOFF_CAUGHT_STEALING),
+    (re.compile(r"^PO([123])((?:\([^)]*\))*)$"), PlayKind.PICKOFF),
+    (re.compile(r"^CS([23H])((?:\([^)]*\))*)$"), PlayKind.CAUGHT_STEALING),
+)
+
+
+def _digits(text: str) -> list[int]:
+    return [int(c) for c in text]
+
+
+def _paren_groups(blob: str, token: str,
+                  error_cls: type[UnparseableEvent]) -> tuple[list[str], bool]:
+    """The ``(...)`` groups that make up all of ``blob``, and whether an error
+    among them with no completed putout cancels the out."""
+    if not blob:
+        return [], False
+    groups = _PAREN_RE.findall(blob)
+    if "".join(f"({g})" for g in groups) != blob:
+        raise error_cls(token, "stray text outside parentheses")
+    has_error = any(_ERROR_GROUP_RE.match(g) for g in groups)
+    has_putout = any(_PUTOUT_GROUP_RE.match(g) for g in groups)
+    return groups, has_error and not has_putout
 
 
 def parse_advances(text: str) -> list[Advance]:
@@ -184,37 +218,14 @@ def parse_advances(text: str) -> list[Advance]:
         frm = _FROM_BASE[m.group(1)]
         to = _TO_BASE[m.group(3)]
         is_out = m.group(2) == "X"
-        rest = m.group(4)
-        groups = _PAREN_RE.findall(rest)
-        if "".join(f"({g})" for g in groups) != rest:
-            raise MalformedAdvance(token, "stray text outside parentheses")
-        has_error = any(_ERROR_GROUP_RE.match(g) for g in groups)
-        has_putout = any(_PUTOUT_GROUP_RE.match(g) for g in groups)
-        negated = is_out and has_error and not has_putout
+        groups, negated = _paren_groups(m.group(4), token, MalformedAdvance)
         if not is_out and to <= frm:
             raise MalformedAdvance(token, "safe advance must move forward")
         if frm in seen:
             raise MalformedAdvance(token, "duplicate from-base")
         seen.add(frm)
-        advances.append(Advance(frm, to, is_out, negated, groups))
+        advances.append(Advance(frm, to, is_out, is_out and negated, groups))
     return advances
-
-
-def _parse_paren_groups(blob: str, token: str) -> tuple[list[int], bool]:
-    """Credits and error-negation flag for CS/PO/POCS parenthesis groups."""
-    groups = _PAREN_RE.findall(blob)
-    if "".join(f"({g})" for g in groups) != blob:
-        raise UnparseableEvent(token, "stray text outside parentheses")
-    credits: list[int] = []
-    has_error = False
-    has_putout = False
-    for g in groups:
-        if _ERROR_GROUP_RE.match(g):
-            has_error = True
-        elif _PUTOUT_GROUP_RE.match(g):
-            has_putout = True
-            credits.extend(int(c) for c in g if c.isdigit())
-    return credits, has_error and not has_putout
 
 
 def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
@@ -228,19 +239,17 @@ def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
         if m and putouts:
             # force out recorded, then an error let the batter reach: 64(1)E3
             batter_error = True
-            i = len(basic)
             break
         m = _OUT_SEGMENT_RE.match(basic, i)
         if not m:
             raise UnparseableEvent(token, f"bad out segment at {basic[i:]!r}")
-        credits = [int(c) for c in m.group(1)]
         if m.group(2):
             runner = _FROM_BASE[m.group(2)]
         elif m.end() == len(basic):
             runner = Base.BATTER
         else:
             raise UnparseableEvent(token, f"bad out segment at {basic[i:]!r}")
-        putouts.append(Putout(runner, credits))
+        putouts.append(Putout(runner, _digits(m.group(1))))
         i = m.end()
     if not putouts:
         raise UnparseableEvent(token, "empty out event")
@@ -250,30 +259,14 @@ def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
 
 
 def _parse_basic(basic: str, token: str) -> ParsedPlay:
-    if basic == "NP":
-        return ParsedPlay(PlayKind.NO_PLAY)
-    if basic == "C":
-        return ParsedPlay(PlayKind.CATCHER_INTERFERENCE)
-    if basic == "WP":
-        return ParsedPlay(PlayKind.WILD_PITCH)
-    if basic == "PB":
-        return ParsedPlay(PlayKind.PASSED_BALL)
-    if basic == "BK":
-        return ParsedPlay(PlayKind.BALK)
-    if basic == "DI":
-        return ParsedPlay(PlayKind.DEFENSIVE_INDIFFERENCE)
-    if basic == "OA":
-        return ParsedPlay(PlayKind.OTHER_ADVANCE)
-    if basic == "HP":
-        return ParsedPlay(PlayKind.HIT_BY_PITCH)
-
+    kind = _FIXED_WORDS.get(basic)
+    if kind is not None:
+        return ParsedPlay(kind)
     m = _STRIKEOUT_RE.match(basic)
     if m:
         chained = _parse_basic(m.group(2), token) if m.group(2) else None
         return ParsedPlay(
-            PlayKind.STRIKEOUT,
-            fielders=[int(c) for c in m.group(1)],
-            chained=chained,
+            PlayKind.STRIKEOUT, fielders=_digits(m.group(1)), chained=chained
         )
     m = _WALK_RE.match(basic)
     if m:
@@ -285,63 +278,35 @@ def _parse_basic(basic: str, token: str) -> ParsedPlay:
         bases = [_TO_BASE[m.group(1)]]
         bases += [_TO_BASE[part[-1]] for part in m.group(2).split(";") if part]
         return ParsedPlay(PlayKind.STOLEN_BASE, bases_stolen=bases)
-    m = _POCS_RE.match(basic)
-    if m:
-        credits, negated = _parse_paren_groups(m.group(2), token)
-        return ParsedPlay(
-            PlayKind.PICKOFF_CAUGHT_STEALING,
-            fielders=credits,
-            target_base=_TO_BASE[m.group(1)],
-            negated_by_error=negated,
-        )
-    m = _PICKOFF_RE.match(basic)
-    if m:
-        credits, negated = _parse_paren_groups(m.group(2), token)
-        return ParsedPlay(
-            PlayKind.PICKOFF,
-            fielders=credits,
-            target_base=_TO_BASE[m.group(1)],
-            negated_by_error=negated,
-        )
-    m = _CAUGHT_RE.match(basic)
-    if m:
-        credits, negated = _parse_paren_groups(m.group(2), token)
-        return ParsedPlay(
-            PlayKind.CAUGHT_STEALING,
-            fielders=credits,
-            target_base=_TO_BASE[m.group(1)],
-            negated_by_error=negated,
-        )
+    for regex, kind in _TAG_EVENTS:
+        m = regex.match(basic)
+        if m:
+            groups, negated = _paren_groups(m.group(2), token, UnparseableEvent)
+            credits = [int(c) for g in groups if _PUTOUT_GROUP_RE.match(g)
+                       for c in g if c.isdigit()]
+            return ParsedPlay(kind, fielders=credits, target_base=_TO_BASE[m.group(1)],
+                              negated_by_error=negated)
     m = _FOUL_ERROR_RE.match(basic)
     if m:
         return ParsedPlay(PlayKind.FOUL_ERROR, position=int(m.group(1)[0]))
     m = _DGR_RE.match(basic)
     if m:
-        return ParsedPlay(
-            PlayKind.GROUND_RULE_DOUBLE, fielders=[int(c) for c in m.group(1)]
-        )
+        return ParsedPlay(PlayKind.GROUND_RULE_DOUBLE, fielders=_digits(m.group(1)))
     m = _HOMER_RE.match(basic)
     if m:
-        return ParsedPlay(PlayKind.HOME_RUN, fielders=[int(c) for c in m.group(1)])
+        return ParsedPlay(PlayKind.HOME_RUN, fielders=_digits(m.group(1)))
     m = _HIT_RE.match(basic)
     if m:
-        kind = {
-            "S": PlayKind.SINGLE,
-            "D": PlayKind.DOUBLE,
-            "T": PlayKind.TRIPLE,
-        }[m.group(1)]
-        return ParsedPlay(kind, fielders=[int(c) for c in m.group(2)])
+        return ParsedPlay(_HIT_KINDS[m.group(1)], fielders=_digits(m.group(2)))
     m = _FC_RE.match(basic)
     if m:
-        return ParsedPlay(
-            PlayKind.FIELDERS_CHOICE,
-            position=int(m.group(1)) if m.group(1) else None,
-        )
+        position = int(m.group(1)) if m.group(1) else None
+        return ParsedPlay(PlayKind.FIELDERS_CHOICE, position=position)
     m = _ERROR_RE.match(basic)
     if m:
         return ParsedPlay(
             PlayKind.REACHED_ON_ERROR,
-            fielders=[int(c) for c in m.group(1)],
+            fielders=_digits(m.group(1)),
             position=int(m.group(2)[0]),
         )
     if basic and basic[0].isdigit():

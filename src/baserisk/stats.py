@@ -335,13 +335,9 @@ class BRTValue:
     f: float
     brt: float
     clamped: bool
-    sample_sizes: tuple[int, int, int] | None = None
 
 
-def compute_brt(
-    t: float, s: float, f: float,
-    sample_sizes: tuple[int, int, int] | None = None,
-) -> BRTValue:
+def compute_brt(t: float, s: float, f: float) -> BRTValue:
     """Break-even success probability for trading a base for an out risk.
 
     Derived from p*t >= p*s + (1-p)*f: aggressive baserunning is at least
@@ -352,18 +348,15 @@ def compute_brt(
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be a probability, got {value}")
     if t - s > 0.0:
-        return BRTValue(t, s, f, f / (f + t - s), False, sample_sizes)
-    return BRTValue(t, s, f, 1.0, True, sample_sizes)
+        return BRTValue(t, s, f, f / (f + t - s), False)
+    return BRTValue(t, s, f, 1.0, True)
 
 
 def brt_from_rates(triple: RateTriple) -> BRTValue:
     t = triple.t.require("third-occupied cell")
     s = triple.s.require("second-no-third cell")
     f = triple.f.require("first-only cell")
-    return compute_brt(
-        t, s, f,
-        (triple.t.denominator, triple.s.denominator, triple.f.denominator),
-    )
+    return compute_brt(t, s, f)
 
 
 def decide(p: float, brt: float) -> Decision:
@@ -423,12 +416,12 @@ def bucket_report(
     innings: InningCounts,
     outs: int,
     boundaries: tuple[int, ...] = (100, 150, 200, 250, 300, 350),
-    leverage: bool | None = True,
     years: tuple[int, int] | None = None,
     cohort_last_season_min: int | None = None,
 ) -> list[BucketRow]:
     """Group pitchers by career high-leverage half-innings and report the
-    pooled threshold plus the spread of per-pitcher thresholds per bucket.
+    pooled high-leverage threshold plus the spread of per-pitcher thresholds
+    per bucket.
 
     With a single pitcher in a bucket the population stddev is 0.
     """
@@ -436,7 +429,7 @@ def bucket_report(
     if cohort_last_season_min is not None:
         cohort = {pid for pid, season in innings.counts if season >= cohort_last_season_min}
         careers = {pid: career for pid, career in careers.items() if pid in cohort}
-    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
+    by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
 
     edges = list(boundaries) + [None]
     rows: list[BucketRow] = []
@@ -456,11 +449,10 @@ def group_summary(
     table: TallyTable,
     pitcher_ids: list[str],
     outs: int,
-    leverage: bool | None = True,
     years: tuple[int, int] | None = None,
 ) -> BucketRow:
     """Bucket-style stats for an explicit pitcher list (e.g. save leaders)."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
-    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
+    by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
     return _bucket_row("group", 0, None, pitcher_ids, by_pitcher, outs)

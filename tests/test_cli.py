@@ -357,3 +357,12 @@ def test_reports_pinned(report_cache, capsys, args, code, digest):
     assert main(args + ["--cache", report_cache["cache"]]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_decide_names_pitcher_missing_from_cache(report_cache, capsys):
+    args = ["decide", "0.3", "--pitcher", "ghost01", "--cache", report_cache["cache"]]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ghost01" in captured.err
+    assert "no tally rows" in captured.err

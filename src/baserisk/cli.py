@@ -40,6 +40,7 @@ from .stats import (
     compute_brt,
     decide,
     group_summary,
+    pooled_rates,
     rates,
     rates_by_pitcher,
 )
@@ -181,12 +182,12 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
     cache = _load_cache(cache_path)
-    span = _parse_years(years)
+    triples = pooled_rates(cache.table, _parse_years(years))
     cells = {}
     try:
         for scope, leverage in (("all", None), ("hl", True)):
             for outs in (1, 0):
-                triple = rates(cache.table, outs, leverage=leverage, years=span)
+                triple = triples[(leverage, outs)]
                 cells[(scope, outs)] = Table1Cell(triple, brt_from_rates(triple))
     except EmptyCell as exc:
         raise DataError(str(exc))
@@ -309,7 +310,7 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
 @click.option("--pitcher", "pitcher_id", default=None)
 @click.option("--situation", "class_name",
               type=click.Choice(sorted(_CLASS_NAMES)), default=None)
-@click.option("--outs", type=int, default=None)
+@click.option("--outs", type=click.IntRange(0, 2), default=None)
 @click.option("--years", default=None)
 @click.option("--leverage/--all-innings", "leverage", default=False)
 @click.option("--counting-mode",

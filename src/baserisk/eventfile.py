@@ -48,6 +48,9 @@ class Half(IntEnum):
     BOTTOM = 1
 
 
+_HALVES = {"0": Half.TOP, "1": Half.BOTTOM}
+
+
 @dataclass
 class RawRecord:
     kind: RecordKind
@@ -125,15 +128,22 @@ def tokenize_event_file(text: str) -> tuple[list[RawRecord], list[Diagnostic]]:
     records: list[RawRecord] = []
     diagnostics: list[Diagnostic] = []
     kinds = {k.value: k for k in RecordKind}
+    # a line no longer than csv's field limit and without quotes splits the
+    # same with str.split; the rest get a reader each, so an unclosed quote
+    # costs only its own line
+    limit = csv.field_size_limit()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            cells = next(csv.reader(io.StringIO(line)))
-        except (csv.Error, StopIteration):
-            diagnostics.append(Diagnostic("unreadable_line", line, line_no))
-            continue
+        if '"' not in line and len(line) <= limit:
+            cells = line.split(",")
+        else:
+            try:
+                cells = next(csv.reader(io.StringIO(line)))
+            except (csv.Error, StopIteration):
+                diagnostics.append(Diagnostic("unreadable_line", line, line_no))
+                continue
         if not cells or not cells[0]:
             diagnostics.append(Diagnostic("unreadable_line", line, line_no))
             continue
@@ -174,11 +184,12 @@ def _build_account(
                 )
             elif rec.kind is RecordKind.PLAY:
                 count = f[3] if f[3] and f[3] != "??" else None
+                inning = int(f[0])
+                half = _HALVES.get(f[1])
+                if half is None:  # any other spelling: accepted or rejected as by int()
+                    half = Half(int(f[1]))
                 events.append(
-                    PlayLine(
-                        int(f[0]), Half(int(f[1])), f[2], count, f[4], f[5],
-                        rec.line_no,
-                    )
+                    PlayLine(inning, half, f[2], count, f[4], f[5], rec.line_no)
                 )
             elif rec.kind is RecordKind.DATA:
                 if f and f[0] == "er" and len(f) >= 3:

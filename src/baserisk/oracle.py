@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .eventfile import Half
+from .state import FIRST, SECOND, THIRD
 
 __all__ = [
     "DEFAULT_MODEL_TEXT",
@@ -41,7 +42,6 @@ __all__ = [
 PROB_TOLERANCE = 1e-12
 HALF_INNING_CAP = 50  # plate appearances; guards degenerate models
 
-FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
 HOME = 4  # destination "base 4"
 
 

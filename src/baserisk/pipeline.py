@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .eventfile import Diagnostic, assemble_games, tokenize_event_file
-from .state import StateTimeline, replay_game
+from .state import StateTimeline, StepMemo, replay_game
 from .stats import (
     CountingMode,
     InningCounts,
@@ -72,7 +72,8 @@ def iter_timelines(
     complete, unquarantined half-inning of the games inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
-    and diagnostic codes are counted into ``result`` along the way.
+    and diagnostic codes are counted into ``result`` along the way.  The
+    file's games share one play memo, so its size is bounded by the file.
     """
     records, diags = tokenize_event_file(text)
     result._note(diags)
@@ -81,10 +82,11 @@ def iter_timelines(
     result.games_skipped += len(
         {d.game_id for d in diags if d.game_id and d.code in _GAME_DROPPING}
     )
+    steps: StepMemo = {}
     for account in games:
         if years and not (years[0] <= account.season <= years[1]):
             continue
-        replay = replay_game(account)
+        replay = replay_game(account, steps)
         result._note(replay.diagnostics)
         if not replay.timelines and replay.diagnostics:
             result.games_skipped += 1

@@ -5,11 +5,14 @@ every play that is not a no-play, and folding each play's effects into the
 next state.  Anything it cannot replay exactly (an unparseable token, an
 advance from an empty base, a fourth out) quarantines the enclosing
 half-inning instead of guessing.
+
+No output reads which runner stands where, so replay carries the bases as a
+3-bit occupancy mask and resolves each (token, occupancy, outs) only once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .eventfile import Diagnostic, GameAccount, Half, PlayLine, SubLine
 from .playtoken import (
@@ -33,7 +36,10 @@ __all__ = [
     "initial_snapshot",
     "replay_game",
     "replay_half_inning",
+    "resolve_step",
 ]
+
+FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
 
 
 class IllegalState(ValueError):
@@ -49,23 +55,16 @@ class BaseState:
     def occupant(self, base: Base) -> str | None:
         return (None, self.first, self.second, self.third)[base]
 
-    def occupancy(self) -> tuple[bool, bool, bool]:
-        return (self.first is not None, self.second is not None, self.third is not None)
-
-    def runners(self) -> list[tuple[Base, str]]:
-        out = []
-        for base in (Base.FIRST, Base.SECOND, Base.THIRD):
-            occ = self.occupant(base)
-            if occ is not None:
-                out.append((base, occ))
-        return out
+    def mask(self) -> int:
+        runners = (self.first, self.second, self.third)
+        return sum(bit for bit, r in zip((FIRST, SECOND, THIRD), runners) if r is not None)
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """Pre-play state: everything needed to classify a situation."""
 
-    bases: BaseState
+    bases: int  # occupancy mask of FIRST, SECOND, THIRD
     outs: int
     score_batting: int
     score_fielding: int
@@ -127,7 +126,7 @@ def initial_snapshot(
     score_fielding: int = 0,
 ) -> Snapshot:
     return Snapshot(
-        BaseState(), 0, score_batting, score_fielding, pitcher_id, inning, half
+        0, 0, score_batting, score_fielding, pitcher_id, inning, half
     )
 
 
@@ -151,8 +150,9 @@ def _implications(
     if kind in BATTER_REACHES:
         batter_dest = BATTER_REACHES[kind]
         if kind is PlayKind.HOME_RUN:
-            for base, _ in bases.runners():
-                implied[base] = Base.HOME
+            for base in (Base.FIRST, Base.SECOND, Base.THIRD):
+                if bases.occupant(base) is not None:
+                    implied[base] = Base.HOME
     elif kind is PlayKind.STRIKEOUT:
         batter_out = True
     elif kind is PlayKind.FIELDED_OUT:
@@ -183,17 +183,18 @@ def _implications(
     return batter_dest, batter_out, implied, implied_out
 
 
-def apply_play(snap: Snapshot, play: ParsedPlay, batter_id: str) -> PlayEffects:
-    """Resolve one play against a snapshot.
+def apply_play(
+    bases: BaseState, outs_before: int, play: ParsedPlay, batter_id: str
+) -> PlayEffects:
+    """Resolve one play against the runners on base and the outs so far.
 
     Explicit advances always win over implied ones.  Runners without any
     recorded movement hold their base unless a trailing runner or the
     batter forces them on, in which case they are pushed the minimum
     number of bases (a bases-loaded walk scores this way).
     """
-    bases = {b: snap.bases.occupant(b) for b in (Base.FIRST, Base.SECOND, Base.THIRD)}
+    batter_dest, batter_out, implied, implied_out = _implications(play, bases)
     explicit: dict[Base, Advance] = {a.frm: a for a in play.advances}
-    batter_dest, batter_out, implied, implied_out = _implications(play, snap.bases)
 
     # (from, runner, dest, counts_as_out); lead runners resolved first
     movers: list[tuple[Base, str, Base | None, bool]] = []
@@ -201,7 +202,7 @@ def apply_play(snap: Snapshot, play: ParsedPlay, batter_id: str) -> PlayEffects:
     pushable: set[Base] = set()
 
     for frm in (Base.THIRD, Base.SECOND, Base.FIRST):
-        occupant = bases[frm]
+        occupant = bases.occupant(frm)
         if frm in explicit:
             if occupant is None:
                 raise IllegalState(f"advance from empty base {frm.name}")
@@ -255,21 +256,49 @@ def apply_play(snap: Snapshot, play: ParsedPlay, batter_id: str) -> PlayEffects:
             raise IllegalState("safe runner with no destination")
         place(runner, dest)
 
-    if snap.outs + outs > 3:
-        raise IllegalState(f"{snap.outs} outs before play, {outs} more recorded")
+    if outs_before + outs > 3:
+        raise IllegalState(f"{outs_before} outs before play, {outs} more recorded")
 
     return PlayEffects(
         outs, runs, BaseState(new[Base.FIRST], new[Base.SECOND], new[Base.THIRD])
     )
 
 
+# (parse error, no-play, IllegalState message, outs recorded, runs scored,
+# new occupancy): everything a play does to the replay
+Step = tuple[str | None, bool, str | None, int, int, int]
+# (token, occupancy, outs) -> Step, shared by the games of one file
+StepMemo = dict[tuple[str, int, int], Step]
+
+_PLACEHOLDER = "?"  # every runner and the batter: apply_play never compares ids
+
+
+def resolve_step(token: str, bases: int, outs: int) -> Step:
+    """One play's whole effect on an occupancy mask and an out count, from
+    the parser and ``apply_play`` run on placeholder runners."""
+    try:
+        play = parse_play_token(token)
+    except UnparseableEvent as exc:
+        return (str(exc), False, None, 0, 0, bases)
+    if play.kind is PlayKind.NO_PLAY:
+        return (None, True, None, 0, 0, bases)
+    runners = BaseState(
+        *(_PLACEHOLDER if bases & bit else None for bit in (FIRST, SECOND, THIRD))
+    )
+    try:
+        fx = apply_play(runners, outs, play, _PLACEHOLDER)
+    except IllegalState as exc:
+        return (None, False, str(exc), 0, 0, bases)
+    return (None, False, None, fx.outs_recorded, fx.runs_scored, fx.new_bases.mask())
+
+
 @dataclass
 class _SharedGameState:
-    """Lineup and pitcher bookkeeping shared across half-innings."""
+    """Pitcher and score bookkeeping shared across half-innings."""
 
     pitchers: dict[int, str]
-    lineups: dict[int, dict[int, str]]
     scores: list[int]  # visitor, home
+    steps: StepMemo
     score_reliable: bool = True
 
 
@@ -277,14 +306,11 @@ class _HalfBuilder:
     def __init__(self, key: tuple[str, int, Half], season: int, shared: _SharedGameState):
         self.timeline = StateTimeline(key, season, score_reliable=shared.score_reliable)
         self.shared = shared
-        self.bases = BaseState()
+        self.batting = int(key[2])
+        self.bases = 0  # occupancy mask
         self.outs = 0
         self.runs = 0
         self.dead = False  # set after a quarantine; remaining plays are skipped
-
-    @property
-    def batting_team(self) -> int:
-        return int(self.timeline.half_inning_key[2])
 
     def quarantine(self, reason: str, diagnostics: list[Diagnostic], line_no: int) -> None:
         self.timeline.excluded = reason
@@ -296,42 +322,33 @@ class _HalfBuilder:
                        self.timeline.half_inning_key[0])
         )
 
-    def swap_runner(self, old_id: str, new_id: str) -> None:
-        kwargs = {}
-        for attr in ("first", "second", "third"):
-            if getattr(self.bases, attr) == old_id:
-                kwargs[attr] = new_id
-        if kwargs:
-            self.bases = replace(self.bases, **kwargs)
-
     def feed(self, line: PlayLine, diagnostics: list[Diagnostic]) -> None:
-        """Parse and apply one play line.  An unreadable token quarantines
-        the half-inning, even one already quarantined."""
-        try:
-            play = parse_play_token(line.event_text)
-        except UnparseableEvent as exc:
-            self.quarantine(str(exc), diagnostics, line.line_no)
+        """Apply one play line, resolving it on a memo miss.  An unreadable
+        token quarantines the half-inning, even one already quarantined."""
+        key = (line.event_text, self.bases, self.outs)
+        step = self.shared.steps.get(key)
+        if step is None:
+            step = self.shared.steps[key] = resolve_step(*key)
+        parse_error, no_play, illegal, outs, runs, new_bases = step
+        if parse_error is not None:
+            self.quarantine(parse_error, diagnostics, line.line_no)
             return
-        if self.dead or play.kind is PlayKind.NO_PLAY:
+        if self.dead or no_play:
             return
-        batting = self.batting_team
-        snap = Snapshot(
-            self.bases, self.outs,
-            self.shared.scores[batting], self.shared.scores[1 - batting],
-            self.shared.pitchers[1 - batting],
-            line.inning, line.half,
-        )
-        try:
-            effects = apply_play(snap, play, line.batter_id)
-        except IllegalState as exc:
-            self.quarantine(str(exc), diagnostics, line.line_no)
+        if illegal is not None:
+            self.quarantine(illegal, diagnostics, line.line_no)
             return
-        self.timeline.snapshots.append(snap)
-        self.timeline.runs_on_play.append(effects.runs_scored)
-        self.bases = effects.new_bases
-        self.outs += effects.outs_recorded
-        self.runs += effects.runs_scored
-        self.shared.scores[batting] += effects.runs_scored
+        batting = self.batting
+        scores = self.shared.scores
+        self.timeline.snapshots.append(Snapshot(
+            self.bases, self.outs, scores[batting], scores[1 - batting],
+            self.shared.pitchers[1 - batting], line.inning, line.half,
+        ))
+        self.timeline.runs_on_play.append(runs)
+        self.bases = new_bases
+        self.outs += outs
+        self.runs += runs
+        scores[batting] += runs
 
     def close(self, at_game_end: bool) -> StateTimeline:
         self.timeline.outs_total = self.outs
@@ -340,54 +357,44 @@ class _HalfBuilder:
         return self.timeline
 
 
+def _apply_sub(sub: SubLine, shared: _SharedGameState) -> None:
+    if sub.position == 1:
+        shared.pitchers[sub.team] = sub.player_id
+
+
 def replay_half_inning(
     key: tuple[str, int, Half],
     season: int,
     items: list[PlayLine | SubLine],
     pitchers: dict[int, str],
-    lineups: dict[int, dict[int, str]],
     entering_scores: tuple[int, int] = (0, 0),
     at_game_end: bool = True,
 ) -> tuple[StateTimeline, list[Diagnostic]]:
-    """Replay one half-inning's play and sub lines in isolation.
+    """Replay one half-inning's play and sub lines in isolation, with a
+    play memo of its own.
 
-    Convenience wrapper over the same machinery replay_game uses; pitcher
-    and lineup maps are mutated in place as substitutions occur.
+    Convenience wrapper over the same machinery replay_game uses; the
+    pitcher map is mutated in place as substitutions occur.
     """
-    shared = _SharedGameState(pitchers, lineups, list(entering_scores))
+    shared = _SharedGameState(pitchers, list(entering_scores), {})
     builder = _HalfBuilder(key, season, shared)
     diagnostics: list[Diagnostic] = []
     for item in items:
         if isinstance(item, SubLine):
-            _apply_sub(item, shared, builder)
+            _apply_sub(item, shared)
         else:
             builder.feed(item, diagnostics)
     return builder.close(at_game_end), diagnostics
 
 
-def _apply_sub(sub: SubLine, shared: _SharedGameState, builder: _HalfBuilder | None) -> None:
-    outgoing = shared.lineups.setdefault(sub.team, {}).get(sub.batting_order)
-    shared.lineups[sub.team][sub.batting_order] = sub.player_id
-    if sub.position == 1:
-        shared.pitchers[sub.team] = sub.player_id
-    if (
-        builder is not None
-        and outgoing is not None
-        and sub.team == builder.batting_team
-        and not builder.dead
-    ):
-        builder.swap_runner(outgoing, sub.player_id)
+def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
+    """Replay a full game account into per-half-inning timelines.
 
-
-def replay_game(account: GameAccount) -> GameReplay:
-    """Replay a full game account into per-half-inning timelines."""
+    ``steps`` is a play memo to share with the other games of one file;
+    without it the game gets a memo of its own.
+    """
     diagnostics: list[Diagnostic] = []
-    pitchers: dict[int, str] = {}
-    lineups: dict[int, dict[int, str]] = {0: {}, 1: {}}
-    for entry in account.starters:
-        lineups.setdefault(entry.team, {})[entry.batting_order] = entry.player_id
-        if entry.position == 1:
-            pitchers[entry.team] = entry.player_id
+    pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}
     if 0 not in pitchers or 1 not in pitchers:
         diagnostics.append(
             Diagnostic("missing_info", "no starting pitcher listed",
@@ -395,14 +402,14 @@ def replay_game(account: GameAccount) -> GameReplay:
         )
         return GameReplay(account.game_id, [], diagnostics, (0, 0))
 
-    shared = _SharedGameState(pitchers, lineups, [0, 0])
+    shared = _SharedGameState(pitchers, [0, 0], {} if steps is None else steps)
     season = account.season
     timelines: list[StateTimeline] = []
     builder: _HalfBuilder | None = None
 
     for item in account.events:
         if isinstance(item, SubLine):
-            _apply_sub(item, shared, builder)
+            _apply_sub(item, shared)
             continue
         key = (account.game_id, item.inning, item.half)
         if builder is None or builder.timeline.half_inning_key != key:

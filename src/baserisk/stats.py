@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .eventfile import Half
-from .state import BaseState, Snapshot, StateTimeline
+from .state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
 
 __all__ = [
     "BRTValue",
@@ -52,6 +52,7 @@ __all__ = [
     "decide",
     "extract_observations",
     "merge",
+    "pooled_rates",
     "rates",
     "rates_by_pitcher",
 ]
@@ -95,19 +96,18 @@ class EmptyBucket(ValueError):
     """No pitcher fell into any requested bucket."""
 
 
-def classify_state(bases: BaseState, outs: int) -> SituationClass | None:
-    """Map a base-out state to its situation class, if any.
+def classify_state(bases: int, outs: int) -> SituationClass | None:
+    """Map an occupancy mask and out count to its situation class, if any.
 
     Third-occupied takes precedence, then second-no-third; first-only
     requires first to be the lone occupied base.  Classes are mutually
     exclusive by construction.
     """
-    first, second, third = bases.occupancy()
-    if third and outs in (0, 1):
+    if bases & THIRD and outs in (0, 1):
         return SituationClass(ClassKind.THIRD_OCCUPIED, outs)
-    if second and not third and outs in (0, 1):
+    if bases & SECOND and outs in (0, 1):
         return SituationClass(ClassKind.SECOND_NO_THIRD, outs)
-    if first and not second and not third and outs in (1, 2):
+    if bases == FIRST and outs in (1, 2):
         return SituationClass(ClassKind.FIRST_ONLY, outs)
     return None
 
@@ -268,6 +268,10 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
+# each class's place in a RateTriple
+_SLOTS = {ClassKind.THIRD_OCCUPIED: 0, ClassKind.SECOND_NO_THIRD: 1, ClassKind.FIRST_ONLY: 2}
+
+
 def rates_by_pitcher(
     table: TallyTable,
     outs: int,
@@ -313,6 +317,31 @@ def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
     return RateTriple(*(Rate(*cell) for cell in sums), outs)
 
 
+def pooled_rates(
+    table: TallyTable,
+    years: tuple[int, int] | None = None,
+    pitchers: set[str] | None = None,
+) -> dict[tuple[bool | None, int], RateTriple]:
+    """Rates pooled over ``pitchers`` (all when None), from one walk of the
+    table, keyed (leverage, threshold index): leverage None keeps every
+    observation, True or False only those with that flag."""
+    sums = {(lev, i): [[0, 0], [0, 0], [0, 0]] for lev in (None, True, False) for i in (0, 1)}
+    for (pid, kind, cell_outs, season, lev), (num, den) in table.cells.items():
+        slot = _SLOTS[kind]
+        index = cell_outs - 1 if kind is ClassKind.FIRST_ONLY else cell_outs
+        if (index not in (0, 1) or years and not years[0] <= season <= years[1]
+                or pitchers is not None and pid not in pitchers):
+            continue
+        for scope in (None, lev):
+            cell = sums[(scope, index)][slot]
+            cell[0] += num
+            cell[1] += den
+    return {
+        key: RateTriple(*(Rate(*cell) for cell in cells), key[1])
+        for key, cells in sums.items()
+    }
+
+
 def rates(
     table: TallyTable,
     outs: int,
@@ -320,12 +349,10 @@ def rates(
     leverage: bool | None = None,
     years: tuple[int, int] | None = None,
 ) -> RateTriple:
-    """rates_by_pitcher pooled over ``pitchers``, or over all when None."""
-    return _pooled(
-        (triple for pid, triple in rates_by_pitcher(table, outs, leverage, years).items()
-         if pitchers is None or pid in pitchers),
-        outs,
-    )
+    """pooled_rates at one leverage and threshold index ``outs``."""
+    if outs not in (0, 1):
+        raise ValueError("threshold index must be 0 or 1")
+    return pooled_rates(table, years, pitchers)[(leverage, outs)]
 
 
 @dataclass(frozen=True)

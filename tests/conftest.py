@@ -6,10 +6,18 @@ visitors (half 0), everything else for the home side.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from baserisk.eventfile import Half, PlayLine
-from baserisk.oracle import DEFAULT_ADVANCES, Outcome, OutcomeModel
+from baserisk.oracle import (
+    DEFAULT_ADVANCES,
+    Outcome,
+    OutcomeModel,
+    default_model,
+    simulate_season,
+)
 from baserisk.state import replay_half_inning
 
 
@@ -66,7 +74,6 @@ def run_half(
         2000,
         items,
         {0: "vpit1", 1: "hpit1"},
-        {0: {}, 1: {}},
         entering_scores=entering_scores,
         at_game_end=at_game_end,
     )
@@ -91,3 +98,49 @@ def closure_model() -> OutcomeModel:
     advances = dict(DEFAULT_ADVANCES)
     advances[(Outcome.SINGLE, 2)] = 3
     return OutcomeModel(probs=dict(CLOSURE_PROBS), advances=advances)
+
+
+# Valid tokens covering every shape of the grammar; the pin corpus mutates them.
+PIN_SEEDS = [
+    "NP", "C", "WP", "PB", "BK", "DI", "OA", "HP", "K", "K23", "K+SB2",
+    "K+WP.1-2", "K+PO1(13)", "W", "I", "IW", "W+WP.2-3", "IW+SB3;SB2",
+    "SB2", "SB3;SB2;SBH", "CS2(24)", "CS2(2E4)", "CSH(12)(E2)", "PO1(13)",
+    "PO2(E1)", "POCS2(1361)", "POCSH(E2)(25)", "FLE5", "DGR", "DGR7", "HR",
+    "H", "HR8.2-H;1-H", "S8/G.1-3", "D7/L.2-H;1-3", "T9/F", "E3/G", "3E1",
+    "FC", "FC5.3XH(52)", "FC6.2X3(E5);B-1", "8/F", "43/G", "64(1)3/GDP",
+    "8(B)84(2)/LDP", "64(1)E3", "54(B)/BG25/SH.1-2", "3/G.2-3;1-2",
+    "S8.1XH(82)", "S8/G/R7(TH/X)", "S8!/G.1-3", "K#", "C/E2", "WP.3-H(UR)",
+    "99/F", "46(1)3/GDP/G6", "D8.3-H(NR)(UR);1X3(85/TH3)",
+]
+PIN_ALPHABET = "0123456789BH-+#!/().;ESWKXCDFGLPRTUO? ,$"
+
+
+def mutate(rng: random.Random, seeds: list[str], alphabet: str, min_edits: int = 0) -> str:
+    """One seed with min_edits to 3 random deletions, insertions, swaps or
+    splices, as the parser fuzz of criterion 8 makes them."""
+    token = rng.choice(seeds)
+    for _ in range(rng.randrange(min_edits, 4)):
+        op = rng.randrange(4)
+        pos = rng.randrange(len(token) + 1)
+        if op == 0 and token:
+            cut = rng.randrange(len(token))
+            token = token[:cut] + token[cut + 1:]
+        elif op == 1:
+            token = token[:pos] + rng.choice(alphabet) + token[pos:]
+        elif op == 2 and token:
+            cut = rng.randrange(len(token))
+            token = token[:cut] + rng.choice(alphabet) + token[cut + 1:]
+        else:
+            other = rng.choice(seeds)
+            token = token[:pos] + other[rng.randrange(len(other) + 1):]
+    return token
+
+
+def pin_corpus() -> list[str]:
+    """25,000 seeded mutations (0-3 edits) of PIN_SEEDS, then the play tokens
+    of a seeded season with mid-game substitutions."""
+    rng = random.Random(5)
+    corpus = [mutate(rng, PIN_SEEDS, PIN_ALPHABET) for _ in range(25_000)]
+    games = simulate_season(default_model(), 40, seed=23, midgame_subs=True)
+    corpus += [p.token for g in games for h in g.halves for p in h.plays]
+    return corpus

@@ -198,10 +198,13 @@ def test_decide_usage_errors(workspace):
     ["table2", "--boundaries", ""],
     ["table2", "--boundaries=-5,100"],
     ["ingest", "-i", "EVN", "--jobs", "0"],
+    ["query", "-i", "EVN", "--outs", "7"],
 ])
 def test_out_of_range_options_are_usage_errors(workspace, args):
     args = [str(workspace["evn"]) if a == "EVN" else a for a in args]
-    assert main(args + ["--cache", str(workspace["cache"])]) == 1
+    if args[0] != "query":  # query reads event files and takes no --cache
+        args += ["--cache", str(workspace["cache"])]
+    assert main(args) == 1
 
 
 def test_decide_from_cache(workspace, capsys):

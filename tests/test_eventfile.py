@@ -1,19 +1,25 @@
 """Record tokenizing and game assembly."""
 
+import csv
+import io
+import random
 import string
 
+import pytest
 from hypothesis import given, strategies as st
 
 from baserisk.eventfile import (
+    Diagnostic,
     Half,
     PlayLine,
+    RawRecord,
     RecordKind,
     SubLine,
     assemble_games,
     load_roster_names,
     tokenize_event_file,
 )
-from conftest import make_game_text
+from conftest import PIN_ALPHABET, make_game_text, mutate
 
 
 def test_id_record():
@@ -142,3 +148,56 @@ def test_roster_names(tmp_path):
     names = load_roster_names([ros])
     assert names["rivem001"] == ("Rivera", "Mariano")
     assert "short" not in names
+
+
+LINE_SEEDS = [
+    "id,NYA200309180", "version,2", "info,date,2003/09/18",
+    'start,doej001,"Doe, John",0,1,2', 'sub,vbat9,"Runner",0,1,12',
+    "play,9,0,jeted001,12,BCX,S8/G.1-3", "play,1,1,hbat1,??,,64(1)3/GDP",
+    'com,"runner held, then ""sent"""', "data,er,hpit0001,2", "badj,x,L",
+]
+
+
+def csv_per_line(text):
+    """Records and diagnostics from one csv reader per line."""
+    records, diagnostics = [], []
+    kinds = {k.value: k for k in RecordKind}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            cells = next(csv.reader(io.StringIO(line)))
+        except (csv.Error, StopIteration):
+            diagnostics.append(Diagnostic("unreadable_line", line, line_no))
+            continue
+        if not cells[0]:
+            diagnostics.append(Diagnostic("unreadable_line", line, line_no))
+        elif cells[0] in kinds:
+            records.append(RawRecord(kinds[cells[0]], cells[1:], line_no))
+        else:
+            diagnostics.append(Diagnostic("unknown_record_kind", cells[0], line_no))
+            records.append(RawRecord(RecordKind.COM, cells, line_no))
+    return records, diagnostics
+
+
+def test_tokenizer_matches_csv_per_line():
+    """Criterion-8-style mutations of record lines, quotes included, split
+    the same as a csv reader per line would split them."""
+    rng = random.Random(86)
+    lines = [mutate(rng, LINE_SEEDS, PIN_ALPHABET + '"', 1) for _ in range(20_000)]
+    lines.append("com," + "x" * (csv.field_size_limit() + 1))  # over csv's limit
+    text = "\n".join(lines)
+    records, diagnostics = tokenize_event_file(text)
+    assert (records, diagnostics) == csv_per_line(text)
+    assert sum(d.code == "unreadable_line" for d in diagnostics) > 100
+    assert sum('"' in line for line in lines) > 1_000
+
+
+@pytest.mark.parametrize("half,ok", [("0", True), ("1", True), ("01", True),
+                                     ("2", False), ("x", False), ("", False)])
+def test_play_half_values(half, ok):
+    text = make_game_text([f"play,1,{half},vbat1,??,,K", (1, 0, "vbat1", "K")])
+    games, diags = assemble_games(tokenize_event_file(text)[0])
+    assert len(games) == int(ok)
+    assert [d.code for d in diags] == ([] if ok else ["malformed_record"])

@@ -14,11 +14,6 @@ from baserisk.state import replay_game
 from baserisk.stats import CountingMode
 
 
-def mask_of(bases):
-    first, second, third = bases.occupancy()
-    return int(first) | int(second) << 1 | int(third) << 2
-
-
 @pytest.fixture(scope="module")
 def replayed():
     """600 games simulated, emitted, re-parsed, and replayed."""
@@ -71,7 +66,7 @@ def test_state_traces_match_simulation(replayed):
             assert len(timeline.snapshots) == len(sim.plays)
             start_score = timeline.snapshots[0].score_batting
             for snap, play in zip(timeline.snapshots, sim.plays, strict=True):
-                assert mask_of(snap.bases) == play.pre_mask
+                assert snap.bases == play.pre_mask
                 assert snap.outs == play.pre_outs
                 assert snap.score_batting - start_score == play.pre_runs
             halves_checked += 1

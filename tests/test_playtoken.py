@@ -1,13 +1,11 @@
 """Play-token grammar: worked examples and totality properties."""
 
 import hashlib
-import random
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
-from baserisk.oracle import default_model, simulate_season
 from baserisk.playtoken import (
     Advance,
     Base,
@@ -19,6 +17,7 @@ from baserisk.playtoken import (
     parse_advances,
     parse_play_token,
 )
+from conftest import pin_corpus
 
 
 def test_single_with_modifier_and_advance():
@@ -245,48 +244,6 @@ def test_duplicate_from_base_rejected(token, copies):
         parse_advances(text)
 
 
-# Valid tokens covering every shape of the grammar; the pin corpus mutates them.
-PIN_SEEDS = [
-    "NP", "C", "WP", "PB", "BK", "DI", "OA", "HP", "K", "K23", "K+SB2",
-    "K+WP.1-2", "K+PO1(13)", "W", "I", "IW", "W+WP.2-3", "IW+SB3;SB2",
-    "SB2", "SB3;SB2;SBH", "CS2(24)", "CS2(2E4)", "CSH(12)(E2)", "PO1(13)",
-    "PO2(E1)", "POCS2(1361)", "POCSH(E2)(25)", "FLE5", "DGR", "DGR7", "HR",
-    "H", "HR8.2-H;1-H", "S8/G.1-3", "D7/L.2-H;1-3", "T9/F", "E3/G", "3E1",
-    "FC", "FC5.3XH(52)", "FC6.2X3(E5);B-1", "8/F", "43/G", "64(1)3/GDP",
-    "8(B)84(2)/LDP", "64(1)E3", "54(B)/BG25/SH.1-2", "3/G.2-3;1-2",
-    "S8.1XH(82)", "S8/G/R7(TH/X)", "S8!/G.1-3", "K#", "C/E2", "WP.3-H(UR)",
-    "99/F", "46(1)3/GDP/G6", "D8.3-H(NR)(UR);1X3(85/TH3)",
-]
-PIN_ALPHABET = "0123456789BH-+#!/().;ESWKXCDFGLPRTUO? ,$"
-
-
-def _pin_corpus() -> list[str]:
-    """25,000 seeded mutations (0-3 edits) of PIN_SEEDS, then the play tokens
-    of a seeded season with mid-game substitutions."""
-    rng = random.Random(5)
-    corpus = []
-    for _ in range(25_000):
-        token = rng.choice(PIN_SEEDS)
-        for _ in range(rng.randrange(4)):
-            op = rng.randrange(4)
-            pos = rng.randrange(len(token) + 1)
-            if op == 0 and token:
-                cut = rng.randrange(len(token))
-                token = token[:cut] + token[cut + 1:]
-            elif op == 1:
-                token = token[:pos] + rng.choice(PIN_ALPHABET) + token[pos:]
-            elif op == 2 and token:
-                cut = rng.randrange(len(token))
-                token = token[:cut] + rng.choice(PIN_ALPHABET) + token[cut + 1:]
-            else:
-                other = rng.choice(PIN_SEEDS)
-                token = token[:pos] + other[rng.randrange(len(other) + 1):]
-        corpus.append(token)
-    games = simulate_season(default_model(), 40, seed=23, midgame_subs=True)
-    corpus += [p.token for g in games for h in g.halves for p in h.plays]
-    return corpus
-
-
 # (corpus size, tokens parsed) and SHA-256 over the corpus, one line per
 # token: the token, then the parse's repr or the rejection's class and message.
 PINNED_PARSE_COUNTS = (28_344, 13_692)
@@ -301,7 +258,7 @@ def test_parse_results_pinned():
     were folded; any change in what the grammar accepts or builds shows here."""
     digest = hashlib.sha256()
     parsed = 0
-    corpus = _pin_corpus()
+    corpus = pin_corpus()
     for token in corpus:
         try:
             line = repr(parse_play_token(token))

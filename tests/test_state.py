@@ -3,30 +3,29 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baserisk.eventfile import Half, assemble_games, tokenize_event_file
-from baserisk.playtoken import parse_play_token
+from baserisk.eventfile import assemble_games, tokenize_event_file
+from baserisk.playtoken import PlayKind, UnparseableEvent, parse_play_token
 from baserisk.state import (
+    FIRST,
+    SECOND,
+    THIRD,
     BaseState,
     IllegalState,
-    Snapshot,
     apply_play,
     initial_snapshot,
     replay_game,
+    resolve_step,
 )
-from conftest import make_game_text, run_half
-
-
-def snap(bases=BaseState(), outs=0, score=(0, 0), inning=1, half=Half.TOP):
-    return Snapshot(bases, outs, score[0], score[1], "hpit1", inning, half)
+from conftest import make_game_text, pin_corpus, run_half
 
 
 def effects(token, bases=BaseState(), outs=0, batter="bat0"):
-    return apply_play(snap(bases, outs), parse_play_token(token), batter)
+    return apply_play(bases, outs, parse_play_token(token), batter)
 
 
 def test_initial_snapshot_empty():
     s = initial_snapshot("p001", inning=9, score_batting=3, score_fielding=3)
-    assert s.bases == BaseState() and s.outs == 0
+    assert s.bases == 0 and s.outs == 0
     assert (s.score_batting, s.score_fielding) == (3, 3)
 
 
@@ -160,7 +159,7 @@ def test_worked_half_inning_walkthrough():
     assert diags == []
     assert len(timeline.snapshots) == 5
     third_snap = timeline.snapshots[2]
-    assert third_snap.bases.occupancy() == (True, False, True)
+    assert third_snap.bases == FIRST | THIRD
     assert timeline.runs_after == [0, 0, 0, 0, 0]
     assert timeline.complete and timeline.outs_total == 3
 
@@ -244,15 +243,14 @@ def test_mid_inning_pitcher_change_shifts_credit():
 
 
 def test_pinch_runner_swaps_in_place():
-    text = make_game_text([
-        (1, 0, "vbat1", "W"),
-        'sub,vbat9,"Runner",0,1,12',
-        (1, 0, "vbat2", "K"),
-    ])
-    games, _ = assemble_games(tokenize_event_file(text)[0])
-    replay = replay_game(games[0])
-    second_snap = replay.timelines[0].snapshots[1]
-    assert second_snap.bases.first == "vbat9"
+    # the runner's identity is not state: a pinch runner changes nothing
+    plays = [(1, 0, "vbat1", "W"), (1, 0, "vbat2", "S8"), (1, 0, "vbat3", "D7.2-H;1-3")]
+    with_sub = plays[:1] + ['sub,vbat9,"Runner",0,1,12'] + plays[1:]
+    replays = [replay_text(make_game_text(lines)) for lines in (plays, with_sub)]
+    for timeline in (r.timelines[0] for r in replays):
+        assert [(s.bases, s.outs) for s in timeline.snapshots] == [
+            (0, 0), (FIRST, 0), (FIRST | SECOND, 0)]
+        assert timeline.runs_on_play == [0, 0, 1]
 
 
 def test_no_play_emits_no_snapshot():
@@ -298,20 +296,81 @@ def test_missing_starting_pitcher_is_reported():
 TOKEN_POOL = [
     "K", "W", "S8", "S8.1-3", "D7", "D7.1-H", "T9", "HR", "8/F", "43/G",
     "64(1)3/GDP", "K+SB2", "CS2(26)", "E3", "FC5", "W.1-2", "S8.1XH(82)",
-    "31/G", "SB2", "WP.1-2",
+    "31/G", "SB2", "WP.1-2", "NP", "S8.3-H", "GLORP",
 ]
+
+
+def occupancy(bases):
+    return sum(bit for bit, runner in zip((FIRST, SECOND, THIRD),
+                                          (bases.first, bases.second, bases.third))
+               if runner is not None)
+
+
+def fold_half(tokens):
+    """The half-inning as apply_play sees it, with a distinct id per batter:
+    (snapshot masks, runs per play, outs, quarantine reason)."""
+    bases, outs, masks, runs, excluded = BaseState(), 0, [], [], None
+    for i, token in enumerate(tokens):
+        try:
+            play = parse_play_token(token)
+        except UnparseableEvent as exc:
+            excluded = str(exc)  # quarantines even a dead half
+            continue
+        if excluded is not None or play.kind is PlayKind.NO_PLAY:
+            continue
+        try:
+            fx = apply_play(bases, outs, play, f"bat{i}")
+        except IllegalState as exc:
+            excluded = str(exc)
+            continue
+        masks.append(occupancy(bases))
+        runs.append(fx.runs_scored)
+        bases, outs = fx.new_bases, outs + fx.outs_recorded
+        ids = [r for r in (bases.first, bases.second, bases.third) if r]
+        assert len(ids) == len(set(ids))  # no runner on two bases
+    return masks, runs, outs, excluded
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=12))
 def test_replay_invariants(tokens):
     timeline, _ = run_half(tokens)
+    assert fold_half(tokens) == (
+        [s.bases for s in timeline.snapshots], timeline.runs_on_play,
+        timeline.outs_total, timeline.excluded)
     if timeline.excluded is not None:
         return
     assert timeline.outs_total <= 3
     after = timeline.runs_after
     assert all(a >= b for a, b in zip(after, after[1:]))
     assert sum(timeline.runs_on_play) == timeline.runs_total
-    for s in timeline.snapshots:
-        ids = [r for r in (s.bases.first, s.bases.second, s.bases.third) if r]
-        assert len(ids) == len(set(ids))  # no runner on two bases
+
+
+def test_resolve_step_matches_apply_play():
+    """The memo's step equals apply_play with distinct runner ids, for every
+    pin-corpus token in all 8 occupancies at 0-2 outs.  A rejected token is
+    checked once: its rejection does not depend on the state."""
+    checked = 0
+    for token in dict.fromkeys(pin_corpus()):
+        try:
+            play = parse_play_token(token)
+        except UnparseableEvent as exc:
+            assert resolve_step(token, 0, 0)[0] == str(exc)
+            continue
+        for mask in range(8):
+            bases = BaseState(*(f"r{n}" if mask & bit else None
+                                for n, bit in ((1, FIRST), (2, SECOND), (3, THIRD))))
+            for outs in range(3):
+                step = resolve_step(token, mask, outs)
+                if play.kind is PlayKind.NO_PLAY:
+                    assert step == (None, True, None, 0, 0, mask)
+                    continue
+                try:
+                    fx = apply_play(bases, outs, play, "bat0")
+                except IllegalState as exc:
+                    assert step == (None, False, str(exc), 0, 0, mask)
+                else:
+                    assert step == (None, False, None, fx.outs_recorded,
+                                    fx.runs_scored, occupancy(fx.new_bases))
+                checked += 1
+    assert checked > 10_000

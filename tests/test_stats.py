@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from baserisk.eventfile import Half
-from baserisk.state import BaseState, Snapshot, StateTimeline
+from baserisk.state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
 from baserisk.stats import (
     ClassKind,
     CountingMode,
@@ -14,6 +14,7 @@ from baserisk.stats import (
     EmptyBucket,
     EmptyCell,
     InningCounts,
+    Rate,
     SituationClass,
     TallyTable,
     add_cells,
@@ -26,16 +27,16 @@ from baserisk.stats import (
     extract_observations,
     group_summary,
     merge,
+    pooled_rates,
     rates,
+    rates_by_pitcher,
 )
 
 KEY = ("TST200004010", 9, Half.TOP)
 
 
 def bases(first=False, second=False, third=False):
-    return BaseState(
-        "r1" if first else None, "r2" if second else None, "r3" if third else None
-    )
+    return (FIRST if first else 0) | (SECOND if second else 0) | (THIRD if third else 0)
 
 
 # --- classification ----------------------------------------------------------
@@ -222,6 +223,21 @@ def test_merge_associative(a, b, c):
 @given(tables)
 def test_merge_identity(a):
     assert merge(a, TallyTable()).cells == a.cells
+
+
+@given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
+       st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
+def test_pooled_rates_sum_per_pitcher_rates(table, years, pitchers):
+    pooled = pooled_rates(table, years, pitchers)
+    assert len(pooled) == 6
+    for (lev, outs), triple in pooled.items():
+        kept = [t for pid, t in rates_by_pitcher(table, outs, lev, years).items()
+                if pitchers is None or pid in pitchers]
+        for name in "tsf":
+            assert getattr(triple, name) == Rate(
+                sum(getattr(t, name).numerator for t in kept),
+                sum(getattr(t, name).denominator for t in kept))
+        assert triple == rates(table, outs, pitchers, lev, years)
 
 
 def test_inning_counts_and_career():

@@ -154,14 +154,19 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
     """Replay event files and write the aggregated tally cache."""
     mode = CountingMode(counting_mode)
     span = _parse_years(years)
-    result = ingest_paths(list(inputs), mode, span, jobs=jobs)
+    # one file named twice (a.ev, ./a.ev) counts once, under its first spelling
+    unique: dict[Path, str] = {}
+    for path in inputs:
+        unique.setdefault(Path(path).resolve(), path)
+    paths = list(unique.values())
+    result = ingest_paths(paths, mode, span, jobs=jobs)
     if result.games == 0:
         raise DataError("no usable games in the given inputs")
     cache = StatsCache(
         table=result.table,
         innings=result.innings,
         counting_mode=mode,
-        fingerprint=fingerprint_paths(list(inputs)),
+        fingerprint=fingerprint_paths(paths),
     )
     write_cache(cache_path, cache)
     click.echo(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 
@@ -67,11 +67,6 @@ class Diagnostic:
     line_no: int | None = None
     game_id: str | None = None
 
-    def __str__(self) -> str:
-        where = f" line {self.line_no}" if self.line_no is not None else ""
-        game = f" game {self.game_id}" if self.game_id else ""
-        return f"{self.code}{where}{game}: {self.detail}"
-
 
 @dataclass
 class LineupEntry:
@@ -82,9 +77,8 @@ class LineupEntry:
     position: int
 
 
-@dataclass
 class SubLine(LineupEntry):
-    line_no: int = 0
+    """A lineup change in the middle of the game's events."""
 
 
 @dataclass
@@ -92,8 +86,6 @@ class PlayLine:
     inning: int
     half: Half
     batter_id: str
-    count: str | None  # raw ball-strike count, "??" recorded as None
-    pitches: str
     event_text: str
     line_no: int
 
@@ -104,7 +96,6 @@ class GameAccount:
     info: dict[str, str]
     starters: list[LineupEntry]
     events: list[PlayLine | SubLine]
-    earned_runs: dict[str, int] = field(default_factory=dict)
 
     @property
     def season(self) -> int:
@@ -164,7 +155,6 @@ def _build_account(
     info: dict[str, str] = {}
     starters: list[LineupEntry] = []
     events: list[PlayLine | SubLine] = []
-    earned: dict[str, int] = {}
 
     for rec in body:
         f = rec.fields
@@ -180,21 +170,17 @@ def _build_account(
                 )
             elif rec.kind is RecordKind.SUB:
                 events.append(
-                    SubLine(f[0], f[1], int(f[2]), int(f[3]), int(f[4]), rec.line_no)
+                    SubLine(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
                 )
             elif rec.kind is RecordKind.PLAY:
-                count = f[3] if f[3] and f[3] != "??" else None
                 inning = int(f[0])
                 half = _HALVES.get(f[1])
                 if half is None:  # any other spelling: accepted or rejected as by int()
                     half = Half(int(f[1]))
                 events.append(
-                    PlayLine(inning, half, f[2], count, f[4], f[5], rec.line_no)
+                    PlayLine(inning, half, f[2], f[5], rec.line_no)
                 )
-            elif rec.kind is RecordKind.DATA:
-                if f and f[0] == "er" and len(f) >= 3:
-                    earned[f[1]] = int(f[2])
-            # version / com / badj / padj / ladj: accepted and ignored
+            # version / data / com / badj / padj / ladj: accepted and ignored
         except (ValueError, IndexError) as exc:
             diagnostics.append(
                 Diagnostic(
@@ -224,7 +210,7 @@ def _build_account(
                 )
             )
             return None
-    return GameAccount(game_id, info, starters, events, earned)
+    return GameAccount(game_id, info, starters, events)
 
 
 def assemble_games(

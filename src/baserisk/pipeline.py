@@ -151,11 +151,10 @@ def collect_observations(
     paths: list[str | Path],
     mode: CountingMode = CountingMode.INCLUDE_PLAY,
     years: tuple[int, int] | None = None,
-) -> list[SituationObservation]:
-    """Observation-level pass over raw files, for ad-hoc queries."""
+) -> Iterator[SituationObservation]:
+    """Observation-level pass over raw files, for ad-hoc queries.  Yields
+    as it goes, so only one file's text is held at a time."""
     counts = IngestResult()  # query reports none of ingest's counters
-    observations: list[SituationObservation] = []
     for path in sorted(str(p) for p in paths):
         for timeline in iter_timelines(_read_event_file(path), years, counts):
-            observations.extend(extract_observations(timeline, mode))
-    return observations
+            yield from extract_observations(timeline, mode)

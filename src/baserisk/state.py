@@ -33,9 +33,7 @@ __all__ = [
     "Snapshot",
     "StateTimeline",
     "apply_play",
-    "initial_snapshot",
     "replay_game",
-    "replay_half_inning",
     "resolve_step",
 ]
 
@@ -70,7 +68,6 @@ class Snapshot:
     score_fielding: int
     pitcher_id: str
     inning: int
-    half: Half
 
 
 @dataclass
@@ -94,7 +91,6 @@ class StateTimeline:
     snapshots: list[Snapshot] = field(default_factory=list)
     runs_on_play: list[int] = field(default_factory=list)
     outs_total: int = 0
-    runs_total: int = 0
     complete: bool = False
     excluded: str | None = None  # quarantine reason, None when usable
     score_reliable: bool = True
@@ -116,18 +112,6 @@ class GameReplay:
     timelines: list[StateTimeline]
     diagnostics: list[Diagnostic]
     final_score: tuple[int, int]  # visitor, home
-
-
-def initial_snapshot(
-    pitcher_id: str,
-    inning: int = 1,
-    half: Half = Half.TOP,
-    score_batting: int = 0,
-    score_fielding: int = 0,
-) -> Snapshot:
-    return Snapshot(
-        0, 0, score_batting, score_fielding, pitcher_id, inning, half
-    )
 
 
 def _flatten(play: ParsedPlay) -> list[ParsedPlay]:
@@ -309,7 +293,6 @@ class _HalfBuilder:
         self.batting = int(key[2])
         self.bases = 0  # occupancy mask
         self.outs = 0
-        self.runs = 0
         self.dead = False  # set after a quarantine; remaining plays are skipped
 
     def quarantine(self, reason: str, diagnostics: list[Diagnostic], line_no: int) -> None:
@@ -342,49 +325,17 @@ class _HalfBuilder:
         scores = self.shared.scores
         self.timeline.snapshots.append(Snapshot(
             self.bases, self.outs, scores[batting], scores[1 - batting],
-            self.shared.pitchers[1 - batting], line.inning, line.half,
+            self.shared.pitchers[1 - batting], line.inning,
         ))
         self.timeline.runs_on_play.append(runs)
         self.bases = new_bases
         self.outs += outs
-        self.runs += runs
         scores[batting] += runs
 
     def close(self, at_game_end: bool) -> StateTimeline:
         self.timeline.outs_total = self.outs
-        self.timeline.runs_total = self.runs
         self.timeline.complete = self.outs == 3 or at_game_end
         return self.timeline
-
-
-def _apply_sub(sub: SubLine, shared: _SharedGameState) -> None:
-    if sub.position == 1:
-        shared.pitchers[sub.team] = sub.player_id
-
-
-def replay_half_inning(
-    key: tuple[str, int, Half],
-    season: int,
-    items: list[PlayLine | SubLine],
-    pitchers: dict[int, str],
-    entering_scores: tuple[int, int] = (0, 0),
-    at_game_end: bool = True,
-) -> tuple[StateTimeline, list[Diagnostic]]:
-    """Replay one half-inning's play and sub lines in isolation, with a
-    play memo of its own.
-
-    Convenience wrapper over the same machinery replay_game uses; the
-    pitcher map is mutated in place as substitutions occur.
-    """
-    shared = _SharedGameState(pitchers, list(entering_scores), {})
-    builder = _HalfBuilder(key, season, shared)
-    diagnostics: list[Diagnostic] = []
-    for item in items:
-        if isinstance(item, SubLine):
-            _apply_sub(item, shared)
-        else:
-            builder.feed(item, diagnostics)
-    return builder.close(at_game_end), diagnostics
 
 
 def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
@@ -409,7 +360,8 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
 
     for item in account.events:
         if isinstance(item, SubLine):
-            _apply_sub(item, shared)
+            if item.position == 1:
+                pitchers[item.team] = item.player_id
             continue
         key = (account.game_id, item.inning, item.half)
         if builder is None or builder.timeline.half_inning_key != key:

@@ -51,7 +51,6 @@ __all__ = [
     "compute_brt",
     "decide",
     "extract_observations",
-    "merge",
     "pooled_rates",
     "rates",
     "rates_by_pitcher",
@@ -193,16 +192,6 @@ def add_cells(into: dict, cells: dict) -> None:
         cell = into.setdefault(key, [0, 0])
         cell[0] += num
         cell[1] += den
-
-
-def merge(*tables: TallyTable) -> TallyTable:
-    """Combine tally tables cell-wise.  Commutative and associative with
-    the empty table as identity, so any parallel partition merges to the
-    same result as a sequential pass."""
-    out = TallyTable()
-    for table in tables:
-        add_cells(out.cells, table.cells)
-    return out
 
 
 @dataclass

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from baserisk.eventfile import Half, PlayLine
+from baserisk.eventfile import GameAccount, Half, LineupEntry, PlayLine
 from baserisk.oracle import (
     DEFAULT_ADVANCES,
     Outcome,
@@ -18,7 +18,7 @@ from baserisk.oracle import (
     default_model,
     simulate_season,
 )
-from baserisk.state import replay_half_inning
+from baserisk.state import replay_game
 
 
 def make_game_text(
@@ -57,26 +57,25 @@ def make_game_text(
     return "\n".join(lines) + "\n"
 
 
-def run_half(
-    tokens: list[str],
-    inning: int = 1,
-    half: Half = Half.TOP,
-    entering_scores: tuple[int, int] = (0, 0),
-    at_game_end: bool = True,
-):
-    """Replay a bare token list as one half-inning with fresh batters."""
-    items = [
-        PlayLine(inning, half, f"bat{i}", None, "", token, i + 1)
+def run_half(tokens: list[str], at_game_end: bool = True):
+    """Replay a bare token list as the top of the first inning of a game,
+    with fresh batters.  Unless at_game_end, a no-play in the second inning
+    follows, so the half closes cut off rather than with the game."""
+    events = [
+        PlayLine(1, Half.TOP, f"bat{i}", token, i + 1)
         for i, token in enumerate(tokens)
     ]
-    return replay_half_inning(
-        ("TST200004010", inning, half),
-        2000,
-        items,
-        {0: "vpit1", 1: "hpit1"},
-        entering_scores=entering_scores,
-        at_game_end=at_game_end,
+    if not at_game_end:
+        events.append(PlayLine(2, Half.TOP, "bat", "NP", len(tokens) + 1))
+    account = GameAccount(
+        "TST200004010",
+        {"visteam": "VIS", "hometeam": "HOM", "date": "2000/04/01"},
+        [LineupEntry("vpit1", "V Pitcher", 0, 0, 1),
+         LineupEntry("hpit1", "H Pitcher", 1, 0, 1)],
+        events,
     )
+    replay = replay_game(account)
+    return replay.timelines[0], replay.diagnostics
 
 
 # Outcome mix with no walk and no double play, and singles that stop the

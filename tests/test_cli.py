@@ -80,6 +80,19 @@ def test_ingest_year_filter_can_empty(workspace, capsys):
     assert not path.exists()
 
 
+def test_ingest_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace["root"])
+    once = workspace["root"] / "once.cache"
+    assert main(["ingest", "-i", "season.evn", "--cache", str(once)]) == 0
+    summary = capsys.readouterr().err
+    thrice = workspace["root"] / "thrice.cache"
+    args = ["ingest", "-i", "season.evn", "-i", "./season.evn",
+            "-i", str(workspace["evn"]), "--cache", str(thrice)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == summary
+    assert thrice.read_text() == once.read_text()
+
+
 def test_ingest_missing_input(tmp_path):
     args = ["ingest", "-i", str(tmp_path / "ghost.evn"),
             "--cache", str(tmp_path / "c")]

@@ -19,6 +19,7 @@ from baserisk.eventfile import (
     load_roster_names,
     tokenize_event_file,
 )
+from baserisk.pipeline import ingest_text
 from conftest import PIN_ALPHABET, make_game_text, mutate
 
 
@@ -122,7 +123,6 @@ def test_assembled_events_typed_and_ordered():
     assert kinds == [PlayLine, SubLine, PlayLine]
     play = game.events[0]
     assert play.inning == 1 and play.half is Half.TOP
-    assert play.count is None  # "??" normalized away
     assert game.events[1].position == 1
 
 
@@ -134,10 +134,16 @@ def test_season_from_date_and_fallback():
     assert game.season == 2000  # falls back to the id, TST2000...
 
 
-def test_earned_run_data_collected():
-    text = make_game_text([(1, 0, "vbat1", "K")]) + "data,er,hpit1,2\n"
-    (game,), _ = assemble_games(tokenize_event_file(text)[0])
-    assert game.earned_runs == {"hpit1": 2}
+def test_data_records_ignored():
+    # no report reads data records, so a malformed one must not cost its game
+    text = make_game_text([(1, 0, "vbat1", "K")]) + (
+        "data,er,hpit0001,x\ndata,er,hpit0001,2\n")
+    (game,), diags = assemble_games(tokenize_event_file(text)[0])
+    assert diags == []
+    assert game.game_id == "TST200004010"
+    result = ingest_text(text)
+    assert (result.games, result.games_skipped) == (1, 0)
+    assert "malformed_record" not in result.diagnostic_counts
 
 
 def test_roster_names(tmp_path):

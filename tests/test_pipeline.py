@@ -62,7 +62,7 @@ def test_state_traces_match_simulation(replayed):
             assert timeline.excluded is None
             assert timeline.complete
             assert timeline.score_reliable
-            assert timeline.runs_total == sim.runs
+            assert sum(timeline.runs_on_play) == sim.runs
             assert len(timeline.snapshots) == len(sim.plays)
             start_score = timeline.snapshots[0].score_batting
             for snap, play in zip(timeline.snapshots, sim.plays, strict=True):
@@ -185,7 +185,7 @@ def test_collect_observations_matches_ingest(tmp_path, mode, years):
             simulate_season(default_model(), 50, seed=11, season=season)))
         paths.append(path)
     result = ingest_paths(paths, mode, years)
-    observations = collect_observations(paths, mode, years)
+    observations = list(collect_observations(paths, mode, years))
     assert len(observations) == result.observations
     assert {obs.season for obs in observations} == ({2000} if years else {2000, 2010})
     rebuilt = type(result.table)()

@@ -12,7 +12,6 @@ from baserisk.state import (
     BaseState,
     IllegalState,
     apply_play,
-    initial_snapshot,
     replay_game,
     resolve_step,
 )
@@ -21,12 +20,6 @@ from conftest import make_game_text, pin_corpus, run_half
 
 def effects(token, bases=BaseState(), outs=0, batter="bat0"):
     return apply_play(bases, outs, parse_play_token(token), batter)
-
-
-def test_initial_snapshot_empty():
-    s = initial_snapshot("p001", inning=9, score_batting=3, score_fielding=3)
-    assert s.bases == 0 and s.outs == 0
-    assert (s.score_batting, s.score_fielding) == (3, 3)
 
 
 def test_home_run_clears_bases():
@@ -168,7 +161,7 @@ def test_runs_after_suffix_sums():
     timeline, _ = run_half(["D7", "S8.2-H", "HR.1-H", "K", "K", "K"])
     assert timeline.runs_on_play == [0, 1, 2, 0, 0, 0]
     assert timeline.runs_after == [3, 3, 2, 0, 0, 0]
-    assert timeline.runs_total == 3
+    assert sum(timeline.runs_on_play) == 3
 
 
 def test_walk_off_half_is_complete():
@@ -343,7 +336,6 @@ def test_replay_invariants(tokens):
     assert timeline.outs_total <= 3
     after = timeline.runs_after
     assert all(a >= b for a, b in zip(after, after[1:]))
-    assert sum(timeline.runs_on_play) == timeline.runs_total
 
 
 def test_resolve_step_matches_apply_play():

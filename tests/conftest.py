@@ -135,6 +135,28 @@ def mutate(rng: random.Random, seeds: list[str], alphabet: str, min_edits: int =
     return token
 
 
+_LOCATIONS = ("G34", "F8XD+", "L7", "P5F", "BG25", "G", "FL", "L9LS-", "SH", "GDP")
+_SAFE_NOTES = ("", "(UR)", "(NR)", "(RBI)", "(TH)", "(UR)(NR)", "(NR)(RBI)")
+_OUT_GROUPS = ("", "(E4)", "(25)", "(5E4)", "(TH)", "(E2/TH)", "(82)(E5)")
+
+
+def decorate(token: str, rng: random.Random) -> str:
+    """The token with what a scorer adds around its meaning: a hit-location
+    modifier, notes on each advance (groups that can cancel the out on an
+    ``X`` advance), and now and then a ``#`` or ``!`` mark."""
+    event, dot, advances = token.partition(".")
+    if rng.random() < 0.8:
+        event += "/" + rng.choice(_LOCATIONS)
+    parts = advances.split(";") if dot else []
+    for i, part in enumerate(parts):
+        parts[i] = part + rng.choice(_OUT_GROUPS if part[1:2] == "X" else _SAFE_NOTES)
+    token = event + dot + ";".join(parts)
+    if rng.random() < 0.15:
+        cut = rng.randrange(len(token) + 1)
+        token = token[:cut] + rng.choice("#!") + token[cut:]
+    return token
+
+
 def pin_corpus() -> list[str]:
     """25,000 seeded mutations (0-3 edits) of PIN_SEEDS, then the play tokens
     of a seeded season with mid-game substitutions."""

@@ -1,6 +1,7 @@
 """End-to-end checks: synthetic seasons survive the full parse/replay path."""
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import collect_observations, ingest_paths, ingest_text
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode
+from conftest import decorate
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +286,50 @@ def test_collect_observations_pinned(archive):
     assert len(rows) == 1144
     assert _digest(repr(rows)) == (
         "c66e5fd6ad477bd7d058eeaa9b087586f01d9abfdd0e17016f9e839e8c13432f")
+
+
+def _decorated(text: str, rng: random.Random) -> str:
+    """The event file with every play token decorated."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("play,"):
+            head, _, token = line.rpartition(",")
+            line = f"{head},{decorate(token, rng)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def decorated_archive(tmp_path_factory):
+    """Eight small relief-pitcher seasons and the broken file, with every
+    play token decorated."""
+    root = tmp_path_factory.mktemp("decorated")
+    rng = random.Random(8)
+    texts = [
+        emit_event_file(simulate_season(
+            default_model(), 5, seed=800 + n, season=1990 + n, midgame_subs=True))
+        for n in range(8)
+    ]
+    texts.append(_broken_text())
+    paths = []
+    for n, text in enumerate(texts):
+        path = root / f"d{n}.evn"
+        path.write_text(_decorated(text, rng))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_decorated_ingest_pinned(decorated_archive, jobs):
+    result = ingest_paths(decorated_archive, jobs=jobs)
+    assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
+        "1d730f205167cd2f2281cbf8579f2696ece3281833f4592e1e5835f625c9c671")
+    assert (result.games, result.games_skipped, result.half_innings, result.quarantined,
+            result.incomplete, result.observations) == (42, 2, 756, 1, 1, 982)
+    assert result.diagnostic_counts == {
+        "unknown_record_kind": 1, "missing_info": 2,
+        "quarantined_half_inning": 1, "incomplete_half_inning": 1,
+    }
 
 
 def test_benchmark_hooks_restore_originals(monkeypatch):

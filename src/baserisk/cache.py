@@ -27,6 +27,7 @@ __all__ = [
     "fingerprint_paths",
     "load_era_csv",
     "read_cache",
+    "render_cache",
     "write_cache",
 ]
 

@@ -28,6 +28,8 @@ __all__ = [
     "OutcomeModel",
     "SimGame",
     "SimHalf",
+    "SimPlay",
+    "SimSub",
     "default_model",
     "emit_event_file",
     "exact_score_probability",

@@ -1,8 +1,8 @@
 """End-to-end ingest: event files through replay into tally tables.
 
-The unit of parallelism is one input file; per-file results merge with
-plain integer addition, so any partition of the inputs produces the same
-tallies as a sequential pass, bit for bit.
+The unit of parallelism is one list of input files; per-task results merge
+with plain integer addition, so any partition of the inputs produces the
+same tallies as a sequential pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,14 +66,14 @@ class IngestResult:
 
 
 def iter_timelines(
-    text: str, years: tuple[int, int] | None, result: IngestResult
+    text: str, years: tuple[int, int] | None, result: IngestResult, steps: StepMemo
 ) -> Iterator[StateTimeline]:
     """Tokenize, assemble and replay one event file's text, yielding every
     complete, unquarantined half-inning of the games inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
-    and diagnostic codes are counted into ``result`` along the way.  The
-    file's games share one play memo, so its size is bounded by the file.
+    and diagnostic codes are counted into ``result`` along the way.  Every
+    game replays through the caller's play memo ``steps``.
     """
     records, diags = tokenize_event_file(text)
     result._note(diags)
@@ -82,7 +82,6 @@ def iter_timelines(
     result.games_skipped += len(
         {d.game_id for d in diags if d.game_id and d.code in _GAME_DROPPING}
     )
-    steps: StepMemo = {}
     for account in games:
         if years and not (years[0] <= account.season <= years[1]):
             continue
@@ -106,10 +105,12 @@ def ingest_text(
     text: str,
     mode: CountingMode = CountingMode.INCLUDE_PLAY,
     years: tuple[int, int] | None = None,
+    steps: StepMemo | None = None,
 ) -> IngestResult:
-    """Parse and replay one event file's text into tallies."""
+    """Parse and replay one event file's text into tallies, through the
+    play memo ``steps`` or, without one, a memo of its own."""
     result = IngestResult()
-    for timeline in iter_timelines(text, years, result):
+    for timeline in iter_timelines(text, years, result, {} if steps is None else steps):
         observations = extract_observations(timeline, mode)
         result.observations += len(observations)
         result.table.add_all(observations)
@@ -121,9 +122,16 @@ def _read_event_file(path: str) -> str:
     return Path(path).read_text(encoding="latin-1")
 
 
-def _ingest_one(args: tuple[str, str, tuple[int, int] | None]) -> IngestResult:
-    path, mode_value, years = args
-    return ingest_text(_read_event_file(path), CountingMode(mode_value), years)
+def _ingest_files(args: tuple[list[str], str, tuple[int, int] | None]) -> IngestResult:
+    """One task: ingest the files in order through one play memo, which
+    holds one entry per distinct (effect text, occupancy, outs) it meets."""
+    paths, mode_value, years = args
+    mode = CountingMode(mode_value)
+    steps: StepMemo = {}
+    result = IngestResult()
+    for path in paths:
+        result.merge(ingest_text(_read_event_file(path), mode, years, steps))
+    return result
 
 
 def ingest_paths(
@@ -132,18 +140,18 @@ def ingest_paths(
     years: tuple[int, int] | None = None,
     jobs: int = 1,
 ) -> IngestResult:
-    """Ingest many event files over at most ``jobs`` workers, one file per task."""
-    work = [(str(p), mode.value, years) for p in sorted(str(p) for p in paths)]
+    """Ingest many event files as one task, or as ``jobs`` tasks of strided
+    file lists over as many workers, never more workers than files."""
+    ordered = sorted(str(p) for p in paths)
+    # a fork-based pool starts every worker up front, so never more than files
+    workers = min(jobs, len(ordered))
+    if workers <= 1:
+        return _ingest_files((ordered, mode.value, years))
+    chunks = [(ordered[i::workers], mode.value, years) for i in range(workers)]
     result = IngestResult()
-    workers = min(jobs, len(work))
-    if workers > 1:
-        # a fork-based pool starts every worker up front, so never more than files
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_ingest_one, work):
-                result.merge(part)
-    else:
-        for item in work:
-            result.merge(_ingest_one(item))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_ingest_files, chunks):
+            result.merge(part)
     return result
 
 
@@ -155,6 +163,7 @@ def collect_observations(
     """Observation-level pass over raw files, for ad-hoc queries.  Yields
     as it goes, so only one file's text is held at a time."""
     counts = IngestResult()  # query reports none of ingest's counters
+    steps: StepMemo = {}
     for path in sorted(str(p) for p in paths):
-        for timeline in iter_timelines(_read_event_file(path), years, counts):
+        for timeline in iter_timelines(_read_event_file(path), years, counts, steps):
             yield from extract_observations(timeline, mode)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .stats import BRTValue, BucketRow, RateTriple
 
 __all__ = [
+    "Table1Cell",
     "Table3Row",
     "fmt3",
     "render_table1",

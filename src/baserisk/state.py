@@ -7,11 +7,13 @@ advance from an empty base, a fourth out) quarantines the enclosing
 half-inning instead of guessing.
 
 No output reads which runner stands where, so replay carries the bases as a
-3-bit occupancy mask and resolves each (token, occupancy, outs) only once.
+3-bit occupancy mask and resolves each (effect text, occupancy, outs) only
+once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .eventfile import Diagnostic, GameAccount, Half, PlayLine, SubLine
@@ -33,6 +35,7 @@ __all__ = [
     "Snapshot",
     "StateTimeline",
     "apply_play",
+    "effect_text",
     "replay_game",
     "resolve_step",
 ]
@@ -251,10 +254,44 @@ def apply_play(
 # (parse error, no-play, IllegalState message, outs recorded, runs scored,
 # new occupancy): everything a play does to the replay
 Step = tuple[str | None, bool, str | None, int, int, int]
-# (token, occupancy, outs) -> Step, shared by the games of one file
+# (effect text, occupancy, outs) -> Step, shared by the files of one ingest task
 StepMemo = dict[tuple[str, int, int], Step]
 
 _PLACEHOLDER = "?"  # every runner and the batter: apply_play never compares ids
+
+# a basic event that is one whole parser section, up to the first "/", then
+# modifier sections that are not empty and hold no group
+_PLAIN_EVENT_RE = re.compile(r"((?:[^/(]|\([^/)]*\))+)(?:/[^/()]+)*")
+# a safe advance and its notes, e.g. "1-3(UR)(NR)": the notes change nothing
+_NOTED_SAFE_ADVANCE_RE = re.compile(r"([B123]-[123H])(?:\([^()]*\))+")
+
+
+def effect_text(token: str) -> str:
+    """The token less what the parser accepts but ``apply_play`` never reads:
+    the modifier sections (``S8/G34`` -> ``S8``) and the notes on a safe
+    advance (``B-1(UR)`` -> ``B-1``).
+
+    A token with a ``#?!`` mark, a basic event that is not one whole
+    section, or a modifier that is empty or holds a parenthesis comes back
+    unchanged.  An advance that is not exactly a safe advance followed by
+    plain groups keeps its text: the groups of an ``X`` advance can cancel
+    the out.  ``resolve_step`` gives the same step for both texts, or a
+    parse error for both.
+    """
+    if "/" not in token and "(" not in token:
+        return token
+    if "#" in token or "?" in token or "!" in token:
+        return token
+    event, dot, advances = token.partition(".")
+    plain = _PLAIN_EVENT_RE.fullmatch(event)
+    if plain is None:
+        return token
+    if "(" in advances:
+        advances = ";".join(
+            m.group(1) if (m := _NOTED_SAFE_ADVANCE_RE.fullmatch(part)) else part
+            for part in advances.split(";")
+        )
+    return plain.group(1) + dot + advances
 
 
 def resolve_step(token: str, bases: int, outs: int) -> Step:
@@ -308,10 +345,14 @@ class _HalfBuilder:
     def feed(self, line: PlayLine, diagnostics: list[Diagnostic]) -> None:
         """Apply one play line, resolving it on a memo miss.  An unreadable
         token quarantines the half-inning, even one already quarantined."""
-        key = (line.event_text, self.bases, self.outs)
+        token = line.event_text
+        key = (effect_text(token), self.bases, self.outs)
         step = self.shared.steps.get(key)
         if step is None:
-            step = self.shared.steps[key] = resolve_step(*key)
+            step = self.shared.steps[key] = resolve_step(token, self.bases, self.outs)
+        elif step[0] is not None:
+            # a parse error quotes its token, so word this one's afresh
+            step = resolve_step(token, self.bases, self.outs)
         parse_error, no_play, illegal, outs, runs, new_bases = step
         if parse_error is not None:
             self.quarantine(parse_error, diagnostics, line.line_no)
@@ -341,8 +382,8 @@ class _HalfBuilder:
 def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
     """Replay a full game account into per-half-inning timelines.
 
-    ``steps`` is a play memo to share with the other games of one file;
-    without it the game gets a memo of its own.
+    ``steps`` is a play memo to share with the other games of an ingest
+    task; without it the game gets a memo of its own.
     """
     diagnostics: list[Diagnostic] = []
     pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}

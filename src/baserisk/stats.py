@@ -45,12 +45,14 @@ __all__ = [
     "SituationObservation",
     "TallyTable",
     "add_cells",
+    "brt_from_rates",
     "bucket_report",
     "career_high_leverage_innings",
     "classify_state",
     "compute_brt",
     "decide",
     "extract_observations",
+    "group_summary",
     "pooled_rates",
     "rates",
     "rates_by_pitcher",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from baserisk import pipeline
+from baserisk import pipeline, state
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import Half, PlayLine, assemble_games, tokenize_event_file
 from baserisk.oracle import default_model, emit_event_file, simulate_season
@@ -330,6 +330,23 @@ def test_decorated_ingest_pinned(decorated_archive, jobs):
         "unknown_record_kind": 1, "missing_info": 2,
         "quarantined_half_inning": 1, "incomplete_half_inning": 1,
     }
+
+
+def test_repeated_plays_resolve_once(tmp_path, monkeypatch):
+    """A second file with the same plays under another name is answered
+    from the memo of the first."""
+    calls = []
+    resolve = state.resolve_step
+    monkeypatch.setattr(state, "resolve_step", lambda *key: calls.append(key) or resolve(*key))
+    text = emit_event_file(simulate_season(default_model(), 5, seed=31))
+    first, second = tmp_path / "a.evn", tmp_path / "b.evn"
+    first.write_text(text)
+    second.write_text(text)
+    ingest_paths([first])
+    once = len(calls)
+    calls.clear()
+    ingest_paths([first, second])
+    assert len(calls) == once > 0
 
 
 def test_benchmark_hooks_restore_originals(monkeypatch):

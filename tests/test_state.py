@@ -1,5 +1,8 @@
 """Replay correctness: hand-worked plays, conservation, quarantine."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +15,11 @@ from baserisk.state import (
     BaseState,
     IllegalState,
     apply_play,
+    effect_text,
     replay_game,
     resolve_step,
 )
-from conftest import make_game_text, pin_corpus, run_half
+from conftest import decorate, make_game_text, pin_corpus, run_half
 
 
 def effects(token, bases=BaseState(), outs=0, batter="bat0"):
@@ -178,6 +182,16 @@ def test_unparseable_token_quarantines():
     timeline, diags = run_half(["W", "GLORP", "K"])
     assert timeline.excluded is not None
     assert any(d.code == "quarantined_half_inning" for d in diags)
+
+
+def test_quarantine_names_its_own_token():
+    # both share one memo key, yet each reason quotes the token as written
+    assert effect_text("ZZ/G") == effect_text("ZZ/F") == "ZZ"
+    _, diags = run_half(["ZZ/G", "ZZ/F"])
+    assert [d.detail for d in diags if d.code == "quarantined_half_inning"] == [
+        "unparseable event 'ZZ/G': unrecognized basic event 'ZZ'",
+        "unparseable event 'ZZ/F': unrecognized basic event 'ZZ'",
+    ]
 
 
 def test_illegal_state_quarantines():
@@ -366,3 +380,40 @@ def test_resolve_step_matches_apply_play():
                                     fx.runs_scored, occupancy(fx.new_bases))
                 checked += 1
     assert checked > 10_000
+
+
+@pytest.mark.parametrize("token, effect", [
+    ("S8/G34.1-3(UR);B-1(TH)", "S8.1-3;B-1"),
+    ("8/F8XD+/SF.3-H(UR)(NR)(RBI)", "8.3-H"),
+    ("S8.1XH(82);B-1(NR)", "S8.1XH(82);B-1"),  # an X advance keeps its groups
+    ("FC5.3XH(5-2(E4);B-1(UR)", "FC5.3XH(5-2(E4);B-1"),
+    ("S8#/G.1-3(UR)", "S8#/G.1-3(UR)"),  # marks: unchanged
+    ("S8/R7(TH/X).1-3(UR)", "S8/R7(TH/X).1-3(UR)"),  # a modifier with groups
+    ("CS2(2/4)/G", "CS2(2/4)/G"),  # a slash inside the basic event
+    ("S8//G.1-2(UR)", "S8//G.1-2(UR)"),  # an empty modifier
+    ("S8.1-2(UR)x", "S8.1-2(UR)x"),  # stray text after the groups
+    ("HR", "HR"),
+])
+def test_effect_text_examples(token, effect):
+    assert effect_text(token) == effect
+
+
+def test_effect_text_matches_parser():
+    """A token and its effect text resolve to the same step in all 8
+    occupancies at 0-2 outs, or both fail to parse, over the pin corpus and
+    a decorated copy of it."""
+    corpus = pin_corpus()
+    rng = random.Random(13)
+    corpus += [decorate(token, rng) for token in corpus]
+    rewritten = 0
+    for token in dict.fromkeys(corpus):
+        effect = effect_text(token)
+        if effect == token:
+            continue
+        rewritten += 1
+        if resolve_step(effect, 0, 0)[0] and resolve_step(token, 0, 0)[0]:
+            continue  # both rejected: a parse error does not depend on the state
+        for mask, outs in itertools.product(range(8), range(3)):
+            step, reference = resolve_step(effect, mask, outs), resolve_step(token, mask, outs)
+            assert step == reference, (token, effect, mask, outs)
+    assert rewritten > 10_000

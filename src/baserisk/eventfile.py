@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -24,6 +25,8 @@ __all__ = [
     "RecordKind",
     "SubLine",
     "assemble_games",
+    "iter_games",
+    "iter_records",
     "load_roster_names",
     "tokenize_event_file",
 ]
@@ -110,14 +113,13 @@ class GameAccount:
                 return 0
 
 
-def tokenize_event_file(text: str) -> tuple[list[RawRecord], list[Diagnostic]]:
-    """Split raw file text into typed records.
+def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[RawRecord]:
+    """Split raw file text into typed records, one line at a time.
 
-    Every non-empty line yields exactly one record or one diagnostic.
-    Unknown record kinds are preserved as Com records so nothing is lost.
+    Every non-empty line yields exactly one record or appends one diagnostic
+    to ``diagnostics``.  Unknown record kinds are kept as Com records, with a
+    diagnostic, so nothing is lost.
     """
-    records: list[RawRecord] = []
-    diagnostics: list[Diagnostic] = []
     kinds = {k.value: k for k in RecordKind}
     # a line no longer than csv's field limit and without quotes splits the
     # same with str.split; the rest get a reader each, so an unclosed quote
@@ -143,15 +145,23 @@ def tokenize_event_file(text: str) -> tuple[list[RawRecord], list[Diagnostic]]:
             diagnostics.append(
                 Diagnostic("unknown_record_kind", cells[0], line_no)
             )
-            records.append(RawRecord(RecordKind.COM, cells, line_no))
+            yield RawRecord(RecordKind.COM, cells, line_no)
         else:
-            records.append(RawRecord(kind, cells[1:], line_no))
+            yield RawRecord(kind, cells[1:], line_no)
+
+
+def tokenize_event_file(text: str) -> tuple[list[RawRecord], list[Diagnostic]]:
+    """Every record of the text, and the tokenizer's diagnostics."""
+    diagnostics: list[Diagnostic] = []
+    records = list(iter_records(text, diagnostics))
     return records, diagnostics
 
 
 def _build_account(
     game_id: str, body: list[RawRecord], diagnostics: list[Diagnostic]
-) -> GameAccount | None:
+) -> Iterator[GameAccount]:
+    """Yield the game the id and its records describe, or append the one
+    diagnostic that drops it."""
     info: dict[str, str] = {}
     starters: list[LineupEntry] = []
     events: list[PlayLine | SubLine] = []
@@ -188,14 +198,14 @@ def _build_account(
                     rec.line_no, game_id,
                 )
             )
-            return None
+            return
 
     for key in ("visteam", "hometeam", "date"):
         if key not in info:
             diagnostics.append(
                 Diagnostic("missing_info", f"no {key} record", game_id=game_id)
             )
-            return None
+            return
 
     known = {s.player_id for s in starters}
     for ev in events:
@@ -209,43 +219,35 @@ def _build_account(
                     ev.line_no, game_id,
                 )
             )
-            return None
-    return GameAccount(game_id, info, starters, events)
+            return
+    yield GameAccount(game_id, info, starters, events)
 
 
-def assemble_games(
-    records: list[RawRecord],
-) -> tuple[list[GameAccount], list[Diagnostic]]:
-    """Group records into GameAccounts, one per id record.
+def iter_games(
+    records: Iterable[RawRecord], diagnostics: list[Diagnostic]
+) -> Iterator[GameAccount]:
+    """Group records into GameAccounts, one per id record, yielding each as
+    soon as the next id record or the end of the records closes it.
 
     Accounts that fail structural validation (missing required info, a play
     referencing a player never introduced, malformed cells) are skipped
-    whole with a diagnostic; they are never silently truncated.
+    whole with one diagnostic naming the game; they are never silently
+    truncated.
     """
-    games: list[GameAccount] = []
-    diagnostics: list[Diagnostic] = []
     current_id: str | None = None
     body: list[RawRecord] = []
-
-    def flush() -> None:
-        if current_id is None:
-            return
-        account = _build_account(current_id, body, diagnostics)
-        if account is not None:
-            games.append(account)
-
     for rec in records:
         if rec.kind is RecordKind.ID:
-            flush()
+            if current_id is not None:
+                yield from _build_account(current_id, body, diagnostics)
             if rec.fields and rec.fields[0]:
                 current_id = rec.fields[0]
-                body = []
             else:
                 diagnostics.append(
                     Diagnostic("missing_info", "id record without a game id", rec.line_no)
                 )
                 current_id = None
-                body = []
+            body = []
         elif current_id is None:
             diagnostics.append(
                 Diagnostic(
@@ -256,7 +258,16 @@ def assemble_games(
             )
         else:
             body.append(rec)
-    flush()
+    if current_id is not None:
+        yield from _build_account(current_id, body, diagnostics)
+
+
+def assemble_games(
+    records: list[RawRecord],
+) -> tuple[list[GameAccount], list[Diagnostic]]:
+    """Every game the records hold, and the assembler's diagnostics."""
+    diagnostics: list[Diagnostic] = []
+    games = list(iter_games(records, diagnostics))
     return games, diagnostics
 
 

@@ -13,7 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .eventfile import Diagnostic, assemble_games, tokenize_event_file
+from .eventfile import Diagnostic, iter_games, iter_records
+# unused here, but the benchmark's span hooks wrap these two by name
+from .eventfile import assemble_games, tokenize_event_file
 from .state import StateTimeline, StepMemo, replay_game
 from .stats import (
     CountingMode,
@@ -68,21 +70,17 @@ class IngestResult:
 def iter_timelines(
     text: str, years: tuple[int, int] | None, result: IngestResult, steps: StepMemo
 ) -> Iterator[StateTimeline]:
-    """Tokenize, assemble and replay one event file's text, yielding every
-    complete, unquarantined half-inning of the games inside ``years``.
+    """Tokenize, assemble and replay one event file's text, one game at a
+    time, yielding every complete, unquarantined half-inning of the games
+    inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
-    and diagnostic codes are counted into ``result`` along the way.  Every
-    game replays through the caller's play memo ``steps``.
+    and diagnostic codes are counted into ``result`` along the way; the
+    file's tokenize and assemble diagnostics are counted once it is done.
+    Every game replays through the caller's play memo ``steps``.
     """
-    records, diags = tokenize_event_file(text)
-    result._note(diags)
-    games, diags = assemble_games(records)
-    result._note(diags)
-    result.games_skipped += len(
-        {d.game_id for d in diags if d.game_id and d.code in _GAME_DROPPING}
-    )
-    for account in games:
+    diags: list[Diagnostic] = []
+    for account in iter_games(iter_records(text, diags), diags):
         if years and not (years[0] <= account.season <= years[1]):
             continue
         replay = replay_game(account, steps)
@@ -99,6 +97,11 @@ def iter_timelines(
                 result.incomplete += 1
             else:
                 yield timeline
+    result._note(diags)
+    # each game block dropped at assembly leaves one diagnostic naming it
+    result.games_skipped += sum(
+        d.game_id is not None and d.code in _GAME_DROPPING for d in diags
+    )
 
 
 def ingest_text(

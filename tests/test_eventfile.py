@@ -16,6 +16,8 @@ from baserisk.eventfile import (
     RecordKind,
     SubLine,
     assemble_games,
+    iter_games,
+    iter_records,
     load_roster_names,
     tokenize_event_file,
 )
@@ -79,6 +81,28 @@ def test_two_games_split_in_order():
     games, diags = assemble_games(tokenize_event_file(text)[0])
     assert [g.game_id for g in games] == ["AAA200004010", "BBB200004010"]
     assert diags == []
+
+
+def test_games_stream_before_the_file_ends():
+    """The first game comes out once the second game's id record closes
+    it, without a pull of any later record."""
+    text = make_game_text([(1, 0, "vbat1", "K")], game_id="AAA200004010") + \
+        make_game_text([(1, 0, "vbat1", "W")], game_id="BBB200004010")
+    diags = []
+
+    def records():
+        ids = 0
+        for rec in iter_records(text, diags):
+            yield rec
+            ids += rec.kind is RecordKind.ID
+            if ids == 2:
+                raise AssertionError("pulled past the second game's id record")
+
+    games = iter_games(records(), diags)
+    assert next(games).game_id == "AAA200004010"
+    assert diags == []
+    with pytest.raises(AssertionError, match="second game's id"):
+        next(games)
 
 
 def test_orphan_records_before_first_id():

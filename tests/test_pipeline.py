@@ -2,18 +2,21 @@
 
 import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from baserisk import pipeline, state
 from baserisk.cache import StatsCache, render_cache
-from baserisk.eventfile import Half, PlayLine, assemble_games, tokenize_event_file
+from baserisk.eventfile import (
+    Half, PlayLine, RecordKind, assemble_games, tokenize_event_file,
+)
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import collect_observations, ingest_paths, ingest_text
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode
-from conftest import decorate
+from conftest import PIN_ALPHABET, decorate, make_game_text, mutate
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,30 @@ def test_ingest_counts_clean_season():
     assert 0 < result.observations <= 3 * result.half_innings
     total = sum(cell[1] for cell in result.table.cells.values())
     assert total == result.observations
+
+
+def test_games_skipped_counts_every_dropped_block():
+    """Two dropped game blocks under one id are two skipped games."""
+    block = make_game_text([(1, 0, "vbat1", "K")])
+    block = "".join(line for line in block.splitlines(keepends=True)
+                    if not line.startswith("info,date"))
+    result = ingest_text(block + block)
+    assert (result.games, result.games_skipped) == (0, 2)
+    assert result.diagnostic_counts == {"missing_info": 2}
+
+
+def test_ingest_heap_stays_small():
+    """A 600-game file is ingested one game at a time: the traced heap peak
+    stays far below what the file's records and games would take at once."""
+    text = emit_event_file(simulate_season(default_model(), 600, seed=3, midgame_subs=True))
+    tracemalloc.start()
+    try:
+        result = ingest_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.games == 600
+    assert peak < 10 * 2**20
 
 
 def test_year_filter():
@@ -330,6 +357,47 @@ def test_decorated_ingest_pinned(decorated_archive, jobs):
         "unknown_record_kind": 1, "missing_info": 2,
         "quarantined_half_inning": 1, "incomplete_half_inning": 1,
     }
+
+
+@pytest.fixture(scope="module")
+def damaged_archive(tmp_path_factory):
+    """Three small relief-pitcher seasons with about one record line in a
+    hundred replaced by a criterion-8-style mutation of itself."""
+    root = tmp_path_factory.mktemp("damaged")
+    rng = random.Random(9)
+    paths = []
+    for n in range(3):
+        lines = emit_event_file(simulate_season(
+            default_model(), 20, seed=900 + n, season=1995 + n, midgame_subs=True)
+        ).splitlines()
+        for i, line in enumerate(lines):
+            if rng.random() < 0.01:
+                lines[i] = mutate(rng, [line], PIN_ALPHABET + '"', 1)
+        path = root / f"m{n}.evn"
+        path.write_text("\n".join(lines) + "\n")
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_damaged_ingest_pinned(damaged_archive, jobs):
+    """Digest and counters computed before ingest streamed one game at a time."""
+    # no id names two game blocks, so counting dropped blocks or dropped ids
+    # gives the same games_skipped
+    ids = [rec.fields[0]
+           for path in damaged_archive
+           for rec in tokenize_event_file(path.read_text(encoding="latin-1"))[0]
+           if rec.kind is RecordKind.ID and rec.fields and rec.fields[0]]
+    assert len(ids) == len(set(ids))
+    result = ingest_paths(damaged_archive, jobs=jobs)
+    assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
+        "34d2b3ae820ccf2d90e898af06e188be464ff329957cfd331940dfddf3e282a1")
+    assert (result.games, result.games_skipped, result.half_innings, result.quarantined,
+            result.incomplete, result.observations) == (28, 32, 504, 2, 2, 624)
+    assert sorted(result.diagnostic_counts.items()) == [
+        ("incomplete_half_inning", 2), ("malformed_record", 20), ("missing_info", 1),
+        ("orphan_player", 11), ("quarantined_half_inning", 2), ("unknown_record_kind", 22),
+    ]
 
 
 def test_repeated_plays_resolve_once(tmp_path, monkeypatch):

@@ -102,15 +102,18 @@ class GameAccount:
 
     @property
     def season(self) -> int:
-        date = self.info.get("date", "")
+        return _season(self.game_id, self.info.get("date", ""))
+
+
+def _season(game_id: str, date: str) -> int:
+    """The year of a yyyy/mm/dd date, else of the game id (NYA200309180), else 0."""
+    try:
+        return int(date.split("/")[0])
+    except ValueError:
         try:
-            return int(date.split("/")[0])
-        except (ValueError, IndexError):
-            # fall back to the year embedded in the game id, e.g. NYA200309180
-            try:
-                return int(self.game_id[3:7])
-            except ValueError:
-                return 0
+            return int(game_id[3:7])
+        except ValueError:
+            return 0
 
 
 def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[RawRecord]:
@@ -223,8 +226,28 @@ def _build_account(
     yield GameAccount(game_id, info, starters, events)
 
 
+def _close_block(
+    game_id: str, body: list[RawRecord], diagnostics: list[Diagnostic], mark: int,
+    years: tuple[int, int] | None,
+) -> Iterator[GameAccount]:
+    """Build a closed game block, or drop one whose season (its last date,
+    else the year in its id) is outside ``years``, and with it every
+    diagnostic appended since its id was read, at ``mark``."""
+    if years:
+        date = ""
+        for rec in body:
+            if rec.kind is RecordKind.INFO and rec.fields[:1] == ["date"]:
+                date = rec.fields[1] if len(rec.fields) >= 2 else ""
+        if not years[0] <= _season(game_id, date) <= years[1]:
+            del diagnostics[mark:]
+            return
+    yield from _build_account(game_id, body, diagnostics)
+
+
 def iter_games(
-    records: Iterable[RawRecord], diagnostics: list[Diagnostic]
+    records: Iterable[RawRecord],
+    diagnostics: list[Diagnostic],
+    years: tuple[int, int] | None = None,
 ) -> Iterator[GameAccount]:
     """Group records into GameAccounts, one per id record, yielding each as
     soon as the next id record or the end of the records closes it.
@@ -232,14 +255,18 @@ def iter_games(
     Accounts that fail structural validation (missing required info, a play
     referencing a player never introduced, malformed cells) are skipped
     whole with one diagnostic naming the game; they are never silently
-    truncated.
+    truncated.  With ``years``, games of other seasons are dropped before
+    they are built, and so are their diagnostics.  Diagnostics that belong
+    to no game block stay.
     """
     current_id: str | None = None
     body: list[RawRecord] = []
+    mark = 0
     for rec in records:
         if rec.kind is RecordKind.ID:
             if current_id is not None:
-                yield from _build_account(current_id, body, diagnostics)
+                yield from _close_block(current_id, body, diagnostics, mark, years)
+            mark = len(diagnostics)
             if rec.fields and rec.fields[0]:
                 current_id = rec.fields[0]
             else:
@@ -259,7 +286,7 @@ def iter_games(
         else:
             body.append(rec)
     if current_id is not None:
-        yield from _build_account(current_id, body, diagnostics)
+        yield from _close_block(current_id, body, diagnostics, mark, years)
 
 
 def assemble_games(

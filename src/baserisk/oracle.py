@@ -114,7 +114,7 @@ class OutcomeModel:
             # once somebody scores everyone ahead of them must too
             seq = [batter_dest]
             for base in (1, 2, 3):
-                dest = self.advances.get((hit, base), DEFAULT_ADVANCES[(hit, base)])
+                dest = self.dest(hit, base)
                 if not base < dest <= 4:
                     raise InvalidModel(
                         f"{hit.value} advance from {base} to {dest} goes backward"

@@ -76,13 +76,12 @@ def iter_timelines(
 
     Games, skipped games, half-innings, quarantined and incomplete halves
     and diagnostic codes are counted into ``result`` along the way; the
-    file's tokenize and assemble diagnostics are counted once it is done.
-    Every game replays through the caller's play memo ``steps``.
+    file's tokenize and assemble diagnostics are counted once it is done,
+    less those of games outside ``years``, which are never built.  Every
+    game replays through the caller's play memo ``steps``.
     """
     diags: list[Diagnostic] = []
-    for account in iter_games(iter_records(text, diags), diags):
-        if years and not (years[0] <= account.season <= years[1]):
-            continue
+    for account in iter_games(iter_records(text, diags), diags, years):
         replay = replay_game(account, steps)
         result._note(replay.diagnostics)
         if not replay.timelines and replay.diagnostics:
@@ -125,11 +124,10 @@ def _read_event_file(path: str) -> str:
     return Path(path).read_text(encoding="latin-1")
 
 
-def _ingest_files(args: tuple[list[str], str, tuple[int, int] | None]) -> IngestResult:
+def _ingest_files(args: tuple[list[str], CountingMode, tuple[int, int] | None]) -> IngestResult:
     """One task: ingest the files in order through one play memo, which
     holds one entry per distinct (effect text, occupancy, outs) it meets."""
-    paths, mode_value, years = args
-    mode = CountingMode(mode_value)
+    paths, mode, years = args
     steps: StepMemo = {}
     result = IngestResult()
     for path in paths:
@@ -149,8 +147,8 @@ def ingest_paths(
     # a fork-based pool starts every worker up front, so never more than files
     workers = min(jobs, len(ordered))
     if workers <= 1:
-        return _ingest_files((ordered, mode.value, years))
-    chunks = [(ordered[i::workers], mode.value, years) for i in range(workers)]
+        return _ingest_files((ordered, mode, years))
+    chunks = [(ordered[i::workers], mode, years) for i in range(workers)]
     result = IngestResult()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_ingest_files, chunks):

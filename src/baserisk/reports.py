@@ -79,8 +79,7 @@ def render_table2(
     """Bucketed thresholds by career high-leverage innings.
 
     blocks maps the threshold index (1 or 0 outs) to its bucket rows;
-    extras adds labeled columns such as a save-leader group or the pooled
-    all-pitcher column.
+    extras adds labeled rows such as a save-leader group.
     """
     extras = extras or {}
     records: list[list[str]] = []

@@ -1,14 +1,14 @@
 """Base-out state reconstruction by replaying parsed plays.
 
-The replayer walks a game account in order, emitting a pre-play Snapshot for
-every play that is not a no-play, and folding each play's effects into the
-next state.  Anything it cannot replay exactly (an unparseable token, an
+``replay_game`` walks a game account in order, emitting a pre-play Snapshot
+for every play that is not a no-play, and folding each play's effects into
+the next state.  Anything it cannot replay exactly (an unparseable token, an
 advance from an empty base, a fourth out) quarantines the enclosing
 half-inning instead of guessing.
 
 No output reads which runner stands where, so replay carries the bases as a
 3-bit occupancy mask and resolves each (effect text, occupancy, outs) only
-once.
+once, through a memo that holds only the plays that parse.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .eventfile import Diagnostic, GameAccount, Half, PlayLine, SubLine
+from .eventfile import Diagnostic, GameAccount, Half, SubLine
 from .playtoken import (
     BATTER_REACHES,
     Advance,
@@ -313,117 +313,90 @@ def resolve_step(token: str, bases: int, outs: int) -> Step:
     return (None, False, None, fx.outs_recorded, fx.runs_scored, fx.new_bases.mask())
 
 
-@dataclass
-class _SharedGameState:
-    """Pitcher and score bookkeeping shared across half-innings."""
-
-    pitchers: dict[int, str]
-    scores: list[int]  # visitor, home
-    steps: StepMemo
-    score_reliable: bool = True
-
-
-class _HalfBuilder:
-    def __init__(self, key: tuple[str, int, Half], season: int, shared: _SharedGameState):
-        self.timeline = StateTimeline(key, season, score_reliable=shared.score_reliable)
-        self.shared = shared
-        self.batting = int(key[2])
-        self.bases = 0  # occupancy mask
-        self.outs = 0
-        self.dead = False  # set after a quarantine; remaining plays are skipped
-
-    def quarantine(self, reason: str, diagnostics: list[Diagnostic], line_no: int) -> None:
-        self.timeline.excluded = reason
-        self.dead = True
-        # runs from here on are unknown, so later score margins are too
-        self.shared.score_reliable = False
-        diagnostics.append(
-            Diagnostic("quarantined_half_inning", reason, line_no,
-                       self.timeline.half_inning_key[0])
-        )
-
-    def feed(self, line: PlayLine, diagnostics: list[Diagnostic]) -> None:
-        """Apply one play line, resolving it on a memo miss.  An unreadable
-        token quarantines the half-inning, even one already quarantined."""
-        token = line.event_text
-        key = (effect_text(token), self.bases, self.outs)
-        step = self.shared.steps.get(key)
-        if step is None:
-            step = self.shared.steps[key] = resolve_step(token, self.bases, self.outs)
-        elif step[0] is not None:
-            # a parse error quotes its token, so word this one's afresh
-            step = resolve_step(token, self.bases, self.outs)
-        parse_error, no_play, illegal, outs, runs, new_bases = step
-        if parse_error is not None:
-            self.quarantine(parse_error, diagnostics, line.line_no)
-            return
-        if self.dead or no_play:
-            return
-        if illegal is not None:
-            self.quarantine(illegal, diagnostics, line.line_no)
-            return
-        batting = self.batting
-        scores = self.shared.scores
-        self.timeline.snapshots.append(Snapshot(
-            self.bases, self.outs, scores[batting], scores[1 - batting],
-            self.shared.pitchers[1 - batting], line.inning,
+def _close(
+    timeline: StateTimeline, outs: int, at_game_end: bool, diagnostics: list[Diagnostic]
+) -> None:
+    """Close a half-inning after ``outs`` outs; one cut off short of three
+    before the game ends is reported unless it was already quarantined."""
+    timeline.outs_total = outs
+    timeline.complete = outs == 3 or at_game_end
+    if not timeline.complete and timeline.excluded is None:
+        game_id, inning, _ = timeline.half_inning_key
+        diagnostics.append(Diagnostic(
+            "incomplete_half_inning", f"inning {inning} ended after {outs} outs",
+            game_id=game_id,
         ))
-        self.timeline.runs_on_play.append(runs)
-        self.bases = new_bases
-        self.outs += outs
-        scores[batting] += runs
-
-    def close(self, at_game_end: bool) -> StateTimeline:
-        self.timeline.outs_total = self.outs
-        self.timeline.complete = self.outs == 3 or at_game_end
-        return self.timeline
 
 
 def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
     """Replay a full game account into per-half-inning timelines.
 
     ``steps`` is a play memo to share with the other games of an ingest
-    task; without it the game gets a memo of its own.
+    task; without it the game gets a memo of its own.  Only plays that
+    parse are stored, since a parse error quotes its own token.
     """
+    game_id = account.game_id
     diagnostics: list[Diagnostic] = []
     pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}
     if 0 not in pitchers or 1 not in pitchers:
         diagnostics.append(
-            Diagnostic("missing_info", "no starting pitcher listed",
-                       game_id=account.game_id)
+            Diagnostic("missing_info", "no starting pitcher listed", game_id=game_id)
         )
-        return GameReplay(account.game_id, [], diagnostics, (0, 0))
+        return GameReplay(game_id, [], diagnostics, (0, 0))
 
-    shared = _SharedGameState(pitchers, [0, 0], {} if steps is None else steps)
+    memo: StepMemo = {} if steps is None else steps
     season = account.season
+    scores = [0, 0]  # visitor, home
+    score_reliable = True
     timelines: list[StateTimeline] = []
-    builder: _HalfBuilder | None = None
+    timeline: StateTimeline | None = None
+    batting = bases = outs = 0  # bases is an occupancy mask
+    dead = False  # set by a quarantine: the half's remaining plays are skipped
 
     for item in account.events:
         if isinstance(item, SubLine):
             if item.position == 1:
                 pitchers[item.team] = item.player_id
             continue
-        key = (account.game_id, item.inning, item.half)
-        if builder is None or builder.timeline.half_inning_key != key:
-            if builder is not None:
-                timeline = builder.close(at_game_end=False)
-                if not timeline.complete and timeline.excluded is None:
-                    diagnostics.append(
-                        Diagnostic(
-                            "incomplete_half_inning",
-                            f"inning {timeline.half_inning_key[1]} ended after "
-                            f"{timeline.outs_total} outs",
-                            game_id=account.game_id,
-                        )
-                    )
-                timelines.append(timeline)
-            builder = _HalfBuilder(key, season, shared)
-        builder.feed(item, diagnostics)
+        key = (game_id, item.inning, item.half)
+        if timeline is None or timeline.half_inning_key != key:
+            if timeline is not None:
+                _close(timeline, outs, False, diagnostics)
+            timeline = StateTimeline(key, season, score_reliable=score_reliable)
+            timelines.append(timeline)
+            batting, bases, outs, dead = int(item.half), 0, 0, False
+        token = item.event_text
+        memo_key = (effect_text(token), bases, outs)
+        step = memo.get(memo_key)
+        if step is None:
+            step = resolve_step(token, bases, outs)
+            if step[0] is None:
+                memo[memo_key] = step
+        parse_error, no_play, illegal, outs_recorded, runs, new_bases = step
+        # a parse error quarantines even a dead half; otherwise a dead half
+        # or a no-play is skipped before an illegal step quarantines
+        if parse_error is None and (dead or no_play):
+            continue
+        reason = illegal if parse_error is None else parse_error
+        if reason is not None:
+            timeline.excluded = reason
+            dead = True
+            # runs from here on are unknown, so later score margins are too
+            score_reliable = False
+            diagnostics.append(
+                Diagnostic("quarantined_half_inning", reason, item.line_no, game_id)
+            )
+            continue
+        timeline.snapshots.append(Snapshot(
+            bases, outs, scores[batting], scores[1 - batting],
+            pitchers[1 - batting], item.inning,
+        ))
+        timeline.runs_on_play.append(runs)
+        bases = new_bases
+        outs += outs_recorded
+        scores[batting] += runs
 
-    if builder is not None:
+    if timeline is not None:
         # the account simply ends: a walk-off or a home win with no bottom 9
-        timelines.append(builder.close(at_game_end=True))
-    return GameReplay(
-        account.game_id, timelines, diagnostics, (shared.scores[0], shared.scores[1])
-    )
+        _close(timeline, outs, True, diagnostics)
+    return GameReplay(game_id, timelines, diagnostics, (scores[0], scores[1]))

@@ -80,6 +80,32 @@ def test_ingest_year_filter_can_empty(workspace, capsys):
     assert not path.exists()
 
 
+def test_ingest_year_filter_drops_damage_outside_window(tmp_path, capsys):
+    """Games outside --years are dropped before they are built, so their
+    damage is neither skipped nor diagnosed."""
+    season, old = tmp_path / "s1996.evn", tmp_path / "s1990.evn"
+    for path, year in ((season, "1996"), (old, "1990")):
+        args = ["simulate", "-o", str(path), "--games", "10", "--seed", "5",
+                "--season", year]
+        assert main(args) == 0
+    capsys.readouterr()
+    lines = [line for line in old.read_text().splitlines()
+             if not line.startswith("info,date")]
+    ids = [i for i, line in enumerate(lines) if line.startswith("id,")]
+    old.write_text("\n".join(lines[:ids[2]] + ["bogus,record"]) + "\n")
+    alone, both = tmp_path / "alone.cache", tmp_path / "both.cache"
+    assert main(["ingest", "-i", str(season), "--cache", str(alone)]) == 0
+    summary = capsys.readouterr().err
+    args = ["ingest", "-i", str(season), "-i", str(old), "--cache", str(both),
+            "--years", "1996-1996"]
+    assert main(args) == 0
+    assert capsys.readouterr().err == summary
+    assert summary.startswith("games=10 skipped=0 ")
+    assert "\n  " not in summary
+    # the two caches differ only in the fingerprint of their inputs
+    assert both.read_text().splitlines()[1:] == alone.read_text().splitlines()[1:]
+
+
 def test_ingest_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
     monkeypatch.chdir(workspace["root"])
     once = workspace["root"] / "once.cache"

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from baserisk import pipeline, state
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import (
-    Half, PlayLine, RecordKind, assemble_games, tokenize_event_file,
+    Half, PlayLine, RecordKind, assemble_games, iter_games, iter_records,
+    tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import collect_observations, ingest_paths, ingest_text
@@ -398,6 +400,35 @@ def test_damaged_ingest_pinned(damaged_archive, jobs):
         ("incomplete_half_inning", 2), ("malformed_record", 20), ("missing_info", 1),
         ("orphan_player", 11), ("quarantined_half_inning", 2), ("unknown_record_kind", 22),
     ]
+
+
+def test_diagnostics_pinned(decorated_archive, damaged_archive):
+    """Digest of every diagnostic, in order and with its wording, that
+    assembly and replay give for the broken, decorated broken and damaged
+    files, computed before the replay loop was folded into one function."""
+    texts = [_broken_text()] + [
+        path.read_text(encoding="latin-1")
+        for path in [decorated_archive[-1], *damaged_archive]
+    ]
+    steps: state.StepMemo = {}
+    rows = []
+    for text in texts:
+        diags = []
+        for account in iter_games(iter_records(text, diags), diags):
+            rows += [astuple(d) for d in replay_game(account, steps).diagnostics]
+        rows += [astuple(d) for d in diags]
+    assert len(rows) == 68
+    assert _digest(repr(rows)) == (
+        "d7ccd564393f4080bd5b99f3ea71aa0adf095eea507d48bb9c18dd5abd24f7b2")
+
+
+def test_memo_holds_only_resolved_plays(damaged_archive):
+    """A parse error quotes its own token, so it is never memoized."""
+    steps: state.StepMemo = {}
+    for path in damaged_archive:
+        ingest_text(path.read_text(encoding="latin-1"), steps=steps)
+    assert steps
+    assert all(step[0] is None for step in steps.values())
 
 
 def test_repeated_plays_resolve_once(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,12 +109,15 @@ def read_cache(path: str | Path) -> StatsCache:
             continue
         try:
             pid, class_name, outs, stratum, num, den = row
+            n, d = int(num), int(den)
+            if not 0 <= n <= d:
+                raise ValueError("counts must be 0 <= numerator <= denominator")
             if class_name == _INNINGS_CLASS:
-                innings.counts[(pid, int(stratum))] = [int(num), int(den)]
+                innings.counts[(pid, int(stratum))] = [n, d]
                 continue
             season, _, leverage = stratum.partition(":")
             key = (pid, kinds[class_name], int(outs), int(season), leverage == "hl")
-            table.cells[key] = [int(num), int(den)]
+            table.cells[key] = [n, d]
         except (KeyError, ValueError) as exc:
             raise CacheError(f"bad cache row {row!r}: {exc}") from exc
     return StatsCache(table, innings, mode, manifest.get("fingerprint", ""))
@@ -132,14 +136,17 @@ def fingerprint_paths(paths: list[str | Path]) -> str:
 
 
 def load_era_csv(path: str | Path) -> dict[str, float]:
-    """Read (pitcher_id, era) rows; a header line is allowed and skipped."""
+    """Read (pitcher_id, era) rows; a header line is allowed and skipped, and
+    so is a row whose era is not a finite number."""
     eras: dict[str, float] = {}
     text = Path(path).read_text(encoding="utf-8")
     for row in csv.reader(io.StringIO(text)):
         if len(row) < 2 or not row[0] or row[0] == "pitcher_id":
             continue
         try:
-            eras[row[0]] = float(row[1])
+            era = float(row[1])
         except ValueError:
             continue
+        if math.isfinite(era):
+            eras[row[0]] = era
     return eras

@@ -12,7 +12,7 @@ import csv
 import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from pathlib import Path
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "Half",
     "LineupEntry",
     "PlayLine",
-    "RawRecord",
-    "RecordKind",
     "SubLine",
     "assemble_games",
     "iter_games",
@@ -31,19 +29,13 @@ __all__ = [
     "tokenize_event_file",
 ]
 
+_KINDS = frozenset(
+    ("id", "version", "info", "start", "sub", "play", "data", "com", "badj",
+     "padj", "ladj")
+)
 
-class RecordKind(Enum):
-    ID = "id"
-    VERSION = "version"
-    INFO = "info"
-    START = "start"
-    SUB = "sub"
-    PLAY = "play"
-    DATA = "data"
-    COM = "com"
-    BADJ = "badj"
-    PADJ = "padj"
-    LADJ = "ladj"
+# (kind, fields after the kind, line number)
+Record = tuple[str, list[str], int]
 
 
 class Half(IntEnum):
@@ -52,13 +44,6 @@ class Half(IntEnum):
 
 
 _HALVES = {"0": Half.TOP, "1": Half.BOTTOM}
-
-
-@dataclass
-class RawRecord:
-    kind: RecordKind
-    fields: list[str]
-    line_no: int
 
 
 @dataclass
@@ -116,14 +101,14 @@ def _season(game_id: str, date: str) -> int:
             return 0
 
 
-def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[RawRecord]:
-    """Split raw file text into typed records, one line at a time.
+def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[Record]:
+    """Split raw file text into (kind, fields, line_no) records, one line at
+    a time.
 
     Every non-empty line yields exactly one record or appends one diagnostic
-    to ``diagnostics``.  Unknown record kinds are kept as Com records, with a
-    diagnostic, so nothing is lost.
+    to ``diagnostics``.  Unknown record kinds are kept as com records, with
+    their kind as the first field and a diagnostic, so nothing is lost.
     """
-    kinds = {k.value: k for k in RecordKind}
     # a line no longer than csv's field limit and without quotes splits the
     # same with str.split; the rest get a reader each, so an unclosed quote
     # costs only its own line
@@ -140,161 +125,125 @@ def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[RawRecord
             except (csv.Error, StopIteration):
                 diagnostics.append(Diagnostic("unreadable_line", line, line_no))
                 continue
-        if not cells or not cells[0]:
+        kind = cells[0] if cells else ""
+        if kind in _KINDS:
+            yield kind, cells[1:], line_no
+        elif not kind:
             diagnostics.append(Diagnostic("unreadable_line", line, line_no))
-            continue
-        kind = kinds.get(cells[0])
-        if kind is None:
-            diagnostics.append(
-                Diagnostic("unknown_record_kind", cells[0], line_no)
-            )
-            yield RawRecord(RecordKind.COM, cells, line_no)
         else:
-            yield RawRecord(kind, cells[1:], line_no)
+            diagnostics.append(Diagnostic("unknown_record_kind", kind, line_no))
+            yield "com", cells, line_no
 
 
-def tokenize_event_file(text: str) -> tuple[list[RawRecord], list[Diagnostic]]:
+def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
     """Every record of the text, and the tokenizer's diagnostics."""
     diagnostics: list[Diagnostic] = []
     records = list(iter_records(text, diagnostics))
     return records, diagnostics
 
 
-def _build_account(
-    game_id: str, body: list[RawRecord], diagnostics: list[Diagnostic]
-) -> Iterator[GameAccount]:
-    """Yield the game the id and its records describe, or append the one
-    diagnostic that drops it."""
-    info: dict[str, str] = {}
-    starters: list[LineupEntry] = []
-    events: list[PlayLine | SubLine] = []
-
-    for rec in body:
-        f = rec.fields
-        try:
-            if rec.kind is RecordKind.INFO:
-                if len(f) >= 2:
-                    info[f[0]] = f[1]
-                elif len(f) == 1:
-                    info[f[0]] = ""
-            elif rec.kind is RecordKind.START:
-                starters.append(
-                    LineupEntry(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
+def _finish(
+    game: GameAccount, error: Diagnostic | None, diagnostics: list[Diagnostic],
+    mark: int, years: tuple[int, int] | None,
+) -> Iterator[GameAccount | None]:
+    """Yield a closed block's game, or ``None`` with the one diagnostic that
+    drops it, or nothing for a block whose season is outside ``years``,
+    whose diagnostics since its id record, at ``mark``, are deleted."""
+    if years and not years[0] <= game.season <= years[1]:
+        del diagnostics[mark:]
+        return
+    if error is None:
+        for key in ("visteam", "hometeam", "date"):
+            if key not in game.info:
+                error = Diagnostic("missing_info", f"no {key} record", game_id=game.game_id)
+                break
+    if error is None:
+        # every start record counts, one after its batter's play too
+        known = {s.player_id for s in game.starters}
+        for ev in game.events:
+            if isinstance(ev, SubLine):
+                known.add(ev.player_id)
+            elif ev.batter_id not in known:
+                error = Diagnostic(
+                    "orphan_player", f"batter {ev.batter_id} not in lineup",
+                    ev.line_no, game.game_id,
                 )
-            elif rec.kind is RecordKind.SUB:
-                events.append(
-                    SubLine(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
-                )
-            elif rec.kind is RecordKind.PLAY:
-                inning = int(f[0])
-                half = _HALVES.get(f[1])
-                if half is None:  # any other spelling: accepted or rejected as by int()
-                    half = Half(int(f[1]))
-                events.append(
-                    PlayLine(inning, half, f[2], f[5], rec.line_no)
-                )
-            # version / data / com / badj / padj / ladj: accepted and ignored
-        except (ValueError, IndexError) as exc:
-            diagnostics.append(
-                Diagnostic(
-                    "malformed_record", f"{rec.kind.value} {f!r} ({exc})",
-                    rec.line_no, game_id,
-                )
-            )
-            return
-
-    for key in ("visteam", "hometeam", "date"):
-        if key not in info:
-            diagnostics.append(
-                Diagnostic("missing_info", f"no {key} record", game_id=game_id)
-            )
-            return
-
-    known = {s.player_id for s in starters}
-    for ev in events:
-        if isinstance(ev, SubLine):
-            known.add(ev.player_id)
-        elif ev.batter_id not in known:
-            diagnostics.append(
-                Diagnostic(
-                    "orphan_player",
-                    f"batter {ev.batter_id} not in lineup",
-                    ev.line_no, game_id,
-                )
-            )
-            return
-    yield GameAccount(game_id, info, starters, events)
-
-
-def _close_block(
-    game_id: str, body: list[RawRecord], diagnostics: list[Diagnostic], mark: int,
-    years: tuple[int, int] | None,
-) -> Iterator[GameAccount]:
-    """Build a closed game block, or drop one whose season (its last date,
-    else the year in its id) is outside ``years``, and with it every
-    diagnostic appended since its id was read, at ``mark``."""
-    if years:
-        date = ""
-        for rec in body:
-            if rec.kind is RecordKind.INFO and rec.fields[:1] == ["date"]:
-                date = rec.fields[1] if len(rec.fields) >= 2 else ""
-        if not years[0] <= _season(game_id, date) <= years[1]:
-            del diagnostics[mark:]
-            return
-    yield from _build_account(game_id, body, diagnostics)
+                break
+    if error is not None:
+        diagnostics.append(error)
+    yield None if error else game
 
 
 def iter_games(
-    records: Iterable[RawRecord],
+    records: Iterable[Record],
     diagnostics: list[Diagnostic],
     years: tuple[int, int] | None = None,
-) -> Iterator[GameAccount]:
-    """Group records into GameAccounts, one per id record, yielding each as
-    soon as the next id record or the end of the records closes it.
+) -> Iterator[GameAccount | None]:
+    """Fill one GameAccount per id record as its records arrive, and yield
+    it as soon as the next id record or the end of the records closes it.
 
-    Accounts that fail structural validation (missing required info, a play
-    referencing a player never introduced, malformed cells) are skipped
-    whole with one diagnostic naming the game; they are never silently
-    truncated.  With ``years``, games of other seasons are dropped before
-    they are built, and so are their diagnostics.  Diagnostics that belong
-    to no game block stay.
+    An account that fails structural validation (malformed cells, missing
+    required info, a play by a player never introduced) is dropped whole:
+    ``None`` is yielded in its place, with one diagnostic naming the game,
+    so it is never silently truncated.  With ``years``, a block of another
+    season is dropped at close without a yield, and so are its diagnostics.
+    Diagnostics that belong to no game block stay.
     """
-    current_id: str | None = None
-    body: list[RawRecord] = []
+    game: GameAccount | None = None
+    error: Diagnostic | None = None  # the open block's first malformed record
     mark = 0
-    for rec in records:
-        if rec.kind is RecordKind.ID:
-            if current_id is not None:
-                yield from _close_block(current_id, body, diagnostics, mark, years)
+    for kind, f, line_no in records:
+        if kind == "id":
+            if game is not None:
+                yield from _finish(game, error, diagnostics, mark, years)
             mark = len(diagnostics)
-            if rec.fields and rec.fields[0]:
-                current_id = rec.fields[0]
+            error = None
+            if f and f[0]:
+                game = GameAccount(f[0], {}, [], [])
             else:
                 diagnostics.append(
-                    Diagnostic("missing_info", "id record without a game id", rec.line_no)
+                    Diagnostic("missing_info", "id record without a game id", line_no)
                 )
-                current_id = None
-            body = []
-        elif current_id is None:
+                game = None
+        elif game is None:
             diagnostics.append(
-                Diagnostic(
-                    "orphan_record",
-                    f"{rec.kind.value} record before any id",
-                    rec.line_no,
-                )
+                Diagnostic("orphan_record", f"{kind} record before any id", line_no)
             )
         else:
-            body.append(rec)
-    if current_id is not None:
-        yield from _close_block(current_id, body, diagnostics, mark, years)
+            # info is read after an error too: its last date sets the season
+            try:
+                if kind == "play":
+                    inning = int(f[0])
+                    half = _HALVES.get(f[1])
+                    if half is None:  # any other spelling: accepted or rejected as by int()
+                        half = Half(int(f[1]))
+                    game.events.append(PlayLine(inning, half, f[2], f[5], line_no))
+                elif kind == "start":
+                    game.starters.append(
+                        LineupEntry(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
+                    )
+                elif kind == "sub":
+                    game.events.append(
+                        SubLine(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
+                    )
+                elif kind == "info" and f:
+                    game.info[f[0]] = f[1] if len(f) >= 2 else ""
+                # version / data / com / badj / padj / ladj: accepted and ignored
+            except (ValueError, IndexError) as exc:
+                if error is None:
+                    error = Diagnostic(
+                        "malformed_record", f"{kind} {f!r} ({exc})", line_no, game.game_id
+                    )
+    if game is not None:
+        yield from _finish(game, error, diagnostics, mark, years)
 
 
 def assemble_games(
-    records: list[RawRecord],
+    records: list[Record],
 ) -> tuple[list[GameAccount], list[Diagnostic]]:
     """Every game the records hold, and the assembler's diagnostics."""
     diagnostics: list[Diagnostic] = []
-    games = list(iter_games(records, diagnostics))
+    games = [game for game in iter_games(records, diagnostics) if game is not None]
     return games, diagnostics
 
 

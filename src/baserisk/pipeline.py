@@ -34,10 +34,6 @@ __all__ = [
     "iter_timelines",
 ]
 
-# assembly diagnostics that drop the whole game they name
-_GAME_DROPPING = ("missing_info", "orphan_player", "malformed_record")
-
-
 @dataclass
 class IngestResult:
     table: TallyTable = field(default_factory=TallyTable)
@@ -77,11 +73,15 @@ def iter_timelines(
     Games, skipped games, half-innings, quarantined and incomplete halves
     and diagnostic codes are counted into ``result`` along the way; the
     file's tokenize and assemble diagnostics are counted once it is done,
-    less those of games outside ``years``, which are never built.  Every
-    game replays through the caller's play memo ``steps``.
+    less those of games outside ``years``, which assembly drops with their
+    diagnostics.  Every game replays through the caller's play memo
+    ``steps``.
     """
     diags: list[Diagnostic] = []
     for account in iter_games(iter_records(text, diags), diags, years):
+        if account is None:  # dropped at assembly, with one diagnostic
+            result.games_skipped += 1
+            continue
         replay = replay_game(account, steps)
         result._note(replay.diagnostics)
         if not replay.timelines and replay.diagnostics:
@@ -97,10 +97,6 @@ def iter_timelines(
             else:
                 yield timeline
     result._note(diags)
-    # each game block dropped at assembly leaves one diagnostic naming it
-    result.games_skipped += sum(
-        d.game_id is not None and d.code in _GAME_DROPPING for d in diags
-    )
 
 
 def ingest_text(

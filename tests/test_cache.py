@@ -172,3 +172,9 @@ def test_load_era_csv(tmp_path):
         ",3.00\n"
     )
     assert load_era_csv(path) == {"riverma01": 2.21, "wagnebi01": 2.31}
+
+
+def test_load_era_csv_skips_non_finite(tmp_path):
+    path = tmp_path / "era.csv"
+    path.write_text("hpit0001,nan\nhpit0002,inf\nhpit0003,-Infinity\nhpit0004,3.10\n")
+    assert load_era_csv(path) == {"hpit0004": 3.1}

@@ -155,6 +155,19 @@ def test_table1_unreadable_cache(tmp_path, capsys):
     assert main(["table1", "--cache", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("row", [
+    "hpit0001,third_occupied,1,2000:hl,33,20",  # more scored than chances
+    "hpit0001,third_occupied,1,2000:other,-1,20",
+    "hpit0001,innings,0,2000,90,80",  # more high-leverage innings than innings
+])
+def test_table1_refuses_impossible_counts(workspace, tmp_path, capsys, row):
+    lines = workspace["cache"].read_text().splitlines()
+    bad = tmp_path / "impossible.cache"
+    bad.write_text("\n".join([*lines[:2], row, *lines[2:]]) + "\n")
+    assert main(["table1", "--cache", str(bad)]) == 2
+    assert "numerator <= denominator" in capsys.readouterr().err
+
+
 def test_table1_backward_years(workspace):
     args = ["table1", "--cache", str(workspace["cache"]), "--years", "1990-1980"]
     assert main(args) == 1
@@ -198,6 +211,17 @@ def test_table3_names_and_blank_era(workspace, capsys):
     assert homer.endswith(",2.500")
     assert visitor.endswith(",")  # no ERA on file
     assert out.splitlines()[-1].startswith("mean,")
+
+
+def test_table3_skips_non_finite_era(workspace, capsys):
+    era = workspace["root"] / "nan-era.csv"
+    era.write_text("hpit0001,nan\nvpit0001,3.00\n")
+    args = ["table3", "--cache", str(workspace["cache"]),
+            "--min-appearances", "50", "--era", str(era), "--format", "csv"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert out.splitlines()[-1].endswith(",3.000")
 
 
 def test_table3_bar_too_high(workspace, capsys):

@@ -12,8 +12,6 @@ from baserisk.eventfile import (
     Diagnostic,
     Half,
     PlayLine,
-    RawRecord,
-    RecordKind,
     SubLine,
     assemble_games,
     iter_games,
@@ -28,16 +26,13 @@ from conftest import PIN_ALPHABET, make_game_text, mutate
 def test_id_record():
     records, diags = tokenize_event_file("id,NYA200309180\n")
     assert diags == []
-    (rec,) = records
-    assert rec.kind is RecordKind.ID
-    assert rec.fields == ["NYA200309180"]
-    assert rec.line_no == 1
+    assert records == [("id", ["NYA200309180"], 1)]
 
 
 def test_play_record_cells():
     records, diags = tokenize_event_file("play,9,0,jeted001,12,BCX,S8/G.1-3\n")
     assert diags == []
-    assert records[0].fields == ["9", "0", "jeted001", "12", "BCX", "S8/G.1-3"]
+    assert records[0][1] == ["9", "0", "jeted001", "12", "BCX", "S8/G.1-3"]
 
 
 def test_blank_lines_skipped():
@@ -47,14 +42,13 @@ def test_blank_lines_skipped():
 
 def test_quoted_comma_preserved():
     records, _ = tokenize_event_file('start,doej001,"Doe, John",0,1,2\n')
-    assert records[0].fields[1] == "Doe, John"
+    assert records[0][1][1] == "Doe, John"
 
 
 def test_unknown_kind_kept_as_comment():
     records, diags = tokenize_event_file("frobnicate,x,y\n")
     assert diags[0].code == "unknown_record_kind"
-    assert records[0].kind is RecordKind.COM
-    assert records[0].fields == ["frobnicate", "x", "y"]
+    assert records == [("com", ["frobnicate", "x", "y"], 1)]
 
 
 def test_missing_first_cell_is_unreadable():
@@ -71,8 +65,42 @@ def test_tokenizer_accounts_for_every_line(lines):
     # records and diagnostics partition the input lines; an unknown kind
     # yields both a record and a diagnostic for the same line
     diag_lines = {d.line_no for d in diags}
-    record_lines = {r.line_no for r in records}
+    record_lines = {line_no for _, _, line_no in records}
     assert len(record_lines | diag_lines) == nonempty
+
+
+# every line boundary of str.splitlines; latin-1 text can hold all but the last two
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda brk: repr(brk)[1:-1])
+def test_line_numbers_at_every_line_break(brk):
+    """Records and diagnostics name the line each break starts, blank
+    lines counted."""
+    lines = ["id,TST200004010", "", "frobnicate,x", ",oops", "play,one,0,x,??,,K",
+             "info,date,2000/04/01", ""]
+    records, diags = tokenize_event_file(brk.join(lines))
+    assert records == [
+        ("id", ["TST200004010"], 1), ("com", ["frobnicate", "x"], 3),
+        ("play", ["one", "0", "x", "??", "", "K"], 5), ("info", ["date", "2000/04/01"], 6),
+    ]
+    assert diags == [Diagnostic("unknown_record_kind", "frobnicate", 3),
+                     Diagnostic("unreadable_line", ",oops", 4)]
+    games, diags = assemble_games(records)
+    assert games == []
+    assert [(d.code, d.line_no) for d in diags] == [("malformed_record", 5)]
+
+
+def test_line_numbers_across_mixed_line_breaks():
+    """A file that mixes every break counts one line per break; a CR LF
+    pair is one break, an LF CR pair two."""
+    text = "".join(f"com,{n}{brk}" for n, brk in enumerate(LINE_BREAKS, start=1))
+    text += "com,12\n\rcom,14"
+    records, diags = tokenize_event_file(text)
+    assert diags == []
+    assert [(fields[0], line_no) for _, fields, line_no in records] == [
+        (str(n), n) for n in [*range(1, 13), 14]]
 
 
 def test_two_games_split_in_order():
@@ -94,7 +122,7 @@ def test_games_stream_before_the_file_ends():
         ids = 0
         for rec in iter_records(text, diags):
             yield rec
-            ids += rec.kind is RecordKind.ID
+            ids += rec[0] == "id"
             if ids == 2:
                 raise AssertionError("pulled past the second game's id record")
 
@@ -188,10 +216,13 @@ LINE_SEEDS = [
 ]
 
 
+KINDS = {"id", "version", "info", "start", "sub", "play", "data", "com", "badj",
+         "padj", "ladj"}
+
+
 def csv_per_line(text):
     """Records and diagnostics from one csv reader per line."""
     records, diagnostics = [], []
-    kinds = {k.value: k for k in RecordKind}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -203,11 +234,11 @@ def csv_per_line(text):
             continue
         if not cells[0]:
             diagnostics.append(Diagnostic("unreadable_line", line, line_no))
-        elif cells[0] in kinds:
-            records.append(RawRecord(kinds[cells[0]], cells[1:], line_no))
+        elif cells[0] in KINDS:
+            records.append((cells[0], cells[1:], line_no))
         else:
             diagnostics.append(Diagnostic("unknown_record_kind", cells[0], line_no))
-            records.append(RawRecord(RecordKind.COM, cells, line_no))
+            records.append(("com", cells, line_no))
     return records, diagnostics
 
 

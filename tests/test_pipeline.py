@@ -11,8 +11,7 @@ import pytest
 from baserisk import pipeline, state
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import (
-    Half, PlayLine, RecordKind, assemble_games, iter_games, iter_records,
-    tokenize_event_file,
+    Half, PlayLine, assemble_games, iter_games, iter_records, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import collect_observations, ingest_paths, ingest_text
@@ -103,6 +102,36 @@ def test_games_skipped_counts_every_dropped_block():
     result = ingest_text(block + block)
     assert (result.games, result.games_skipped) == (0, 2)
     assert result.diagnostic_counts == {"missing_info": 2}
+
+
+@pytest.mark.parametrize("years,skipped,counts", [
+    ((1990, 1990), 0, {}),
+    ((2000, 2000), 1, {"malformed_record": 1}),
+])
+def test_date_after_malformed_record_sets_season(years, skipped, counts):
+    """A block's last info,date decides its season, even one read after a
+    malformed play has already cost the block: out of the window the block
+    goes without a count or a diagnostic."""
+    text = make_game_text(
+        [(1, 0, "vbat1", "K"), "play,one,0,vbat1,??,,K", "info,date,2000/04/01"],
+        date="1990/04/01",
+    )
+    result = ingest_text(text, years=years)
+    assert (result.games, result.games_skipped) == (0, skipped)
+    assert result.diagnostic_counts == counts
+
+
+def test_start_record_after_its_batters_play_counts():
+    """Every start record of a block introduces its player, one placed
+    after that player's play too."""
+    text = make_game_text(
+        [(1, 0, "vbat1", "K"), "play,1,0,vlate1,??,,K", 'start,vlate1,"Late",0,9,7'])
+    (game,), diags = assemble_games(tokenize_event_file(text)[0])
+    assert diags == []
+    assert "vlate1" in {entry.player_id for entry in game.starters}
+    result = ingest_text(text)
+    assert (result.games, result.games_skipped) == (1, 0)
+    assert result.diagnostic_counts == {}
 
 
 def test_ingest_heap_stays_small():
@@ -386,10 +415,10 @@ def test_damaged_ingest_pinned(damaged_archive, jobs):
     """Digest and counters computed before ingest streamed one game at a time."""
     # no id names two game blocks, so counting dropped blocks or dropped ids
     # gives the same games_skipped
-    ids = [rec.fields[0]
+    ids = [fields[0]
            for path in damaged_archive
-           for rec in tokenize_event_file(path.read_text(encoding="latin-1"))[0]
-           if rec.kind is RecordKind.ID and rec.fields and rec.fields[0]]
+           for kind, fields, _ in tokenize_event_file(path.read_text(encoding="latin-1"))[0]
+           if kind == "id" and fields and fields[0]]
     assert len(ids) == len(set(ids))
     result = ingest_paths(damaged_archive, jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
@@ -415,7 +444,8 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
     for text in texts:
         diags = []
         for account in iter_games(iter_records(text, diags), diags):
-            rows += [astuple(d) for d in replay_game(account, steps).diagnostics]
+            if account is not None:
+                rows += [astuple(d) for d in replay_game(account, steps).diagnostics]
         rows += [astuple(d) for d in diags]
     assert len(rows) == 68
     assert _digest(repr(rows)) == (

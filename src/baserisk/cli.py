@@ -84,6 +84,8 @@ def _load_cache(path: str) -> StatsCache:
         return read_cache(path)
     except FileNotFoundError:
         raise DataError(f"cache not found: {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read cache: {exc}")
     except CacheError as exc:
         raise DataError(str(exc))
 

@@ -67,6 +67,10 @@ class ClassKind(Enum):
     SECOND_NO_THIRD = "second_no_third"
     FIRST_ONLY = "first_only"
 
+    # members compare by identity, so the C-level identity hash agrees with
+    # equality; Enum's own hashes the name in Python, once per tally key
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class SituationClass:

@@ -1,8 +1,11 @@
 """On-disk tally cache: round trips, determinism, and validation."""
 
+import csv
+import itertools
 import os
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from baserisk.cache import (
     CacheError,
@@ -123,6 +126,15 @@ def test_bad_header_rejected(tmp_path):
         "riverma01,no_such_class,1,2003:hl,3,21",
         "riverma01,innings,0,notaseason,3,21",
         "riverma01,third_occupied,1,2003:hl,3",  # short row
+        "riverma01,third_occupied,1,2003:foo,3,21",  # neither hl nor other
+        "riverma01,third_occupied,1,2003,3,21",  # bare season
+        "riverma01,third_occupied,1,:hl,3,21",  # no season
+        "riverma01,third_occupied,1,+2003:hl,3,21",  # not as written
+        "riverma01,third_occupied,2,2003:hl,3,21",  # not a situation cell
+        "riverma01,first_only,0,2003:hl,3,21",
+        "riverma01,third_occupied, 1,2003:hl,3,21",
+        "riverma01,innings,1,2003,3,21",  # innings rows have outs 0
+        "riverma01,innings,0,2003:hl,3,21",
     ],
 )
 def test_bad_row_rejected(tmp_path, row):
@@ -130,6 +142,31 @@ def test_bad_row_rejected(tmp_path, row):
     path = tmp_path / "bad.cache"
     path.write_text("\n".join([good[0], good[1], row]) + "\n")
     with pytest.raises(CacheError):
+        read_cache(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "riverma01,third_occupied,1,2003:hl,0,5",
+        "riverma01,innings,0,2003,0,5",
+    ],
+)
+def test_repeated_key_rejected(tmp_path, row):
+    """A rendered cache never repeats a key, so a repeat is damage, not a
+    newer count to keep."""
+    good = render_cache(sample_cache()).splitlines()
+    path = tmp_path / "repeat.cache"
+    path.write_text("\n".join([*good, row]) + "\n")
+    with pytest.raises(CacheError, match="repeats"):
+        read_cache(path)
+
+
+def test_undecodable_cache_rejected(tmp_path):
+    path = tmp_path / "latin1.cache"
+    path.write_bytes(render_cache(sample_cache()).replace("riverma01", "rivéra01")
+                     .encode("latin-1"))
+    with pytest.raises(CacheError, match="UTF-8"):
         read_cache(path)
 
 
@@ -178,3 +215,78 @@ def test_load_era_csv_skips_non_finite(tmp_path):
     path = tmp_path / "era.csv"
     path.write_text("hpit0001,nan\nhpit0002,inf\nhpit0003,-Infinity\nhpit0004,3.10\n")
     assert load_era_csv(path) == {"hpit0004": 3.1}
+
+
+def reference_read_cache(text):
+    """The first schema-1 reader, a csv.reader over every line, kept as the
+    reference for read_cache: (cells, innings, counting mode, fingerprint)."""
+    lines = text.splitlines()
+    manifest = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
+    assert manifest["schema"] == "1"
+    kinds = {k.value: k for k in ClassKind}
+    cells, innings = {}, {}
+    reader = csv.reader(lines[1:])
+    assert next(reader) == ["pitcher_id", "class", "outs", "stratum", "numerator",
+                            "denominator"]
+    for row in reader:
+        if not row:
+            continue
+        pid, class_name, outs, stratum, num, den = row
+        n, d = int(num), int(den)
+        assert 0 <= n <= d
+        if class_name == "innings":
+            innings[(pid, int(stratum))] = [n, d]
+            continue
+        season, _, leverage = stratum.partition(":")
+        cells[(pid, kinds[class_name], int(outs), int(season), leverage == "hl")] = [n, d]
+    return cells, innings, CountingMode(manifest["counting_mode"]), manifest["fingerprint"]
+
+
+# str.splitlines ends a line at each of these, so no pitcher id read from an
+# event file holds one
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+SITUATION_CELLS = [(ClassKind.THIRD_OCCUPIED, 0), (ClassKind.THIRD_OCCUPIED, 1),
+                   (ClassKind.SECOND_NO_THIRD, 0), (ClassKind.SECOND_NO_THIRD, 1),
+                   (ClassKind.FIRST_ONLY, 1), (ClassKind.FIRST_ONLY, 2)]
+
+pitcher_ids = st.one_of(
+    st.sampled_from(["hpit0001", "riverma01", "a,b", 'say "hi"', "señor01", '"', ","]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS),
+            max_size=6),
+)
+counts = st.integers(0, 300).flatmap(lambda d: st.integers(0, d).map(lambda n: [n, d]))
+seasons = st.integers(1871, 2030)
+caches = st.builds(
+    lambda cells, innings, mode, fingerprint: StatsCache(
+        TallyTable(cells), InningCounts(innings), mode, fingerprint),
+    st.dictionaries(st.tuples(pitcher_ids, st.sampled_from(SITUATION_CELLS), seasons,
+                              st.booleans())
+                    .map(lambda k: (k[0], *k[1], k[2], k[3])), counts, max_size=25),
+    st.dictionaries(st.tuples(pitcher_ids, seasons), counts, max_size=8),
+    st.sampled_from(CountingMode),
+    st.text("0123456789abcdef", max_size=16),
+)
+
+
+_NAMES = itertools.count()
+
+
+@settings(max_examples=200, deadline=None)
+@given(caches)
+def test_read_cache_matches_reference(tmp_path_factory, cache):
+    """Split and quoted caches alike read back as written, in the reference
+    reader's order, and render again byte for byte."""
+    text = render_cache(cache)
+    # a new name each time: rewriting one file can cost tens of ms on ext4
+    path = tmp_path_factory.getbasetemp() / f"differential-{next(_NAMES)}.cache"
+    path.write_text(text, encoding="utf-8")
+    loaded = read_cache(path)
+    path.unlink()
+    event("quoted" if '"' in text else "split")
+    assert loaded.table.cells == cache.table.cells
+    assert loaded.innings.counts == cache.innings.counts
+    cells, innings, mode, fingerprint = reference_read_cache(text)
+    assert list(loaded.table.cells.items()) == list(cells.items())
+    assert list(loaded.innings.counts.items()) == list(innings.items())
+    assert (loaded.counting_mode, loaded.fingerprint) == (mode, fingerprint)
+    assert render_cache(loaded) == text

@@ -1,5 +1,7 @@
 """Command-line flows, exit codes, and report plumbing."""
 
+from pathlib import Path
+
 import pytest
 
 from baserisk.cli import main
@@ -153,6 +155,28 @@ def test_table1_unreadable_cache(tmp_path, capsys):
     bad = tmp_path / "junk.cache"
     bad.write_text("not a cache\n")
     assert main(["table1", "--cache", str(bad)]) == 2
+
+
+def test_table1_cache_not_utf8(workspace, tmp_path, capsys):
+    bad = tmp_path / "latin1.cache"
+    bad.write_bytes(workspace["cache"].read_bytes().replace(b"hpit0001", b"hpit\xe90001"))
+    assert main(["table1", "--cache", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_table1_cache_is_a_directory(tmp_path, capsys):
+    assert main(["table1", "--cache", str(tmp_path)]) == 2
+    assert "cannot read cache" in capsys.readouterr().err
+
+
+def test_decide_cache_not_permitted(workspace, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    args = ["decide", "0.3", "--cache", str(workspace["cache"])]
+    assert main(args) == 2
+    assert "Permission denied" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", [

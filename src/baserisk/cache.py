@@ -17,7 +17,7 @@ wrong width, counts outside 0 <= numerator <= denominator, a (class,
 outs) that ``classify_state`` cannot produce, a stratum that is not
 ``<season>:hl`` or ``<season>:other`` (or, on an innings row, a bare
 season) in the form the writer writes, and a key that repeats an
-earlier row's.
+earlier row's.  The writer refuses a pitcher id that holds a line break.
 """
 
 from __future__ import annotations
@@ -69,6 +69,15 @@ class StatsCache:
 
 
 def render_cache(cache: StatsCache) -> str:
+    """The cache file's text.  Raises ``CacheError`` for a pitcher id that
+    holds a line break, since the reader splits lines as ``str.splitlines``
+    does and such an id would read back as another key or a short row."""
+    pids = {key[0] for key in cache.table.cells}
+    pids.update(key[0] for key in cache.innings.counts)
+    for pid in pids:
+        # an id with no line break splits into itself, or nothing when empty
+        if pid.splitlines() not in ([pid], []):
+            raise CacheError(f"pitcher id {pid!r} holds a line break")
     out = io.StringIO()
     out.write(
         f"{_MAGIC} schema={_SCHEMA} counting_mode={cache.counting_mode.value} "

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable cache,
-empty cells, missing inputs).
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable cache or
+input file, empty cells, missing inputs, an output path that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .cache import (
     write_cache,
 )
 from .eventfile import load_roster_names
-from .pipeline import collect_observations, ingest_paths
+from .pipeline import InputError, collect_observations, ingest_paths
 from .reports import (
     Table1Cell,
     Table3Row,
@@ -90,15 +91,29 @@ def _load_cache(path: str) -> StatsCache:
         raise DataError(str(exc))
 
 
+def _read_input(load, path, what: str):
+    """``load(path)``, with a file that cannot be read or is not UTF-8
+    text turned into a data error naming it."""
+    try:
+        return load(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 text: {exc}")
+    except OSError as exc:
+        raise DataError(f"cannot read {what}: {exc}")
+
+
+def _read_ids(path: str) -> list[str]:
+    """Non-blank lines of a file, stripped."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [line.strip() for line in lines if line.strip()]
+
+
 def _load_config(path: str | None) -> dict:
     """key=value defaults; dotted keys (command.option) scope to one command."""
     if path is None:
         return {}
     defaults: dict = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config: {exc}")
+    text = _read_input(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,7 +176,10 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
     for path in inputs:
         unique.setdefault(Path(path).resolve(), path)
     paths = list(unique.values())
-    result = ingest_paths(paths, mode, span, jobs=jobs)
+    try:
+        result = ingest_paths(paths, mode, span, jobs=jobs)
+    except InputError as exc:
+        raise DataError(str(exc))
     if result.games == 0:
         raise DataError("no usable games in the given inputs")
     cache = StatsCache(
@@ -227,10 +245,7 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
         raise click.UsageError(f"boundaries must be non-negative: {boundaries!r}")
     if any(low >= high for low, high in zip(edges, edges[1:])):
         raise click.UsageError(f"boundaries must increase: {boundaries!r}")
-    leaders = None
-    if leaders_path:
-        leaders = [line.strip() for line in Path(leaders_path).read_text().splitlines()
-                   if line.strip()]
+    leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
     blocks, extras = {}, {}
     try:
         for outs in outs_list:
@@ -262,8 +277,10 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
     """Per-pitcher thresholds for heavy high-leverage workloads."""
     cache = _load_cache(cache_path)
     span = _parse_years(years)
-    eras = load_era_csv(era_path) if era_path else {}
-    names = load_roster_names(list(roster_paths)) if roster_paths else {}
+    eras = _read_input(load_era_csv, era_path, "era file") if era_path else {}
+    names = {}
+    if roster_paths:
+        names = _read_input(load_roster_names, list(roster_paths), "roster")
     careers = career_high_leverage_innings(cache.innings, span)
     by_pitcher = rates_by_pitcher(cache.table, outs, leverage=True, years=span)
     rows = []
@@ -329,23 +346,27 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
         list(inputs), CountingMode(counting_mode), _parse_years(years))
     kind = _CLASS_NAMES[class_name] if class_name else None
     scored = total = 0
-    for obs in observations:
-        if pitcher_id and obs.pitcher_id != pitcher_id:
-            continue
-        if kind and obs.situation.kind is not kind:
-            continue
-        if outs is not None and obs.situation.outs != outs:
-            continue
-        if leverage and not obs.high_leverage:
-            continue
-        game_id, inning, half = obs.half_inning_key
-        total += 1
-        scored += obs.scored_later
-        click.echo(
-            f"{game_id} inning={inning} half={half.name.lower()} "
-            f"pitcher={obs.pitcher_id} class={obs.situation.kind.value} "
-            f"outs={obs.situation.outs} scored={int(obs.scored_later)} "
-            f"hl={int(obs.high_leverage)}")
+    # files are read as the loop drains the generator
+    try:
+        for obs in observations:
+            if pitcher_id and obs.pitcher_id != pitcher_id:
+                continue
+            if kind and obs.situation.kind is not kind:
+                continue
+            if outs is not None and obs.situation.outs != outs:
+                continue
+            if leverage and not obs.high_leverage:
+                continue
+            game_id, inning, half = obs.half_inning_key
+            total += 1
+            scored += obs.scored_later
+            click.echo(
+                f"{game_id} inning={inning} half={half.name.lower()} "
+                f"pitcher={obs.pitcher_id} class={obs.situation.kind.value} "
+                f"outs={obs.situation.outs} scored={int(obs.scored_later)} "
+                f"hl={int(obs.high_leverage)}")
+    except InputError as exc:
+        raise DataError(str(exc))
     if total == 0:
         raise DataError("no matching observations")
     click.echo(f"n={total} scored={scored} rate={scored / total:.6f}")
@@ -368,7 +389,10 @@ def simulate(model_path, games, seed, season, subs, out_path):
         raise DataError(str(exc))
     sims = oracle.simulate_season(model, games, seed, season=season,
                                   midgame_subs=subs)
-    Path(out_path).write_text(oracle.emit_event_file(sims), encoding="ascii")
+    try:
+        Path(out_path).write_text(oracle.emit_event_file(sims), encoding="ascii")
+    except OSError as exc:
+        raise DataError(f"cannot write event file: {exc}")
     click.echo(f"wrote {games} games to {out_path}", err=True)
 
 

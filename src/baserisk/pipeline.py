@@ -28,6 +28,7 @@ from .stats import (
 
 __all__ = [
     "IngestResult",
+    "InputError",
     "collect_observations",
     "ingest_paths",
     "ingest_text",
@@ -116,8 +117,15 @@ def ingest_text(
     return result
 
 
+class InputError(Exception):
+    """An input event file could not be read."""
+
+
 def _read_event_file(path: str) -> str:
-    return Path(path).read_text(encoding="latin-1")
+    try:
+        return Path(path).read_text(encoding="latin-1")
+    except OSError as exc:
+        raise InputError(f"cannot read input: {exc}") from None
 
 
 def _ingest_files(args: tuple[list[str], CountingMode, tuple[int, int] | None]) -> IngestResult:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .eventfile import Diagnostic, GameAccount, Half, SubLine
 from .playtoken import (
@@ -61,9 +63,9 @@ class BaseState:
         return sum(bit for bit, r in zip((FIRST, SECOND, THIRD), runners) if r is not None)
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Pre-play state: everything needed to classify a situation."""
+class Snapshot(NamedTuple):
+    """Pre-play state: everything needed to classify a situation.  A tuple,
+    since replay builds one per play."""
 
     bases: int  # occupancy mask of FIRST, SECOND, THIRD
     outs: int
@@ -266,6 +268,8 @@ _PLAIN_EVENT_RE = re.compile(r"((?:[^/(]|\([^/)]*\))+)(?:/[^/()]+)*")
 _NOTED_SAFE_ADVANCE_RE = re.compile(r"([B123]-[123H])(?:\([^()]*\))+")
 
 
+# plays repeat their tokens; the bound keeps an archive of one-off tokens small
+@lru_cache(maxsize=4096)
 def effect_text(token: str) -> str:
     """The token less what the parser accepts but ``apply_play`` never reads:
     the modifier sections (``S8/G34`` -> ``S8``) and the notes on a safe

@@ -26,6 +26,7 @@ import statistics
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .eventfile import Half
 from .state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
@@ -72,8 +73,7 @@ class ClassKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class SituationClass:
+class SituationClass(NamedTuple):
     kind: ClassKind
     outs: int
 
@@ -117,8 +117,18 @@ def classify_state(bases: int, outs: int) -> SituationClass | None:
     return None
 
 
-@dataclass(frozen=True)
-class SituationObservation:
+# (occupancy, outs) -> class for the base-out states that classify_state
+# puts in a class; any other state is in none
+_CLASS_OF = {
+    (bases, outs): situation
+    for bases in range(8) for outs in range(3)
+    if (situation := classify_state(bases, outs)) is not None
+}
+
+
+class SituationObservation(NamedTuple):
+    """A tuple, since ingest builds one per class per half-inning."""
+
     half_inning_key: tuple[str, int, Half]
     pitcher_id: str
     situation: SituationClass
@@ -127,13 +137,13 @@ class SituationObservation:
     season: int
 
 
-def _high_leverage(snap: Snapshot, timeline: StateTimeline) -> bool:
+def _high_leverage(snap: Snapshot, score_reliable: bool) -> bool:
     """Late and close at this snapshot, and never once the game's running
     score is no longer trustworthy."""
     return (
-        snap.inning in HIGH_LEVERAGE_INNINGS
+        score_reliable
+        and snap.inning in HIGH_LEVERAGE_INNINGS
         and abs(snap.score_batting - snap.score_fielding) <= HIGH_LEVERAGE_MARGIN
-        and timeline.score_reliable
     )
 
 
@@ -148,23 +158,21 @@ def extract_observations(
     """
     if timeline.excluded is not None or not timeline.complete:
         return []
-    runs_after = timeline.runs_after
+    key, season, reliable = timeline.half_inning_key, timeline.season, timeline.score_reliable
+    exclude = mode is CountingMode.EXCLUDE_PLAY
+    runs_left = sum(timeline.runs_on_play)  # runs from the current play on
     seen: set[SituationClass] = set()
     observations: list[SituationObservation] = []
-    for idx, snap in enumerate(timeline.snapshots):
-        situation = classify_state(snap.bases, snap.outs)
-        if situation is None or situation in seen:
-            continue
-        seen.add(situation)
-        later = runs_after[idx]
-        if mode is CountingMode.EXCLUDE_PLAY:
-            later -= timeline.runs_on_play[idx]
-        observations.append(
-            SituationObservation(
-                timeline.half_inning_key, snap.pitcher_id, situation,
-                later >= 1, _high_leverage(snap, timeline), timeline.season,
-            )
-        )
+    for snap, runs in zip(timeline.snapshots, timeline.runs_on_play):
+        situation = _CLASS_OF.get((snap.bases, snap.outs))
+        if situation is not None and situation not in seen:
+            seen.add(situation)
+            later = runs_left - runs if exclude else runs_left
+            observations.append(SituationObservation(
+                key, snap.pitcher_id, situation, later >= 1,
+                _high_leverage(snap, reliable), season,
+            ))
+        runs_left -= runs
     return observations
 
 
@@ -177,18 +185,15 @@ class TallyTable:
     cells: dict[TallyKey, list[int]] = field(default_factory=dict)
 
     def add(self, obs: SituationObservation) -> None:
-        key = (
-            obs.pitcher_id, obs.situation.kind, obs.situation.outs,
-            obs.season, obs.high_leverage,
-        )
-        cell = self.cells.setdefault(key, [0, 0])
-        cell[1] += 1
-        if obs.scored_later:
-            cell[0] += 1
+        self.add_all((obs,))
 
-    def add_all(self, observations: list[SituationObservation]) -> None:
-        for obs in observations:
-            self.add(obs)
+    def add_all(self, observations: Iterable[SituationObservation]) -> None:
+        cells = self.cells
+        for _, pid, (kind, outs), scored_later, high_leverage, season in observations:
+            cell = cells.setdefault((pid, kind, outs, season, high_leverage), [0, 0])
+            cell[1] += 1
+            if scored_later:
+                cell[0] += 1
 
 
 def add_cells(into: dict, cells: dict) -> None:
@@ -209,11 +214,12 @@ class InningCounts:
     def add_timeline(self, timeline: StateTimeline) -> None:
         if timeline.excluded is not None or not timeline.complete:
             return
+        reliable = timeline.score_reliable
         pitchers: set[str] = set()
         hl_pitchers: set[str] = set()
         for snap in timeline.snapshots:
             pitchers.add(snap.pitcher_id)
-            if _high_leverage(snap, timeline):
+            if _high_leverage(snap, reliable):
                 hl_pitchers.add(snap.pitcher_id)
         for pid in pitchers:
             cell = self.counts.setdefault((pid, timeline.season), [0, 0])

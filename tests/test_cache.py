@@ -59,6 +59,36 @@ def test_failed_write_leaves_old_cache(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+# str.splitlines, and so read_cache, ends a line at each of these, so no
+# pitcher id read from an event file holds one, and the writer refuses one
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaks_are_those_of_splitlines():
+    splitting = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert splitting == set(LINE_BREAKS)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+@pytest.mark.parametrize("where", ["cells", "innings"])
+def test_write_refuses_pitcher_id_with_line_break(tmp_path, brk, where):
+    path = tmp_path / "stats.cache"
+    write_cache(path, sample_cache())
+    before = path.read_bytes()
+    bad = sample_cache()
+    pid = f"rive{brk}ra01"
+    if where == "cells":
+        bad.table.cells[(pid, ClassKind.FIRST_ONLY, 1, 2003, True)] = [0, 1]
+    else:
+        bad.innings.counts[(pid, 2003)] = [0, 1]
+    with pytest.raises(CacheError, match="line break"):
+        render_cache(bad)
+    with pytest.raises(CacheError, match="line break"):
+        write_cache(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_round_trip_empty(tmp_path):
     path = tmp_path / "empty.cache"
     write_cache(path, StatsCache(TallyTable(), InningCounts(),
@@ -242,9 +272,6 @@ def reference_read_cache(text):
     return cells, innings, CountingMode(manifest["counting_mode"]), manifest["fingerprint"]
 
 
-# str.splitlines ends a line at each of these, so no pitcher id read from an
-# event file holds one
-LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 SITUATION_CELLS = [(ClassKind.THIRD_OCCUPIED, 0), (ClassKind.THIRD_OCCUPIED, 1),
                    (ClassKind.SECOND_NO_THIRD, 0), (ClassKind.SECOND_NO_THIRD, 1),
                    (ClassKind.FIRST_ONLY, 1), (ClassKind.FIRST_ONLY, 2)]

@@ -1,9 +1,13 @@
 """Command-line flows, exit codes, and report plumbing."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import baserisk
 from baserisk.cli import main
 
 
@@ -125,6 +129,72 @@ def test_ingest_missing_input(tmp_path):
     args = ["ingest", "-i", str(tmp_path / "ghost.evn"),
             "--cache", str(tmp_path / "c")]
     assert main(args) == 1
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(baserisk.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "baserisk", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("Usage: python -m baserisk ")
+    assert "ingest" in done.stdout and "table3" in done.stdout
+
+
+# --- inputs that cannot be read are data errors, not tracebacks -------------
+
+
+def unreadable(root: Path, kind: str) -> Path:
+    """A directory, or a file that is not UTF-8 text."""
+    path = root / f"unreadable-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"hpit0001,2.50\nrivera\xe9,1.00\n")
+    return path
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ingest_input_is_a_directory(workspace, tmp_path, capsys, jobs):
+    cache = tmp_path / "stats.cache"
+    folder = unreadable(tmp_path, "directory")
+    args = ["ingest", "-i", str(workspace["evn"]), "-i", str(folder),
+            "--cache", str(cache), "--jobs", jobs]
+    assert main(args) == 2
+    assert "error: cannot read input:" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("latin1", "is not UTF-8 text"), ("directory", "cannot read era file")])
+def test_table3_era_unreadable(workspace, tmp_path, capsys, kind, message):
+    args = ["table3", "--cache", str(workspace["cache"]), "--min-appearances", "50",
+            "--era", str(unreadable(tmp_path, kind))]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_table3_roster_is_a_directory(workspace, tmp_path, capsys):
+    args = ["table3", "--cache", str(workspace["cache"]), "--min-appearances", "50",
+            "--roster", str(unreadable(tmp_path, "directory"))]
+    assert main(args) == 2
+    assert "cannot read roster" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("latin1", "is not UTF-8 text"), ("directory", "cannot read leaders file")])
+def test_table2_save_leaders_unreadable(workspace, tmp_path, capsys, kind, message):
+    args = ["table2", "--cache", str(workspace["cache"]), "--boundaries", "50",
+            "--save-leaders", str(unreadable(tmp_path, kind))]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "season.evn"
+    assert main(["simulate", "-o", str(out), "--games", "2"]) == 2
+    assert "error: cannot write event file" in capsys.readouterr().err
 
 
 def test_table1_text(workspace, capsys):
@@ -326,6 +396,13 @@ def test_query_leverage_narrows(workspace, capsys):
     assert n_hl == 13  # matches the high-leverage stratum of the cache
 
 
+def test_query_input_is_a_directory(workspace, tmp_path, capsys):
+    args = ["query", "-i", str(workspace["evn"]),
+            "-i", str(unreadable(tmp_path, "directory"))]
+    assert main(args) == 2
+    assert "error: cannot read input:" in capsys.readouterr().err
+
+
 def test_query_without_matches(workspace, capsys):
     args = ["query", "-i", str(workspace["evn"]), "--pitcher", "nobody99"]
     assert main(args) == 2
@@ -348,6 +425,12 @@ def test_config_rejects_garbage(tmp_path, capsys):
     cfg.write_text("this is not a key value pair\n")
     assert main(["--config", str(cfg), "table1", "--cache", "x"]) == 2
     assert "bad config line" in capsys.readouterr().err
+
+
+def test_config_not_utf8(tmp_path, capsys):
+    cfg = unreadable(tmp_path, "latin1")
+    assert main(["--config", str(cfg), "table1", "--cache", "x"]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 # --- report outputs pinned on a synthetic many-pitcher cache ----------------

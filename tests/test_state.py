@@ -14,6 +14,7 @@ from baserisk.state import (
     THIRD,
     BaseState,
     IllegalState,
+    Snapshot,
     apply_play,
     effect_text,
     replay_game,
@@ -198,6 +199,17 @@ def test_illegal_state_quarantines():
     timeline, diags = run_half(["S8.3-H"])
     assert timeline.excluded is not None
     assert timeline.snapshots == []  # nothing usable was recorded
+
+
+def test_snapshot_is_an_immutable_positional_record():
+    snap = Snapshot(FIRST | THIRD, 1, 3, 2, "hpit1", 9)
+    assert Snapshot._fields == (
+        "bases", "outs", "score_batting", "score_fielding", "pitcher_id", "inning")
+    assert (snap.bases, snap.outs, snap.score_batting, snap.score_fielding,
+            snap.pitcher_id, snap.inning) == (FIRST | THIRD, 1, 3, 2, "hpit1", 9)
+    with pytest.raises(AttributeError):
+        snap.outs = 2
+    assert not hasattr(snap, "__dict__")
 
 
 def test_snapshots_never_show_three_outs():

@@ -272,6 +272,87 @@ def test_two_pitchers_in_one_half_both_credited():
     assert innings.counts[("p2", 2000)] == [1, 1]
 
 
+# --- the tally path against a plain reference --------------------------------
+
+
+@st.composite
+def late_timelines(draw):
+    """A half-inning of late innings: the batting side's score moves as runs
+    score, the pitcher may change mid-half, the inning may differ from one
+    snapshot to the next (only hand-built timelines do that), and the
+    timeline may be empty, quarantined or cut off."""
+    plays = draw(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 2), st.sampled_from([0, 0, 0, 1, 2])),
+        max_size=10))
+    inning = draw(st.integers(7, 10))
+    varied = draw(st.booleans())
+    change = draw(st.integers(0, len(plays)))
+    before, after = draw(st.sampled_from([("p1", "p2"), ("p2", "p1"), ("p1", "p1")]))
+    batting, fielding = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    snapshots = []
+    for idx, (b, outs, runs) in enumerate(plays):
+        snap_inning = draw(st.integers(7, 10)) if varied else inning
+        pid = before if idx < change else after
+        snapshots.append(Snapshot(b, outs, batting, fielding, pid, snap_inning))
+        batting += runs
+    state = draw(st.sampled_from(["usable", "usable", "quarantined", "incomplete"]))
+    return StateTimeline(
+        (f"TST20000401{draw(st.integers(0, 2))}", inning, Half.TOP),
+        draw(st.sampled_from([1999, 2000])),
+        snapshots, [runs for _, _, runs in plays],
+        outs_total=3, complete=state != "incomplete",
+        excluded="broken" if state == "quarantined" else None,
+        score_reliable=draw(st.booleans()),
+    )
+
+
+def reference_tally(timelines, mode):
+    """Cells, innings rows and observation count, written out plainly."""
+    cells, innings, count = {}, {}, 0
+    for t in timelines:
+        if t.excluded is not None or not t.complete:
+            continue
+
+        def late_and_close(snap):
+            return (t.score_reliable and snap.inning in (8, 9)
+                    and abs(snap.score_batting - snap.score_fielding) <= 1)
+
+        seen = set()
+        for idx, snap in enumerate(t.snapshots):
+            situation = classify_state(snap.bases, snap.outs)
+            if situation is None or situation in seen:
+                continue
+            seen.add(situation)
+            later = t.runs_after[idx]
+            if mode is CountingMode.EXCLUDE_PLAY:
+                later -= t.runs_on_play[idx]
+            key = (snap.pitcher_id, situation.kind, situation.outs, t.season,
+                   late_and_close(snap))
+            cell = cells.setdefault(key, [0, 0])
+            cell[0] += later >= 1
+            cell[1] += 1
+            count += 1
+        for pid in {snap.pitcher_id for snap in t.snapshots}:
+            row = innings.setdefault((pid, t.season), [0, 0])
+            row[0] += any(late_and_close(snap) for snap in t.snapshots
+                          if snap.pitcher_id == pid)
+            row[1] += 1
+    return cells, innings, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(late_timelines(), max_size=5))
+def test_tally_matches_reference(timelines):
+    for mode in CountingMode:
+        table, innings, count = TallyTable(), InningCounts(), 0
+        for timeline in timelines:
+            observations = extract_observations(timeline, mode)
+            count += len(observations)
+            table.add_all(observations)
+            innings.add_timeline(timeline)
+        assert (table.cells, innings.counts, count) == reference_tally(timelines, mode)
+
+
 # --- threshold formula -------------------------------------------------------
 
 

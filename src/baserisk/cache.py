@@ -23,7 +23,6 @@ earlier row's.  The writer refuses a pitcher id that holds a line break.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
@@ -193,6 +192,8 @@ def read_cache(path: str | Path) -> StatsCache:
 
 def fingerprint_paths(paths: list[str | Path]) -> str:
     """Content hash of the input files, stable across path spellings."""
+    import hashlib  # only ingest fingerprints, and OpenSSL is costly to load
+
     digest = hashlib.sha256()
     entries = []
     for path in paths:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import click
 
-from . import oracle
 from .cache import (
     CacheError,
     StatsCache,
@@ -102,6 +101,15 @@ def _read_input(load, path, what: str):
         raise DataError(f"cannot read {what}: {exc}")
 
 
+def _unique_inputs(inputs: tuple[str, ...]) -> list[str]:
+    """The input paths with a file named twice (a.ev, ./a.ev) kept once,
+    under its first spelling, so that no file counts twice."""
+    unique: dict[Path, str] = {}
+    for path in inputs:
+        unique.setdefault(Path(path).resolve(), path)
+    return list(unique.values())
+
+
 def _read_ids(path: str) -> list[str]:
     """Non-blank lines of a file, stripped."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -171,11 +179,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
     """Replay event files and write the aggregated tally cache."""
     mode = CountingMode(counting_mode)
     span = _parse_years(years)
-    # one file named twice (a.ev, ./a.ev) counts once, under its first spelling
-    unique: dict[Path, str] = {}
-    for path in inputs:
-        unique.setdefault(Path(path).resolve(), path)
-    paths = list(unique.values())
+    paths = _unique_inputs(inputs)
     try:
         result = ingest_paths(paths, mode, span, jobs=jobs)
     except InputError as exc:
@@ -343,7 +347,7 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
 def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
     """List matching observations straight from raw event files."""
     observations = collect_observations(
-        list(inputs), CountingMode(counting_mode), _parse_years(years))
+        _unique_inputs(inputs), CountingMode(counting_mode), _parse_years(years))
     kind = _CLASS_NAMES[class_name] if class_name else None
     scored = total = 0
     # files are read as the loop drains the generator
@@ -383,8 +387,13 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())
 def simulate(model_path, games, seed, season, subs, out_path):
     """Generate a synthetic event file from an outcome model."""
+    from . import oracle  # only simulate runs the simulator
+
     try:
-        model = oracle.load_model(model_path) if model_path else oracle.default_model()
+        if model_path:
+            model = _read_input(oracle.load_model, model_path, "model")
+        else:
+            model = oracle.default_model()
     except oracle.InvalidModel as exc:
         raise DataError(str(exc))
     sims = oracle.simulate_season(model, games, seed, season=season,

@@ -13,6 +13,7 @@ import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 
 __all__ = [
@@ -36,6 +37,9 @@ _KINDS = frozenset(
 
 # (kind, fields after the kind, line number)
 Record = tuple[str, list[str], int]
+
+# iter_records splits the text this many characters at a time, or a little more
+_CHUNK = 1 << 16
 
 
 class Half(IntEnum):
@@ -101,6 +105,22 @@ def _season(game_id: str, date: str) -> int:
             return 0
 
 
+def _chunks(text: str) -> Iterator[str]:
+    r"""``text`` in pieces of about ``_CHUNK`` characters whose lines are
+    exactly those of the whole text, so that ``splitlines`` need hold only
+    one piece's lines at once.
+
+    Each piece ends just after a "\n", which always ends a line and never
+    splits a "\r\n" pair.  A stretch with no "\n" is one piece, however
+    long.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _CHUNK) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[Record]:
     """Split raw file text into (kind, fields, line_no) records, one line at
     a time.
@@ -113,7 +133,8 @@ def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[Record]:
     # same with str.split; the rest get a reader each, so an unclosed quote
     # costs only its own line
     limit = csv.field_size_limit()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue

@@ -521,7 +521,7 @@ def parse_model_text(text: str) -> OutcomeModel:
 
 
 def load_model(path: str | Path) -> OutcomeModel:
-    return parse_model_text(Path(path).read_text())
+    return parse_model_text(Path(path).read_text(encoding="utf-8"))
 
 
 def default_model() -> OutcomeModel:

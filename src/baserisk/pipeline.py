@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,6 +151,9 @@ def ingest_paths(
     workers = min(jobs, len(ordered))
     if workers <= 1:
         return _ingest_files((ordered, mode, years))
+    # only ingest --jobs N with N > 1 loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = [(ordered[i::workers], mode, years) for i in range(workers)]
     result = IngestResult()
     with ProcessPoolExecutor(max_workers=workers) as pool:

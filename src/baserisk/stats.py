@@ -22,7 +22,6 @@ p is at least brt.
 
 from __future__ import annotations
 
-import statistics
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -434,6 +433,8 @@ def _bucket_row(
             per_pitcher.append(brt_from_rates(triple).brt)
         else:
             excluded.append(pid)
+    import statistics  # only table2's bucket spread needs it
+
     mean = statistics.fmean(per_pitcher) if per_pitcher else None
     stddev = statistics.pstdev(per_pitcher) if per_pitcher else None
     return BucketRow(label, low, high, sorted(members), cumulative, mean, stddev, excluded)

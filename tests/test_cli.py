@@ -131,15 +131,41 @@ def test_ingest_missing_input(tmp_path):
     assert main(args) == 1
 
 
-def test_python_m_runs_the_cli():
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this baserisk, run to its end."""
     src = str(Path(baserisk.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "baserisk", "--help"],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_m_runs_the_cli():
+    done = run_python("-m", "baserisk", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("Usage: python -m baserisk ")
     assert "ingest" in done.stdout and "table3" in done.stdout
+
+
+IMPORT_CHECK = """
+import sys
+before = set(sys.modules)
+from baserisk import cli
+late = ["baserisk.oracle", "concurrent.futures.process", "multiprocessing",
+        "hashlib", "statistics"]
+print(*[name for name in late if name in sys.modules and name not in before])
+code = cli.main(["ingest", "-i", sys.argv[1], "--cache", sys.argv[2], "--jobs", "1"])
+print(code, "multiprocessing" in sys.modules and "multiprocessing" not in before)
+"""
+
+
+def test_import_defers_what_only_some_commands_use(workspace, tmp_path):
+    """A fresh import of the CLI loads neither the simulator, the process
+    pool, hashing nor statistics; ingest at --jobs 1 still starts no pool."""
+    done = run_python("-c", IMPORT_CHECK, str(workspace["evn"]),
+                      str(tmp_path / "stats.cache"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["", "0 False"]
 
 
 # --- inputs that cannot be read are data errors, not tracebacks -------------
@@ -189,6 +215,16 @@ def test_table2_save_leaders_unreadable(workspace, tmp_path, capsys, kind, messa
             "--save-leaders", str(unreadable(tmp_path, kind))]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("latin1", "is not UTF-8 text"), ("directory", "cannot read model")])
+def test_simulate_model_unreadable(tmp_path, capsys, kind, message):
+    out = tmp_path / "season.evn"
+    args = ["simulate", "-o", str(out), "--model", str(unreadable(tmp_path, kind))]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_into_missing_directory(tmp_path, capsys):
@@ -394,6 +430,16 @@ def test_query_leverage_narrows(workspace, capsys):
     assert main(base + ["--leverage"]) == 0
     n_hl = len(capsys.readouterr().out.splitlines()) - 1
     assert n_hl == 13  # matches the high-leverage stratum of the cache
+
+
+def test_query_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace["root"])
+    assert main(["query", "-i", "season.evn", "--situation", "third"]) == 0
+    once = capsys.readouterr().out
+    args = ["query", "-i", "season.evn", "-i", "./season.evn",
+            "-i", str(workspace["evn"]), "--situation", "third"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == once
 
 
 def test_query_input_is_a_directory(workspace, tmp_path, capsys):

@@ -8,7 +8,9 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from baserisk import eventfile
 from baserisk.eventfile import (
+    _CHUNK,
     Diagnostic,
     Half,
     PlayLine,
@@ -101,6 +103,42 @@ def test_line_numbers_across_mixed_line_breaks():
     assert diags == []
     assert [(fields[0], line_no) for _, fields, line_no in records] == [
         (str(n), n) for n in [*range(1, 13), 14]]
+
+
+def test_line_numbers_across_chunk_cuts():
+    """Text longer than two chunks is split a chunk at a time, each chunk
+    ending just after the first "\n" at least _CHUNK characters past its
+    start.  Every break, CR LF and LF CR among them, is laid at and just
+    before a point where that search starts, and just after the cut it
+    finds; the records and line numbers are those of one splitlines() of
+    the whole text."""
+    text, start = "", 0
+    for offset in (-1, 0):
+        for n, brk in enumerate([*LINE_BREAKS, "\n\r"]):
+            head = f"com,{n},"
+            pad = "x" * (start + _CHUNK + offset - len(text) - len(head))
+            text += head + pad + brk + f"com,{n}\n" + brk
+            start = text.find("\n", start + _CHUNK) + 1
+    assert len(text) > 2 * _CHUNK
+    whole = [("com", line.split(",")[1:], n)
+             for n, line in enumerate(text.splitlines(), start=1) if line]
+    diags = []
+    assert list(iter_records(text, diags)) == whole
+    assert diags == []
+
+
+@given(st.lists(st.sampled_from(["c", "o", "m", ",", "x", *LINE_BREAKS]),
+                max_size=60).map("".join),
+       st.integers(min_value=1, max_value=8))
+def test_any_chunk_size_splits_as_the_whole_text(text, chunk):
+    """Records, line numbers and diagnostics do not depend on the chunk
+    size; a text this short is otherwise split in one piece."""
+    whole_diags, diags = [], []
+    whole = list(iter_records(text, whole_diags))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eventfile, "_CHUNK", chunk)
+        records = list(iter_records(text, diags))
+    assert (records, diags) == (whole, whole_diags)
 
 
 def test_two_games_split_in_order():

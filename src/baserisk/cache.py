@@ -16,13 +16,21 @@ refuses, with ``CacheError``, text that is not UTF-8, a row of the
 wrong width, counts outside 0 <= numerator <= denominator, a (class,
 outs) that ``classify_state`` cannot produce, a stratum that is not
 ``<season>:hl`` or ``<season>:other`` (or, on an innings row, a bare
-season) in the form the writer writes, and a key that repeats an
+season) in the form the writer writes, a count that is not in that form
+either (``03``, ``+3``, `` 3``, ``1_0``), and a key that repeats an
 earlier row's.  The writer refuses a pitcher id that holds a line break.
+
+A read allocates two containers per row, a key tuple and a count list,
+that live as long as the table and form no cycles.  The cyclic collector
+counts them toward its thresholds all the same and would walk the growing
+table again and again while freeing nothing, so ``read_cache`` pauses it
+for the read and puts back the caller's setting.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 import os
@@ -117,24 +125,51 @@ def _row_tail(
     if class_name == _INNINGS_CLASS:
         if outs != "0":
             raise ValueError("innings rows have outs 0")
-        return innings.counts, (_season(stratum),)
+        return innings.counts, (_as_written(stratum),)
     cell = _CELLS.get((class_name, outs))
     if cell is None:
         raise ValueError(f"({class_name}, {outs}) is not a situation cell")
     season, _, leverage = stratum.partition(":")
     if leverage not in _LEVERAGE:
         raise ValueError("stratum must be <season>:hl or <season>:other")
-    return table.cells, (*cell, _season(season), _LEVERAGE[leverage])
+    return table.cells, (*cell, _as_written(season), _LEVERAGE[leverage])
 
 
-def _season(text: str) -> int:
-    season = int(text)
-    if str(season) != text:
-        raise ValueError(f"season {text!r} is not in the form the writer writes")
-    return season
+def _as_written(text: str) -> int:
+    """The integer ``text`` spells in the writer's form: ``str(int)``.
+    Raises ValueError for any other spelling, such as ``03``, ``+3``,
+    `` 3``, ``1_0`` or non-ASCII digits, all of which ``int`` accepts."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not an integer in the form the writer writes")
+    return value
+
+
+class _Memo(dict):
+    """text -> ``convert(text)``, computed on the first lookup of a key."""
+
+    def __init__(self, convert) -> None:
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 def read_cache(path: str | Path) -> StatsCache:
+    """The cache at ``path``, with the cyclic collector paused while the
+    table is built and put back as the caller had it, on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_cache(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_cache(path: str | Path) -> StatsCache:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -162,9 +197,11 @@ def read_cache(path: str | Path) -> StatsCache:
         rows = map(str.split, body, repeat(","))
     table = TallyTable()
     innings = InningCounts()
-    # a few hundred distinct (class, outs, stratum) tails cover any number
-    # of rows, so each is checked and converted once
-    tails: dict[tuple[str, str, str], tuple[dict, tuple]] = {}
+    # a few hundred distinct (class, outs, stratum) tails and a few hundred
+    # distinct count texts cover any number of rows, so each is checked
+    # and converted once
+    tails = _Memo(lambda key: _row_tail(*key, table, innings))
+    counts = _Memo(_as_written)
     try:
         header = next(csv.reader(lines[1:2]), None)
         if header != _HEADER:
@@ -172,14 +209,10 @@ def read_cache(path: str | Path) -> StatsCache:
         for row in rows:
             try:
                 pid, class_name, outs, stratum, num, den = row
-                tail = tails.get((class_name, outs, stratum))
-                if tail is None:
-                    tail = tails[(class_name, outs, stratum)] = _row_tail(
-                        class_name, outs, stratum, table, innings)
-                n, d = int(num), int(den)
+                store, suffix = tails[class_name, outs, stratum]
+                n, d = counts[num], counts[den]
                 if not 0 <= n <= d:
                     raise ValueError("counts must be 0 <= numerator <= denominator")
-                store, suffix = tail
                 cell = [n, d]
                 if store.setdefault((pid,) + suffix, cell) is not cell:
                     raise ValueError("repeats the key of an earlier row")

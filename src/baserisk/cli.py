@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable cache or
-input file, empty cells, missing inputs, an output path that cannot be
-written).
+input file, a game in two input files, empty cells, missing inputs, an
+output path that cannot be written).
 """
 
 from __future__ import annotations

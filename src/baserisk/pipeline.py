@@ -45,12 +45,21 @@ class IngestResult:
     incomplete: int = 0
     observations: int = 0
     diagnostic_counts: Counter[str] = field(default_factory=Counter)
+    # game id -> the input file that counted it
+    game_files: dict[str, str] = field(default_factory=dict)
 
     def _note(self, diagnostics: list[Diagnostic]) -> None:
         self.diagnostic_counts.update(diag.code for diag in diagnostics)
 
     def merge(self, other: "IngestResult") -> "IngestResult":
-        """Add other's tallies and counters into this result in place."""
+        """Add other's tallies and counters into this result in place.
+        Raises ``InputError``, and changes nothing, for a game id that both
+        results counted: a game is counted once, so this is one game in two
+        input files (a byte copy under another name, say)."""
+        for game_id, path in other.game_files.items():
+            if game_id in self.game_files:
+                raise InputError(
+                    f"game {game_id} is in both {self.game_files[game_id]} and {path}")
         add_cells(self.table.cells, other.table.cells)
         add_cells(self.innings.counts, other.innings.counts)
         self.games += other.games
@@ -60,18 +69,24 @@ class IngestResult:
         self.incomplete += other.incomplete
         self.observations += other.observations
         self.diagnostic_counts.update(other.diagnostic_counts)
+        self.game_files.update(other.game_files)
         return self
 
 
 def iter_timelines(
-    text: str, years: tuple[int, int] | None, result: IngestResult, steps: StepMemo
+    text: str,
+    years: tuple[int, int] | None,
+    result: IngestResult,
+    steps: StepMemo,
+    source: str = "",
 ) -> Iterator[StateTimeline]:
     """Tokenize, assemble and replay one event file's text, one game at a
     time, yielding every complete, unquarantined half-inning of the games
     inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
-    and diagnostic codes are counted into ``result`` along the way; the
+    and diagnostic codes are counted into ``result`` along the way, and
+    each counted game's id is kept with ``source``, the file's name; the
     file's tokenize and assemble diagnostics are counted once it is done,
     less those of games outside ``years``, which assembly drops with their
     diagnostics.  Every game replays through the caller's play memo
@@ -88,6 +103,7 @@ def iter_timelines(
             result.games_skipped += 1
             continue
         result.games += 1
+        result.game_files[account.game_id] = source
         for timeline in replay.timelines:
             result.half_innings += 1
             if timeline.excluded is not None:
@@ -104,11 +120,13 @@ def ingest_text(
     mode: CountingMode = CountingMode.INCLUDE_PLAY,
     years: tuple[int, int] | None = None,
     steps: StepMemo | None = None,
+    source: str = "",
 ) -> IngestResult:
     """Parse and replay one event file's text into tallies, through the
-    play memo ``steps`` or, without one, a memo of its own."""
+    play memo ``steps`` or, without one, a memo of its own.  ``source``
+    names the file in the result's ``game_files``."""
     result = IngestResult()
-    for timeline in iter_timelines(text, years, result, {} if steps is None else steps):
+    for timeline in iter_timelines(text, years, result, {} if steps is None else steps, source):
         observations = extract_observations(timeline, mode)
         result.observations += len(observations)
         result.table.add_all(observations)
@@ -117,7 +135,8 @@ def ingest_text(
 
 
 class InputError(Exception):
-    """An input event file could not be read."""
+    """An input event file could not be read, or holds a game that another
+    input holds too."""
 
 
 def _read_event_file(path: str) -> str:
@@ -134,7 +153,7 @@ def _ingest_files(args: tuple[list[str], CountingMode, tuple[int, int] | None]) 
     steps: StepMemo = {}
     result = IngestResult()
     for path in paths:
-        result.merge(ingest_text(_read_event_file(path), mode, years, steps))
+        result.merge(ingest_text(_read_event_file(path), mode, years, steps, path))
     return result
 
 

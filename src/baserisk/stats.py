@@ -183,9 +183,6 @@ TallyKey = tuple[str, ClassKind, int, int, bool]
 class TallyTable:
     cells: dict[TallyKey, list[int]] = field(default_factory=dict)
 
-    def add(self, obs: SituationObservation) -> None:
-        self.add_all((obs,))
-
     def add_all(self, observations: Iterable[SituationObservation]) -> None:
         cells = self.cells
         for _, pid, (kind, outs), scored_later, high_leverage, season in observations:

@@ -6,6 +6,7 @@ visitors (half 0), everything else for the home side.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -19,6 +20,16 @@ from baserisk.oracle import (
     simulate_season,
 )
 from baserisk.state import replay_game
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic collector disabled, and enable it
+    again, so that no later test runs without it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")
 
 
 def make_game_text(

@@ -1,8 +1,10 @@
 """On-disk tally cache: round trips, determinism, and validation."""
 
 import csv
+import gc
 import itertools
 import os
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -165,12 +167,21 @@ def test_bad_header_rejected(tmp_path):
         "riverma01,third_occupied, 1,2003:hl,3,21",
         "riverma01,innings,1,2003,3,21",  # innings rows have outs 0
         "riverma01,innings,0,2003:hl,3,21",
+        # counts that int() reads but the writer never writes
+        "riverma01,third_occupied,1,2003:hl,1_0,2_0",
+        "riverma01,third_occupied,1,2003:hl,+3,21",
+        "riverma01,third_occupied,1,2003:hl, 3,21",
+        "riverma01,third_occupied,1,2003:hl,03,21",
+        "riverma01,third_occupied,1,2003:hl,\u0663,21",  # ARABIC-INDIC DIGIT THREE
+        "riverma01,third_occupied,1,2003:hl,3,2\u0661",  # ... DIGIT ONE
+        "riverma01,innings,0,2003,-0,21",
+        '"riverma01",innings,0,2003,12,060',  # through csv.reader
     ],
 )
 def test_bad_row_rejected(tmp_path, row):
     good = render_cache(sample_cache()).splitlines()
     path = tmp_path / "bad.cache"
-    path.write_text("\n".join([good[0], good[1], row]) + "\n")
+    path.write_text("\n".join([good[0], good[1], row]) + "\n", encoding="utf-8")
     with pytest.raises(CacheError):
         read_cache(path)
 
@@ -190,6 +201,58 @@ def test_repeated_key_rejected(tmp_path, row):
     path.write_text("\n".join([*good, row]) + "\n")
     with pytest.raises(CacheError, match="repeats"):
         read_cache(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["good", "bad row", "not UTF-8", "missing"])
+def test_read_cache_restores_collector(tmp_path, enabled, case):
+    """The read pauses the cyclic collector and puts back the caller's
+    setting on every exit."""
+    path = tmp_path / "c.cache"
+    text = render_cache(sample_cache())
+    if case == "bad row":
+        path.write_text(text + "zz01,innings,0,2003,3,2\n")
+    elif case == "not UTF-8":
+        path.write_bytes(text.replace("riverma01", "rivéra01").encode("latin-1"))
+    elif case == "good":
+        path.write_text(text)
+    expected = {"good": nullcontext(), "missing": pytest.raises(FileNotFoundError)}
+    if not enabled:
+        gc.disable()
+    try:
+        with expected.get(case, pytest.raises(CacheError)):
+            read_cache(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_read_cache_starts_no_collection(tmp_path):
+    """A read builds two containers a row that form no cycles, so a
+    collection in it could free nothing."""
+    table = TallyTable({
+        (f"p{n:03d}", kind, outs, season, lev): [1, 2]
+        for n in range(100) for kind, outs in SITUATION_CELLS
+        for season in range(1990, 1995) for lev in (True, False)
+    })
+    assert len(table.cells) >= 5_000
+    path = tmp_path / "big.cache"
+    write_cache(path, StatsCache(table, InningCounts(), CountingMode.INCLUDE_PLAY, ""))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        loaded = read_cache(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert loaded.table.cells == table.cells
 
 
 def test_undecodable_cache_rejected(tmp_path):

@@ -125,6 +125,22 @@ def test_ingest_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
     assert thrice.read_text() == once.read_text()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ingest_refuses_a_byte_copy(workspace, tmp_path, capsys, jobs):
+    """A copy under another name holds the same games, so counting it too
+    would double every tally."""
+    copy = tmp_path / "copy.evn"
+    copy.write_bytes(workspace["evn"].read_bytes())
+    cache = tmp_path / "stats.cache"
+    args = ["ingest", "-i", str(workspace["evn"]), "-i", str(copy),
+            "--cache", str(cache), "--jobs", jobs]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: game HOM200004010 is in both ")
+    assert str(workspace["evn"]) in err and str(copy) in err
+    assert not cache.exists()
+
+
 def test_ingest_missing_input(tmp_path):
     args = ["ingest", "-i", str(tmp_path / "ghost.evn"),
             "--cache", str(tmp_path / "c")]

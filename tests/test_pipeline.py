@@ -15,7 +15,7 @@ from baserisk.eventfile import (
     Half, PlayLine, assemble_games, iter_games, iter_records, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
-from baserisk.pipeline import collect_observations, ingest_paths, ingest_text
+from baserisk.pipeline import InputError, collect_observations, ingest_paths, ingest_text
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode
 from conftest import PIN_ALPHABET, decorate, make_game_text, mutate
@@ -175,7 +175,8 @@ def test_ingest_workers_capped_at_file_count(tmp_path, monkeypatch):
     paths = []
     for seed in range(2):
         path = tmp_path / f"sim{seed}.evn"
-        path.write_text(emit_event_file(simulate_season(default_model(), 3, seed=seed)))
+        path.write_text(emit_event_file(
+            simulate_season(default_model(), 3, seed=seed, season=2000 + seed)))
         paths.append(path)
     assert ingest_paths(paths, jobs=64).games == 6
     assert started == [2]
@@ -197,7 +198,8 @@ def test_parallel_ingest_matches_serial(tmp_path):
     for seed in range(8):
         path = tmp_path / f"sim{seed}.evn"
         path.write_text(
-            emit_event_file(simulate_season(default_model(), 25, seed=seed))
+            emit_event_file(simulate_season(default_model(), 25, seed=seed,
+                                            season=2000 + seed))
         )
         paths.append(path)
     serial = ingest_paths(paths, jobs=1)
@@ -323,9 +325,26 @@ def test_ingest_text_cache_pinned(mode):
     assert _cache_digest(ingest_text(text, mode), mode) == SEASON_DIGESTS[mode]
 
 
+def _own_broken_ids(paths: list[Path], root: Path) -> list[Path]:
+    """The paths with the last one, a copy of the broken file, moved under
+    ``root`` with its games under a home team of their own: its 1990 game
+    ids are also those of a season file, and ingest refuses one game in two
+    files.  Game ids are not in the cache."""
+    broken = root / paths[-1].name
+    broken.write_text(paths[-1].read_text().replace("id,HOM", "id,BRK"))
+    return [*paths[:-1], broken]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_ingest_paths_cache_pinned(archive, jobs):
-    result = ingest_paths(archive, years=WINDOW, jobs=jobs)
+def test_archive_with_a_game_in_two_files_refused(archive, jobs):
+    both = r"game HOM199004010 is in both \S*/broken\.evn and \S*/s1990\.evn"
+    with pytest.raises(InputError, match=both):
+        ingest_paths(archive, years=WINDOW, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ingest_paths_cache_pinned(archive, jobs, tmp_path):
+    result = ingest_paths(_own_broken_ids(archive, tmp_path), years=WINDOW, jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
         "dc85477256e60d676f09e0b9f2a2c0983cc1dfd3b285029c903f782af9a528f0")
     assert (result.games, result.games_skipped, result.observations) == (50, 2, 1144)
@@ -380,8 +399,8 @@ def decorated_archive(tmp_path_factory):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_decorated_ingest_pinned(decorated_archive, jobs):
-    result = ingest_paths(decorated_archive, jobs=jobs)
+def test_decorated_ingest_pinned(decorated_archive, jobs, tmp_path):
+    result = ingest_paths(_own_broken_ids(decorated_archive, tmp_path), jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
         "1d730f205167cd2f2281cbf8579f2696ece3281833f4592e1e5835f625c9c671")
     assert (result.games, result.games_skipped, result.half_innings, result.quarantined,
@@ -464,15 +483,15 @@ def test_memo_holds_only_resolved_plays(damaged_archive):
 
 
 def test_repeated_plays_resolve_once(tmp_path, monkeypatch):
-    """A second file with the same plays under another name is answered
-    from the memo of the first."""
+    """A second file with the same plays in other games is answered from
+    the memo of the first."""
     calls = []
     resolve = state.resolve_step
     monkeypatch.setattr(state, "resolve_step", lambda *key: calls.append(key) or resolve(*key))
     text = emit_event_file(simulate_season(default_model(), 5, seed=31))
     first, second = tmp_path / "a.evn", tmp_path / "b.evn"
     first.write_text(text)
-    second.write_text(text)
+    second.write_text(text.replace("id,HOM", "id,AWY"))
     ingest_paths([first])
     once = len(calls)
     calls.clear()

@@ -12,9 +12,12 @@ through the parser and state machine.
 from __future__ import annotations
 
 import datetime
+import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -61,6 +64,10 @@ class Outcome(Enum):
     TRIPLE = "triple"
     HOME_RUN = "home_run"
     GDP = "gdp"
+
+    # members compare by identity, so the C-level identity hash agrees with
+    # equality; Enum's own hashes the name in Python, once per lookup
+    __hash__ = object.__hash__
 
 
 HITS = {
@@ -186,6 +193,41 @@ class OutcomeModel:
             new_mask |= 1 << (batter_dest - 1)
         return new_mask, 0, runs
 
+    @cached_property
+    def _ladder(self) -> tuple[list[float], tuple[Outcome, ...]]:
+        """Cumulative probabilities in ``Outcome`` order and the outcome
+        each ``bisect_right`` index picks: the first whose running sum
+        exceeds the roll, or ``OUT`` past the top, where float slack can
+        leave a roll."""
+        ladder = []
+        acc = 0.0
+        for outcome in Outcome:
+            acc += self.prob(outcome)
+            ladder.append(acc)
+        return ladder, (*Outcome, Outcome.OUT)
+
+    @cached_property
+    def _steps(
+        self,
+    ) -> dict[tuple[int, int, Outcome], tuple[tuple[str, ...] | None, str, int, int, int]]:
+        """One plate appearance from each live state, by sampled outcome:
+        ``(mask, outs, outcome) -> (choices, token, new_mask, outs_added,
+        runs)``.  ``choices`` holds the event texts the simulator picks
+        among with one draw, or is None where ``token`` is the only one.
+        A GDP that cannot apply is played as the plain out."""
+        steps = {}
+        for outs in range(3):
+            for mask in range(8):
+                for outcome in Outcome:
+                    played = outcome
+                    if outcome is Outcome.GDP and not self.gdp_applies(mask, outs):
+                        played = Outcome.OUT
+                    tokens = _event_tokens(self, mask, played)
+                    steps[mask, outs, outcome] = (
+                        tokens if len(tokens) > 1 else None, tokens[0],
+                        *self.apply_outcome(mask, outs, played))
+        return steps
+
 
 def _as_mask(bases: int | tuple[bool, bool, bool]) -> int:
     if isinstance(bases, tuple):
@@ -244,9 +286,12 @@ def exact_tsf(model: OutcomeModel, outs: int) -> tuple[float, float, float]:
 # --- simulation and emission -------------------------------------------------
 
 _OUT_TOKENS = ("8/F", "7/F", "9/F", "3/G", "43/G", "63/G", "53/G", "4/P", "6/L")
-_SINGLE_TOKENS = ("S7", "S8", "S9", "S6")
-_DOUBLE_TOKENS = ("D7", "D8", "D9")
-_TRIPLE_TOKENS = ("T8", "T9")
+_HIT_TOKENS = {
+    Outcome.SINGLE: ("S7", "S8", "S9", "S6"),
+    Outcome.DOUBLE: ("D7", "D8", "D9"),
+    Outcome.TRIPLE: ("T8", "T9"),
+    Outcome.HOME_RUN: ("HR",),
+}
 
 
 def _advance_token(base: int, dest: int) -> str:
@@ -255,15 +300,16 @@ def _advance_token(base: int, dest: int) -> str:
     return f"{frm}-{to}"
 
 
-def _emit_token(model: OutcomeModel, mask: int, outs: int, outcome: Outcome, rng: random.Random) -> str:
-    """Event text for one sampled outcome, with every movement written as
-    an explicit advance so the parser never has to rely on implied rules."""
+def _event_tokens(model: OutcomeModel, mask: int, outcome: Outcome) -> tuple[str, ...]:
+    """The event texts one outcome may be written as from occupancy
+    ``mask``, with every movement written as an explicit advance so the
+    parser never has to rely on implied rules."""
     if outcome is Outcome.STRIKEOUT:
-        return "K"
+        return ("K",)
     if outcome is Outcome.OUT:
-        return rng.choice(_OUT_TOKENS)
+        return _OUT_TOKENS
     if outcome is Outcome.GDP:
-        return "64(1)3/GDP"
+        return ("64(1)3/GDP",)
     advances: list[str] = []
     if outcome is Outcome.WALK:
         chain = 0
@@ -272,19 +318,21 @@ def _emit_token(model: OutcomeModel, mask: int, outs: int, outcome: Outcome, rng
         for base in range(chain, 0, -1):
             advances.append(_advance_token(base, base + 1))
         advances.append(_advance_token(0, 1))
-        basic = "W"
+        basics: tuple[str, ...] = ("W",)
     else:
         for base, bit in ((3, THIRD), (2, SECOND), (1, FIRST)):
             if mask & bit:
                 advances.append(_advance_token(base, model.dest(outcome, base)))
         advances.append(_advance_token(0, HITS[outcome]))
-        basic = {
-            Outcome.SINGLE: lambda: rng.choice(_SINGLE_TOKENS),
-            Outcome.DOUBLE: lambda: rng.choice(_DOUBLE_TOKENS),
-            Outcome.TRIPLE: lambda: rng.choice(_TRIPLE_TOKENS),
-            Outcome.HOME_RUN: lambda: "HR",
-        }[outcome]()
-    return basic + "." + ";".join(advances)
+        basics = _HIT_TOKENS[outcome]
+    suffix = "." + ";".join(advances)
+    return tuple(basic + suffix for basic in basics)
+
+
+# the nine batters of the visitors (team 0) and of the home side (team 1)
+_LINEUPS = tuple(
+    tuple(f"{prefix}bat{slot:04d}" for slot in range(1, 10)) for prefix in "vh"
+)
 
 
 @dataclass
@@ -346,32 +394,27 @@ def simulate_half_inning(
     if batters is None:
         batters = (f"bat{n:04d}" for n in range(1, 10_000))
     sim = SimHalf(inning, half)
+    ladder, outcomes = model._ladder
+    steps = model._steps
+    plays = sim.plays
     mask, outs, runs = 0, 0, 0
     for _ in range(cap):
         if outs >= 3:
             break
-        outcome = _sample(model, rng)
-        if outcome is Outcome.GDP and not model.gdp_applies(mask, outs):
-            outcome = Outcome.OUT
-        token = _emit_token(model, mask, outs, outcome, rng)
-        sim.plays.append(SimPlay(next(batters), token, mask, outs, runs))
-        mask, outs_added, scored = model.apply_outcome(mask, outs, outcome)
+        # one roll per plate appearance, and one more draw only where the
+        # outcome has several event texts
+        choices, token, new_mask, outs_added, scored = steps[
+            mask, outs, outcomes[bisect_right(ladder, rng.random())]]
+        if choices is not None:
+            token = rng.choice(choices)
+        plays.append(SimPlay(next(batters), token, mask, outs, runs))
+        mask = new_mask
         outs += outs_added
         runs += scored
     else:
         sim.capped = outs < 3
     sim.runs = runs
     return sim
-
-
-def _sample(model: OutcomeModel, rng: random.Random) -> Outcome:
-    roll = rng.random()
-    acc = 0.0
-    for outcome in Outcome:
-        acc += model.prob(outcome)
-        if roll < acc:
-            return outcome
-    return Outcome.OUT  # float slack at the top of the ladder
 
 
 def simulate_game(
@@ -390,20 +433,15 @@ def simulate_game(
     day, number = divmod(game_no, 10)
     date = datetime.date(season, 4, 1) + datetime.timedelta(days=day)
     game_id = f"HOM{date.strftime('%Y%m%d')}{number}"
-    lineup_pos = {0: 0, 1: 0}
+    # each side's order carries over from one half-inning to its next
+    batting_orders = [itertools.cycle(lineup) for lineup in _LINEUPS]
     halves: list[SimHalf] = []
-
-    def batting_order(team: int):
-        prefix = "v" if team == 0 else "h"
-        while True:
-            lineup_pos[team] = lineup_pos[team] % 9 + 1
-            yield f"{prefix}bat{lineup_pos[team]:04d}"
 
     for inning in range(1, innings + 1):
         for half in (Half.TOP, Half.BOTTOM):
             team = int(half)
             sim = simulate_half_inning(
-                model, rng, batting_order(team), inning=inning, half=half
+                model, rng, batting_orders[team], inning=inning, half=half
             )
             if midgame_subs and inning == 6 and len(sim.plays) >= 2:
                 fielding = 1 - team
@@ -444,27 +482,34 @@ def emit_event_file(games: list[SimGame]) -> str:
         lines.append("info,hometeam,HOM")
         lines.append(f"info,date,{game.date}")
         lines.append(f"info,number,{game.number}")
-        for team, prefix in ((0, "v"), (1, "h")):
-            for slot in range(1, 10):
-                lines.append(
-                    f'start,{prefix}bat{slot:04d},"{prefix.upper()} Batter {slot}",{team},{slot},{slot + 1}'
-                )
-            lines.append(
-                f'start,{prefix}pit0001,"{prefix.upper()} Pitcher",{team},0,1'
-            )
+        lines.append(_START_BLOCK)
         for sim in game.halves:
             sub_at = dict()
             for idx, sub in sim.subs:
                 sub_at.setdefault(idx, []).append(sub)
+            head = f"play,{sim.inning},{int(sim.half)},"
             for idx, play in enumerate(sim.plays):
                 for sub in sub_at.get(idx, []):
                     lines.append(
                         f'sub,{sub.player_id},"{sub.name}",{sub.team},{sub.batting_order},{sub.position}'
                     )
-                lines.append(
-                    f"play,{sim.inning},{int(sim.half)},{play.batter_id},??,,{play.token}"
-                )
+                lines.append(f"{head}{play.batter_id},??,,{play.token}")
     return "\n".join(lines) + "\n"
+
+
+def _start_block() -> str:
+    """The start records of every simulated game: both lineups and starting
+    pitchers, as the lines of one block."""
+    lines = []
+    for team, lineup in enumerate(_LINEUPS):
+        side = "VH"[team]
+        for slot, player_id in enumerate(lineup, start=1):
+            lines.append(f'start,{player_id},"{side} Batter {slot}",{team},{slot},{slot + 1}')
+        lines.append(f'start,{side.lower()}pit0001,"{side} Pitcher",{team},0,1')
+    return "\n".join(lines)
+
+
+_START_BLOCK = _start_block()
 
 
 # --- model files -------------------------------------------------------------

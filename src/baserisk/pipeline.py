@@ -58,8 +58,7 @@ class IngestResult:
         input files (a byte copy under another name, say)."""
         for game_id, path in other.game_files.items():
             if game_id in self.game_files:
-                raise InputError(
-                    f"game {game_id} is in both {self.game_files[game_id]} and {path}")
+                raise _counted_twice(game_id, self.game_files[game_id], path)
         add_cells(self.table.cells, other.table.cells)
         add_cells(self.innings.counts, other.innings.counts)
         self.games += other.games
@@ -86,7 +85,9 @@ def iter_timelines(
 
     Games, skipped games, half-innings, quarantined and incomplete halves
     and diagnostic codes are counted into ``result`` along the way, and
-    each counted game's id is kept with ``source``, the file's name; the
+    each counted game's id is kept with ``source``, the file's name.  A
+    game id that ``result`` already holds, from this file or an earlier
+    one, raises ``InputError``: a game is counted once.  The
     file's tokenize and assemble diagnostics are counted once it is done,
     less those of games outside ``years``, which assembly drops with their
     diagnostics.  Every game replays through the caller's play memo
@@ -102,6 +103,8 @@ def iter_timelines(
         if not replay.timelines and replay.diagnostics:
             result.games_skipped += 1
             continue
+        if account.game_id in result.game_files:
+            raise _counted_twice(account.game_id, result.game_files[account.game_id], source)
         result.games += 1
         result.game_files[account.game_id] = source
         for timeline in replay.timelines:
@@ -135,8 +138,14 @@ def ingest_text(
 
 
 class InputError(Exception):
-    """An input event file could not be read, or holds a game that another
-    input holds too."""
+    """An input event file could not be read, or holds a game that it or
+    another input holds too."""
+
+
+def _counted_twice(game_id: str, first: str, second: str) -> InputError:
+    if first == second:
+        return InputError(f"game {game_id} is twice in {first}")
+    return InputError(f"game {game_id} is in both {first} and {second}")
 
 
 def _read_event_file(path: str) -> str:
@@ -187,9 +196,11 @@ def collect_observations(
     years: tuple[int, int] | None = None,
 ) -> Iterator[SituationObservation]:
     """Observation-level pass over raw files, for ad-hoc queries.  Yields
-    as it goes, so only one file's text is held at a time."""
+    as it goes, so only one file's text is held at a time, and raises
+    ``InputError`` at a game id that an earlier game, in this file or an
+    earlier one, had."""
     counts = IngestResult()  # query reports none of ingest's counters
     steps: StepMemo = {}
     for path in sorted(str(p) for p in paths):
-        for timeline in iter_timelines(_read_event_file(path), years, counts, steps):
+        for timeline in iter_timelines(_read_event_file(path), years, counts, steps, path):
             yield from extract_observations(timeline, mode)

@@ -141,6 +141,18 @@ def test_ingest_refuses_a_byte_copy(workspace, tmp_path, capsys, jobs):
     assert not cache.exists()
 
 
+def test_ingest_refuses_a_game_repeated_in_one_file(workspace, tmp_path, capsys):
+    """A file holding its own games twice, as ``cat s.evn s.evn`` makes,
+    would double every tally too."""
+    doubled = tmp_path / "dbl.evn"
+    doubled.write_bytes(workspace["evn"].read_bytes() * 2)
+    cache = tmp_path / "stats.cache"
+    args = ["ingest", "-i", str(doubled), "--cache", str(cache)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: game HOM200004010 is twice in {doubled}\n"
+    assert not cache.exists()
+
+
 def test_ingest_missing_input(tmp_path):
     args = ["ingest", "-i", str(tmp_path / "ghost.evn"),
             "--cache", str(tmp_path / "c")]
@@ -456,6 +468,17 @@ def test_query_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
             "-i", str(workspace["evn"]), "--situation", "third"]
     assert main(args) == 0
     assert capsys.readouterr().out == once
+
+
+def test_query_refuses_a_byte_copy(workspace, tmp_path, capsys):
+    copy = tmp_path / "copy.evn"
+    copy.write_bytes(workspace["evn"].read_bytes())
+    args = ["query", "-i", str(workspace["evn"]), "-i", str(copy), "--situation", "third"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: game HOM200004010 is in both ")
+    assert str(workspace["evn"]) in captured.err and str(copy) in captured.err
+    assert not any(line.startswith("n=") for line in captured.out.splitlines())
 
 
 def test_query_input_is_a_directory(workspace, tmp_path, capsys):

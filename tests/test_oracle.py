@@ -1,5 +1,6 @@
 """Exact scoring DP, model validation, and the synthetic generator."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -256,6 +257,92 @@ def test_game_score_property():
         assert visitor == sum(h.runs for h in game.halves if h.half is Half.TOP)
         assert home == sum(h.runs for h in game.halves if h.half is Half.BOTTOM)
         assert len(game.halves) == 18
+
+
+ADVANCES_MODEL_TEXT = """\
+out = 0.40
+strikeout = 0.15
+walk = 0.09
+single = 0.2
+double = 0.07
+triple = 0.02
+home_run = 0.03
+gdp = 0.04
+advance.single.first = 3
+advance.single.second = 4
+advance.double.first = 4
+"""
+
+NO_GDP_MODEL_TEXT = """\
+out = 0.46
+strikeout = 0.17
+walk = 0.085
+single = 0.185
+double = 0.06
+triple = 0.005
+home_run = 0.035
+gdp = 0
+"""
+
+
+def _record_digest(halves):
+    """SHA-256 over every simulated half-inning and plate appearance."""
+    digest = hashlib.sha256()
+    for sim in halves:
+        subs = [(idx, sub.player_id, sub.name, sub.team, sub.batting_order, sub.position)
+                for idx, sub in sim.subs]
+        digest.update(repr((sim.inning, int(sim.half), sim.runs, sim.capped, subs)).encode())
+        for play in sim.plays:
+            digest.update(repr((play.batter_id, play.token, play.pre_mask,
+                                play.pre_outs, play.pre_runs)).encode())
+    return digest.hexdigest()
+
+
+# (model, seed, season, midgame_subs, games) -> (event file, simulator record)
+SIMULATOR_PINS = {
+    ("default", 1, 2000, True, 40): (
+        "7fc863b7ee2273b2e29b6d3a7742f502be822de1593d9cd64757453530d5d10e",
+        "cefd6ba1b3d2f6efd98544a273efe6217478a2270b1068baf9edd13d411d3d66"),
+    ("default", 1, 2000, False, 40): (
+        "0391aaaee93c5fa33531245dd7f8a9f073c5aa295d0ffe3aa39c523994a84c82",
+        "4b9622701aa12a65ca53fb41d20467c5ae64cba29faddbd635007affd8dd410b"),
+    ("default", 1601, 1987, True, 40): (
+        "c01090956441f106280e1d05c7311b0bb51f874ed21b987fe716a824678719f1",
+        "ffd1c9f65fd3675e1699e744a4166006fef5e65422840d6667c506c452a887b3"),
+    ("default", 42, 2011, False, 40): (
+        "b5882ddbee65e37805b41b34f0c87d4f917d9328fa1f53b613851250608e31cb",
+        "fa806980f36f350458bfe21acd3b6101ecd578346df71ddec71060a552bc0c27"),
+    ("advances", 7, 1995, True, 40): (
+        "f4da1ef1d901da5f9bc5c38064c7e3088617feb7004a036e3e7cbefe395435c9",
+        "5fd1547a03ca3c97177af3103ab82490abd52b0629a05188a9875262ec679962"),
+    ("no_gdp", 9, 2003, False, 40): (
+        "43bf6bc7feccc22b5c0b79e687b0760f2c28d7c03855a0d6e4e4c2e61cd65e0b",
+        "12a0970f149bc21d4378e25ae68408c73270eefb22007a5b959a2fe3a6991b35"),
+    ("all_hr", 3, 2000, True, 2): (
+        "6a0853ea02bcb54048f7eb638dfb9623b1d9372d0154d0c7044cfd1ca1b6dc51",
+        "3744f5fee55556ed06900de7bda8fe183a772ac428a359f087d497792b099741"),
+}
+
+
+def test_simulator_output_pinned():
+    """Simulated seasons, their event files and bare half-innings are a
+    fixed function of model and seed: every draw, token, batter and state."""
+    models = {
+        "default": default_model(),
+        "advances": parse_model_text(ADVANCES_MODEL_TEXT),
+        "no_gdp": parse_model_text(NO_GDP_MODEL_TEXT),
+        "all_hr": OutcomeModel(probs={Outcome.HOME_RUN: 1.0}),
+    }
+    for (name, seed, season, subs, n), pins in SIMULATOR_PINS.items():
+        games = simulate_season(models[name], n, seed, season=season, midgame_subs=subs)
+        emitted = hashlib.sha256(emit_event_file(games).encode("ascii")).hexdigest()
+        record = _record_digest([sim for game in games for sim in game.halves])
+        assert (emitted, record) == pins, (name, seed, season, subs)
+    rng = random.Random(11)
+    halves = [simulate_half_inning(models["advances"], rng, inning=1 + n % 9, half=Half(n % 2))
+              for n in range(60)]
+    assert _record_digest(halves) == (
+        "1c41ee531b7409bc7dc86f6c19a0a40b07f29a6526528b43d8ab73abf0e9d087")
 
 
 # --- model files -------------------------------------------------------------

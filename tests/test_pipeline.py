@@ -328,8 +328,8 @@ def test_ingest_text_cache_pinned(mode):
 def _own_broken_ids(paths: list[Path], root: Path) -> list[Path]:
     """The paths with the last one, a copy of the broken file, moved under
     ``root`` with its games under a home team of their own: its 1990 game
-    ids are also those of a season file, and ingest refuses one game in two
-    files.  Game ids are not in the cache."""
+    ids are also those of a season file, and ingest and query refuse one
+    game in two files.  Game ids are not in the cache."""
     broken = root / paths[-1].name
     broken.write_text(paths[-1].read_text().replace("id,HOM", "id,BRK"))
     return [*paths[:-1], broken]
@@ -354,10 +354,20 @@ def test_ingest_paths_cache_pinned(archive, jobs, tmp_path):
     }
 
 
-def test_collect_observations_pinned(archive):
-    observations = collect_observations(archive, CountingMode.EXCLUDE_PLAY, WINDOW)
+def test_collect_observations_refuses_a_game_in_two_files(archive):
+    both = r"game HOM199004010 is in both \S*/broken\.evn and \S*/s1990\.evn"
+    with pytest.raises(InputError, match=both):
+        list(collect_observations(archive, CountingMode.EXCLUDE_PLAY, WINDOW))
+
+
+def test_collect_observations_pinned(archive, tmp_path):
+    observations = collect_observations(
+        _own_broken_ids(archive, tmp_path), CountingMode.EXCLUDE_PLAY, WINDOW)
+    # the broken file's games are pinned under the ids they had before
+    # they moved to a home team of their own
     rows = sorted(
-        (obs.half_inning_key[0], obs.half_inning_key[1], int(obs.half_inning_key[2]),
+        (obs.half_inning_key[0].replace("BRK", "HOM"), obs.half_inning_key[1],
+         int(obs.half_inning_key[2]),
          obs.pitcher_id, obs.situation.kind.value, obs.situation.outs,
          obs.scored_later, obs.high_leverage, obs.season)
         for obs in observations

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable cache or
 input file, a game in two input files, empty cells, missing inputs, an
-output path that cannot be written).
+output path that cannot be written, a config key that sets no option).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .stats import (
     compute_brt,
     decide,
     group_summary,
-    pooled_rates,
     rates,
     rates_by_pitcher,
 )
@@ -116,11 +115,11 @@ def _read_ids(path: str) -> list[str]:
     return [line.strip() for line in lines if line.strip()]
 
 
-def _load_config(path: str | None) -> dict:
-    """key=value defaults; dotted keys (command.option) scope to one command."""
+def _load_config(path: str | None) -> dict[str, dict[str, str]]:
+    """The default map of command.option=value lines, per command."""
     if path is None:
         return {}
-    defaults: dict = {}
+    defaults: dict[str, dict[str, str]] = {}
     text = _read_input(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
     for raw in text.splitlines():
         line = raw.strip()
@@ -129,23 +128,32 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise DataError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if "." in key:
-            scope, option = key.split(".", 1)
-            defaults.setdefault(scope, {})[option.replace("-", "_")] = value
-        else:
-            defaults[key.replace("-", "_")] = value
+        scope, name = _config_param(key)
+        defaults.setdefault(scope, {})[name] = value
     return defaults
 
 
-def _param_name(command: click.Command, key: str) -> str:
-    """Map a user-facing option name (e.g. "format") to its parameter name."""
+def _config_param(key: str) -> tuple[str, str]:
+    """The command and parameter names a dotted ``command.option`` config
+    key sets.  A key that names no command option, or a repeatable one, is
+    a data error, so that no key is silently ignored."""
+    scope, dot, option = key.partition(".")
+    if not dot:
+        raise DataError(f"config key {key!r} names no command: write command.option")
+    command = cli.commands.get(scope)
+    if command is None:
+        raise DataError(f"config key {key!r}: no command {scope!r}")
+    wanted = option.replace("-", "_")
     for param in command.params:
         aliases = {param.name} | {
             opt.lstrip("-").replace("-", "_") for opt in param.opts
         }
-        if key in aliases:
-            return param.name
-    return key
+        if wanted in aliases:
+            if param.multiple:
+                raise DataError(f"config key {key!r} sets a repeatable option; "
+                                "give it on the command line")
+            return scope, param.name
+    raise DataError(f"config key {key!r}: {scope} has no option {option!r}")
 
 
 @click.group()
@@ -154,14 +162,7 @@ def _param_name(command: click.Command, key: str) -> str:
 @click.pass_context
 def cli(ctx, config_path):
     """Estimate scoring rates and break-even thresholds from play accounts."""
-    defaults = _load_config(config_path)
-    for scope, options in defaults.items():
-        command = cli.commands.get(scope)
-        if command is not None and isinstance(options, dict):
-            defaults[scope] = {
-                _param_name(command, key): value for key, value in options.items()
-            }
-    ctx.default_map = defaults
+    ctx.default_map = _load_config(config_path)
 
 
 @cli.command()
@@ -211,12 +212,12 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
     cache = _load_cache(cache_path)
-    triples = pooled_rates(cache.table, _parse_years(years))
+    span = _parse_years(years)
     cells = {}
     try:
         for scope, leverage in (("all", None), ("hl", True)):
             for outs in (1, 0):
-                triple = triples[(leverage, outs)]
+                triple = rates(cache.table, outs, leverage=leverage, years=span)
                 cells[(scope, outs)] = Table1Cell(triple, brt_from_rates(triple))
     except EmptyCell as exc:
         raise DataError(str(exc))
@@ -250,19 +251,17 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
     if any(low >= high for low, high in zip(edges, edges[1:])):
         raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
-    blocks, extras = {}, {}
+    blocks = {}
     try:
         for outs in outs_list:
             blocks[outs] = bucket_report(
                 cache.table, cache.innings, outs, boundaries=edges,
                 years=span, cohort_last_season_min=cohort_min_season)
             if leaders:
-                extras[outs] = [
-                    ("leaders", group_summary(cache.table, leaders, outs, years=span))
-                ]
+                blocks[outs].append(group_summary(cache.table, leaders, outs, years=span))
     except EmptyBucket as exc:
         raise DataError(str(exc))
-    click.echo(render_table2(blocks, extras, fmt), nl=False)
+    click.echo(render_table2(blocks, fmt), nl=False)
 
 
 @cli.command()

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
-from .eventfile import Half
+from .eventfile import Half, SubLine
 from .state import FIRST, SECOND, THIRD
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "SimGame",
     "SimHalf",
     "SimPlay",
-    "SimSub",
     "default_model",
     "emit_event_file",
     "exact_score_probability",
@@ -46,6 +46,7 @@ __all__ = [
 
 PROB_TOLERANCE = 1e-12
 HALF_INNING_CAP = 50  # plate appearances; guards degenerate models
+GAME_INNINGS = 9
 
 HOME = 4  # destination "base 4"
 
@@ -99,12 +100,17 @@ class OutcomeModel:
 
     The double-play outcome only applies with a runner on first and fewer
     than two outs; elsewhere its probability folds into the plain out.
+
+    ``probs`` and ``advances`` are read-only copies of the mappings given,
+    so the tables cached from them cannot go stale.
     """
 
-    probs: dict[Outcome, float]
-    advances: dict[tuple[Outcome, int], int] = field(default_factory=lambda: dict(DEFAULT_ADVANCES))
+    probs: Mapping[Outcome, float]
+    advances: Mapping[tuple[Outcome, int], int] = field(default_factory=lambda: DEFAULT_ADVANCES)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "probs", MappingProxyType(dict(self.probs)))
+        object.__setattr__(self, "advances", MappingProxyType(dict(self.advances)))
         unknown = set(self.probs) - set(Outcome)
         if unknown:
             raise InvalidModel(f"unknown outcomes: {sorted(o for o in unknown)!r}")
@@ -349,18 +355,9 @@ class SimHalf:
     inning: int
     half: Half
     plays: list[SimPlay] = field(default_factory=list)
-    subs: list[tuple[int, "SimSub"]] = field(default_factory=list)  # (before play idx, sub)
+    subs: list[tuple[int, SubLine]] = field(default_factory=list)  # (before play idx, sub)
     runs: int = 0
     capped: bool = False
-
-
-@dataclass
-class SimSub:
-    player_id: str
-    name: str
-    team: int
-    batting_order: int
-    position: int
 
 
 @dataclass
@@ -383,13 +380,12 @@ def simulate_half_inning(
     batters: Iterator[str] | None = None,
     inning: int = 1,
     half: Half = Half.TOP,
-    cap: int = HALF_INNING_CAP,
 ) -> SimHalf:
     """Seeded simulation of one half-inning.
 
-    Stops after ``cap`` plate appearances even without three outs, which
-    only a degenerate model (e.g. all home runs) can reach; the half is
-    marked capped and left incomplete.
+    Stops after ``HALF_INNING_CAP`` plate appearances even without three
+    outs, which only a degenerate model (e.g. all home runs) can reach; the
+    half is marked capped and left incomplete.
     """
     if batters is None:
         batters = (f"bat{n:04d}" for n in range(1, 10_000))
@@ -398,7 +394,7 @@ def simulate_half_inning(
     steps = model._steps
     plays = sim.plays
     mask, outs, runs = 0, 0, 0
-    for _ in range(cap):
+    for _ in range(HALF_INNING_CAP):
         if outs >= 3:
             break
         # one roll per plate appearance, and one more draw only where the
@@ -422,7 +418,6 @@ def simulate_game(
     game_no: int,
     rng: random.Random,
     season: int = 2000,
-    innings: int = 9,
     midgame_subs: bool = False,
 ) -> SimGame:
     """One synthetic game: fixed teams, nine innings, ties allowed.
@@ -437,7 +432,7 @@ def simulate_game(
     batting_orders = [itertools.cycle(lineup) for lineup in _LINEUPS]
     halves: list[SimHalf] = []
 
-    for inning in range(1, innings + 1):
+    for inning in range(1, GAME_INNINGS + 1):
         for half in (Half.TOP, Half.BOTTOM):
             team = int(half)
             sim = simulate_half_inning(
@@ -447,7 +442,7 @@ def simulate_game(
                 fielding = 1 - team
                 prefix = "v" if fielding == 0 else "h"
                 sim.subs.append(
-                    (1, SimSub(f"{prefix}pit0002", f"Relief {prefix.upper()}", fielding, 0, 1))
+                    (1, SubLine(f"{prefix}pit0002", f"Relief {prefix.upper()}", fielding, 0, 1))
                 )
             halves.append(sim)
     return SimGame(game_id, date.strftime("%Y/%m/%d"), number, halves)

@@ -71,30 +71,22 @@ def render_table1(
     return text
 
 
-def render_table2(
-    blocks: dict[int, list[BucketRow]],
-    extras: dict[int, list[tuple[str, BucketRow]]] | None = None,
-    fmt: str = "text",
-) -> str:
+def render_table2(blocks: dict[int, list[BucketRow]], fmt: str = "text") -> str:
     """Bucketed thresholds by career high-leverage innings.
 
-    blocks maps the threshold index (1 or 0 outs) to its bucket rows;
-    extras adds labeled rows such as a save-leader group.
+    blocks maps the threshold index (1 or 0 outs) to its rows: the buckets
+    and any labeled group such as the save leaders.
     """
-    extras = extras or {}
-    records: list[list[str]] = []
     header = ["outs", "group", "pitchers", "cumulative", "mean", "stddev", "dropped"]
-    for outs in sorted(blocks, reverse=True):
-        rows = list(blocks[outs]) + [row for _, row in extras.get(outs, [])]
-        labels = [row.label for row in blocks[outs]] + [
-            label for label, _ in extras.get(outs, [])
+    records = [
+        [
+            str(outs), row.label, str(len(row.pitchers)),
+            fmt3(_brt_or_none(row.cumulative)),
+            fmt3(row.mean), fmt3(row.stddev), str(len(row.excluded)),
         ]
-        for label, row in zip(labels, rows):
-            records.append([
-                str(outs), label, str(len(row.pitchers)),
-                fmt3(_brt_or_none(row.cumulative)),
-                fmt3(row.mean), fmt3(row.stddev), str(len(row.excluded)),
-            ])
+        for outs in sorted(blocks, reverse=True)
+        for row in blocks[outs]
+    ]
     if fmt == "csv":
         return _csv([header] + records)
     return _aligned([header] + records)

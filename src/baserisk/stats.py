@@ -53,7 +53,6 @@ __all__ = [
     "decide",
     "extract_observations",
     "group_summary",
-    "pooled_rates",
     "rates",
     "rates_by_pitcher",
 ]
@@ -265,10 +264,6 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
-# each class's place in a RateTriple
-_SLOTS = {ClassKind.THIRD_OCCUPIED: 0, ClassKind.SECOND_NO_THIRD: 1, ClassKind.FIRST_ONLY: 2}
-
-
 def rates_by_pitcher(
     table: TallyTable,
     outs: int,
@@ -290,15 +285,19 @@ def rates_by_pitcher(
     }
     sums: dict[tuple[str, ClassKind], list[int]] = {}
     for (pid, kind, cell_outs, season, lev), (num, den) in table.cells.items():
-        if wanted.get(kind) != cell_outs:
+        if wanted[kind] != cell_outs:
             continue
         if leverage is not None and lev != leverage:
             continue
         if years and not (years[0] <= season <= years[1]):
             continue
-        cell = sums.setdefault((pid, kind), [0, 0])
-        cell[0] += num
-        cell[1] += den
+        key = (pid, kind)
+        cell = sums.get(key)
+        if cell is None:
+            sums[key] = [num, den]
+        else:
+            cell[0] += num
+            cell[1] += den
     return {
         pid: RateTriple(*(Rate(*sums.get((pid, kind), (0, 0))) for kind in wanted), outs)
         for pid in dict.fromkeys(pid for pid, _ in sums)
@@ -314,31 +313,6 @@ def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
     return RateTriple(*(Rate(*cell) for cell in sums), outs)
 
 
-def pooled_rates(
-    table: TallyTable,
-    years: tuple[int, int] | None = None,
-    pitchers: set[str] | None = None,
-) -> dict[tuple[bool | None, int], RateTriple]:
-    """Rates pooled over ``pitchers`` (all when None), from one walk of the
-    table, keyed (leverage, threshold index): leverage None keeps every
-    observation, True or False only those with that flag."""
-    sums = {(lev, i): [[0, 0], [0, 0], [0, 0]] for lev in (None, True, False) for i in (0, 1)}
-    for (pid, kind, cell_outs, season, lev), (num, den) in table.cells.items():
-        slot = _SLOTS[kind]
-        index = cell_outs - 1 if kind is ClassKind.FIRST_ONLY else cell_outs
-        if (index not in (0, 1) or years and not years[0] <= season <= years[1]
-                or pitchers is not None and pid not in pitchers):
-            continue
-        for scope in (None, lev):
-            cell = sums[(scope, index)][slot]
-            cell[0] += num
-            cell[1] += den
-    return {
-        key: RateTriple(*(Rate(*cell) for cell in cells), key[1])
-        for key, cells in sums.items()
-    }
-
-
 def rates(
     table: TallyTable,
     outs: int,
@@ -346,10 +320,13 @@ def rates(
     leverage: bool | None = None,
     years: tuple[int, int] | None = None,
 ) -> RateTriple:
-    """pooled_rates at one leverage and threshold index ``outs``."""
-    if outs not in (0, 1):
-        raise ValueError("threshold index must be 0 or 1")
-    return pooled_rates(table, years, pitchers)[(leverage, outs)]
+    """rates_by_pitcher pooled over ``pitchers`` (all when None)."""
+    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
+    return _pooled(
+        (triple for pid, triple in by_pitcher.items()
+         if pitchers is None or pid in pitchers),
+        outs,
+    )
 
 
 @dataclass(frozen=True)
@@ -477,8 +454,8 @@ def group_summary(
     outs: int,
     years: tuple[int, int] | None = None,
 ) -> BucketRow:
-    """Bucket-style stats for an explicit pitcher list (e.g. save leaders)."""
+    """A ``leaders`` row of bucket-style stats for an explicit pitcher list."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
     by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
-    return _bucket_row("group", 0, None, pitcher_ids, by_pitcher, outs)
+    return _bucket_row("leaders", 0, None, pitcher_ids, by_pitcher, outs)

@@ -518,6 +518,30 @@ def test_config_not_utf8(tmp_path, capsys):
     assert "is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,argv", [
+    ("format = csv", ["table1"]),
+    ("tabel1.format = csv", ["table1"]),
+    ("table1.fromat = csv", ["table1"]),
+    ("ingest.input = EVN", ["ingest", "--cache", "OUT"]),
+    ("query.input = EVN", ["query"]),
+    ("table2.outs = 0", ["table2", "--boundaries", "0"]),
+    ("table3.roster = EVN", ["table3", "--min-appearances", "0"]),
+], ids=["undotted", "unknown-command", "unknown-option", "repeatable-ingest-input",
+        "repeatable-query-input", "repeatable-table2-outs",
+        "repeatable-table3-roster"])
+def test_config_refuses_key_it_cannot_apply(workspace, tmp_path, capsys, line, argv):
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(line.replace("EVN", str(workspace["evn"])) + "\n")
+    argv = [str(tmp_path / "out.cache") if a == "OUT" else a for a in argv]
+    if argv[0].startswith("table"):
+        argv += ["--cache", str(workspace["cache"])]
+    assert main(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config key ")
+    assert repr(line.split(" =")[0]) in captured.err
+
+
 # --- report outputs pinned on a synthetic many-pitcher cache ----------------
 
 
@@ -604,6 +628,14 @@ PINNED_REPORTS = [
      "5ddd23af97ec29017ae36da3dc4c07ee50a9ce3cdecfe6147b14f3ee78fdbbb0"),
     (["decide", "0.3", "--pitcher", "ghost01"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["table1", "--years", "1990-1999"], 0,
+     "91c0a0b790a8ae22af401c00a7e6eaff31a4bc1a834008e3d545cc8d95693b74"),
+    (["table1", "--years", "1990-1999", "--format", "csv"], 0,
+     "491b2e0d638c66c1314ccb5a39e2e71b00283b7b13c926bd22f4bbbd4064e449"),
+    (["decide", "0.3", "--years", "1990-1999"], 0,
+     "cad63dbeac4f1fb0cba144598e51673bac8e6233355ad780804a051ee5a170e6"),
+    (["decide", "0.3", "--pitcher", "p007", "--outs", "0", "--all-innings"], 0,
+     "e45484db20c5afaef8f6fb5e06d6b5290d143ea82a5e6125f47d0bf0217814c4"),
 ]
 
 

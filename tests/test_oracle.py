@@ -233,6 +233,23 @@ def test_sampled_frequencies_follow_model():
     assert homers / plays == pytest.approx(0.3, abs=0.02)
 
 
+def test_model_is_read_only_after_validation():
+    model = default_model()
+    before = emit_event_file(simulate_season(model, 1, 1))
+    with pytest.raises(TypeError):
+        model.probs[Outcome.OUT] = 0.0
+    with pytest.raises(TypeError):
+        model.advances[(Outcome.SINGLE, 1)] = 3
+    probs = {Outcome.OUT: 0.5, Outcome.HOME_RUN: 0.5}
+    advances = dict(DEFAULT_ADVANCES)
+    copied = OutcomeModel(probs, advances)
+    probs[Outcome.OUT] = 0.0
+    advances[(Outcome.SINGLE, 1)] = 1
+    assert copied.prob(Outcome.OUT) == 0.5
+    assert copied.dest(Outcome.SINGLE, 1) == 2
+    assert emit_event_file(simulate_season(model, 1, 1)) == before
+
+
 def test_emitted_file_structure():
     games = simulate_season(OutcomeModel(probs={Outcome.HOME_RUN: 1.0}), 1, seed=0)
     text = emit_event_file(games)

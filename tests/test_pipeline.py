@@ -2,7 +2,10 @@
 
 import concurrent.futures
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
@@ -525,3 +528,19 @@ def test_benchmark_hooks_restore_originals(monkeypatch):
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original
                for (owner, attr, _, _), original in zip(calls, originals))
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    """The benchmark's output checks pass on this program's reports and
+    catch each single wrong input, run from a scratch directory that links
+    to this checkout's source."""
+    root = Path(__file__).parents[1]
+    (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("ok ") for line in lines), done.stdout

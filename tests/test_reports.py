@@ -101,16 +101,16 @@ def bucket(label, low, high, pitchers, cumulative, mean, stddev, excluded=()):
 def test_table2_layout():
     value = compute_brt(0.6, 0.4, 0.1)
     blocks = {
-        1: [bucket("100-149", 100, 149, ["a", "b"], value, 0.25, 0.01)],
+        1: [bucket("100-149", 100, 149, ["a", "b"], value, 0.25, 0.01),
+            bucket("leaders", 0, None, ["c"], value, 0.3, 0.0)],
         0: [bucket("100-149", 100, 149, ["a"], value, 0.5, None)],
     }
-    extras = {1: [("leaders", bucket("leaders", 0, None, ["c"], value, 0.3, 0.0))]}
-    text = render_table2(blocks, extras)
+    text = render_table2(blocks)
     lines = text.splitlines()
     assert lines[0].split() == [
         "outs", "group", "pitchers", "cumulative", "mean", "stddev", "dropped",
     ]
-    # one-out block first, its extra column appended after the buckets
+    # one-out block first, each row under its own label
     assert lines[1].split() == ["1", "100-149", "2", "0.333", "0.250", "0.010", "0"]
     assert lines[2].split() == ["1", "leaders", "1", "0.333", "0.300", "0.000", "0"]
     assert lines[3].split()[:3] == ["0", "100-149", "1"]

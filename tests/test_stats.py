@@ -26,9 +26,7 @@ from baserisk.stats import (
     decide,
     extract_observations,
     group_summary,
-    pooled_rates,
     rates,
-    rates_by_pitcher,
 )
 
 KEY = ("TST200004010", 9, Half.TOP)
@@ -234,17 +232,24 @@ def test_merge_identity(a):
 
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
        st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
-def test_pooled_rates_sum_per_pitcher_rates(table, years, pitchers):
-    pooled = pooled_rates(table, years, pitchers)
-    assert len(pooled) == 6
-    for (lev, outs), triple in pooled.items():
-        kept = [t for pid, t in rates_by_pitcher(table, outs, lev, years).items()
-                if pitchers is None or pid in pitchers]
-        for name in "tsf":
-            assert getattr(triple, name) == Rate(
-                sum(getattr(t, name).numerator for t in kept),
-                sum(getattr(t, name).denominator for t in kept))
-        assert triple == rates(table, outs, pitchers, lev, years)
+def test_rates_sum_matching_cells(table, years, pitchers):
+    for lev in (None, True, False):
+        for outs in (0, 1):
+            wanted = {"t": (ClassKind.THIRD_OCCUPIED, outs),
+                      "s": (ClassKind.SECOND_NO_THIRD, outs),
+                      "f": (ClassKind.FIRST_ONLY, outs + 1)}
+            triple = rates(table, outs, pitchers, lev, years)
+            assert triple.outs == outs
+            for name, (kind, cell_outs) in wanted.items():
+                kept = [
+                    cell for (pid, k, o, season, hl), cell in table.cells.items()
+                    if k is kind and o == cell_outs
+                    and (lev is None or hl == lev)
+                    and (years is None or years[0] <= season <= years[1])
+                    and (pitchers is None or pid in pitchers)
+                ]
+                assert getattr(triple, name) == Rate(
+                    sum(num for num, _ in kept), sum(den for _, den in kept))
 
 
 def test_inning_counts_and_career():
@@ -505,5 +510,6 @@ def test_empty_bucket_raises():
 def test_group_summary_for_explicit_list():
     table = homogeneous_table(["a", "b"])
     row = group_summary(table, ["b", "a"], outs=1)
+    assert row.label == "leaders"
     assert row.pitchers == ["a", "b"]
     assert row.cumulative.brt == pytest.approx(compute_brt(0.6, 0.4, 0.1).brt)

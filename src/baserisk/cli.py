@@ -34,6 +34,8 @@ from .stats import (
     CountingMode,
     EmptyBucket,
     EmptyCell,
+    Rate,
+    RateTriple,
     bucket_report,
     brt_from_rates,
     career_high_leverage_innings,
@@ -135,8 +137,9 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
 
 def _config_param(key: str) -> tuple[str, str]:
     """The command and parameter names a dotted ``command.option`` config
-    key sets.  A key that names no command option, or a repeatable one, is
-    a data error, so that no key is silently ignored."""
+    key sets.  A key that names no command option, the off switch of an
+    on/off flag, or a repeatable option is a data error, so that no key is
+    silently ignored."""
     scope, dot, option = key.partition(".")
     if not dot:
         raise DataError(f"config key {key!r} names no command: write command.option")
@@ -144,11 +147,15 @@ def _config_param(key: str) -> tuple[str, str]:
     if command is None:
         raise DataError(f"config key {key!r}: no command {scope!r}")
     wanted = option.replace("-", "_")
+
+    def spellings(opts: list[str]) -> set[str]:
+        return {opt.lstrip("-").replace("-", "_") for opt in opts}
+
     for param in command.params:
-        aliases = {param.name} | {
-            opt.lstrip("-").replace("-", "_") for opt in param.opts
-        }
-        if wanted in aliases:
+        if wanted in spellings(param.secondary_opts):
+            raise DataError(f"config key {key!r} names the off switch of a flag; "
+                            f"write {scope}.{param.name} = false")
+        if wanted in {param.name} | spellings(param.opts):
             if param.multiple:
                 raise DataError(f"config key {key!r} sets a repeatable option; "
                                 "give it on the command line")
@@ -314,13 +321,18 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
         value = compute_brt(*tsf)
     elif cache_path:
         cache = _load_cache(cache_path)
-        if pitcher_id and pitcher_id not in {key[0] for key in cache.table.cells}:
-            raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
+        lev = True if leverage else None
+        span = _parse_years(years)
+        if pitcher_id:
+            triple = rates_by_pitcher(cache.table, outs, lev, span).get(pitcher_id)
+            if triple is None:
+                if pitcher_id not in {key[0] for key in cache.table.cells}:
+                    raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
+                # rows, but none that the filters keep: every cell is empty
+                triple = RateTriple(Rate(0, 0), Rate(0, 0), Rate(0, 0), outs)
+        else:
+            triple = rates(cache.table, outs, leverage=lev, years=span)
         try:
-            triple = rates(cache.table, outs,
-                           pitchers=[pitcher_id] if pitcher_id else None,
-                           leverage=True if leverage else None,
-                           years=_parse_years(years))
             value = brt_from_rates(triple)
         except EmptyCell as exc:
             raise DataError(str(exc))

@@ -5,6 +5,11 @@ modifiers, and runner advances after a period, e.g. ``S8/G.1-3``.  The basic
 event says what happened at the plate (or on the bases); the advance section
 says who moved where.  Parsing is total: every input either yields a
 ParsedPlay or raises UnparseableEvent, never anything else.
+
+A ParsedPlay keeps only what base-out replay reads: the kind, the runners
+retired or moved, and whether an error cancelled an out.  Fielder credits,
+hit locations and the ``#?!`` marks are checked against the grammar and then
+dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ __all__ = [
     "MalformedAdvance",
     "ParsedPlay",
     "PlayKind",
-    "Putout",
     "UnparseableEvent",
     "parse_advances",
     "parse_play_token",
@@ -34,8 +38,6 @@ class UnparseableEvent(ValueError):
     """
 
     def __init__(self, text: str, reason: str = ""):
-        self.text = text
-        self.reason = reason
         msg = f"unparseable event {text!r}"
         if reason:
             msg += f": {reason}"
@@ -110,32 +112,18 @@ class Advance:
     to: Base
     is_out: bool = False
     negated_by_error: bool = False
-    annotations: list[str] = field(default_factory=list)
-
-
-@dataclass
-class Putout:
-    """A retired runner inside a fielded-out basic event, e.g. ``64(1)``."""
-
-    runner: Base  # Base.BATTER when the batter is the one retired
-    credits: list[int] = field(default_factory=list)
-    negated_by_error: bool = False
 
 
 @dataclass
 class ParsedPlay:
     kind: PlayKind
-    fielders: list[int] = field(default_factory=list)
-    position: int | None = None  # charged fielder for Error / FC / FoulError
-    putouts: list[Putout] = field(default_factory=list)
+    # runners retired in a fielded-out event, e.g. [FIRST, BATTER] for 64(1)3
+    putouts: list[Base] = field(default_factory=list)
     bases_stolen: list[Base] = field(default_factory=list)
     target_base: Base | None = None  # CS / PO / POCS
     negated_by_error: bool = False
-    batter_safe_on_error: bool = False  # trailing E on a fielded out, "64(1)E3"
     chained: "ParsedPlay | None" = None  # K+SB2, W+WP and friends
-    modifiers: list[str] = field(default_factory=list)
     advances: list[Advance] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
 
 
 _FROM_BASE = {"B": Base.BATTER, "1": Base.FIRST, "2": Base.SECOND, "3": Base.THIRD}
@@ -151,17 +139,11 @@ _ERROR_GROUP_RE = re.compile(r"^\d*E\d+(?:/.*)?$")
 # A completed relay such as "82" or "8" (optionally "/TH"): the out stood.
 _PUTOUT_GROUP_RE = re.compile(r"^\d+(?:/TH[123H]?)?$")
 
-_STRIKEOUT_RE = re.compile(r"^K(\d*)(?:\+(.+))?$")
+_STRIKEOUT_RE = re.compile(r"^K\d*(?:\+(.+))?$")
 _WALK_RE = re.compile(r"^(IW|I|W)(?:\+(.+))?$")
 _STOLEN_RE = re.compile(r"^SB([23H])((?:;SB[23H])*)$")
-_HOMER_RE = re.compile(r"^HR?(\d*)$")
-_DGR_RE = re.compile(r"^DGR(\d*)$")
-_HIT_RE = re.compile(r"^([SDT])(\d*)$")
-_FC_RE = re.compile(r"^FC(\d?)$")
-_ERROR_RE = re.compile(r"^(\d*)E(\d+)$")
-_FOUL_ERROR_RE = re.compile(r"^FLE(\d+)$")
 _OUT_SEGMENT_RE = re.compile(r"(\d+)(?:\(([B123])\))?")
-_TRAILING_ERROR_RE = re.compile(r"^(\d*)E\d+$")
+_TRAILING_ERROR_RE = re.compile(r"^\d*E\d+$")
 
 # Basic events spelled by one fixed word.
 _FIXED_WORDS = {
@@ -174,7 +156,17 @@ _FIXED_WORDS = {
     "OA": PlayKind.OTHER_ADVANCE,
     "HP": PlayKind.HIT_BY_PITCH,
 }
-_HIT_KINDS = {"S": PlayKind.SINGLE, "D": PlayKind.DOUBLE, "T": PlayKind.TRIPLE}
+# Basic events whose fielder digits replay never reads: only the kind.
+_PATTERN_EVENTS = (
+    (re.compile(r"^FLE\d+$"), PlayKind.FOUL_ERROR),
+    (re.compile(r"^DGR\d*$"), PlayKind.GROUND_RULE_DOUBLE),
+    (re.compile(r"^HR?\d*$"), PlayKind.HOME_RUN),
+    (re.compile(r"^S\d*$"), PlayKind.SINGLE),
+    (re.compile(r"^D\d*$"), PlayKind.DOUBLE),
+    (re.compile(r"^T\d*$"), PlayKind.TRIPLE),
+    (re.compile(r"^FC\d?$"), PlayKind.FIELDERS_CHOICE),
+    (re.compile(r"^\d*E\d+$"), PlayKind.REACHED_ON_ERROR),
+)
 # Tag plays on a runner: target base, then (...) groups of fielder credits.
 _TAG_EVENTS = (
     (re.compile(r"^POCS([23H])((?:\([^)]*\))*)$"), PlayKind.PICKOFF_CAUGHT_STEALING),
@@ -183,22 +175,18 @@ _TAG_EVENTS = (
 )
 
 
-def _digits(text: str) -> list[int]:
-    return [int(c) for c in text]
-
-
-def _paren_groups(blob: str, token: str,
-                  error_cls: type[UnparseableEvent]) -> tuple[list[str], bool]:
-    """The ``(...)`` groups that make up all of ``blob``, and whether an error
-    among them with no completed putout cancels the out."""
+def _error_cancels_out(blob: str, token: str,
+                       error_cls: type[UnparseableEvent]) -> bool:
+    """Whether ``blob``, which must be all ``(...)`` groups, holds an error
+    with no completed putout, which cancels the out."""
     if not blob:
-        return [], False
+        return False
     groups = _PAREN_RE.findall(blob)
     if "".join(f"({g})" for g in groups) != blob:
         raise error_cls(token, "stray text outside parentheses")
     has_error = any(_ERROR_GROUP_RE.match(g) for g in groups)
     has_putout = any(_PUTOUT_GROUP_RE.match(g) for g in groups)
-    return groups, has_error and not has_putout
+    return has_error and not has_putout
 
 
 def parse_advances(text: str) -> list[Advance]:
@@ -218,27 +206,24 @@ def parse_advances(text: str) -> list[Advance]:
         frm = _FROM_BASE[m.group(1)]
         to = _TO_BASE[m.group(3)]
         is_out = m.group(2) == "X"
-        groups, negated = _paren_groups(m.group(4), token, MalformedAdvance)
+        negated = _error_cancels_out(m.group(4), token, MalformedAdvance)
         if not is_out and to <= frm:
             raise MalformedAdvance(token, "safe advance must move forward")
         if frm in seen:
             raise MalformedAdvance(token, "duplicate from-base")
         seen.add(frm)
-        advances.append(Advance(frm, to, is_out, is_out and negated, groups))
+        advances.append(Advance(frm, to, is_out, is_out and negated))
     return advances
 
 
 def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
     """Grammar for ground/fly outs: fielder strings with optional (base)
     put-out targets, e.g. ``8``, ``64(1)3``, ``8(B)84(2)``, ``64(1)E3``."""
-    putouts: list[Putout] = []
-    batter_error = False
+    putouts: list[Base] = []
     i = 0
     while i < len(basic):
-        m = _TRAILING_ERROR_RE.match(basic[i:])
-        if m and putouts:
+        if putouts and _TRAILING_ERROR_RE.match(basic[i:]):
             # force out recorded, then an error let the batter reach: 64(1)E3
-            batter_error = True
             break
         m = _OUT_SEGMENT_RE.match(basic, i)
         if not m:
@@ -249,13 +234,11 @@ def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
             runner = Base.BATTER
         else:
             raise UnparseableEvent(token, f"bad out segment at {basic[i:]!r}")
-        putouts.append(Putout(runner, _digits(m.group(1))))
+        putouts.append(runner)
         i = m.end()
     if not putouts:
         raise UnparseableEvent(token, "empty out event")
-    return ParsedPlay(
-        PlayKind.FIELDED_OUT, putouts=putouts, batter_safe_on_error=batter_error
-    )
+    return ParsedPlay(PlayKind.FIELDED_OUT, putouts=putouts)
 
 
 def _parse_basic(basic: str, token: str) -> ParsedPlay:
@@ -264,10 +247,8 @@ def _parse_basic(basic: str, token: str) -> ParsedPlay:
         return ParsedPlay(kind)
     m = _STRIKEOUT_RE.match(basic)
     if m:
-        chained = _parse_basic(m.group(2), token) if m.group(2) else None
-        return ParsedPlay(
-            PlayKind.STRIKEOUT, fielders=_digits(m.group(1)), chained=chained
-        )
+        chained = _parse_basic(m.group(1), token) if m.group(1) else None
+        return ParsedPlay(PlayKind.STRIKEOUT, chained=chained)
     m = _WALK_RE.match(basic)
     if m:
         kind = PlayKind.WALK if m.group(1) == "W" else PlayKind.INTENTIONAL_WALK
@@ -281,34 +262,12 @@ def _parse_basic(basic: str, token: str) -> ParsedPlay:
     for regex, kind in _TAG_EVENTS:
         m = regex.match(basic)
         if m:
-            groups, negated = _paren_groups(m.group(2), token, UnparseableEvent)
-            credits = [int(c) for g in groups if _PUTOUT_GROUP_RE.match(g)
-                       for c in g if c.isdigit()]
-            return ParsedPlay(kind, fielders=credits, target_base=_TO_BASE[m.group(1)],
+            negated = _error_cancels_out(m.group(2), token, UnparseableEvent)
+            return ParsedPlay(kind, target_base=_TO_BASE[m.group(1)],
                               negated_by_error=negated)
-    m = _FOUL_ERROR_RE.match(basic)
-    if m:
-        return ParsedPlay(PlayKind.FOUL_ERROR, position=int(m.group(1)[0]))
-    m = _DGR_RE.match(basic)
-    if m:
-        return ParsedPlay(PlayKind.GROUND_RULE_DOUBLE, fielders=_digits(m.group(1)))
-    m = _HOMER_RE.match(basic)
-    if m:
-        return ParsedPlay(PlayKind.HOME_RUN, fielders=_digits(m.group(1)))
-    m = _HIT_RE.match(basic)
-    if m:
-        return ParsedPlay(_HIT_KINDS[m.group(1)], fielders=_digits(m.group(2)))
-    m = _FC_RE.match(basic)
-    if m:
-        position = int(m.group(1)) if m.group(1) else None
-        return ParsedPlay(PlayKind.FIELDERS_CHOICE, position=position)
-    m = _ERROR_RE.match(basic)
-    if m:
-        return ParsedPlay(
-            PlayKind.REACHED_ON_ERROR,
-            fielders=_digits(m.group(1)),
-            position=int(m.group(2)[0]),
-        )
+    for regex, kind in _PATTERN_EVENTS:
+        if regex.match(basic):
+            return ParsedPlay(kind)
     if basic and basic[0].isdigit():
         return _parse_fielded_out(basic, token)
     raise UnparseableEvent(token, f"unrecognized basic event {basic!r}")
@@ -322,7 +281,6 @@ def parse_play_token(text: str) -> ParsedPlay:
     """
     if not isinstance(text, str) or not text:
         raise UnparseableEvent(str(text), "empty event")
-    annotations = [c for c in text if c in "#?!"]
     cleaned = text.replace("#", "").replace("?", "").replace("!", "")
     if not cleaned:
         raise UnparseableEvent(text, "nothing left after uncertainty markers")
@@ -337,8 +295,6 @@ def parse_play_token(text: str) -> ParsedPlay:
         raise UnparseableEvent(text, "missing basic event")
 
     play = _parse_basic(sections[0], text)
-    play.modifiers = sections[1:]
-    play.annotations = annotations
     if dot:
         play.advances = parse_advances(advance_part)
     return play

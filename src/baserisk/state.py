@@ -6,9 +6,10 @@ the next state.  Anything it cannot replay exactly (an unparseable token, an
 advance from an empty base, a fourth out) quarantines the enclosing
 half-inning instead of guessing.
 
-No output reads which runner stands where, so replay carries the bases as a
-3-bit occupancy mask and resolves each (effect text, occupancy, outs) only
-once, through a memo that holds only the plays that parse.
+No output reads which runner stands where, so the bases are a 3-bit
+occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
+replay resolves each (effect text, occupancy, outs) only once, through a memo
+that holds only the plays that parse.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .playtoken import (
 )
 
 __all__ = [
-    "BaseState",
     "GameReplay",
     "IllegalState",
-    "PlayEffects",
     "Snapshot",
     "StateTimeline",
     "apply_play",
@@ -43,24 +42,11 @@ __all__ = [
 ]
 
 FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
+_BIT = (0, FIRST, SECOND, THIRD)  # indexed by Base; the batter stands on none
 
 
 class IllegalState(ValueError):
     """A play that cannot be applied to the current base-out state."""
-
-
-@dataclass(frozen=True)
-class BaseState:
-    first: str | None = None
-    second: str | None = None
-    third: str | None = None
-
-    def occupant(self, base: Base) -> str | None:
-        return (None, self.first, self.second, self.third)[base]
-
-    def mask(self) -> int:
-        runners = (self.first, self.second, self.third)
-        return sum(bit for bit, r in zip((FIRST, SECOND, THIRD), runners) if r is not None)
 
 
 class Snapshot(NamedTuple):
@@ -76,19 +62,12 @@ class Snapshot(NamedTuple):
 
 
 @dataclass
-class PlayEffects:
-    outs_recorded: int
-    runs_scored: int
-    new_bases: BaseState
-
-
-@dataclass
 class StateTimeline:
     """One half-inning's snapshots plus run bookkeeping.
 
-    runs_after[i] is the number of runs scored from play i onward,
-    including play i itself.  complete is False when the half-inning was
-    cut off mid-stream by anything other than the end of the game.
+    runs_on_play[i] is the number of runs scored on play i, the play whose
+    pre-play state is snapshots[i].  complete is False when the half-inning
+    was cut off mid-stream by anything other than the end of the game.
     """
 
     half_inning_key: tuple[str, int, Half]
@@ -99,16 +78,6 @@ class StateTimeline:
     complete: bool = False
     excluded: str | None = None  # quarantine reason, None when usable
     score_reliable: bool = True
-
-    @property
-    def runs_after(self) -> list[int]:
-        suffix = []
-        total = 0
-        for runs in reversed(self.runs_on_play):
-            total += runs
-            suffix.append(total)
-        suffix.reverse()
-        return suffix
 
 
 @dataclass
@@ -127,7 +96,7 @@ def _flatten(play: ParsedPlay) -> list[ParsedPlay]:
 
 
 def _implications(
-    play: ParsedPlay, bases: BaseState
+    play: ParsedPlay, bases: int
 ) -> tuple[Base | None, bool, dict[Base, Base], set[Base]]:
     """Work out what the basic event implies beyond explicit advances."""
     batter_dest: Base | None = None
@@ -140,17 +109,16 @@ def _implications(
         batter_dest = BATTER_REACHES[kind]
         if kind is PlayKind.HOME_RUN:
             for base in (Base.FIRST, Base.SECOND, Base.THIRD):
-                if bases.occupant(base) is not None:
+                if bases & _BIT[base]:
                     implied[base] = Base.HOME
     elif kind is PlayKind.STRIKEOUT:
         batter_out = True
     elif kind is PlayKind.FIELDED_OUT:
-        for po in play.putouts:
-            if po.runner is Base.BATTER:
-                if not po.negated_by_error:
-                    batter_out = True
-            elif not po.negated_by_error:
-                implied_out.add(po.runner)
+        for runner in play.putouts:
+            if runner is Base.BATTER:
+                batter_out = True
+            else:
+                implied_out.add(runner)
         if not batter_out:
             # force out or error on the relay: the batter reached first
             batter_dest = Base.FIRST
@@ -172,10 +140,9 @@ def _implications(
     return batter_dest, batter_out, implied, implied_out
 
 
-def apply_play(
-    bases: BaseState, outs_before: int, play: ParsedPlay, batter_id: str
-) -> PlayEffects:
-    """Resolve one play against the runners on base and the outs so far.
+def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int, int]:
+    """Resolve one play against an occupancy mask and the outs so far, to
+    (outs recorded, runs scored, new occupancy mask).
 
     Explicit advances always win over implied ones.  Runners without any
     recorded movement hold their base unless a trailing runner or the
@@ -185,29 +152,28 @@ def apply_play(
     batter_dest, batter_out, implied, implied_out = _implications(play, bases)
     explicit: dict[Base, Advance] = {a.frm: a for a in play.advances}
 
-    # (from, runner, dest, counts_as_out); lead runners resolved first
-    movers: list[tuple[Base, str, Base | None, bool]] = []
-    new: dict[Base, str | None] = {Base.FIRST: None, Base.SECOND: None, Base.THIRD: None}
-    pushable: set[Base] = set()
+    # (dest, counts_as_out); lead runners resolved first
+    movers: list[tuple[Base | None, bool]] = []
+    new = pushable = 0  # occupancy masks
 
     for frm in (Base.THIRD, Base.SECOND, Base.FIRST):
-        occupant = bases.occupant(frm)
+        occupied = bases & _BIT[frm]
         if frm in explicit:
-            if occupant is None:
+            if not occupied:
                 raise IllegalState(f"advance from empty base {frm.name}")
             adv = explicit[frm]
-            movers.append((frm, occupant, adv.to, adv.is_out and not adv.negated_by_error))
+            movers.append((adv.to, adv.is_out and not adv.negated_by_error))
         elif frm in implied_out:
-            if occupant is None:
+            if not occupied:
                 raise IllegalState(f"out recorded on empty base {frm.name}")
-            movers.append((frm, occupant, None, True))
+            movers.append((None, True))
         elif frm in implied:
-            if occupant is None:
+            if not occupied:
                 raise IllegalState(f"implied advance from empty base {frm.name}")
-            movers.append((frm, occupant, implied[frm], False))
-        elif occupant is not None:
-            new[frm] = occupant
-            pushable.add(frm)
+            movers.append((implied[frm], False))
+        elif occupied:
+            new |= occupied
+            pushable |= occupied
 
     outs = 0
     runs = 0
@@ -215,42 +181,40 @@ def apply_play(
         adv = explicit[Base.BATTER]
         # an explicit batter advance supersedes the strikeout / putout call,
         # e.g. K.B-1 on a dropped third strike is not an out
-        movers.append((Base.BATTER, batter_id, adv.to, adv.is_out and not adv.negated_by_error))
+        movers.append((adv.to, adv.is_out and not adv.negated_by_error))
     elif batter_out:
         outs += 1
     elif batter_dest is not None:
-        movers.append((Base.BATTER, batter_id, batter_dest, False))
+        movers.append((batter_dest, False))
 
-    def place(runner: str, dest: Base) -> None:
-        nonlocal runs
+    def place(dest: Base) -> None:
+        nonlocal runs, new, pushable
         if dest is Base.HOME:
             runs += 1
             return
-        if new[dest] is not None:
-            if dest not in pushable:
+        bit = _BIT[dest]
+        if new & bit:
+            if not pushable & bit:
                 raise IllegalState(f"two runners headed to {dest.name}")
-            pushed = new[dest]
-            new[dest] = None
-            pushable.discard(dest)
-            place(pushed, Base(dest + 1))
+            # the runner standing there is pushed on; the newcomer is not pushable
+            pushable &= ~bit
+            place(Base(dest + 1))
             if dest + 1 != Base.HOME:
-                pushable.add(Base(dest + 1))
-        new[dest] = runner
+                pushable |= _BIT[dest + 1]
+        new |= bit
 
-    for frm, runner, dest, is_out in movers:
+    for dest, is_out in movers:
         if is_out:
             outs += 1
             continue
         if dest is None:
             raise IllegalState("safe runner with no destination")
-        place(runner, dest)
+        place(dest)
 
     if outs_before + outs > 3:
         raise IllegalState(f"{outs_before} outs before play, {outs} more recorded")
 
-    return PlayEffects(
-        outs, runs, BaseState(new[Base.FIRST], new[Base.SECOND], new[Base.THIRD])
-    )
+    return outs, runs, new
 
 
 # (parse error, no-play, IllegalState message, outs recorded, runs scored,
@@ -258,8 +222,6 @@ def apply_play(
 Step = tuple[str | None, bool, str | None, int, int, int]
 # (effect text, occupancy, outs) -> Step, shared by the files of one ingest task
 StepMemo = dict[tuple[str, int, int], Step]
-
-_PLACEHOLDER = "?"  # every runner and the batter: apply_play never compares ids
 
 # a basic event that is one whole parser section, up to the first "/", then
 # modifier sections that are not empty and hold no group
@@ -300,21 +262,18 @@ def effect_text(token: str) -> str:
 
 def resolve_step(token: str, bases: int, outs: int) -> Step:
     """One play's whole effect on an occupancy mask and an out count, from
-    the parser and ``apply_play`` run on placeholder runners."""
+    the parser and ``apply_play``."""
     try:
         play = parse_play_token(token)
     except UnparseableEvent as exc:
         return (str(exc), False, None, 0, 0, bases)
     if play.kind is PlayKind.NO_PLAY:
         return (None, True, None, 0, 0, bases)
-    runners = BaseState(
-        *(_PLACEHOLDER if bases & bit else None for bit in (FIRST, SECOND, THIRD))
-    )
     try:
-        fx = apply_play(runners, outs, play, _PLACEHOLDER)
+        outs_recorded, runs, new_bases = apply_play(bases, outs, play)
     except IllegalState as exc:
         return (None, False, str(exc), 0, 0, bases)
-    return (None, False, None, fx.outs_recorded, fx.runs_scored, fx.new_bases.mask())
+    return (None, False, None, outs_recorded, runs, new_bases)
 
 
 def _close(

@@ -316,17 +316,11 @@ def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
 def rates(
     table: TallyTable,
     outs: int,
-    pitchers: set[str] | None = None,
     leverage: bool | None = None,
     years: tuple[int, int] | None = None,
 ) -> RateTriple:
-    """rates_by_pitcher pooled over ``pitchers`` (all when None)."""
-    by_pitcher = rates_by_pitcher(table, outs, leverage, years)
-    return _pooled(
-        (triple for pid, triple in by_pitcher.items()
-         if pitchers is None or pid in pitchers),
-        outs,
-    )
+    """rates_by_pitcher pooled over every pitcher."""
+    return _pooled(rates_by_pitcher(table, outs, leverage, years).values(), outs)
 
 
 @dataclass(frozen=True)
@@ -392,12 +386,9 @@ def _bucket_row(
     by_pitcher: dict[str, RateTriple],
     outs: int,
 ) -> BucketRow:
-    """Pooled threshold of the distinct members plus the spread of their
-    own thresholds, leaving out members with an empty cell."""
-    pooled = _pooled(
-        (by_pitcher[pid] for pid in dict.fromkeys(members) if pid in by_pitcher),
-        outs,
-    )
+    """Pooled threshold of the members, no id twice, plus the spread of
+    their own thresholds, leaving out members with an empty cell."""
+    pooled = _pooled((by_pitcher[pid] for pid in members if pid in by_pitcher), outs)
     cumulative = brt_from_rates(pooled) if pooled.complete() else None
     per_pitcher: list[float] = []
     excluded: list[str] = []
@@ -454,8 +445,10 @@ def group_summary(
     outs: int,
     years: tuple[int, int] | None = None,
 ) -> BucketRow:
-    """A ``leaders`` row of bucket-style stats for an explicit pitcher list."""
+    """A ``leaders`` row of bucket-style stats for an explicit pitcher list,
+    each id counted once."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
     by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
-    return _bucket_row("leaders", 0, None, pitcher_ids, by_pitcher, outs)
+    members = list(dict.fromkeys(pitcher_ids))
+    return _bucket_row("leaders", 0, None, members, by_pitcher, outs)

@@ -1,5 +1,6 @@
 """Replay correctness: hand-worked plays, conservation, quarantine."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,12 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baserisk.eventfile import assemble_games, tokenize_event_file
-from baserisk.playtoken import PlayKind, UnparseableEvent, parse_play_token
+from baserisk.playtoken import (
+    BATTER_REACHES,
+    Base,
+    PlayKind,
+    UnparseableEvent,
+    parse_play_token,
+)
 from baserisk.state import (
     FIRST,
     SECOND,
     THIRD,
-    BaseState,
     IllegalState,
     Snapshot,
     apply_play,
@@ -22,131 +28,110 @@ from baserisk.state import (
 )
 from conftest import decorate, make_game_text, pin_corpus, run_half
 
+LOADED = FIRST | SECOND | THIRD
 
-def effects(token, bases=BaseState(), outs=0, batter="bat0"):
-    return apply_play(bases, outs, parse_play_token(token), batter)
+
+def effects(token, bases=0, outs=0):
+    """(outs recorded, runs scored, new occupancy) of one play."""
+    return apply_play(bases, outs, parse_play_token(token))
 
 
 def test_home_run_clears_bases():
-    fx = effects("HR.1-H", BaseState(first="r1"), outs=1)
-    assert (fx.outs_recorded, fx.runs_scored) == (0, 2)
-    assert fx.new_bases == BaseState()
+    assert effects("HR.1-H", FIRST, outs=1) == (0, 2, 0)
 
 
 def test_home_run_implied_scoring():
     # no advance section at all: runners still come around
-    fx = effects("HR", BaseState(first="r1", third="r3"))
-    assert fx.runs_scored == 3
-    assert fx.new_bases == BaseState()
+    assert effects("HR", FIRST | THIRD) == (0, 3, 0)
 
 
 def test_ground_double_play():
-    fx = effects("64(1)3/GDP", BaseState(first="r1"), outs=1)
-    assert (fx.outs_recorded, fx.runs_scored) == (2, 0)
-    assert fx.new_bases == BaseState()
+    assert effects("64(1)3/GDP", FIRST, outs=1) == (2, 0, 0)
 
 
 def test_strikeout_leaves_runners():
-    fx = effects("K", BaseState(first="r1", second="r2"))
-    assert fx.outs_recorded == 1
-    assert fx.new_bases == BaseState(first="r1", second="r2")
+    assert effects("K", FIRST | SECOND) == (1, 0, FIRST | SECOND)
 
 
 def test_dropped_third_strike():
-    fx = effects("K.B-1")
-    assert fx.outs_recorded == 0
-    assert fx.new_bases.first == "bat0"
+    assert effects("K.B-1") == (0, 0, FIRST)
 
 
 def test_walk_pushes_only_forced_runners():
-    fx = effects("W", BaseState(first="r1", third="r3"))
-    assert fx.runs_scored == 0
-    assert fx.new_bases == BaseState(first="bat0", second="r1", third="r3")
+    assert effects("W", FIRST | THIRD) == (0, 0, LOADED)
+    assert effects("W", SECOND | THIRD) == (0, 0, LOADED)
+    assert effects("W", THIRD) == (0, 0, FIRST | THIRD)
 
 
 def test_bases_loaded_walk_scores_without_explicit_advances():
-    fx = effects("W", BaseState("r1", "r2", "r3"))
-    assert fx.runs_scored == 1
-    assert fx.new_bases == BaseState(first="bat0", second="r1", third="r2")
+    assert effects("W", LOADED) == (0, 1, LOADED)
 
 
 def test_force_out_batter_reaches_first():
-    fx = effects("64(1)", BaseState(first="r1"))
-    assert fx.outs_recorded == 1
-    assert fx.new_bases == BaseState(first="bat0")
+    assert effects("64(1)", FIRST) == (1, 0, FIRST)
 
 
 def test_single_pushes_held_runner():
-    # no advance recorded for the runner on first: the batter forces him up
-    fx = effects("S8", BaseState(first="r1"))
-    assert fx.new_bases == BaseState(first="bat0", second="r1")
+    # no advance recorded for the runner on first: the batter forces them up
+    assert effects("S8", FIRST) == (0, 0, FIRST | SECOND)
 
 
 def test_explicit_advance_overrides_push():
-    fx = effects("S8.1-3", BaseState(first="r1"))
-    assert fx.new_bases == BaseState(first="bat0", third="r1")
+    assert effects("S8.1-3", FIRST) == (0, 0, FIRST | THIRD)
 
 
 def test_out_on_advance_counts():
-    fx = effects("S8.1XH(82)", BaseState(first="r1"))
-    assert fx.outs_recorded == 1
-    assert fx.runs_scored == 0
-    assert fx.new_bases == BaseState(first="bat0")
+    assert effects("S8.1XH(82)", FIRST) == (1, 0, FIRST)
 
 
 def test_error_negated_advance_out_is_safe():
-    fx = effects("K.2X3(E5)", BaseState(second="r2"))
-    assert fx.outs_recorded == 1  # the strikeout stands, the tag does not
-    assert fx.new_bases == BaseState(third="r2")
+    # the strikeout stands, the tag does not
+    assert effects("K.2X3(E5)", SECOND) == (1, 0, THIRD)
 
 
 def test_caught_stealing_removes_runner():
-    fx = effects("CS2(26)", BaseState(first="r1"))
-    assert fx.outs_recorded == 1
-    assert fx.new_bases == BaseState()
+    assert effects("CS2(26)", FIRST) == (1, 0, 0)
 
 
 def test_strikeout_plus_steal():
-    fx = effects("K+SB2", BaseState(first="r1"))
-    assert fx.outs_recorded == 1
-    assert fx.new_bases == BaseState(second="r1")
+    assert effects("K+SB2", FIRST) == (1, 0, SECOND)
 
 
 def test_pickoff():
-    fx = effects("PO1(13)", BaseState(first="r1"))
-    assert fx.outs_recorded == 1 and fx.new_bases == BaseState()
-    fx = effects("PO1(E3)", BaseState(first="r1"))
-    assert fx.outs_recorded == 0 and fx.new_bases == BaseState(first="r1")
+    assert effects("PO1(13)", FIRST) == (1, 0, 0)
+    assert effects("PO1(E3)", FIRST) == (0, 0, FIRST)
 
 
 def test_batter_out_on_advance_to_home():
-    fx = effects("T9.BXH(82)")
-    assert fx.outs_recorded == 1
-    assert fx.new_bases == BaseState()
+    assert effects("T9.BXH(82)") == (1, 0, 0)
 
 
 @pytest.mark.parametrize(
-    "token,bases,outs",
+    "token,bases,outs,message",
     [
-        ("S8.2-H", BaseState(), 0),             # advance from an empty base
-        ("64(1)3/GDP", BaseState(first="r"), 2),  # fourth out
-        ("CS2(26)", BaseState(), 0),            # out recorded on empty base
-        ("S8.3-H;2-H;1-3;B-3", BaseState("a", "b", "c"), 0),
+        pytest.param("S8.2-H", 0, 0, "advance from empty base SECOND",
+                     id="S8.2-H-bases0-0"),
+        pytest.param("64(1)3/GDP", FIRST, 2, "2 outs before play, 2 more recorded",
+                     id="64(1)3/GDP-bases1-2"),  # fourth out
+        pytest.param("CS2(26)", 0, 0, "out recorded on empty base FIRST",
+                     id="CS2(26)-bases2-0"),
+        pytest.param("S8.3-H;2-H;1-3;B-3", LOADED, 0, "two runners headed to THIRD",
+                     id="S8.3-H;2-H;1-3;B-3-bases3-0"),
     ],
 )
-def test_illegal_states(token, bases, outs):
-    with pytest.raises(IllegalState):
+def test_illegal_states(token, bases, outs, message):
+    with pytest.raises(IllegalState) as raised:
         effects(token, bases, outs)
+    assert str(raised.value) == message
 
 
 def test_collision_without_force_is_illegal():
     # runner from first to second while the runner on second holds: the
     # held runner is pushable, so this cascades legally
-    fx = effects("S8.1-2", BaseState(first="r1", second="r2"))
-    assert fx.new_bases == BaseState(first="bat0", second="r1", third="r2")
+    assert effects("S8.1-2", FIRST | SECOND) == (0, 0, LOADED)
     # but two explicit advances to the same base cannot both stand
-    with pytest.raises(IllegalState):
-        effects("S8.1-3;2-3", BaseState(first="r1", second="r2"))
+    with pytest.raises(IllegalState, match="two runners headed to THIRD"):
+        effects("S8.1-3;2-3", FIRST | SECOND)
 
 
 # --- half-inning replay ------------------------------------------------------
@@ -158,15 +143,13 @@ def test_worked_half_inning_walkthrough():
     assert len(timeline.snapshots) == 5
     third_snap = timeline.snapshots[2]
     assert third_snap.bases == FIRST | THIRD
-    assert timeline.runs_after == [0, 0, 0, 0, 0]
+    assert timeline.runs_on_play == [0, 0, 0, 0, 0]
     assert timeline.complete and timeline.outs_total == 3
 
 
-def test_runs_after_suffix_sums():
+def test_runs_on_play_counts_each_play():
     timeline, _ = run_half(["D7", "S8.2-H", "HR.1-H", "K", "K", "K"])
     assert timeline.runs_on_play == [0, 1, 2, 0, 0, 0]
-    assert timeline.runs_after == [3, 3, 2, 0, 0, 0]
-    assert sum(timeline.runs_on_play) == 3
 
 
 def test_walk_off_half_is_complete():
@@ -319,17 +302,23 @@ TOKEN_POOL = [
 ]
 
 
-def occupancy(bases):
-    return sum(bit for bit, runner in zip((FIRST, SECOND, THIRD),
-                                          (bases.first, bases.second, bases.third))
-               if runner is not None)
+def conserves_runners(play, bases, outs_recorded, runs, new_bases):
+    """Whether the runners on base, and the batter when the play puts them
+    in the count, all end up on base, across the plate or retired."""
+    batter_entered = (
+        play.kind in BATTER_REACHES
+        or play.kind in (PlayKind.STRIKEOUT, PlayKind.FIELDED_OUT)
+        or any(adv.frm is Base.BATTER for adv in play.advances)
+    )
+    return bin(bases).count("1") + batter_entered == (
+        bin(new_bases).count("1") + runs + outs_recorded)
 
 
 def fold_half(tokens):
-    """The half-inning as apply_play sees it, with a distinct id per batter:
-    (snapshot masks, runs per play, outs, quarantine reason)."""
-    bases, outs, masks, runs, excluded = BaseState(), 0, [], [], None
-    for i, token in enumerate(tokens):
+    """The half-inning as apply_play sees it: (snapshot masks, runs per
+    play, outs, quarantine reason).  Every legal step conserves runners."""
+    bases, outs, masks, runs, excluded = 0, 0, [], [], None
+    for token in tokens:
         try:
             play = parse_play_token(token)
         except UnparseableEvent as exc:
@@ -338,15 +327,14 @@ def fold_half(tokens):
         if excluded is not None or play.kind is PlayKind.NO_PLAY:
             continue
         try:
-            fx = apply_play(bases, outs, play, f"bat{i}")
+            outs_recorded, scored, new_bases = apply_play(bases, outs, play)
         except IllegalState as exc:
             excluded = str(exc)
             continue
-        masks.append(occupancy(bases))
-        runs.append(fx.runs_scored)
-        bases, outs = fx.new_bases, outs + fx.outs_recorded
-        ids = [r for r in (bases.first, bases.second, bases.third) if r]
-        assert len(ids) == len(set(ids))  # no runner on two bases
+        assert conserves_runners(play, bases, outs_recorded, scored, new_bases)
+        masks.append(bases)
+        runs.append(scored)
+        bases, outs = new_bases, outs + outs_recorded
     return masks, runs, outs, excluded
 
 
@@ -360,14 +348,14 @@ def test_replay_invariants(tokens):
     if timeline.excluded is not None:
         return
     assert timeline.outs_total <= 3
-    after = timeline.runs_after
-    assert all(a >= b for a, b in zip(after, after[1:]))
+    assert all(runs >= 0 for runs in timeline.runs_on_play)
 
 
 def test_resolve_step_matches_apply_play():
-    """The memo's step equals apply_play with distinct runner ids, for every
-    pin-corpus token in all 8 occupancies at 0-2 outs.  A rejected token is
-    checked once: its rejection does not depend on the state."""
+    """The memo's step equals apply_play, and every legal step conserves
+    runners, for every pin-corpus token in all 8 occupancies at 0-2 outs.  A
+    rejected token is checked once: its rejection does not depend on the
+    state."""
     checked = 0
     for token in dict.fromkeys(pin_corpus()):
         try:
@@ -376,22 +364,47 @@ def test_resolve_step_matches_apply_play():
             assert resolve_step(token, 0, 0)[0] == str(exc)
             continue
         for mask in range(8):
-            bases = BaseState(*(f"r{n}" if mask & bit else None
-                                for n, bit in ((1, FIRST), (2, SECOND), (3, THIRD))))
             for outs in range(3):
                 step = resolve_step(token, mask, outs)
                 if play.kind is PlayKind.NO_PLAY:
                     assert step == (None, True, None, 0, 0, mask)
                     continue
                 try:
-                    fx = apply_play(bases, outs, play, "bat0")
+                    effect = apply_play(mask, outs, play)
                 except IllegalState as exc:
                     assert step == (None, False, str(exc), 0, 0, mask)
                 else:
-                    assert step == (None, False, None, fx.outs_recorded,
-                                    fx.runs_scored, occupancy(fx.new_bases))
+                    assert step == (None, False, None, *effect)
+                    assert conserves_runners(play, mask, *effect), (token, mask, outs)
                 checked += 1
     assert checked > 10_000
+
+
+# SHA-256 over resolve_step, one line per (token, occupancy, outs): the
+# token, the state, then the step's repr.  Recorded while the resolver still
+# ran apply_play on placeholder runner ids.
+PINNED_STEPS = (228_256, "1714bb20b22e09c3fd2fac25b7695b8877c0b6cd13fa4e77328c8d4c6f381e5f")
+
+
+def test_steps_pinned():
+    """Every step of every distinct pin-corpus token and of its decorated
+    copy, in all 8 occupancies at 0-2 outs, hashes to the recorded digest.
+    A rejected token is hashed once: its rejection does not depend on the
+    state."""
+    corpus = pin_corpus()
+    rng = random.Random(13)
+    corpus += [decorate(token, rng) for token in corpus]
+    digest = hashlib.sha256()
+    lines = 0
+    for token in dict.fromkeys(corpus):
+        states = itertools.product(range(8), range(3))
+        if resolve_step(token, 0, 0)[0] is not None:
+            states = [(0, 0)]
+        for mask, outs in states:
+            step = resolve_step(token, mask, outs)
+            digest.update(f"{token!r}\t{mask}\t{outs}\t{step!r}\n".encode())
+            lines += 1
+    assert (lines, digest.hexdigest()) == PINNED_STEPS
 
 
 @pytest.mark.parametrize("token, effect", [

@@ -27,6 +27,7 @@ from baserisk.stats import (
     extract_observations,
     group_summary,
     rates,
+    rates_by_pitcher,
 )
 
 KEY = ("TST200004010", 9, Half.TOP)
@@ -233,23 +234,35 @@ def test_merge_identity(a):
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
        st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
 def test_rates_sum_matching_cells(table, years, pitchers):
+    """rates pools every matching cell; rates_by_pitcher holds a pitcher
+    exactly when some cell of theirs matches, with that pitcher's sums."""
     for lev in (None, True, False):
         for outs in (0, 1):
             wanted = {"t": (ClassKind.THIRD_OCCUPIED, outs),
                       "s": (ClassKind.SECOND_NO_THIRD, outs),
                       "f": (ClassKind.FIRST_ONLY, outs + 1)}
-            triple = rates(table, outs, pitchers, lev, years)
-            assert triple.outs == outs
-            for name, (kind, cell_outs) in wanted.items():
-                kept = [
+
+            def matching(kinds, pids):
+                return [
                     cell for (pid, k, o, season, hl), cell in table.cells.items()
-                    if k is kind and o == cell_outs
+                    if (k, o) in kinds and (pids is None or pid in pids)
                     and (lev is None or hl == lev)
                     and (years is None or years[0] <= season <= years[1])
-                    and (pitchers is None or pid in pitchers)
                 ]
-                assert getattr(triple, name) == Rate(
-                    sum(num for num, _ in kept), sum(den for _, den in kept))
+
+            def check(triple, pids):
+                assert triple.outs == outs
+                for name, kind_outs in wanted.items():
+                    kept = matching([kind_outs], pids)
+                    assert getattr(triple, name) == Rate(
+                        sum(num for num, _ in kept), sum(den for _, den in kept))
+
+            check(rates(table, outs, lev, years), None)
+            by_pitcher = rates_by_pitcher(table, outs, lev, years)
+            for pid in pitchers or {pid for pid, *_ in table.cells}:
+                assert (pid in by_pitcher) == bool(matching(wanted.values(), {pid}))
+                if pid in by_pitcher:
+                    check(by_pitcher[pid], {pid})
 
 
 def test_inning_counts_and_career():
@@ -328,7 +341,7 @@ def reference_tally(timelines, mode):
             if situation is None or situation in seen:
                 continue
             seen.add(situation)
-            later = t.runs_after[idx]
+            later = sum(t.runs_on_play[idx:])
             if mode is CountingMode.EXCLUDE_PLAY:
                 later -= t.runs_on_play[idx]
             key = (snap.pitcher_id, situation.kind, situation.outs, t.season,
@@ -505,6 +518,14 @@ def test_empty_bucket_raises():
         bucket_report(homogeneous_table(["p0"]), innings, outs=1, boundaries=(100,))
     with pytest.raises(EmptyBucket):
         group_summary(TallyTable(), [], outs=1)
+
+
+def test_group_summary_counts_an_id_once():
+    table = homogeneous_table(["a"])
+    add_cells(table.cells, homogeneous_table(["b"], n=20).cells)
+    table.cells[("b", ClassKind.FIRST_ONLY, 2, 2000, True)] = [6, 20]
+    assert group_summary(table, ["a", "a", "b"], outs=1) == group_summary(
+        table, ["a", "b"], outs=1)
 
 
 def test_group_summary_for_explicit_list():

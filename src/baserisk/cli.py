@@ -360,8 +360,10 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
     observations = collect_observations(
         _unique_inputs(inputs), CountingMode(counting_mode), _parse_years(years))
     kind = _CLASS_NAMES[class_name] if class_name else None
-    scored = total = 0
-    # files are read as the loop drains the generator
+    scored = 0
+    # files are read as the loop drains the generator; nothing is printed
+    # until all are read, so a refused input leaves stdout empty
+    lines: list[str] = []
     try:
         for obs in observations:
             if pitcher_id and obs.pitcher_id != pitcher_id:
@@ -373,18 +375,18 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
             if leverage and not obs.high_leverage:
                 continue
             game_id, inning, half = obs.half_inning_key
-            total += 1
             scored += obs.scored_later
-            click.echo(
+            lines.append(
                 f"{game_id} inning={inning} half={half.name.lower()} "
                 f"pitcher={obs.pitcher_id} class={obs.situation.kind.value} "
                 f"outs={obs.situation.outs} scored={int(obs.scored_later)} "
                 f"hl={int(obs.high_leverage)}")
     except InputError as exc:
         raise DataError(str(exc))
-    if total == 0:
+    if not lines:
         raise DataError("no matching observations")
-    click.echo(f"n={total} scored={scored} rate={scored / total:.6f}")
+    lines.append(f"n={len(lines)} scored={scored} rate={scored / len(lines):.6f}")
+    click.echo("\n".join(lines))
 
 
 @cli.command()

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Iterator
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
@@ -38,7 +39,10 @@ _KINDS = frozenset(
 # (kind, fields after the kind, line number)
 Record = tuple[str, list[str], int]
 
-# iter_records splits the text this many characters at a time, or a little more
+# a line whose every quote opens or closes a cell that holds no comma
+_WHOLE_CELL_QUOTES = re.compile(r'(?:[^",]*|"[^",]*")(?:,(?:[^",]*|"[^",]*"))*')
+
+# lines are split this many characters of text at a time, or a little more
 _CHUNK = 1 << 16
 
 
@@ -73,8 +77,9 @@ class SubLine(LineupEntry):
     """A lineup change in the middle of the game's events."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PlayLine:
+    # slots: a file holds one per plate appearance, and replay reads each
     inning: int
     half: Half
     batter_id: str
@@ -121,39 +126,52 @@ def _chunks(text: str) -> Iterator[str]:
         start = stop
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Every line of the text with its number, split a piece at a time."""
+    return enumerate(chain.from_iterable(map(str.splitlines, _chunks(text))), start=1)
+
+
+def _record(line: str, line_no: int, diagnostics: list[Diagnostic]) -> list[str] | None:
+    """The cells of a stripped, non-empty line, its kind first, or ``None``
+    with the diagnostic that drops the line.
+
+    A line no longer than csv's field limit whose quotes only wrap whole
+    cells without commas, as in a start record's ``"Jay Bell"``, splits the
+    same with str.split once its quotes are taken off.  The rest get a
+    reader each, so an unclosed quote costs only its own line.  An
+    unknown kind comes back as a com record whose first field is that kind,
+    with a diagnostic, so nothing is lost.
+    """
+    if len(line) <= csv.field_size_limit() and _WHOLE_CELL_QUOTES.fullmatch(line):
+        cells = line.replace('"', "").split(",")
+    else:
+        try:
+            cells = next(csv.reader(io.StringIO(line)))
+        except (csv.Error, StopIteration):
+            diagnostics.append(Diagnostic("unreadable_line", line, line_no))
+            return None
+    kind = cells[0] if cells else ""
+    if kind in _KINDS:
+        return cells
+    if not kind:
+        diagnostics.append(Diagnostic("unreadable_line", line, line_no))
+        return None
+    diagnostics.append(Diagnostic("unknown_record_kind", kind, line_no))
+    return ["com", *cells]
+
+
 def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[Record]:
     """Split raw file text into (kind, fields, line_no) records, one line at
-    a time.
+    a time, by the rule ``iter_games`` splits lines by.
 
     Every non-empty line yields exactly one record or appends one diagnostic
-    to ``diagnostics``.  Unknown record kinds are kept as com records, with
-    their kind as the first field and a diagnostic, so nothing is lost.
+    to ``diagnostics``; an unknown record kind yields a com record and a
+    diagnostic.
     """
-    # a line no longer than csv's field limit and without quotes splits the
-    # same with str.split; the rest get a reader each, so an unclosed quote
-    # costs only its own line
-    limit = csv.field_size_limit()
-    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in _lines(text):
         line = line.strip()
-        if not line:
-            continue
-        if '"' not in line and len(line) <= limit:
-            cells = line.split(",")
-        else:
-            try:
-                cells = next(csv.reader(io.StringIO(line)))
-            except (csv.Error, StopIteration):
-                diagnostics.append(Diagnostic("unreadable_line", line, line_no))
-                continue
-        kind = cells[0] if cells else ""
-        if kind in _KINDS:
-            yield kind, cells[1:], line_no
-        elif not kind:
-            diagnostics.append(Diagnostic("unreadable_line", line, line_no))
-        else:
-            diagnostics.append(Diagnostic("unknown_record_kind", kind, line_no))
-            yield "com", cells, line_no
+        if line and (cells := _record(line, line_no, diagnostics)) is not None:
+            yield cells[0], cells[1:], line_no
 
 
 def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
@@ -165,12 +183,13 @@ def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
 
 def _finish(
     game: GameAccount, error: Diagnostic | None, diagnostics: list[Diagnostic],
-    mark: int, years: tuple[int, int] | None,
+    mark: int, outside: bool,
 ) -> Iterator[GameAccount | None]:
     """Yield a closed block's game, or ``None`` with the one diagnostic that
-    drops it, or nothing for a block whose season is outside ``years``,
-    whose diagnostics since its id record, at ``mark``, are deleted."""
-    if years and not years[0] <= game.season <= years[1]:
+    drops it, or nothing for a block whose season is ``outside`` the years
+    asked for, whose diagnostics since its id record, at ``mark``, are
+    deleted."""
+    if outside:
         del diagnostics[mark:]
         return
     if error is None:
@@ -196,12 +215,14 @@ def _finish(
 
 
 def iter_games(
-    records: Iterable[Record],
+    text: str,
     diagnostics: list[Diagnostic],
     years: tuple[int, int] | None = None,
 ) -> Iterator[GameAccount | None]:
-    """Fill one GameAccount per id record as its records arrive, and yield
-    it as soon as the next id record or the end of the records closes it.
+    """Split the text into records, as ``iter_records`` does and with its
+    diagnostics, and fill one GameAccount per id record as its records
+    arrive; yield it as soon as the next id record or the end of the text
+    closes it.
 
     An account that fails structural validation (malformed cells, missing
     required info, a play by a player never introduced) is dropped whole:
@@ -209,62 +230,98 @@ def iter_games(
     so it is never silently truncated.  With ``years``, a block of another
     season is dropped at close without a yield, and so are its diagnostics.
     Diagnostics that belong to no game block stay.
+
+    A block's season is its last ``info,date`` so far, else its game-id
+    year.  While that is outside ``years`` the block's lines are held
+    unsplit, but for those that start with ``i`` or a quote and so may be
+    an id or info record.  A date that brings the season back runs the
+    held lines then, in order.
     """
+    limit = csv.field_size_limit()
     game: GameAccount | None = None
     error: Diagnostic | None = None  # the open block's first malformed record
     mark = 0
-    for kind, f, line_no in records:
-        if kind == "id":
-            if game is not None:
-                yield from _finish(game, error, diagnostics, mark, years)
-            mark = len(diagnostics)
-            error = None
-            if f and f[0]:
-                game = GameAccount(f[0], {}, [], [])
-            else:
+    held: list[tuple[int, str]] | None = None  # the open block's lines while outside years
+    lines = _lines(text)
+    while True:
+        for line_no, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            if held is not None:
+                # only an id or info record can end the hold; a held line's
+                # diagnostics wait until it runs, if it ever does
+                if (line[0] not in 'i"' or (cells := _record(line, line_no, [])) is None
+                        or cells[0] not in ("id", "info")):
+                    held.append((line_no, line))
+                    continue
+            elif '"' in line or len(line) > limit or (cells := line.split(","))[0] not in _KINDS:
+                cells = _record(line, line_no, diagnostics)
+                if cells is None:
+                    continue
+            kind = cells[0]
+            if kind == "id":
+                if game is not None:
+                    yield from _finish(game, error, diagnostics, mark, held is not None)
+                mark = len(diagnostics)
+                error = held = None
+                if len(cells) > 1 and cells[1]:
+                    game = GameAccount(cells[1], {}, [], [])
+                    if years and not years[0] <= _season(cells[1], "") <= years[1]:
+                        held = []
+                else:
+                    diagnostics.append(
+                        Diagnostic("missing_info", "id record without a game id", line_no)
+                    )
+                    game = None
+                continue
+            if game is None:
                 diagnostics.append(
-                    Diagnostic("missing_info", "id record without a game id", line_no)
+                    Diagnostic("orphan_record", f"{kind} record before any id", line_no)
                 )
-                game = None
-        elif game is None:
-            diagnostics.append(
-                Diagnostic("orphan_record", f"{kind} record before any id", line_no)
-            )
-        else:
+                continue
             # info is read after an error too: its last date sets the season
             try:
                 if kind == "play":
-                    inning = int(f[0])
-                    half = _HALVES.get(f[1])
+                    inning = int(cells[1])
+                    half = _HALVES.get(cells[2])
                     if half is None:  # any other spelling: accepted or rejected as by int()
-                        half = Half(int(f[1]))
-                    game.events.append(PlayLine(inning, half, f[2], f[5], line_no))
+                        half = Half(int(cells[2]))
+                    game.events.append(PlayLine(inning, half, cells[3], cells[6], line_no))
                 elif kind == "start":
-                    game.starters.append(
-                        LineupEntry(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
-                    )
+                    game.starters.append(LineupEntry(
+                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
                 elif kind == "sub":
-                    game.events.append(
-                        SubLine(f[0], f[1], int(f[2]), int(f[3]), int(f[4]))
-                    )
-                elif kind == "info" and f:
-                    game.info[f[0]] = f[1] if len(f) >= 2 else ""
+                    game.events.append(SubLine(
+                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
+                elif kind == "info" and len(cells) > 1:
+                    value = game.info[cells[1]] = cells[2] if len(cells) > 2 else ""
+                    if years and cells[1] == "date":
+                        inside = years[0] <= _season(game.game_id, value) <= years[1]
+                        if held is None and not inside:
+                            held = []
+                        elif held is not None and inside:
+                            # back in the window: the held lines run next
+                            lines = chain(held, lines)
+                            held = None
+                            break
                 # version / data / com / badj / padj / ladj: accepted and ignored
             except (ValueError, IndexError) as exc:
                 if error is None:
                     error = Diagnostic(
-                        "malformed_record", f"{kind} {f!r} ({exc})", line_no, game.game_id
+                        "malformed_record", f"{kind} {cells[1:]!r} ({exc})", line_no,
+                        game.game_id,
                     )
+        else:
+            break
     if game is not None:
-        yield from _finish(game, error, diagnostics, mark, years)
+        yield from _finish(game, error, diagnostics, mark, held is not None)
 
 
-def assemble_games(
-    records: list[Record],
-) -> tuple[list[GameAccount], list[Diagnostic]]:
-    """Every game the records hold, and the assembler's diagnostics."""
+def assemble_games(text: str) -> tuple[list[GameAccount], list[Diagnostic]]:
+    """Every game the text holds, and the diagnostics of its lines and games."""
     diagnostics: list[Diagnostic] = []
-    games = [game for game in iter_games(records, diagnostics) if game is not None]
+    games = [game for game in iter_games(text, diagnostics) if game is not None]
     return games, diagnostics
 
 

@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .eventfile import Diagnostic, iter_games, iter_records
+from .eventfile import Diagnostic, iter_games
 # unused here, but the benchmark's span hooks wrap these two by name
 from .eventfile import assemble_games, tokenize_event_file
 from .state import StateTimeline, StepMemo, replay_game
@@ -79,7 +79,7 @@ def iter_timelines(
     steps: StepMemo,
     source: str = "",
 ) -> Iterator[StateTimeline]:
-    """Tokenize, assemble and replay one event file's text, one game at a
+    """Split, assemble and replay one event file's text, one game at a
     time, yielding every complete, unquarantined half-inning of the games
     inside ``years``.
 
@@ -88,13 +88,13 @@ def iter_timelines(
     each counted game's id is kept with ``source``, the file's name.  A
     game id that ``result`` already holds, from this file or an earlier
     one, raises ``InputError``: a game is counted once.  The
-    file's tokenize and assemble diagnostics are counted once it is done,
-    less those of games outside ``years``, which assembly drops with their
-    diagnostics.  Every game replays through the caller's play memo
+    diagnostics of the file's lines and blocks are counted once it is done,
+    less those of games outside ``years``, which ``iter_games`` drops
+    unbuilt.  Every game replays through the caller's play memo
     ``steps``.
     """
     diags: list[Diagnostic] = []
-    for account in iter_games(iter_records(text, diags), diags, years):
+    for account in iter_games(text, diags, years):
         if account is None:  # dropped at assembly, with one diagnostic
             result.games_skipped += 1
             continue

@@ -17,6 +17,7 @@ from baserisk.oracle import (
     Outcome,
     OutcomeModel,
     default_model,
+    emit_event_file,
     simulate_season,
 )
 from baserisk.state import replay_game
@@ -176,3 +177,63 @@ def pin_corpus() -> list[str]:
     games = simulate_season(default_model(), 40, seed=23, midgame_subs=True)
     corpus += [p.token for g in games for h in g.halves for p in h.plays]
     return corpus
+
+
+def broken_text() -> str:
+    """Four relief-pitcher games, each damaged a different way."""
+    lines = emit_event_file(
+        simulate_season(default_model(), 4, seed=99, season=1990, midgame_subs=True)
+    ).splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("id,")]
+    games = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
+    # an unparseable token quarantines a half; an unknown record is reported
+    plays = [i for i, line in enumerate(games[0]) if line.startswith("play,3,")]
+    games[0][plays[1]] = games[0][plays[1]].rsplit(",", 1)[0] + ",ZZ9"
+    games[0].insert(plays[0], "bogus,record")
+    # no date: dropped at assembly; no visiting pitcher: dropped at replay
+    games[1] = [line for line in games[1] if not line.startswith("info,date")]
+    games[2] = [line for line in games[2] if not line.startswith("start,vpit")]
+    # the third out of the fourth inning's top half goes missing
+    plays = [i for i, line in enumerate(games[3]) if line.startswith("play,4,0,")]
+    del games[3][plays[-1]]
+    return "\n".join(line for game in games for line in game) + "\n"
+
+
+def _decorated(text: str, rng: random.Random) -> str:
+    """The event file with every play token decorated."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("play,"):
+            head, _, token = line.rpartition(",")
+            line = f"{head},{decorate(token, rng)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def decorated_texts() -> list[str]:
+    """Eight small relief-pitcher seasons (1990-1997) and the broken file,
+    with every play token decorated."""
+    rng = random.Random(8)
+    texts = [
+        emit_event_file(simulate_season(
+            default_model(), 5, seed=800 + n, season=1990 + n, midgame_subs=True))
+        for n in range(8)
+    ]
+    texts.append(broken_text())
+    return [_decorated(text, rng) for text in texts]
+
+
+def damaged_texts() -> list[str]:
+    """Three small relief-pitcher seasons (1995-1997) with about one record
+    line in a hundred replaced by a criterion-8-style mutation of itself."""
+    rng = random.Random(9)
+    texts = []
+    for n in range(3):
+        lines = emit_event_file(simulate_season(
+            default_model(), 20, seed=900 + n, season=1995 + n, midgame_subs=True)
+        ).splitlines()
+        for i, line in enumerate(lines):
+            if rng.random() < 0.01:
+                lines[i] = mutate(rng, [line], PIN_ALPHABET + '"', 1)
+        texts.append("\n".join(lines) + "\n")
+    return texts

@@ -481,6 +481,18 @@ def test_query_refuses_a_byte_copy(workspace, tmp_path, capsys):
     assert not any(line.startswith("n=") for line in captured.out.splitlines())
 
 
+def test_query_refusal_prints_no_observation(workspace, tmp_path, capsys):
+    """Lines wait until every input is read, so a refused input leaves
+    stdout empty rather than a plausible list."""
+    copy = tmp_path / "copy.evn"
+    copy.write_bytes(workspace["evn"].read_bytes())
+    for second in (copy, unreadable(tmp_path, "directory")):
+        assert main(["query", "-i", str(workspace["evn"]), "-i", str(second)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 def test_query_input_is_a_directory(workspace, tmp_path, capsys):
     args = ["query", "-i", str(workspace["evn"]),
             "-i", str(unreadable(tmp_path, "directory"))]

@@ -1,6 +1,7 @@
 """Record tokenizing and game assembly."""
 
 import csv
+import hashlib
 import io
 import random
 import string
@@ -22,7 +23,10 @@ from baserisk.eventfile import (
     tokenize_event_file,
 )
 from baserisk.pipeline import ingest_text
-from conftest import PIN_ALPHABET, make_game_text, mutate
+from conftest import (
+    PIN_ALPHABET, broken_text, damaged_texts, decorated_texts, make_game_text, mutate,
+    pin_corpus,
+)
 
 
 def test_id_record():
@@ -89,9 +93,10 @@ def test_line_numbers_at_every_line_break(brk):
     ]
     assert diags == [Diagnostic("unknown_record_kind", "frobnicate", 3),
                      Diagnostic("unreadable_line", ",oops", 4)]
-    games, diags = assemble_games(records)
+    games, diags = assemble_games(brk.join(lines))
     assert games == []
-    assert [(d.code, d.line_no) for d in diags] == [("malformed_record", 5)]
+    assert [(d.code, d.line_no) for d in diags] == [
+        ("unknown_record_kind", 3), ("unreadable_line", 4), ("malformed_record", 5)]
 
 
 def test_line_numbers_across_mixed_line_breaks():
@@ -144,43 +149,34 @@ def test_any_chunk_size_splits_as_the_whole_text(text, chunk):
 def test_two_games_split_in_order():
     text = make_game_text([(1, 0, "vbat1", "K")], game_id="AAA200004010") + \
         make_game_text([(1, 0, "vbat1", "W")], game_id="BBB200004010")
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert [g.game_id for g in games] == ["AAA200004010", "BBB200004010"]
     assert diags == []
 
 
 def test_games_stream_before_the_file_ends():
     """The first game comes out once the second game's id record closes
-    it, without a pull of any later record."""
+    it, before any diagnostic of the second block exists."""
     text = make_game_text([(1, 0, "vbat1", "K")], game_id="AAA200004010") + \
-        make_game_text([(1, 0, "vbat1", "W")], game_id="BBB200004010")
+        make_game_text([(1, 0, "vbat1", "W")], game_id="BBB200004010").replace(
+            "version,2", "frobnicate,x\nversion,2")
     diags = []
-
-    def records():
-        ids = 0
-        for rec in iter_records(text, diags):
-            yield rec
-            ids += rec[0] == "id"
-            if ids == 2:
-                raise AssertionError("pulled past the second game's id record")
-
-    games = iter_games(records(), diags)
+    games = iter_games(text, diags)
     assert next(games).game_id == "AAA200004010"
     assert diags == []
-    with pytest.raises(AssertionError, match="second game's id"):
-        next(games)
+    assert next(games).game_id == "BBB200004010"
+    assert [d.code for d in diags] == ["unknown_record_kind"]
 
 
 def test_orphan_records_before_first_id():
-    records, _ = tokenize_event_file("play,1,0,x,??,,K\nid,TST200004010\n")
-    games, diags = assemble_games(records)
+    games, diags = assemble_games("play,1,0,x,??,,K\nid,TST200004010\n")
     assert games == []  # the id-only account lacks info records
     assert diags[0].code == "orphan_record"
 
 
 def test_missing_info_skips_game():
     text = "id,TST200004010\ninfo,visteam,VIS\n"
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert games == []
     assert any(d.code == "missing_info" for d in diags)
 
@@ -188,7 +184,7 @@ def test_missing_info_skips_game():
 def test_unlisted_batter_skips_game():
     text = make_game_text([(1, 0, "vbat1", "K")])
     text = text.replace("play,1,0,vbat1", "play,1,0,ghost1")
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert games == []
     assert any(d.code == "orphan_player" for d in diags)
 
@@ -196,7 +192,7 @@ def test_unlisted_batter_skips_game():
 def test_malformed_cells_skip_game():
     text = make_game_text([(1, 0, "vbat1", "K")])
     text = text.replace("play,1,0", "play,one,0")
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert games == []
     assert any(d.code == "malformed_record" for d in diags)
 
@@ -207,7 +203,7 @@ def test_assembled_events_typed_and_ordered():
         'sub,hpit2,"Relief",1,0,1',
         (1, 0, "vbat2", "W"),
     ])
-    (game,), diags = assemble_games(tokenize_event_file(text)[0])
+    (game,), diags = assemble_games(text)
     assert diags == []
     kinds = [type(e) for e in game.events]
     assert kinds == [PlayLine, SubLine, PlayLine]
@@ -218,7 +214,7 @@ def test_assembled_events_typed_and_ordered():
 
 def test_season_from_date_and_fallback():
     text = make_game_text([(1, 0, "vbat1", "K")], date="1987/06/15")
-    (game,), _ = assemble_games(tokenize_event_file(text)[0])
+    (game,), _ = assemble_games(text)
     assert game.season == 1987
     game.info["date"] = "junk"
     assert game.season == 2000  # falls back to the id, TST2000...
@@ -228,7 +224,7 @@ def test_data_records_ignored():
     # no report reads data records, so a malformed one must not cost its game
     text = make_game_text([(1, 0, "vbat1", "K")]) + (
         "data,er,hpit0001,x\ndata,er,hpit0001,2\n")
-    (game,), diags = assemble_games(tokenize_event_file(text)[0])
+    (game,), diags = assemble_games(text)
     assert diags == []
     assert game.game_id == "TST200004010"
     result = ingest_text(text)
@@ -297,6 +293,175 @@ def test_tokenizer_matches_csv_per_line():
                                      ("2", False), ("x", False), ("", False)])
 def test_play_half_values(half, ok):
     text = make_game_text([f"play,1,{half},vbat1,??,,K", (1, 0, "vbat1", "K")])
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert len(games) == int(ok)
     assert [d.code for d in diags] == ([] if ok else ["malformed_record"])
+
+
+# --- front-end pins ----------------------------------------------------------
+# SHA-256 over every field of every GameAccount and Diagnostic, in the order
+# iter_games yields them, under each of WINDOWS; recorded before iter_games
+# split its own lines.
+
+WINDOWS = [None, (1984, 2011), (1990, 1990), (2005, 2005), (1979, 1979), (1991, 1999),
+           (0, 0)]
+
+
+def _diagnostic_row(diag):
+    return ("diagnostic", diag.code, diag.detail, diag.line_no, diag.game_id)
+
+
+def _game_row(game):
+    if game is None:
+        return ("dropped",)
+    events = [
+        ("sub", ev.player_id, ev.name, ev.team, ev.batting_order, ev.position)
+        if isinstance(ev, SubLine) else
+        ("play", ev.inning, int(ev.half), ev.batter_id, ev.event_text, ev.line_no)
+        for ev in game.events
+    ]
+    starters = [(s.player_id, s.name, s.team, s.batting_order, s.position)
+                for s in game.starters]
+    return ("game", game.game_id, list(game.info.items()), game.season, starters, events)
+
+
+def front_end_rows(text, years):
+    """Every game and diagnostic of the text, the diagnostics that exist
+    at each yield placed before the game it yields."""
+    diags, rows, seen = [], [], 0
+    for game in iter_games(text, diags, years):
+        assert len(diags) >= seen
+        rows += [_diagnostic_row(d) for d in diags[seen:]]
+        seen = len(diags)
+        rows.append(_game_row(game))
+    assert len(diags) >= seen
+    rows += [_diagnostic_row(d) for d in diags[seen:]]
+    return rows
+
+
+PLAYS = ["play,1,0,vbat1,??,,K", "play,1,0,vbat1,??,,S8/G.1-3", "play,1,0,vbat1,??,,63/G",
+         "play,1,1,hbat1,??,,W", "play,1,1,hbat1,??,,CS2(24)", "play,2,0,vbat1,??,,HR"]
+
+
+def _block(game_id, *body, date=None):
+    lines = [f"id,{game_id}", "version,2", "info,visteam,VIS", "info,hometeam,HOM"]
+    if date is not None:
+        lines.append(f"info,date,{date}")
+    lines += ['start,vbat1,"Vee, Bat",0,1,7', "start,hbat1,H Bat,1,1,7",
+              "start,vpit1,V Pitcher,0,0,1", "start,hpit1,H Pitcher,1,0,1"]
+    return [*lines, *body]
+
+
+def _hand_made_texts():
+    """Tokenizer cases and blocks whose season changes inside them, each
+    joined by four kinds of line break."""
+    limit = csv.field_size_limit()
+    long_unreadable = "com," + "x" * (limit + 1)
+    long_play = "play,1,0,vbat1,??,,K" + ",x" * (limit // 2 + 1)
+    damage = ["frobnicate,x,y", ",oops", 'com,"unclosed', 'info,"note, with comma",x',
+              "ixx,1", '"play",2,0,vbat1,??,,W', '"frob",1', 'com,"a\x00b"',
+              long_unreadable, long_play, "play,one,0,vbat1,??,,K"]
+    tokenizing = [
+        "play,1,0,x,??,,K", "frobnicate,before",
+        *_block("AAA199004010", 'start,doej001,"Doe, John",0,2,2', *PLAYS, *damage,
+                date="1990/04/01"),
+        '"id","QQQ200504010"', "info,visteam,VIS", "info,hometeam,HOM",
+        '"info","date","2005/04/01"', "start,vbat1,x,0,1,7", "start,vpit1,x,0,0,1",
+        "start,hpit1,x,1,0,1", 'sub,vpit2,"Relief, One",0,0,1', "play,1,0,vbat1,??,,K",
+        "data,er,vpit1,0", "padj,x,L", "frobnicate,late",
+        "id,", "play,1,0,vbat1,??,,K", "info,date,1990/01/01",
+        *_block("BBB197904010", *PLAYS, "frobnicate,q", date="1979/04/01"),
+        *_block("CCC200004010", *PLAYS, "play,1,0,ghost1,??,,K", date="2000/04/01"),
+    ]
+    seasons = [
+        # a second date; a date after the plays; no date; a date that is not one
+        *_block("SCA199004010", *PLAYS[:2], "info,date,2005/04/01", *PLAYS[2:],
+                date="1990/04/01"),
+        *_block("SCB200004010", *PLAYS, "frobnicate,b", "info,date,1988/04/01"),
+        *_block("SCC199204010", *PLAYS, "frobnicate,c"),
+        *_block("SCD199304010", *PLAYS, date="junk"),
+        *_block("SCE199304010", *PLAYS, "info,date"),
+        # a late date brings a block whose id year is outside back in
+        *_block("SCF197904010", *damage[:9], "sub,vpit2,Relief,0,0,1", *PLAYS,
+                "info,date,1990/04/01", *PLAYS),
+        *_block("SCG197904010", "frobnicate,g", '"play",1,0,vbat1,??,,W', *PLAYS,
+                "info,date,1999/04/01", *PLAYS, "frobnicate,h"),
+        # in, out and in again; in, then out for good after a malformed record
+        *_block("SCH199004010", *PLAYS[:2], "info,date,1970/01/01", "frobnicate,z",
+                *PLAYS[2:], "info,date,1991/01/01", "bogus,1", date="1990/04/01"),
+        *_block("SCI199004010", "play,x,0,vbat1,??,,K", "frobnicate,w",
+                "info,date,1970/01/01", *PLAYS, date="1990/04/01"),
+        # no year in the id; a quoted date record
+        *_block("ABCDEFGHIJKL", *PLAYS, "frobnicate,i", date="1995/01/01"),
+        *_block("SCJ197904010", *PLAYS, '"info","date","1984/04/01"', *PLAYS),
+    ]
+    return [brk.join(lines) for lines in (tokenizing, seasons)
+            for brk in ("\n", "\r\n", "\r", "\x0b")]
+
+
+def _pin_corpus_text():
+    """The pin corpus as play records, 500 to a game, one season per game."""
+    corpus = pin_corpus()
+    blocks = []
+    for n, start in enumerate(range(0, len(corpus), 500)):
+        season = 1978 + n % 40
+        plays = [(1 + i // 6 % 9, i // 3 % 2, "hbat1" if i // 3 % 2 else "vbat1", token)
+                 for i, token in enumerate(corpus[start:start + 500])]
+        blocks.append(make_game_text(plays, game_id=f"HOM{season}{n:05d}",
+                                     date=f"{season}/04/01"))
+    return "".join(blocks)
+
+
+FRONT_END_INPUTS = {
+    "pin_corpus": lambda: [_pin_corpus_text()],
+    "broken": lambda: [broken_text()],
+    "decorated": decorated_texts,
+    "damaged": damaged_texts,
+    "hand_made": _hand_made_texts,
+}
+
+FRONT_END_PINS = {
+    "pin_corpus":
+        "bc6b43d6f744b736bb8b04aef8ecfe75511c38d9aaaac2128ea17013847b9898",
+    "broken":
+        "9d3efcee4ecc9934e8e2d69649877cd261e8082cd93c676dc63c20626fe381d0",
+    "decorated":
+        "695c91d7242a0e49577edd9dea0f44e4ba675fce736f105ae398a9af2d9182b4",
+    "damaged":
+        "d5d6d4c37f9ba2148160115f2ea6a3e6ce918914e2bb1ec8a7b772b7be0f8e12",
+    "hand_made":
+        "3ef8c578c0cf6dafb0af04e86d51241c61a227b31542905b4aa9a1e69b1d877b",
+}
+
+
+@pytest.mark.parametrize("name", list(FRONT_END_PINS))
+def test_front_end_pinned(name):
+    rows = [(years, front_end_rows(text, years))
+            for text in FRONT_END_INPUTS[name]() for years in WINDOWS]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == FRONT_END_PINS[name]
+
+
+def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
+    """A block outside the window builds no play; one that a late date
+    brings back builds every play, with the diagnostics it has when no
+    window is set."""
+    built = []
+    real = eventfile.PlayLine
+    monkeypatch.setattr(eventfile, "PlayLine", lambda *args: built.append(args) or real(*args))
+    window = (1984, 2011)
+    outside = "".join(make_game_text(PLAYS[:3] + ["frobnicate,x"], game_id=f"OUT{year}04010",
+                                     date=f"{date}/04/01")
+                      for year, date in [(1979, 1979), (1990, 1979), (1979, 2012)])
+    diags = []
+    assert list(iter_games(outside, diags, window)) == []
+    assert (diags, built) == ([], [])
+
+    late = "\n".join(_block("LAT197904010", "frobnicate,x", ",oops", *PLAYS,
+                            "info,date,1990/04/01", "play,2,1,hbat1,??,,K"))
+    rows = front_end_rows(late, window)
+    assert len(built) == len(PLAYS) + 1
+    assert rows == front_end_rows(late, None)
+    assert [row[:2] for row in rows] == [
+        ("diagnostic", "unknown_record_kind"), ("diagnostic", "unreadable_line"),
+        ("game", "LAT197904010")]

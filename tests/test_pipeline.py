@@ -3,7 +3,6 @@
 import concurrent.futures
 import hashlib
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,21 +14,22 @@ import pytest
 from baserisk import state
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import (
-    Half, PlayLine, assemble_games, iter_games, iter_records, tokenize_event_file,
+    Half, PlayLine, assemble_games, iter_games, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import InputError, collect_observations, ingest_paths, ingest_text
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode
-from conftest import PIN_ALPHABET, decorate, make_game_text, mutate
+from conftest import broken_text, damaged_texts, decorated_texts, make_game_text
 
 
 @pytest.fixture(scope="module")
 def replayed():
     """600 games simulated, emitted, re-parsed, and replayed."""
     games = simulate_season(default_model(), 600, seed=20_000)
-    records, tok_diags = tokenize_event_file(emit_event_file(games))
-    accounts, asm_diags = assemble_games(records)
+    text = emit_event_file(games)
+    tok_diags = tokenize_event_file(text)[1]
+    accounts, asm_diags = assemble_games(text)
     replays = [replay_game(account) for account in accounts]
     return games, accounts, replays, tok_diags, asm_diags
 
@@ -130,7 +130,7 @@ def test_start_record_after_its_batters_play_counts():
     after that player's play too."""
     text = make_game_text(
         [(1, 0, "vbat1", "K"), "play,1,0,vlate1,??,,K", 'start,vlate1,"Late",0,9,7'])
-    (game,), diags = assemble_games(tokenize_event_file(text)[0])
+    (game,), diags = assemble_games(text)
     assert diags == []
     assert "vlate1" in {entry.player_id for entry in game.starters}
     result = ingest_text(text)
@@ -221,8 +221,7 @@ def test_parallel_ingest_matches_serial(tmp_path):
 
 def test_midgame_sub_switches_credited_pitcher():
     games = simulate_season(default_model(), 20, seed=3, midgame_subs=True)
-    records, _ = tokenize_event_file(emit_event_file(games))
-    accounts, _ = assemble_games(records)
+    accounts, _ = assemble_games(emit_event_file(games))
     switches = 0
     for account in accounts:
         replay = replay_game(account)
@@ -276,26 +275,6 @@ def _cache_digest(result, mode):
     return _digest(render_cache(StatsCache(result.table, result.innings, mode, "0" * 16)))
 
 
-def _broken_text() -> str:
-    """Four relief-pitcher games, each damaged a different way."""
-    lines = emit_event_file(
-        simulate_season(default_model(), 4, seed=99, season=1990, midgame_subs=True)
-    ).splitlines()
-    starts = [i for i, line in enumerate(lines) if line.startswith("id,")]
-    games = [lines[a:b] for a, b in zip(starts, starts[1:] + [len(lines)])]
-    # an unparseable token quarantines a half; an unknown record is reported
-    plays = [i for i, line in enumerate(games[0]) if line.startswith("play,3,")]
-    games[0][plays[1]] = games[0][plays[1]].rsplit(",", 1)[0] + ",ZZ9"
-    games[0].insert(plays[0], "bogus,record")
-    # no date: dropped at assembly; no visiting pitcher: dropped at replay
-    games[1] = [line for line in games[1] if not line.startswith("info,date")]
-    games[2] = [line for line in games[2] if not line.startswith("start,vpit")]
-    # the third out of the fourth inning's top half goes missing
-    plays = [i for i, line in enumerate(games[3]) if line.startswith("play,4,0,")]
-    del games[3][plays[-1]]
-    return "\n".join(line for game in games for line in game) + "\n"
-
-
 @pytest.fixture(scope="module")
 def archive(tmp_path_factory):
     """Twelve small relief-pitcher seasons spanning WINDOW, plus one broken file."""
@@ -308,7 +287,7 @@ def archive(tmp_path_factory):
             default_model(), 6, seed=500 + n, season=season, midgame_subs=True)))
         paths.append(path)
     broken = root / "broken.evn"
-    broken.write_text(_broken_text())
+    broken.write_text(broken_text())
     paths.append(broken)
     return paths
 
@@ -380,33 +359,15 @@ def test_collect_observations_pinned(archive, tmp_path):
         "c66e5fd6ad477bd7d058eeaa9b087586f01d9abfdd0e17016f9e839e8c13432f")
 
 
-def _decorated(text: str, rng: random.Random) -> str:
-    """The event file with every play token decorated."""
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("play,"):
-            head, _, token = line.rpartition(",")
-            line = f"{head},{decorate(token, rng)}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def decorated_archive(tmp_path_factory):
     """Eight small relief-pitcher seasons and the broken file, with every
     play token decorated."""
     root = tmp_path_factory.mktemp("decorated")
-    rng = random.Random(8)
-    texts = [
-        emit_event_file(simulate_season(
-            default_model(), 5, seed=800 + n, season=1990 + n, midgame_subs=True))
-        for n in range(8)
-    ]
-    texts.append(_broken_text())
     paths = []
-    for n, text in enumerate(texts):
+    for n, text in enumerate(decorated_texts()):
         path = root / f"d{n}.evn"
-        path.write_text(_decorated(text, rng))
+        path.write_text(text)
         paths.append(path)
     return paths
 
@@ -429,17 +390,10 @@ def damaged_archive(tmp_path_factory):
     """Three small relief-pitcher seasons with about one record line in a
     hundred replaced by a criterion-8-style mutation of itself."""
     root = tmp_path_factory.mktemp("damaged")
-    rng = random.Random(9)
     paths = []
-    for n in range(3):
-        lines = emit_event_file(simulate_season(
-            default_model(), 20, seed=900 + n, season=1995 + n, midgame_subs=True)
-        ).splitlines()
-        for i, line in enumerate(lines):
-            if rng.random() < 0.01:
-                lines[i] = mutate(rng, [line], PIN_ALPHABET + '"', 1)
+    for n, text in enumerate(damaged_texts()):
         path = root / f"m{n}.evn"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         paths.append(path)
     return paths
 
@@ -469,7 +423,7 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
     """Digest of every diagnostic, in order and with its wording, that
     assembly and replay give for the broken, decorated broken and damaged
     files, computed before the replay loop was folded into one function."""
-    texts = [_broken_text()] + [
+    texts = [broken_text()] + [
         path.read_text(encoding="latin-1")
         for path in [decorated_archive[-1], *damaged_archive]
     ]
@@ -477,7 +431,7 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
     rows = []
     for text in texts:
         diags = []
-        for account in iter_games(iter_records(text, diags), diags):
+        for account in iter_games(text, diags):
             if account is not None:
                 rows += [astuple(d) for d in replay_game(account, steps).diagnostics]
         rows += [astuple(d) for d in diags]

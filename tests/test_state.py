@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baserisk.eventfile import assemble_games, tokenize_event_file
+from baserisk.eventfile import assemble_games
 from baserisk.playtoken import (
     BATTER_REACHES,
     Base,
@@ -204,7 +204,7 @@ def test_snapshots_never_show_three_outs():
 
 
 def replay_text(text):
-    games, diags = assemble_games(tokenize_event_file(text)[0])
+    games, diags = assemble_games(text)
     assert diags == []
     return replay_game(games[0])
 
@@ -277,7 +277,7 @@ def test_incomplete_half_flagged():
         (1, 0, "vbat1", "K"),
         (1, 1, "hbat1", "K"), (1, 1, "hbat2", "K"), (1, 1, "hbat3", "K"),
     ])
-    games, _ = assemble_games(tokenize_event_file(text)[0])
+    games, _ = assemble_games(text)
     replay = replay_game(games[0])
     assert not replay.timelines[0].complete
     assert any(d.code == "incomplete_half_inning" for d in replay.diagnostics)
@@ -287,7 +287,7 @@ def test_missing_starting_pitcher_is_reported():
     text = make_game_text([(1, 0, "vbat1", "K")]).replace(
         'start,hpit1,"H Pitcher",1,0,1\n', ""
     )
-    games, _ = assemble_games(tokenize_event_file(text)[0])
+    games, _ = assemble_games(text)
     replay = replay_game(games[0])
     assert replay.timelines == []
     assert any(d.code == "missing_info" for d in replay.diagnostics)

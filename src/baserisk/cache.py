@@ -223,16 +223,13 @@ def _read_cache(path: str | Path) -> StatsCache:
     return StatsCache(table, innings, mode, manifest.get("fingerprint", ""))
 
 
-def fingerprint_paths(paths: list[str | Path]) -> str:
-    """Content hash of the input files, stable across path spellings."""
+def fingerprint_paths(digests: dict[str, str]) -> str:
+    """Hash of the input files from each path's SHA-256 content digest,
+    stable across directories and order."""
     import hashlib  # only ingest fingerprints, and OpenSSL is costly to load
 
     digest = hashlib.sha256()
-    entries = []
-    for path in paths:
-        p = Path(path)
-        entries.append((p.name, hashlib.sha256(p.read_bytes()).hexdigest()))
-    for name, content_hash in sorted(entries):
+    for name, content_hash in sorted((Path(p).name, h) for p, h in digests.items()):
         digest.update(f"{name}:{content_hash}\n".encode())
     return digest.hexdigest()[:16]
 

@@ -103,11 +103,15 @@ def _read_input(load, path, what: str):
 
 
 def _unique_inputs(inputs: tuple[str, ...]) -> list[str]:
-    """The input paths with a file named twice (a.ev, ./a.ev) kept once,
-    under its first spelling, so that no file counts twice."""
-    unique: dict[Path, str] = {}
+    """The input paths with a file named twice (a.ev, ./a.ev, a link to
+    it) kept once, under its first spelling, so that no file counts twice."""
+    unique: dict[tuple[int, int], str] = {}
     for path in inputs:
-        unique.setdefault(Path(path).resolve(), path)
+        try:
+            stat = Path(path).stat()
+        except OSError as exc:
+            raise DataError(f"cannot read input: {exc}")
+        unique.setdefault((stat.st_dev, stat.st_ino), path)
     return list(unique.values())
 
 
@@ -198,7 +202,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
         table=result.table,
         innings=result.innings,
         counting_mode=mode,
-        fingerprint=fingerprint_paths(paths),
+        fingerprint=fingerprint_paths(result.file_digests),
     )
     write_cache(cache_path, cache)
     click.echo(

@@ -47,6 +47,8 @@ class IngestResult:
     diagnostic_counts: Counter[str] = field(default_factory=Counter)
     # game id -> the input file that counted it
     game_files: dict[str, str] = field(default_factory=dict)
+    # input file -> SHA-256 of the bytes ingested from it
+    file_digests: dict[str, str] = field(default_factory=dict)
 
     def _note(self, diagnostics: list[Diagnostic]) -> None:
         self.diagnostic_counts.update(diag.code for diag in diagnostics)
@@ -69,6 +71,7 @@ class IngestResult:
         self.observations += other.observations
         self.diagnostic_counts.update(other.diagnostic_counts)
         self.game_files.update(other.game_files)
+        self.file_digests.update(other.file_digests)
         return self
 
 
@@ -148,21 +151,29 @@ def _counted_twice(game_id: str, first: str, second: str) -> InputError:
     return InputError(f"game {game_id} is in both {first} and {second}")
 
 
-def _read_event_file(path: str) -> str:
+def _read_event_file(path: str) -> bytes:
+    r"""The file's bytes.  Decoded as latin-1 they split into the lines of
+    ``read_text``: ``splitlines`` ends a line at "\r\n" and "\r" as the
+    universal newlines do."""
     try:
-        return Path(path).read_text(encoding="latin-1")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from None
 
 
 def _ingest_files(args: tuple[list[str], CountingMode, tuple[int, int] | None]) -> IngestResult:
     """One task: ingest the files in order through one play memo, which
-    holds one entry per distinct (effect text, occupancy, outs) it meets."""
+    holds one entry per distinct (effect text, occupancy, outs) it meets,
+    and hash each file's bytes as read."""
+    import hashlib  # only ingest hashes its inputs, and OpenSSL is costly to load
+
     paths, mode, years = args
     steps: StepMemo = {}
     result = IngestResult()
     for path in paths:
-        result.merge(ingest_text(_read_event_file(path), mode, years, steps, path))
+        data = _read_event_file(path)
+        result.merge(ingest_text(data.decode("latin-1"), mode, years, steps, path))
+        result.file_digests[path] = hashlib.sha256(data).hexdigest()
     return result
 
 
@@ -202,5 +213,6 @@ def collect_observations(
     counts = IngestResult()  # query reports none of ingest's counters
     steps: StepMemo = {}
     for path in sorted(str(p) for p in paths):
-        for timeline in iter_timelines(_read_event_file(path), years, counts, steps, path):
+        text = _read_event_file(path).decode("latin-1")
+        for timeline in iter_timelines(text, years, counts, steps, path):
             yield from extract_observations(timeline, mode)

@@ -6,10 +6,10 @@ event says what happened at the plate (or on the bases); the advance section
 says who moved where.  Parsing is total: every input either yields a
 ParsedPlay or raises UnparseableEvent, never anything else.
 
-A ParsedPlay keeps only what base-out replay reads: the kind, the runners
-retired or moved, and whether an error cancelled an out.  Fielder credits,
-hit locations and the ``#?!`` marks are checked against the grammar and then
-dropped.
+A ParsedPlay says what the play does to the batter and the runners: the
+bases the basic event sends them to, those it puts out, and the advances as
+written.  Fielder credits, hit locations and the ``#?!`` marks are checked
+against the grammar and then dropped.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class PlayKind(Enum):
 
 
 # Kinds that resolve the batter's plate appearance by putting them on base.
-BATTER_REACHES = {
+_BATTER_REACHES = {
     PlayKind.SINGLE: Base.FIRST,
     PlayKind.WALK: Base.FIRST,
     PlayKind.INTENTIONAL_WALK: Base.FIRST,
@@ -103,26 +103,27 @@ BATTER_REACHES = {
 class Advance:
     """One runner movement from the advance section, e.g. ``2XH(82)``.
 
-    is_out records the X separator as written; negated_by_error is set when
-    a parenthesized error with no completed putout cancels the out, in which
-    case the runner is treated as safe at ``to``.
+    retired is set for an ``X`` advance that no error cancelled: an error in
+    parentheses with no completed putout leaves the runner safe at ``to``.
     """
 
     frm: Base
     to: Base
-    is_out: bool = False
-    negated_by_error: bool = False
+    retired: bool = False
 
 
 @dataclass
 class ParsedPlay:
+    """What a play does to the batter and the runners.
+
+    moves sends the batter or a runner to the base the basic event implies,
+    retired holds those it puts out, e.g. {FIRST, BATTER} for 64(1)3, and an
+    advance overrides both for its runner.
+    """
+
     kind: PlayKind
-    # runners retired in a fielded-out event, e.g. [FIRST, BATTER] for 64(1)3
-    putouts: list[Base] = field(default_factory=list)
-    bases_stolen: list[Base] = field(default_factory=list)
-    target_base: Base | None = None  # CS / PO / POCS
-    negated_by_error: bool = False
-    chained: "ParsedPlay | None" = None  # K+SB2, W+WP and friends
+    moves: dict[Base, Base] = field(default_factory=dict)
+    retired: set[Base] = field(default_factory=set)
     advances: list[Advance] = field(default_factory=list)
 
 
@@ -141,7 +142,7 @@ _PUTOUT_GROUP_RE = re.compile(r"^\d+(?:/TH[123H]?)?$")
 
 _STRIKEOUT_RE = re.compile(r"^K\d*(?:\+(.+))?$")
 _WALK_RE = re.compile(r"^(IW|I|W)(?:\+(.+))?$")
-_STOLEN_RE = re.compile(r"^SB([23H])((?:;SB[23H])*)$")
+_STOLEN_RE = re.compile(r"^SB[23H](?:;SB[23H])*$")
 _OUT_SEGMENT_RE = re.compile(r"(\d+)(?:\(([B123])\))?")
 _TRAILING_ERROR_RE = re.compile(r"^\d*E\d+$")
 
@@ -167,7 +168,7 @@ _PATTERN_EVENTS = (
     (re.compile(r"^FC\d?$"), PlayKind.FIELDERS_CHOICE),
     (re.compile(r"^\d*E\d+$"), PlayKind.REACHED_ON_ERROR),
 )
-# Tag plays on a runner: target base, then (...) groups of fielder credits.
+# Tag plays on a runner: a base, then (...) groups of fielder credits.
 _TAG_EVENTS = (
     (re.compile(r"^POCS([23H])((?:\([^)]*\))*)$"), PlayKind.PICKOFF_CAUGHT_STEALING),
     (re.compile(r"^PO([123])((?:\([^)]*\))*)$"), PlayKind.PICKOFF),
@@ -206,23 +207,23 @@ def parse_advances(text: str) -> list[Advance]:
         frm = _FROM_BASE[m.group(1)]
         to = _TO_BASE[m.group(3)]
         is_out = m.group(2) == "X"
-        negated = _error_cancels_out(m.group(4), token, MalformedAdvance)
+        cancelled = _error_cancels_out(m.group(4), token, MalformedAdvance)
         if not is_out and to <= frm:
             raise MalformedAdvance(token, "safe advance must move forward")
         if frm in seen:
             raise MalformedAdvance(token, "duplicate from-base")
         seen.add(frm)
-        advances.append(Advance(frm, to, is_out, is_out and negated))
+        advances.append(Advance(frm, to, is_out and not cancelled))
     return advances
 
 
 def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
     """Grammar for ground/fly outs: fielder strings with optional (base)
     put-out targets, e.g. ``8``, ``64(1)3``, ``8(B)84(2)``, ``64(1)E3``."""
-    putouts: list[Base] = []
+    retired: set[Base] = set()
     i = 0
     while i < len(basic):
-        if putouts and _TRAILING_ERROR_RE.match(basic[i:]):
+        if retired and _TRAILING_ERROR_RE.match(basic[i:]):
             # force out recorded, then an error let the batter reach: 64(1)E3
             break
         m = _OUT_SEGMENT_RE.match(basic, i)
@@ -234,40 +235,62 @@ def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
             runner = Base.BATTER
         else:
             raise UnparseableEvent(token, f"bad out segment at {basic[i:]!r}")
-        putouts.append(runner)
+        retired.add(runner)
         i = m.end()
-    if not putouts:
+    if not retired:
         raise UnparseableEvent(token, "empty out event")
-    return ParsedPlay(PlayKind.FIELDED_OUT, putouts=putouts)
+    # a force out or an error on the relay: the batter reached first
+    moves = {} if Base.BATTER in retired else {Base.BATTER: Base.FIRST}
+    return ParsedPlay(PlayKind.FIELDED_OUT, moves, retired)
+
+
+def _plain(kind: PlayKind) -> ParsedPlay:
+    """A basic event that at most puts the batter on base."""
+    dest = _BATTER_REACHES.get(kind)
+    return ParsedPlay(kind, {} if dest is None else {Base.BATTER: dest})
+
+
+def _chain(play: ParsedPlay, chained: str | None, token: str) -> ParsedPlay:
+    """``play`` plus the runner effects of the event chained on with ``+``
+    (``K+SB2``): a chained event never moves or retires the batter, and a
+    chained fielded out adds nothing."""
+    if chained:
+        part = _parse_basic(chained, token)
+        if part.kind is not PlayKind.FIELDED_OUT:
+            play.moves.update((b, to) for b, to in part.moves.items() if b is not Base.BATTER)
+            play.retired |= part.retired - {Base.BATTER}
+    return play
 
 
 def _parse_basic(basic: str, token: str) -> ParsedPlay:
     kind = _FIXED_WORDS.get(basic)
     if kind is not None:
-        return ParsedPlay(kind)
+        return _plain(kind)
     m = _STRIKEOUT_RE.match(basic)
     if m:
-        chained = _parse_basic(m.group(1), token) if m.group(1) else None
-        return ParsedPlay(PlayKind.STRIKEOUT, chained=chained)
+        play = ParsedPlay(PlayKind.STRIKEOUT, retired={Base.BATTER})
+        return _chain(play, m.group(1), token)
     m = _WALK_RE.match(basic)
     if m:
         kind = PlayKind.WALK if m.group(1) == "W" else PlayKind.INTENTIONAL_WALK
-        chained = _parse_basic(m.group(2), token) if m.group(2) else None
-        return ParsedPlay(kind, chained=chained)
-    m = _STOLEN_RE.match(basic)
-    if m:
-        bases = [_TO_BASE[m.group(1)]]
-        bases += [_TO_BASE[part[-1]] for part in m.group(2).split(";") if part]
-        return ParsedPlay(PlayKind.STOLEN_BASE, bases_stolen=bases)
+        return _chain(_plain(kind), m.group(2), token)
+    if _STOLEN_RE.match(basic):
+        targets = [_TO_BASE[part[-1]] for part in basic.split(";")]
+        return ParsedPlay(PlayKind.STOLEN_BASE, {Base(to - 1): to for to in targets})
     for regex, kind in _TAG_EVENTS:
         m = regex.match(basic)
         if m:
-            negated = _error_cancels_out(m.group(2), token, UnparseableEvent)
-            return ParsedPlay(kind, target_base=_TO_BASE[m.group(1)],
-                              negated_by_error=negated)
+            base = _TO_BASE[m.group(1)]
+            # a pickoff names the runner's base, a caught stealing the target
+            runner = base if kind is PlayKind.PICKOFF else Base(base - 1)
+            if not _error_cancels_out(m.group(2), token, UnparseableEvent):
+                return ParsedPlay(kind, retired={runner})
+            # the error wipes out the tag: a stealer is safe at the target,
+            # a runner picked off stays
+            return ParsedPlay(kind, {} if runner is base else {runner: base})
     for regex, kind in _PATTERN_EVENTS:
         if regex.match(basic):
-            return ParsedPlay(kind)
+            return _plain(kind)
     if basic and basic[0].isdigit():
         return _parse_fielded_out(basic, token)
     raise UnparseableEvent(token, f"unrecognized basic event {basic!r}")

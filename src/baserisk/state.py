@@ -20,15 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .eventfile import Diagnostic, GameAccount, Half, SubLine
-from .playtoken import (
-    BATTER_REACHES,
-    Advance,
-    Base,
-    ParsedPlay,
-    PlayKind,
-    UnparseableEvent,
-    parse_play_token,
-)
+from .playtoken import Base, ParsedPlay, PlayKind, UnparseableEvent, parse_play_token
 
 __all__ = [
     "GameReplay",
@@ -90,109 +82,48 @@ class GameReplay:
     final_score: tuple[int, int]  # visitor, home
 
 
-def _flatten(play: ParsedPlay) -> list[ParsedPlay]:
-    chain = [play]
-    while chain[-1].chained is not None:
-        chain.append(chain[-1].chained)
-    return chain
-
-
-def _implications(
-    play: ParsedPlay, bases: int
-) -> tuple[Base | None, bool, dict[Base, Base], set[Base]]:
-    """Work out what the basic event implies beyond explicit advances."""
-    batter_dest: Base | None = None
-    batter_out = False
-    implied: dict[Base, Base] = {}
-    implied_out: set[Base] = set()
-
-    kind = play.kind
-    if kind in BATTER_REACHES:
-        batter_dest = BATTER_REACHES[kind]
-        if kind is PlayKind.HOME_RUN:
-            for base in (Base.FIRST, Base.SECOND, Base.THIRD):
-                if bases & _BIT[base]:
-                    implied[base] = Base.HOME
-    elif kind is PlayKind.STRIKEOUT:
-        batter_out = True
-    elif kind is PlayKind.FIELDED_OUT:
-        for runner in play.putouts:
-            if runner is Base.BATTER:
-                batter_out = True
-            else:
-                implied_out.add(runner)
-        if not batter_out:
-            # force out or error on the relay: the batter reached first
-            batter_dest = Base.FIRST
-
-    for part in _flatten(play):
-        k = part.kind
-        if k is PlayKind.STOLEN_BASE:
-            for target in part.bases_stolen:
-                implied.setdefault(Base(target - 1), target)
-        elif k in (PlayKind.CAUGHT_STEALING, PlayKind.PICKOFF_CAUGHT_STEALING):
-            frm = Base(part.target_base - 1)
-            if part.negated_by_error:
-                implied.setdefault(frm, part.target_base)
-            else:
-                implied_out.add(frm)
-        elif k is PlayKind.PICKOFF:
-            if not part.negated_by_error:
-                implied_out.add(part.target_base)
-    return batter_dest, batter_out, implied, implied_out
-
-
 def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int, int]:
     """Resolve one play against an occupancy mask and the outs so far, to
     (outs recorded, runs scored, new occupancy mask).
 
-    Explicit advances always win over implied ones.  Runners without any
-    recorded movement hold their base unless a trailing runner or the
-    batter forces them on, in which case they are pushed the minimum
-    number of bases (a bases-loaded walk scores this way).
+    Lead runner first and the batter last, each follows their explicit
+    advance, else the play retires them, else it moves them, else a home run
+    scores them, else they hold: so K.B-1 on a dropped third strike is not an
+    out.  A runner who holds is pushed the minimum number of bases when a
+    trailing runner or the batter forces them on (a bases-loaded walk scores
+    this way).
     """
-    batter_dest, batter_out, implied, implied_out = _implications(play, bases)
-    explicit: dict[Base, Advance] = {a.frm: a for a in play.advances}
-
+    explicit = {a.frm: a for a in play.advances}
+    home_run = play.kind is PlayKind.HOME_RUN
     # where each runner who is not out goes; lead runners resolved first
     movers: list[Base] = []
     new = pushable = 0  # occupancy masks
     outs = runs = 0
 
-    for frm in (Base.THIRD, Base.SECOND, Base.FIRST):
-        occupied = bases & _BIT[frm]
-        if frm in explicit:
+    for frm in (Base.THIRD, Base.SECOND, Base.FIRST, Base.BATTER):
+        bit = _BIT[frm]
+        occupied = frm is Base.BATTER or bases & bit
+        adv = explicit.get(frm)
+        if adv is not None:
             if not occupied:
                 raise IllegalState(f"advance from empty base {frm.name}")
-            adv = explicit[frm]
-            if adv.is_out and not adv.negated_by_error:
+            if adv.retired:
                 outs += 1
             else:
                 movers.append(adv.to)
-        elif frm in implied_out:
+        elif frm in play.retired:
             if not occupied:
                 raise IllegalState(f"out recorded on empty base {frm.name}")
             outs += 1
-        elif frm in implied:
+        elif frm in play.moves:
             if not occupied:
                 raise IllegalState(f"implied advance from empty base {frm.name}")
-            movers.append(implied[frm])
+            movers.append(play.moves[frm])
+        elif occupied and home_run:
+            movers.append(Base.HOME)
         elif occupied:
-            new |= occupied
-            pushable |= occupied
-
-    if Base.BATTER in explicit:
-        adv = explicit[Base.BATTER]
-        # an explicit batter advance supersedes the strikeout / putout call,
-        # e.g. K.B-1 on a dropped third strike is not an out
-        if adv.is_out and not adv.negated_by_error:
-            outs += 1
-        else:
-            movers.append(adv.to)
-    elif batter_out:
-        outs += 1
-    elif batter_dest is not None:
-        movers.append(batter_dest)
+            new |= bit  # the batter has no bit: one who stays adds nothing
+            pushable |= bit
 
     def place(dest: Base) -> None:
         nonlocal runs, new, pushable

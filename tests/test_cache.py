@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import itertools
 import os
 from contextlib import nullcontext
@@ -283,12 +284,17 @@ def test_fingerprint_ignores_directory_and_order(tmp_path):
     moved = tmp_path / "b" / "1990.evn"
     moved.write_text("alpha\n")
 
-    base = fingerprint_paths([one, two])
+    def fingerprint(*paths):
+        # each path's content digest, as ingest records it
+        return fingerprint_paths(
+            {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths})
+
+    base = fingerprint(one, two)
     assert len(base) == 16 and int(base, 16) >= 0
-    assert fingerprint_paths([two, one]) == base
-    assert fingerprint_paths([moved, two]) == base
+    assert fingerprint(two, one) == base
+    assert fingerprint(moved, two) == base
     two.write_text("beta changed\n")
-    assert fingerprint_paths([one, two]) != base
+    assert fingerprint(one, two) != base
 
 
 def test_load_era_csv(tmp_path):

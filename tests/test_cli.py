@@ -1,5 +1,6 @@
 """Command-line flows, exit codes, and report plumbing."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import baserisk
-from baserisk.cli import main
+from baserisk import cli
+from baserisk.cli import DataError, _unique_inputs, main
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,45 @@ def test_ingest_counts_a_repeated_input_once(workspace, capsys, monkeypatch):
     assert main(args) == 0
     assert capsys.readouterr().err == summary
     assert thrice.read_text() == once.read_text()
+
+
+def test_ingest_counts_a_hard_link_once(workspace, tmp_path, capsys):
+    """A hard link is the same file under a second name, not a copy."""
+    link = tmp_path / "link.evn"
+    os.link(workspace["evn"], link)
+    once, twice = tmp_path / "once.cache", tmp_path / "twice.cache"
+    assert main(["ingest", "-i", str(workspace["evn"]), "--cache", str(once)]) == 0
+    summary = capsys.readouterr().err
+    args = ["ingest", "-i", str(workspace["evn"]), "-i", str(link), "--cache", str(twice)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == summary
+    assert twice.read_text() == once.read_text()
+
+
+def test_unique_inputs_reports_a_path_it_cannot_stat(tmp_path):
+    with pytest.raises(DataError, match="^cannot read input: "):
+        _unique_inputs((str(tmp_path / "ghost.evn"),))
+
+
+def test_ingest_fingerprints_the_bytes_it_ingested(workspace, tmp_path, monkeypatch):
+    """An input rewritten after it was read does not change the manifest:
+    the fingerprint hashes the bytes that were tallied."""
+    evn = tmp_path / "season.evn"
+    data = workspace["evn"].read_bytes()
+    evn.write_bytes(data)
+    ingest_paths = cli.ingest_paths
+
+    def ingest_then_rewrite(*args, **kwargs):
+        result = ingest_paths(*args, **kwargs)
+        evn.write_bytes(data + b"com,\"rewritten\"\n")
+        return result
+
+    monkeypatch.setattr(cli, "ingest_paths", ingest_then_rewrite)
+    cache = tmp_path / "stats.cache"
+    assert main(["ingest", "-i", str(evn), "--cache", str(cache)]) == 0
+    entry = f"season.evn:{hashlib.sha256(data).hexdigest()}\n"
+    expected = hashlib.sha256(entry.encode()).hexdigest()[:16]
+    assert f"fingerprint={expected}" in cache.read_text().splitlines()[0]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -210,6 +210,9 @@ def test_parallel_ingest_matches_serial(tmp_path):
     assert serial.games == parallel.games == 200
     assert serial.observations == parallel.observations
     assert serial.half_innings == parallel.half_innings
+    # every worker's content digests come back for the fingerprint
+    assert len(parallel.file_digests) == 8
+    assert serial.file_digests == parallel.file_digests
 
     def rendered(result):
         return render_cache(

@@ -28,7 +28,8 @@ def test_single_with_modifier_and_advance():
 def test_double_play_credits():
     play = parse_play_token("64(1)3/GDP")
     assert play.kind is PlayKind.FIELDED_OUT
-    assert play.putouts == [Base.FIRST, Base.BATTER]
+    assert play.retired == {Base.FIRST, Base.BATTER}
+    assert play.moves == {}
     assert play.advances == []
 
 
@@ -37,33 +38,37 @@ def test_fielders_choice_with_out_at_home():
     assert play.kind is PlayKind.FIELDERS_CHOICE
     (adv,) = play.advances
     assert adv.frm is Base.SECOND and adv.to is Base.HOME
-    assert adv.is_out and not adv.negated_by_error
+    assert adv.retired
 
 
 def test_lineout_double_play_base_refs():
     play = parse_play_token("8(B)84(2)/LDP")
-    assert play.putouts == [Base.BATTER, Base.SECOND]
+    assert play.retired == {Base.BATTER, Base.SECOND}
 
 
 def test_force_out_then_error_lets_batter_reach():
     play = parse_play_token("64(1)E3")
     assert play.kind is PlayKind.FIELDED_OUT
-    assert play.putouts == [Base.FIRST]  # no batter putout: the batter reaches
+    assert play.retired == {Base.FIRST}
+    assert play.moves == {Base.BATTER: Base.FIRST}  # no batter putout: the batter reaches
 
 
 def test_plain_fly_out():
     play = parse_play_token("8/F")
     assert play.kind is PlayKind.FIELDED_OUT
-    assert play.putouts == [Base.BATTER]
+    assert play.retired == {Base.BATTER}
+    assert play.moves == {}
 
 
 def test_strikeout_variants():
     assert parse_play_token("K").kind is PlayKind.STRIKEOUT
-    assert parse_play_token("K23") == ParsedPlay(PlayKind.STRIKEOUT)
+    assert parse_play_token("K23") == ParsedPlay(
+        PlayKind.STRIKEOUT, retired={Base.BATTER})
     chained = parse_play_token("K+SB2")
     assert chained.kind is PlayKind.STRIKEOUT
-    assert chained.chained.kind is PlayKind.STOLEN_BASE
-    assert chained.chained.bases_stolen == [Base.SECOND]
+    # the chained steal adds its runner's move to the strikeout
+    assert chained.moves == {Base.FIRST: Base.SECOND}
+    assert chained.retired == {Base.BATTER}
 
 
 def test_walk_variants():
@@ -72,39 +77,43 @@ def test_walk_variants():
     assert parse_play_token("IW").kind is PlayKind.INTENTIONAL_WALK
     chained = parse_play_token("W+WP.2-3")
     assert chained.kind is PlayKind.WALK
-    assert chained.chained.kind is PlayKind.WILD_PITCH
+    # a chained wild pitch moves no runner of its own
+    assert chained.moves == {Base.BATTER: Base.FIRST}
     assert chained.advances == [Advance(Base.SECOND, Base.THIRD)]
 
 
 def test_home_run_spellings():
     assert parse_play_token("HR").kind is PlayKind.HOME_RUN
     assert parse_play_token("H").kind is PlayKind.HOME_RUN
-    assert parse_play_token("HR8") == ParsedPlay(PlayKind.HOME_RUN)
+    assert parse_play_token("HR8") == ParsedPlay(
+        PlayKind.HOME_RUN, {Base.BATTER: Base.HOME})
 
 
 def test_double_steal():
     play = parse_play_token("SB3;SB2")
-    assert play.bases_stolen == [Base.THIRD, Base.SECOND]
+    assert play.moves == {Base.SECOND: Base.THIRD, Base.FIRST: Base.SECOND}
 
 
 def test_caught_stealing_and_error_negation():
     caught = parse_play_token("CS2(24)")
     assert caught.kind is PlayKind.CAUGHT_STEALING
-    assert caught.target_base is Base.SECOND
-    assert not caught.negated_by_error
+    assert caught.retired == {Base.FIRST}
+    assert caught.moves == {}
     # the error wipes out the tag: runner is safe
     safe = parse_play_token("CS2(2E4)")
-    assert safe.negated_by_error
+    assert safe.retired == set()
+    assert safe.moves == {Base.FIRST: Base.SECOND}
 
 
 def test_pickoff_kinds():
     po = parse_play_token("PO1(13)")
     assert po.kind is PlayKind.PICKOFF
-    assert po.target_base is Base.FIRST
-    assert parse_play_token("PO2(E1)").negated_by_error
+    assert po.retired == {Base.FIRST}
+    # the error cancels the pickoff and the runner stays put
+    assert parse_play_token("PO2(E1)") == ParsedPlay(PlayKind.PICKOFF)
     pocs = parse_play_token("POCS2(1361)")
     assert pocs.kind is PlayKind.PICKOFF_CAUGHT_STEALING
-    assert pocs.target_base is Base.SECOND
+    assert pocs.retired == {Base.FIRST}
 
 
 def test_reached_on_error():
@@ -140,7 +149,7 @@ def test_uncertainty_markers_recorded():
 def test_modifier_with_parenthesized_slash():
     # the slash inside (...) must not split the modifier
     play = parse_play_token("S8/G/R7(TH/X)")
-    assert play == ParsedPlay(PlayKind.SINGLE)
+    assert play == ParsedPlay(PlayKind.SINGLE, {Base.BATTER: Base.FIRST})
 
 
 def test_advance_section_examples():
@@ -148,16 +157,16 @@ def test_advance_section_examples():
         Advance(Base.FIRST, Base.THIRD),
         Advance(Base.BATTER, Base.FIRST),
     ]
-    assert parse_advances("2XH(82)") == [Advance(Base.SECOND, Base.HOME, is_out=True)]
+    assert parse_advances("2XH(82)") == [Advance(Base.SECOND, Base.HOME, retired=True)]
     assert parse_advances("3-H(UR)") == [Advance(Base.THIRD, Base.HOME)]
 
 
 def test_advance_error_negation_rules():
     (adv,) = parse_advances("2X3(E5)")
-    assert adv.is_out and adv.negated_by_error
+    assert adv == Advance(Base.SECOND, Base.THIRD, retired=False)
     # an error followed by a completed relay: the out stands
     (adv,) = parse_advances("2XH(E5)(82)")
-    assert adv.is_out and not adv.negated_by_error
+    assert adv.retired
 
 
 @pytest.mark.parametrize(
@@ -228,11 +237,12 @@ def test_duplicate_from_base_rejected(token, copies):
 
 # (corpus size, tokens parsed) and SHA-256 over the corpus, one line per
 # token: the token, then the parse's repr or the rejection's class and message.
-# The digest was recorded before ParsedPlay dropped the fields replay never
-# read, by rendering each parse of the older parser in this repr.
+# The digest was recorded before ParsedPlay said what a play does to the
+# runners, by rendering each parse of the older parser as its moves, retired
+# runners and advances in this repr.
 PINNED_PARSE_COUNTS = (28_344, 13_692)
 PINNED_PARSE_DIGEST = (
-    "17cd0ff052a8a171b9068414056431eafba073de458db830ce2cc4ce152a9cca"
+    "ff02c1f9aadf4a7e708295d82dc226c378f1013e387a6df16e569cf396f0a233"
 )
 
 

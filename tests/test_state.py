@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from baserisk.eventfile import assemble_games
 from baserisk.playtoken import (
-    BATTER_REACHES,
     Base,
     PlayKind,
     UnparseableEvent,
@@ -104,6 +103,25 @@ def test_pickoff():
 
 def test_batter_out_on_advance_to_home():
     assert effects("T9.BXH(82)") == (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "token,bases,expected",
+    [
+        # a chained fielded out retires no one: the strikeout is the out
+        ("K+64(1)3", FIRST, (1, 0, FIRST)),
+        # a nested chain still moves the stealer
+        ("K+K+SB3", SECOND, (1, 0, THIRD)),
+        # an error cancels the chained tag, so the stealer is safe
+        ("K+CS2(2E4)", FIRST, (1, 0, SECOND)),
+        ("K+CS2(24)", FIRST, (2, 0, 0)),
+        # a cancelled pickoff leaves the runner for the walk to push
+        ("W+PO1(E1)", FIRST, (0, 0, FIRST | SECOND)),
+        ("PO2(E1)", SECOND, (0, 0, SECOND)),
+    ],
+)
+def test_chained_and_tag_plays(token, bases, expected):
+    assert effects(token, bases) == expected
 
 
 @pytest.mark.parametrize(
@@ -306,8 +324,8 @@ def conserves_runners(play, bases, outs_recorded, runs, new_bases):
     """Whether the runners on base, and the batter when the play puts them
     in the count, all end up on base, across the plate or retired."""
     batter_entered = (
-        play.kind in BATTER_REACHES
-        or play.kind in (PlayKind.STRIKEOUT, PlayKind.FIELDED_OUT)
+        Base.BATTER in play.moves
+        or Base.BATTER in play.retired
         or any(adv.frm is Base.BATTER for adv in play.advances)
     )
     return bin(bases).count("1") + batter_entered == (

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable cache or
-input file, a game in two input files, empty cells, missing inputs, an
-output path that cannot be written, a config key that sets no option).
+Exit codes: 0 success, 1 usage error (among them ``decide --tsf`` with
+``--cache``, ``--pitcher`` or ``--years``), 2 data error (unreadable cache
+or input file, a game in two input files, empty cells, an empty leaders
+file, missing inputs, an output path or cache that cannot be written, a
+config key that sets no option).  ``main`` is the one place that turns a
+data error into exit 2.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ _CLASS_NAMES = {
 }
 
 
-def _parse_years(text: str | None) -> tuple[int, int] | None:
+def _parse_years(ctx, param, text: str | None) -> tuple[int, int] | None:
     if not text:
         return None
     try:
@@ -80,6 +83,16 @@ def _parse_years(text: str | None) -> tuple[int, int] | None:
     return span
 
 
+_years_option = click.option("--years", default=None, callback=_parse_years,
+                             help="season range, e.g. 1978-1992")
+_format_option = click.option("--format", "fmt", type=click.Choice(["text", "csv"]),
+                              default="text", show_default=True)
+_counting_mode_option = click.option(
+    "--counting-mode", type=click.Choice([m.value for m in CountingMode]),
+    default=CountingMode.INCLUDE_PLAY.value, show_default=True,
+    callback=lambda ctx, param, value: CountingMode(value))
+
+
 def _load_cache(path: str) -> StatsCache:
     try:
         return read_cache(path)
@@ -87,8 +100,6 @@ def _load_cache(path: str) -> StatsCache:
         raise DataError(f"cache not found: {path}")
     except OSError as exc:
         raise DataError(f"cannot read cache: {exc}")
-    except CacheError as exc:
-        raise DataError(str(exc))
 
 
 def _read_input(load, path, what: str):
@@ -181,30 +192,26 @@ def cli(ctx, config_path):
               type=click.Path(exists=True), help="event file (repeatable)")
 @click.option("--cache", "cache_path", required=True, type=click.Path(),
               help="where to write the tally cache")
-@click.option("--years", default=None, help="season range, e.g. 1978-1992")
-@click.option("--counting-mode",
-              type=click.Choice([m.value for m in CountingMode]),
-              default=CountingMode.INCLUDE_PLAY.value, show_default=True)
+@_years_option
+@_counting_mode_option
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="worker processes, at most one per input file")
 def ingest(inputs, cache_path, years, counting_mode, jobs):
     """Replay event files and write the aggregated tally cache."""
-    mode = CountingMode(counting_mode)
-    span = _parse_years(years)
-    paths = _unique_inputs(inputs)
-    try:
-        result = ingest_paths(paths, mode, span, jobs=jobs)
-    except InputError as exc:
-        raise DataError(str(exc))
+    result = ingest_paths(_unique_inputs(inputs), counting_mode, years, jobs=jobs)
     if result.games == 0:
         raise DataError("no usable games in the given inputs")
     cache = StatsCache(
         table=result.table,
         innings=result.innings,
-        counting_mode=mode,
+        counting_mode=counting_mode,
         fingerprint=fingerprint_paths(result.file_digests),
     )
-    write_cache(cache_path, cache)
+    try:
+        write_cache(cache_path, cache)
+    except OSError as exc:
+        # the error names the temp file beside the target, not the target
+        raise DataError(f"cannot write cache {cache_path}: {exc.strerror}")
     click.echo(
         f"games={result.games} skipped={result.games_skipped} "
         f"half_innings={result.half_innings} quarantined={result.quarantined} "
@@ -217,21 +224,16 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 
 @cli.command()
 @click.option("--cache", "cache_path", required=True, type=click.Path())
-@click.option("--years", default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv"]),
-              default="text", show_default=True)
+@_years_option
+@_format_option
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
     cache = _load_cache(cache_path)
-    span = _parse_years(years)
     cells = {}
-    try:
-        for scope, leverage in (("all", None), ("hl", True)):
-            for outs in (1, 0):
-                triple = rates(cache.table, outs, leverage=leverage, years=span)
-                cells[(scope, outs)] = Table1Cell(triple, brt_from_rates(triple))
-    except EmptyCell as exc:
-        raise DataError(str(exc))
+    for scope, leverage in (("all", None), ("hl", True)):
+        for outs in (1, 0):
+            triple = rates(cache.table, outs, leverage=leverage, years=years)
+            cells[(scope, outs)] = Table1Cell(triple, brt_from_rates(triple))
     click.echo(render_table1(cells, fmt), nl=False)
 
 
@@ -245,14 +247,12 @@ def table1(cache_path, years, fmt):
               default=None, help="file of pitcher ids, one per line")
 @click.option("--cohort-min-season", type=int, default=None,
               help="drop pitchers whose last season precedes this")
-@click.option("--years", default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv"]),
-              default="text", show_default=True)
+@_years_option
+@_format_option
 def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
            years, fmt):
     """Career-workload buckets of per-pitcher thresholds."""
     cache = _load_cache(cache_path)
-    span = _parse_years(years)
     try:
         edges = tuple(int(b) for b in boundaries.split(",") if b.strip())
     except ValueError:
@@ -263,15 +263,12 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
         raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
     blocks = {}
-    try:
-        for outs in outs_list:
-            blocks[outs] = bucket_report(
-                cache.table, cache.innings, outs, boundaries=edges,
-                years=span, cohort_last_season_min=cohort_min_season)
-            if leaders:
-                blocks[outs].append(group_summary(cache.table, leaders, outs, years=span))
-    except EmptyBucket as exc:
-        raise DataError(str(exc))
+    for outs in outs_list:
+        blocks[outs] = bucket_report(
+            cache.table, cache.innings, outs, boundaries=edges,
+            years=years, cohort_last_season_min=cohort_min_season)
+        if leaders is not None:
+            blocks[outs].append(group_summary(cache.table, leaders, outs, years=years))
     click.echo(render_table2(blocks, fmt), nl=False)
 
 
@@ -284,19 +281,17 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
               help="csv of pitcher_id,era")
 @click.option("--roster", "roster_paths", multiple=True,
               type=click.Path(exists=True), help="roster file (repeatable)")
-@click.option("--years", default=None)
-@click.option("--format", "fmt", type=click.Choice(["text", "csv"]),
-              default="text", show_default=True)
+@_years_option
+@_format_option
 def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt):
     """Per-pitcher thresholds for heavy high-leverage workloads."""
     cache = _load_cache(cache_path)
-    span = _parse_years(years)
     eras = _read_input(load_era_csv, era_path, "era file") if era_path else {}
     names = {}
     if roster_paths:
         names = _read_input(load_roster_names, list(roster_paths), "roster")
-    careers = career_high_leverage_innings(cache.innings, span)
-    by_pitcher = rates_by_pitcher(cache.table, outs, leverage=True, years=span)
+    careers = career_high_leverage_innings(cache.innings, years)
+    by_pitcher = rates_by_pitcher(cache.table, outs, leverage=True, years=years)
     rows = []
     for pid in sorted(by_pitcher):
         triple = by_pitcher[pid]
@@ -318,28 +313,26 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
 @click.option("--pitcher", "pitcher_id", default=None)
 @click.option("--outs", type=_THRESHOLD_OUTS, default=1, show_default=True)
 @click.option("--leverage/--all-innings", default=True, show_default=True)
-@click.option("--years", default=None)
+@_years_option
 def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
     """Compare a success probability P against the break-even threshold."""
     if tsf:
+        if cache_path or pitcher_id or years:
+            raise click.UsageError("--tsf takes no --cache, --pitcher or --years")
         value = compute_brt(*tsf)
     elif cache_path:
         cache = _load_cache(cache_path)
         lev = True if leverage else None
-        span = _parse_years(years)
         if pitcher_id:
-            triple = rates_by_pitcher(cache.table, outs, lev, span).get(pitcher_id)
+            triple = rates_by_pitcher(cache.table, outs, lev, years).get(pitcher_id)
             if triple is None:
                 if pitcher_id not in {key[0] for key in cache.table.cells}:
                     raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
                 # rows, but none that the filters keep: every cell is empty
                 triple = RateTriple(Rate(0, 0), Rate(0, 0), Rate(0, 0), outs)
         else:
-            triple = rates(cache.table, outs, leverage=lev, years=span)
-        try:
-            value = brt_from_rates(triple)
-        except EmptyCell as exc:
-            raise DataError(str(exc))
+            triple = rates(cache.table, outs, leverage=lev, years=years)
+        value = brt_from_rates(triple)
     else:
         raise click.UsageError("give either --tsf T S F or --cache")
     verdict = decide(p, value.brt)
@@ -354,39 +347,33 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
 @click.option("--situation", "class_name",
               type=click.Choice(sorted(_CLASS_NAMES)), default=None)
 @click.option("--outs", type=click.IntRange(0, 2), default=None)
-@click.option("--years", default=None)
+@_years_option
 @click.option("--leverage/--all-innings", "leverage", default=False)
-@click.option("--counting-mode",
-              type=click.Choice([m.value for m in CountingMode]),
-              default=CountingMode.INCLUDE_PLAY.value, show_default=True)
+@_counting_mode_option
 def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
     """List matching observations straight from raw event files."""
-    observations = collect_observations(
-        _unique_inputs(inputs), CountingMode(counting_mode), _parse_years(years))
+    observations = collect_observations(_unique_inputs(inputs), counting_mode, years)
     kind = _CLASS_NAMES[class_name] if class_name else None
     scored = 0
     # files are read as the loop drains the generator; nothing is printed
     # until all are read, so a refused input leaves stdout empty
     lines: list[str] = []
-    try:
-        for obs in observations:
-            if pitcher_id and obs.pitcher_id != pitcher_id:
-                continue
-            if kind and obs.situation.kind is not kind:
-                continue
-            if outs is not None and obs.situation.outs != outs:
-                continue
-            if leverage and not obs.high_leverage:
-                continue
-            game_id, inning, half = obs.half_inning_key
-            scored += obs.scored_later
-            lines.append(
-                f"{game_id} inning={inning} half={half.name.lower()} "
-                f"pitcher={obs.pitcher_id} class={obs.situation.kind.value} "
-                f"outs={obs.situation.outs} scored={int(obs.scored_later)} "
-                f"hl={int(obs.high_leverage)}")
-    except InputError as exc:
-        raise DataError(str(exc))
+    for obs in observations:
+        if pitcher_id and obs.pitcher_id != pitcher_id:
+            continue
+        if kind and obs.situation.kind is not kind:
+            continue
+        if outs is not None and obs.situation.outs != outs:
+            continue
+        if leverage and not obs.high_leverage:
+            continue
+        game_id, inning, half = obs.half_inning_key
+        scored += obs.scored_later
+        lines.append(
+            f"{game_id} inning={inning} half={half.name.lower()} "
+            f"pitcher={obs.pitcher_id} class={obs.situation.kind.value} "
+            f"outs={obs.situation.outs} scored={int(obs.scored_later)} "
+            f"hl={int(obs.high_leverage)}")
     if not lines:
         raise DataError("no matching observations")
     lines.append(f"n={len(lines)} scored={scored} rate={scored / len(lines):.6f}")
@@ -406,13 +393,13 @@ def simulate(model_path, games, seed, season, subs, out_path):
     """Generate a synthetic event file from an outcome model."""
     from . import oracle  # only simulate runs the simulator
 
-    try:
-        if model_path:
+    if not model_path:
+        model = oracle.default_model()
+    else:
+        try:
             model = _read_input(oracle.load_model, model_path, "model")
-        else:
-            model = oracle.default_model()
-    except oracle.InvalidModel as exc:
-        raise DataError(str(exc))
+        except oracle.InvalidModel as exc:
+            raise DataError(f"model {model_path}: {exc}")
     sims = oracle.simulate_season(model, games, seed, season=season,
                                   midgame_subs=subs)
     try:
@@ -433,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except DataError as exc:
+    except (DataError, CacheError, InputError, EmptyCell, EmptyBucket) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -200,6 +200,22 @@ def test_ingest_missing_input(tmp_path):
     assert main(args) == 1
 
 
+@pytest.mark.parametrize("target,reason", [
+    ("no-such-dir/stats.cache", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+])
+def test_ingest_cache_path_it_cannot_write(workspace, tmp_path, capsys, target, reason):
+    """The error names the path given, not the temp file written beside it,
+    and the temp file is gone."""
+    (tmp_path / "a-directory").mkdir()
+    cache = tmp_path / target
+    assert main(["ingest", "-i", str(workspace["evn"]), "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write cache {cache}: {reason}\n"
+    assert captured.out == ""
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this baserisk, run to its end."""
     src = str(Path(baserisk.__file__).parents[1])
@@ -393,6 +409,19 @@ def test_table2_default_boundaries_all_empty(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_table2_refuses_an_empty_leaders_file(workspace, tmp_path, capsys):
+    """A leaders file of blank lines names no pitcher, so the table is not
+    printed without its leaders row."""
+    leaders = tmp_path / "blank.txt"
+    leaders.write_text("\n   \n\n")
+    args = ["table2", "--cache", str(workspace["cache"]), "--boundaries", "50",
+            "--save-leaders", str(leaders)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty pitcher list\n"
+    assert captured.out == ""
+
+
 def test_table3_names_and_blank_era(workspace, capsys):
     era = workspace["root"] / "era.csv"
     era.write_text("pitcher_id,era\nhpit0001,2.50\n")
@@ -448,6 +477,27 @@ def test_decide_clamped(capsys):
 def test_decide_usage_errors(workspace):
     assert main(["decide", "1.5", "--tsf", "0.6", "0.4", "0.1"]) == 1
     assert main(["decide", "0.5"]) == 1  # neither --tsf nor --cache
+
+
+@pytest.mark.parametrize("extra,config", [
+    (["--cache", "/nonexistent.csv"], None),
+    (["--pitcher", "nobody"], None),
+    (["--years", "1990-1991"], None),
+    ([], "decide.cache = /nonexistent.csv"),
+    ([], "decide.years = 1990"),
+], ids=["cache", "pitcher", "years", "config-cache", "config-years"])
+def test_decide_tsf_refuses_cache_side_options(tmp_path, capsys, extra, config):
+    """Rates given directly leave nothing for a cache, pitcher or season
+    range to select, so such an option is refused, not ignored."""
+    argv = ["decide", "0.5", "--tsf", "0.6", "0.4", "0.1", *extra]
+    if config is not None:
+        cfg = tmp_path / "decide.cfg"
+        cfg.write_text(config + "\n")
+        argv = ["--config", str(cfg), *argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tsf takes no --cache, --pitcher or --years" in captured.err
 
 
 @pytest.mark.parametrize("args", [
@@ -718,3 +768,48 @@ def test_decide_names_pitcher_missing_from_cache(report_cache, capsys):
     assert captured.out == ""
     assert "ghost01" in captured.err
     assert "no tally rows" in captured.err
+
+
+# --- data errors leave through main with the line they had ------------------
+
+
+# stderr of each refusal, recorded when every command still turned its own
+# data errors into exit 2; EVN, COPY, CACHE and REPEATED stand for the paths
+REFUSALS = [
+    (["table1", "--cache", "CACHE", "--years", "1990"],
+     "error: third-occupied cell has no observations\n"),
+    (["table2", "--cache", "CACHE", "--boundaries", "100000"],
+     "error: no pitcher reached the first boundary\n"),
+    (["table1", "--cache", "REPEATED"],
+     "error: bad cache row ['hpit0001', 'first_only', '1', '2000:hl', '5', '23']: "
+     "repeats the key of an earlier row\n"),
+    (["ingest", "-i", "EVN", "-i", "COPY", "--cache", "OUT"],
+     "error: game HOM200004010 is in both COPY and EVN\n"),
+    (["query", "-i", "EVN", "-i", "COPY"],
+     "error: game HOM200004010 is in both COPY and EVN\n"),
+    (["decide", "0.5", "--cache", "CACHE", "--years", "1990"],
+     "error: third-occupied cell has no observations\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", REFUSALS,
+                         ids=["empty-cell", "empty-bucket", "repeated-cache-row",
+                              "ingest-game-twice", "query-game-twice",
+                              "decide-empty-cell"])
+def test_refusal_keeps_its_error_line(workspace, tmp_path, capsys, argv, err):
+    # both event files in one directory, as when the lines were recorded
+    evn, copy = tmp_path / "season.evn", tmp_path / "copy.evn"
+    for path in (evn, copy):
+        path.write_bytes(workspace["evn"].read_bytes())
+    lines = workspace["cache"].read_text().splitlines()
+    repeated = tmp_path / "repeated.cache"
+    repeated.write_text("\n".join([*lines, lines[2]]) + "\n")
+    paths = {"EVN": str(evn), "COPY": str(copy),
+             "CACHE": str(workspace["cache"]), "REPEATED": str(repeated),
+             "OUT": str(tmp_path / "out.cache")}
+    for name, path in paths.items():
+        err = err.replace(name, path)
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""

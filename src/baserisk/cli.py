@@ -1,19 +1,24 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (among them ``decide --tsf`` with
-``--cache``, ``--pitcher`` or ``--years``), 2 data error (unreadable cache
-or input file, a game in two input files, empty cells, an empty leaders
-file, missing inputs, an output path or cache that cannot be written, a
-config key that sets no option).  ``main`` is the one place that turns a
-data error into exit 2.
+``--cache``, ``--pitcher``, ``--years``, ``--outs`` or
+``--leverage/--all-innings``, given on the command line or in the config
+file), 2 data error (unreadable cache or input file, a game in two input
+files, empty cells, an empty leaders file, missing inputs, an output path
+or cache that cannot be written, an ``ingest --cache`` that names one of
+the inputs, a config key that sets no option).  ``main`` is the one place
+that turns a data error into exit 2, and it runs every command with the
+cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .cache import (
     CacheError,
@@ -38,6 +43,7 @@ from .stats import (
     EmptyBucket,
     EmptyCell,
     Rate,
+    RateSummary,
     RateTriple,
     bucket_report,
     brt_from_rates,
@@ -45,8 +51,7 @@ from .stats import (
     compute_brt,
     decide,
     group_summary,
-    rates,
-    rates_by_pitcher,
+    rates,  # no command calls it; perfbench/spans.py wraps cli.rates by name
 )
 
 __all__ = ["DataError", "cli", "main"]
@@ -113,17 +118,24 @@ def _read_input(load, path, what: str):
         raise DataError(f"cannot read {what}: {exc}")
 
 
-def _unique_inputs(inputs: tuple[str, ...]) -> list[str]:
-    """The input paths with a file named twice (a.ev, ./a.ev, a link to
-    it) kept once, under its first spelling, so that no file counts twice."""
+def _file_id(path: str) -> tuple[int, int]:
+    """(device, inode) of the file ``path`` names, the same for every
+    spelling of it and every hard link to it."""
+    stat = Path(path).stat()
+    return stat.st_dev, stat.st_ino
+
+
+def _unique_inputs(inputs: tuple[str, ...]) -> dict[tuple[int, int], str]:
+    """The input paths by ``_file_id``, with a file named twice (a.ev,
+    ./a.ev, a link to it) kept once, under its first spelling, so that no
+    file counts twice."""
     unique: dict[tuple[int, int], str] = {}
     for path in inputs:
         try:
-            stat = Path(path).stat()
+            unique.setdefault(_file_id(path), path)
         except OSError as exc:
             raise DataError(f"cannot read input: {exc}")
-        unique.setdefault((stat.st_dev, stat.st_ino), path)
-    return list(unique.values())
+    return unique
 
 
 def _read_ids(path: str) -> list[str]:
@@ -198,7 +210,14 @@ def cli(ctx, config_path):
               help="worker processes, at most one per input file")
 def ingest(inputs, cache_path, years, counting_mode, jobs):
     """Replay event files and write the aggregated tally cache."""
-    result = ingest_paths(_unique_inputs(inputs), counting_mode, years, jobs=jobs)
+    paths = _unique_inputs(inputs)
+    try:
+        target = _file_id(cache_path)
+    except OSError:  # no file to replace; an unwritable path fails at the write
+        target = None
+    if target in paths:
+        raise DataError(f"cache {cache_path} would replace the input file {paths[target]}")
+    result = ingest_paths(list(paths.values()), counting_mode, years, jobs=jobs)
     if result.games == 0:
         raise DataError("no usable games in the given inputs")
     cache = StatsCache(
@@ -228,11 +247,11 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 @_format_option
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
-    cache = _load_cache(cache_path)
+    summary = RateSummary(_load_cache(cache_path).table, years)
     cells = {}
     for scope, leverage in (("all", None), ("hl", True)):
         for outs in (1, 0):
-            triple = rates(cache.table, outs, leverage=leverage, years=years)
+            triple = summary.pooled(outs, leverage)
             cells[(scope, outs)] = Table1Cell(triple, brt_from_rates(triple))
     click.echo(render_table1(cells, fmt), nl=False)
 
@@ -262,13 +281,13 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
     if any(low >= high for low, high in zip(edges, edges[1:])):
         raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
+    summary = RateSummary(cache.table, years)
     blocks = {}
     for outs in outs_list:
-        blocks[outs] = bucket_report(
-            cache.table, cache.innings, outs, boundaries=edges,
-            years=years, cohort_last_season_min=cohort_min_season)
+        blocks[outs] = bucket_report(summary, cache.innings, outs, boundaries=edges,
+                                     cohort_last_season_min=cohort_min_season)
         if leaders is not None:
-            blocks[outs].append(group_summary(cache.table, leaders, outs, years=years))
+            blocks[outs].append(group_summary(summary, leaders, outs))
     click.echo(render_table2(blocks, fmt), nl=False)
 
 
@@ -291,7 +310,7 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
     if roster_paths:
         names = _read_input(load_roster_names, list(roster_paths), "roster")
     careers = career_high_leverage_innings(cache.innings, years)
-    by_pitcher = rates_by_pitcher(cache.table, outs, leverage=True, years=years)
+    by_pitcher = RateSummary(cache.table, years).by_pitcher(outs, leverage=True)
     rows = []
     for pid in sorted(by_pitcher):
         triple = by_pitcher[pid]
@@ -314,24 +333,29 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
 @click.option("--outs", type=_THRESHOLD_OUTS, default=1, show_default=True)
 @click.option("--leverage/--all-innings", default=True, show_default=True)
 @_years_option
-def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
+@click.pass_context
+def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
     """Compare a success probability P against the break-even threshold."""
     if tsf:
-        if cache_path or pitcher_id or years:
-            raise click.UsageError("--tsf takes no --cache, --pitcher or --years")
+        # every one of these selects rates from a cache; one given on the
+        # command line or in the config file would be ignored
+        if any(ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+               for name in ("cache_path", "pitcher_id", "years", "outs", "leverage")):
+            raise click.UsageError("--tsf takes no --cache, --pitcher or --years, "
+                                   "and no --outs, --leverage or --all-innings")
         value = compute_brt(*tsf)
     elif cache_path:
-        cache = _load_cache(cache_path)
+        summary = RateSummary(_load_cache(cache_path).table, years)
         lev = True if leverage else None
         if pitcher_id:
-            triple = rates_by_pitcher(cache.table, outs, lev, years).get(pitcher_id)
+            triple = summary.by_pitcher(outs, lev).get(pitcher_id)
             if triple is None:
-                if pitcher_id not in {key[0] for key in cache.table.cells}:
+                if pitcher_id not in summary.rows:
                     raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
                 # rows, but none that the filters keep: every cell is empty
                 triple = RateTriple(Rate(0, 0), Rate(0, 0), Rate(0, 0), outs)
         else:
-            triple = rates(cache.table, outs, leverage=lev, years=years)
+            triple = summary.pooled(outs, lev)
         value = brt_from_rates(triple)
     else:
         raise click.UsageError("give either --tsf T S F or --cache")
@@ -352,7 +376,8 @@ def decide_cmd(p, tsf, cache_path, pitcher_id, outs, leverage, years):
 @_counting_mode_option
 def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
     """List matching observations straight from raw event files."""
-    observations = collect_observations(_unique_inputs(inputs), counting_mode, years)
+    observations = collect_observations(
+        list(_unique_inputs(inputs).values()), counting_mode, years)
     kind = _CLASS_NAMES[class_name] if class_name else None
     scored = 0
     # files are read as the loop drains the generator; nothing is printed
@@ -410,6 +435,17 @@ def simulate(model_path, games, seed, season, subs, out_path):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's setting, enabled or disabled, is put back on every exit.  A
+    report command builds a table of tens of thousands of key tuples and
+    count lists that live until it returns and form no cycles, so a
+    collection while it runs could free nothing; ingest leaves a few
+    thousand cyclic objects, which wait until the collector runs again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -423,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, CacheError, InputError, EmptyCell, EmptyBucket) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

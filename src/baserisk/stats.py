@@ -40,6 +40,7 @@ __all__ = [
     "EmptyCell",
     "InningCounts",
     "Rate",
+    "RateSummary",
     "RateTriple",
     "SituationClass",
     "SituationObservation",
@@ -54,7 +55,6 @@ __all__ = [
     "extract_observations",
     "group_summary",
     "rates",
-    "rates_by_pitcher",
 ]
 
 HIGH_LEVERAGE_INNINGS = (8, 9)
@@ -264,44 +264,78 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
-def rates_by_pitcher(
-    table: TallyTable,
-    outs: int,
-    leverage: bool | None = None,
-    years: tuple[int, int] | None = None,
-) -> dict[str, RateTriple]:
-    """Scoring rates for the three classes at threshold index ``outs`` (the
-    first-only class is read at ``outs + 1``), for every pitcher with at
-    least one matching cell.
+# class -> outs -> the slot of the cell in a block of a RateSummary row.
+# A cell that no situation class has, which only a table built by hand can
+# hold, adds into slot 6, which no question reads.
+_SLOT = {
+    kind: dict(enumerate(slots))
+    for kind, slots in ((ClassKind.THIRD_OCCUPIED, (0, 1, 6)),
+                        (ClassKind.SECOND_NO_THIRD, (2, 3, 6)),
+                        (ClassKind.FIRST_ONLY, (6, 4, 5)))
+}
+# where each block starts, by the leverage a question keeps
+_BLOCK = {False: 0, True: 7, None: 14}
 
-    leverage=True keeps only high-leverage observations, None keeps all.
+
+class RateSummary:
+    """Each pitcher's six (class, outs) cells summed over the seasons
+    inside ``years`` in one walk of the table, so that every rate question
+    of a report reads the summary, not the table.
+
+    A row holds three blocks of seven slots: the other cells, the
+    high-leverage cells, and their sum.  A pitcher is in an answer only
+    when some cell of theirs matches it, even one with no observations, so
+    the walk also marks which cells it saw.
     """
-    if outs not in (0, 1):
-        raise ValueError("threshold index must be 0 or 1")
-    wanted = {
-        ClassKind.THIRD_OCCUPIED: outs,
-        ClassKind.SECOND_NO_THIRD: outs,
-        ClassKind.FIRST_ONLY: outs + 1,
-    }
-    sums: dict[tuple[str, ClassKind], list[int]] = {}
-    for (pid, kind, cell_outs, season, lev), (num, den) in table.cells.items():
-        if wanted[kind] != cell_outs:
-            continue
-        if leverage is not None and lev != leverage:
-            continue
-        if years and not (years[0] <= season <= years[1]):
-            continue
-        key = (pid, kind)
-        cell = sums.get(key)
-        if cell is None:
-            sums[key] = [num, den]
-        else:
-            cell[0] += num
-            cell[1] += den
-    return {
-        pid: RateTriple(*(Rate(*sums.get((pid, kind), (0, 0))) for kind in wanted), outs)
-        for pid in dict.fromkeys(pid for pid, _ in sums)
-    }
+
+    def __init__(self, table: TallyTable, years: tuple[int, int] | None = None) -> None:
+        self.years = years
+        # pitcher -> (numerators, denominators, cell seen), for every pitcher
+        # with a cell in the table, inside years or not
+        self.rows: dict[str, tuple[list[int], list[int], list[bool]]] = {}
+        rows = self.rows
+        last = None
+        for (pid, kind, outs, season, lev), (num, den) in table.cells.items():
+            if pid != last:  # a read cache holds each pitcher's cells in one run
+                row = rows.get(pid)
+                if row is None:
+                    row = rows[pid] = ([0] * 14, [0] * 14, [False] * 14)
+                nums, dens, seen = row
+                last = pid
+            if years and not (years[0] <= season <= years[1]):
+                continue
+            i = _SLOT[kind][outs] + 7 * lev
+            nums[i] += num
+            dens[i] += den
+            seen[i] = True
+        for nums, dens, seen in rows.values():
+            nums += [other + hl for other, hl in zip(nums, nums[7:])]
+            dens += [other + hl for other, hl in zip(dens, dens[7:])]
+            seen += [other or hl for other, hl in zip(seen, seen[7:])]
+
+    def by_pitcher(self, outs: int, leverage: bool | None = None) -> dict[str, RateTriple]:
+        """Scoring rates for the three classes at threshold index ``outs``
+        (the first-only class is read at ``outs + 1``), for every pitcher
+        with at least one matching cell.
+
+        leverage=True keeps only high-leverage observations, None keeps all.
+        """
+        if outs not in (0, 1):
+            raise ValueError("threshold index must be 0 or 1")
+        block = _BLOCK[leverage]
+        t = block + _SLOT[ClassKind.THIRD_OCCUPIED][outs]
+        s = block + _SLOT[ClassKind.SECOND_NO_THIRD][outs]
+        f = block + _SLOT[ClassKind.FIRST_ONLY][outs + 1]
+        return {
+            pid: RateTriple(Rate(nums[t], dens[t]), Rate(nums[s], dens[s]),
+                            Rate(nums[f], dens[f]), outs)
+            for pid, (nums, dens, seen) in self.rows.items()
+            if seen[t] or seen[s] or seen[f]
+        }
+
+    def pooled(self, outs: int, leverage: bool | None = None) -> RateTriple:
+        """by_pitcher pooled over every pitcher."""
+        return _pooled(self.by_pitcher(outs, leverage).values(), outs)
 
 
 def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
@@ -319,8 +353,8 @@ def rates(
     leverage: bool | None = None,
     years: tuple[int, int] | None = None,
 ) -> RateTriple:
-    """rates_by_pitcher pooled over every pitcher."""
-    return _pooled(rates_by_pitcher(table, outs, leverage, years).values(), outs)
+    """``RateSummary.pooled`` for a single question."""
+    return RateSummary(table, years).pooled(outs, leverage)
 
 
 @dataclass(frozen=True)
@@ -406,24 +440,23 @@ def _bucket_row(
 
 
 def bucket_report(
-    table: TallyTable,
+    summary: RateSummary,
     innings: InningCounts,
     outs: int,
     boundaries: tuple[int, ...] = (100, 150, 200, 250, 300, 350),
-    years: tuple[int, int] | None = None,
     cohort_last_season_min: int | None = None,
 ) -> list[BucketRow]:
     """Group pitchers by career high-leverage half-innings and report the
     pooled high-leverage threshold plus the spread of per-pitcher thresholds
-    per bucket.
+    per bucket.  Careers count the seasons the summary covers.
 
     With a single pitcher in a bucket the population stddev is 0.
     """
-    careers = career_high_leverage_innings(innings, years)
+    careers = career_high_leverage_innings(innings, summary.years)
     if cohort_last_season_min is not None:
         cohort = {pid for pid, season in innings.counts if season >= cohort_last_season_min}
         careers = {pid: career for pid, career in careers.items() if pid in cohort}
-    by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
+    by_pitcher = summary.by_pitcher(outs, leverage=True)
 
     edges = list(boundaries) + [None]
     rows: list[BucketRow] = []
@@ -439,16 +472,11 @@ def bucket_report(
     return rows
 
 
-def group_summary(
-    table: TallyTable,
-    pitcher_ids: list[str],
-    outs: int,
-    years: tuple[int, int] | None = None,
-) -> BucketRow:
+def group_summary(summary: RateSummary, pitcher_ids: list[str], outs: int) -> BucketRow:
     """A ``leaders`` row of bucket-style stats for an explicit pitcher list,
     each id counted once."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
-    by_pitcher = rates_by_pitcher(table, outs, leverage=True, years=years)
+    by_pitcher = summary.by_pitcher(outs, leverage=True)
     members = list(dict.fromkeys(pitcher_ids))
     return _bucket_row("leaders", 0, None, members, by_pitcher, outs)

@@ -207,8 +207,8 @@ def test_repeated_key_rejected(tmp_path, row):
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case", ["good", "bad row", "not UTF-8", "missing"])
 def test_read_cache_restores_collector(tmp_path, enabled, case):
-    """The read pauses the cyclic collector and puts back the caller's
-    setting on every exit."""
+    """The read leaves the cyclic collector as the caller set it, on every
+    exit: pausing it is ``cli.main``'s work, for the whole command."""
     path = tmp_path / "c.cache"
     text = render_cache(sample_cache())
     if case == "bad row":
@@ -226,34 +226,6 @@ def test_read_cache_restores_collector(tmp_path, enabled, case):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-
-
-def test_read_cache_starts_no_collection(tmp_path):
-    """A read builds two containers a row that form no cycles, so a
-    collection in it could free nothing."""
-    table = TallyTable({
-        (f"p{n:03d}", kind, outs, season, lev): [1, 2]
-        for n in range(100) for kind, outs in SITUATION_CELLS
-        for season in range(1990, 1995) for lev in (True, False)
-    })
-    assert len(table.cells) >= 5_000
-    path = tmp_path / "big.cache"
-    write_cache(path, StatsCache(table, InningCounts(), CountingMode.INCLUDE_PLAY, ""))
-    started = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    assert gc.isenabled()
-    gc.collect()
-    gc.callbacks.append(count)
-    try:
-        loaded = read_cache(path)
-    finally:
-        gc.callbacks.remove(count)
-    assert started == []
-    assert loaded.table.cells == table.cells
 
 
 def test_undecodable_cache_rejected(tmp_path):

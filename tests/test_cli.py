@@ -1,5 +1,6 @@
 """Command-line flows, exit codes, and report plumbing."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -214,6 +215,26 @@ def test_ingest_cache_path_it_cannot_write(workspace, tmp_path, capsys, target, 
     assert captured.err == f"error: cannot write cache {cache}: {reason}\n"
     assert captured.out == ""
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "hard-link"])
+def test_ingest_refuses_a_cache_that_is_an_input(workspace, tmp_path, capsys, spelling):
+    """A cache path that names one of the inputs, however spelled, is
+    refused before anything is read or written: the input keeps its bytes."""
+    evn = tmp_path / "season.evn"
+    data = workspace["evn"].read_bytes()
+    evn.write_bytes(data)
+    cache = {"same": str(evn), "dot": f"{tmp_path}/./season.evn",
+             "hard-link": str(tmp_path / "link.evn")}[spelling]
+    if spelling == "hard-link":
+        os.link(evn, cache)
+    assert main(["ingest", "-i", str(evn), "--cache", cache]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cache {cache} would replace the input file {evn}\n"
+    assert captured.out == ""
+    assert evn.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"season.evn", Path(cache).name})
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -485,10 +506,17 @@ def test_decide_usage_errors(workspace):
     (["--years", "1990-1991"], None),
     ([], "decide.cache = /nonexistent.csv"),
     ([], "decide.years = 1990"),
-], ids=["cache", "pitcher", "years", "config-cache", "config-years"])
+    (["--outs", "1"], None),
+    (["--leverage"], None),
+    (["--all-innings"], None),
+    ([], "decide.outs = 0"),
+    ([], "decide.leverage = false"),
+], ids=["cache", "pitcher", "years", "config-cache", "config-years",
+        "outs", "leverage", "all-innings", "config-outs", "config-leverage"])
 def test_decide_tsf_refuses_cache_side_options(tmp_path, capsys, extra, config):
-    """Rates given directly leave nothing for a cache, pitcher or season
-    range to select, so such an option is refused, not ignored."""
+    """Rates given directly leave nothing for a cache, pitcher, season
+    range, out count or leverage stratum to select, so such an option is
+    refused, not ignored, even when it repeats the default."""
     argv = ["decide", "0.5", "--tsf", "0.6", "0.4", "0.1", *extra]
     if config is not None:
         cfg = tmp_path / "decide.cfg"
@@ -813,3 +841,131 @@ def test_refusal_keeps_its_error_line(workspace, tmp_path, capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.err == err
     assert captured.out == ""
+
+
+# --- the collector is paused for the command, and the tally walked once ------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case,code", [
+    ("good", 0), ("usage", 1), ("missing", 2), ("bad row", 2), ("help", 0),
+    ("raises", None),
+])
+def test_main_restores_collector(workspace, tmp_path, capsys, monkeypatch,
+                                 enabled, case, code):
+    """main runs the command with the cyclic collector paused and puts back
+    the caller's setting on every exit, an escaping exception included."""
+    cache = workspace["cache"]
+    if case == "bad row":
+        cache = tmp_path / "bad.cache"
+        cache.write_text(workspace["cache"].read_text() + "zz01,innings,0,2003,3,2\n")
+    argv = {"usage": ["table1", "--cache", str(cache), "--years", "x"],
+            "missing": ["table1", "--cache", str(tmp_path / "ghost.cache")],
+            "help": ["table1", "--help"]}.get(case, ["table1", "--cache", str(cache)])
+    seen = []
+    render = cli.render_table1
+
+    def traced_render(*args):
+        seen.append(gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("escapes main")
+        return render(*args)
+
+    monkeypatch.setattr(cli, "render_table1", traced_render)
+    if not enabled:
+        gc.disable()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == ([False] if case in ("good", "raises") else [])
+
+
+def test_table2_starts_no_collection(tmp_path, capsys):
+    """A report builds two containers a cache row that form no cycles and
+    live until it returns, so a collection while it runs could free
+    nothing, and none starts."""
+    from baserisk.cache import StatsCache, write_cache
+    from baserisk.stats import ClassKind, CountingMode, InningCounts, TallyTable
+
+    cells = [(ClassKind.THIRD_OCCUPIED, 0), (ClassKind.THIRD_OCCUPIED, 1),
+             (ClassKind.SECOND_NO_THIRD, 0), (ClassKind.SECOND_NO_THIRD, 1),
+             (ClassKind.FIRST_ONLY, 1), (ClassKind.FIRST_ONLY, 2)]
+    pitchers, seasons = [f"p{n:03d}" for n in range(100)], range(1990, 1995)
+    table = TallyTable({
+        (pid, kind, outs, season, lev): [1, 2]
+        for pid in pitchers for kind, outs in cells
+        for season in seasons for lev in (True, False)
+    })
+    assert len(table.cells) >= 5_000
+    innings = InningCounts({(pid, season): [30, 60] for pid in pitchers for season in seasons})
+    path = tmp_path / "big.cache"
+    write_cache(path, StatsCache(table, innings, CountingMode.INCLUDE_PLAY, ""))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert main(["table2", "--cache", str(path)]) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert gc.isenabled()
+    assert "150-199" in capsys.readouterr().out
+
+
+class CountingCells(dict):
+    """A cell dict that counts the walks made over it."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("args", [
+    ["table1"],
+    ["table1", "--years", "1990-1999"],
+    ["table2", "--outs", "1", "--outs", "0", "--save-leaders", "LEADERS"],
+    ["table3", "--min-appearances", "0"],
+    ["decide", "0.3"],
+    ["decide", "0.3", "--pitcher", "p007", "--all-innings"],
+], ids=["table1", "table1-years", "table2-leaders", "table3", "decide", "decide-pitcher"])
+def test_report_walks_the_tally_once(report_cache, capsys, monkeypatch, args):
+    """Every rate a report prints comes from one walk of the cache's cells."""
+    read = cli.read_cache
+    tables = []
+
+    def counted_read(path):
+        cache = read(path)
+        cache.table.cells = CountingCells(cache.table.cells)
+        tables.append(cache.table)
+        return cache
+
+    monkeypatch.setattr(cli, "read_cache", counted_read)
+    args = [report_cache["leaders"] if a == "LEADERS" else a for a in args]
+    assert main(args + ["--cache", report_cache["cache"]]) == 0
+    assert [table.cells.walks for table in tables] == [1]

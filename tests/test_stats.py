@@ -15,6 +15,7 @@ from baserisk.stats import (
     EmptyCell,
     InningCounts,
     Rate,
+    RateSummary,
     SituationClass,
     TallyTable,
     add_cells,
@@ -27,7 +28,6 @@ from baserisk.stats import (
     extract_observations,
     group_summary,
     rates,
-    rates_by_pitcher,
 )
 
 KEY = ("TST200004010", 9, Half.TOP)
@@ -234,8 +234,12 @@ def test_merge_identity(a):
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
        st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
 def test_rates_sum_matching_cells(table, years, pitchers):
-    """rates pools every matching cell; rates_by_pitcher holds a pitcher
-    exactly when some cell of theirs matches, with that pitcher's sums."""
+    """rates pools every matching cell; by_pitcher holds a pitcher
+    exactly when some cell of theirs matches, with that pitcher's sums.  One
+    summary answers every question, and has a row for every pitcher with a
+    cell, inside ``years`` or not."""
+    summary = RateSummary(table, years)
+    assert set(summary.rows) == {pid for pid, *_ in table.cells}
     for lev in (None, True, False):
         for outs in (0, 1):
             wanted = {"t": (ClassKind.THIRD_OCCUPIED, outs),
@@ -258,7 +262,8 @@ def test_rates_sum_matching_cells(table, years, pitchers):
                         sum(num for num, _ in kept), sum(den for _, den in kept))
 
             check(rates(table, outs, lev, years), None)
-            by_pitcher = rates_by_pitcher(table, outs, lev, years)
+            check(summary.pooled(outs, lev), None)
+            by_pitcher = summary.by_pitcher(outs, lev)
             for pid in pitchers or {pid for pid, *_ in table.cells}:
                 assert (pid in by_pitcher) == bool(matching(wanted.values(), {pid}))
                 if pid in by_pitcher:
@@ -483,7 +488,7 @@ def test_homogeneous_bucket_mean_equals_cumulative():
     pitchers = [f"p{i}" for i in range(6)]
     table = homogeneous_table(pitchers)
     innings = InningCounts({(pid, 2000): [120, 150] for pid in pitchers})
-    rows = bucket_report(table, innings, outs=1, boundaries=(100, 200))
+    rows = bucket_report(RateSummary(table), innings, outs=1, boundaries=(100, 200))
     low = rows[0]
     assert low.pitchers == sorted(pitchers)
     assert low.cumulative is not None
@@ -496,7 +501,7 @@ def test_bucket_excludes_empty_cell_pitchers_from_mean():
     table = homogeneous_table(["p0", "p1"])
     del table.cells[("p1", ClassKind.FIRST_ONLY, 2, 2000, True)]
     innings = InningCounts({("p0", 2000): [120, 150], ("p1", 2000): [120, 150]})
-    rows = bucket_report(table, innings, outs=1, boundaries=(100,))
+    rows = bucket_report(RateSummary(table), innings, outs=1, boundaries=(100,))
     assert rows[0].excluded == ["p1"]
     assert rows[0].mean == pytest.approx(compute_brt(0.6, 0.4, 0.1).brt)
 
@@ -506,31 +511,32 @@ def test_cohort_filter_drops_early_retirees():
     innings = InningCounts({("p0", 1990): [120, 150], ("p1", 2000): [120, 150]})
     # with a negative edge the bottom bucket must not catch the retiree either
     for boundaries in ((100,), (-5, 100)):
-        rows = bucket_report(
-            table, innings, outs=1, boundaries=boundaries, cohort_last_season_min=1995
-        )
+        rows = bucket_report(RateSummary(table), innings, outs=1, boundaries=boundaries,
+                             cohort_last_season_min=1995)
         assert [pid for row in rows for pid in row.pitchers] == ["p1"]
 
 
 def test_empty_bucket_raises():
     innings = InningCounts({("p0", 2000): [3, 5]})
     with pytest.raises(EmptyBucket):
-        bucket_report(homogeneous_table(["p0"]), innings, outs=1, boundaries=(100,))
+        bucket_report(RateSummary(homogeneous_table(["p0"])), innings, outs=1,
+                      boundaries=(100,))
     with pytest.raises(EmptyBucket):
-        group_summary(TallyTable(), [], outs=1)
+        group_summary(RateSummary(TallyTable()), [], outs=1)
 
 
 def test_group_summary_counts_an_id_once():
     table = homogeneous_table(["a"])
     add_cells(table.cells, homogeneous_table(["b"], n=20).cells)
     table.cells[("b", ClassKind.FIRST_ONLY, 2, 2000, True)] = [6, 20]
-    assert group_summary(table, ["a", "a", "b"], outs=1) == group_summary(
-        table, ["a", "b"], outs=1)
+    summary = RateSummary(table)
+    assert group_summary(summary, ["a", "a", "b"], outs=1) == group_summary(
+        summary, ["a", "b"], outs=1)
 
 
 def test_group_summary_for_explicit_list():
     table = homogeneous_table(["a", "b"])
-    row = group_summary(table, ["b", "a"], outs=1)
+    row = group_summary(RateSummary(table), ["b", "a"], outs=1)
     assert row.label == "leaders"
     assert row.pitchers == ["a", "b"]
     assert row.cumulative.brt == pytest.approx(compute_brt(0.6, 0.4, 0.1).brt)

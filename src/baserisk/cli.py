@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 usage error (among them ``decide --tsf`` with
 ``--cache``, ``--pitcher``, ``--years``, ``--outs`` or
 ``--leverage/--all-innings``, given on the command line or in the config
-file), 2 data error (unreadable cache or input file, a game in two input
-files, empty cells, an empty leaders file, missing inputs, an output path
-or cache that cannot be written, an ``ingest --cache`` that names one of
-the inputs, a config key that sets no option).  ``main`` is the one place
+file, a NaN ``decide`` probability, a bad ``table2 --boundaries`` list, and
+a ``simulate --season`` outside 1-9999 or ``--games`` above 2,750), 2 data
+error (unreadable cache or input file, a game in two input files, empty
+cells, an empty leaders file, missing inputs, an output path or cache that
+cannot be written, an ``ingest --cache`` that names one of the inputs, a
+config key that sets no option).  ``main`` is the one place
 that turns a data error into exit 2, and it runs every command with the
 cyclic garbage collector paused.
 """
@@ -14,6 +16,7 @@ cyclic garbage collector paused.
 from __future__ import annotations
 
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -61,9 +64,22 @@ class DataError(Exception):
     """Inputs were found but could not be used."""
 
 
+class _Probability(click.FloatRange):
+    """A float in range, NaN refused too: it compares false with both
+    bounds, so the range check alone would let it through."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{rv} is not in the range {self.min}<=x<={self.max}.", param, ctx)
+        return rv
+
+
 # a threshold pairs classes at i and i + 1 outs, so i is 0 or 1
 _THRESHOLD_OUTS = click.IntRange(0, 1)
-_PROBABILITY = click.FloatRange(0.0, 1.0)
+_PROBABILITY = _Probability(0.0, 1.0)
+# simulated games are dated ten a day from April 1 to December 31
+_SEASON_GAMES = 2750
 
 _CLASS_NAMES = {
     "third": ClassKind.THIRD_OCCUPIED,
@@ -86,6 +102,18 @@ def _parse_years(ctx, param, text: str | None) -> tuple[int, int] | None:
     if span[0] > span[1]:
         raise click.UsageError(f"bad year range: {text!r}")
     return span
+
+
+def _parse_boundaries(ctx, param, text: str) -> tuple[int, ...]:
+    try:
+        edges = tuple(int(b) for b in text.split(",") if b.strip())
+    except ValueError:
+        raise click.UsageError(f"bad boundaries: {text!r}")
+    if not edges or edges[0] < 0:
+        raise click.UsageError(f"boundaries must be non-negative: {text!r}")
+    if any(low >= high for low, high in zip(edges, edges[1:])):
+        raise click.UsageError(f"boundaries must increase: {text!r}")
+    return edges
 
 
 _years_option = click.option("--years", default=None, callback=_parse_years,
@@ -261,7 +289,8 @@ def table1(cache_path, years, fmt):
 @click.option("--outs", "outs_list", multiple=True, type=_THRESHOLD_OUTS,
               default=(1, 0), show_default=True)
 @click.option("--boundaries", default="100,150,200,250,300,350",
-              show_default=True, help="bucket edges in career HL innings")
+              show_default=True, callback=_parse_boundaries,
+              help="bucket edges in career HL innings")
 @click.option("--save-leaders", "leaders_path", type=click.Path(exists=True),
               default=None, help="file of pitcher ids, one per line")
 @click.option("--cohort-min-season", type=int, default=None,
@@ -272,19 +301,11 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
            years, fmt):
     """Career-workload buckets of per-pitcher thresholds."""
     cache = _load_cache(cache_path)
-    try:
-        edges = tuple(int(b) for b in boundaries.split(",") if b.strip())
-    except ValueError:
-        raise click.UsageError(f"bad boundaries: {boundaries!r}")
-    if not edges or edges[0] < 0:
-        raise click.UsageError(f"boundaries must be non-negative: {boundaries!r}")
-    if any(low >= high for low, high in zip(edges, edges[1:])):
-        raise click.UsageError(f"boundaries must increase: {boundaries!r}")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
     summary = RateSummary(cache.table, years)
     blocks = {}
     for outs in outs_list:
-        blocks[outs] = bucket_report(summary, cache.innings, outs, boundaries=edges,
+        blocks[outs] = bucket_report(summary, cache.innings, outs, boundaries=boundaries,
                                      cohort_last_season_min=cohort_min_season)
         if leaders is not None:
             blocks[outs].append(group_summary(summary, leaders, outs))
@@ -408,9 +429,10 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
 @cli.command()
 @click.option("--model", "model_path", type=click.Path(exists=True),
               default=None, help="outcome model file (defaults to built-in)")
-@click.option("--games", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--games", type=click.IntRange(1, _SEASON_GAMES), default=100,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--season", type=int, default=2000, show_default=True)
+@click.option("--season", type=click.IntRange(1, 9999), default=2000, show_default=True)
 @click.option("--subs/--no-subs", default=False, show_default=True,
               help="bring in relief pitchers mid-game")
 @click.option("-o", "--output", "out_path", required=True, type=click.Path())

@@ -26,7 +26,6 @@ __all__ = [
     "SubLine",
     "assemble_games",
     "iter_games",
-    "iter_records",
     "load_roster_names",
     "tokenize_event_file",
 ]
@@ -160,24 +159,19 @@ def _record(line: str, line_no: int, diagnostics: list[Diagnostic]) -> list[str]
     return ["com", *cells]
 
 
-def iter_records(text: str, diagnostics: list[Diagnostic]) -> Iterator[Record]:
-    """Split raw file text into (kind, fields, line_no) records, one line at
-    a time, by the rule ``iter_games`` splits lines by.
+def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
+    """Every record of the text as (kind, fields, line_no), split by the
+    rule ``iter_games`` splits lines by, and the tokenizer's diagnostics.
 
-    Every non-empty line yields exactly one record or appends one diagnostic
-    to ``diagnostics``; an unknown record kind yields a com record and a
-    diagnostic.
+    Every non-empty line gives exactly one record or one diagnostic; an
+    unknown record kind gives a com record and a diagnostic.
     """
+    diagnostics: list[Diagnostic] = []
+    records = []
     for line_no, line in _lines(text):
         line = line.strip()
         if line and (cells := _record(line, line_no, diagnostics)) is not None:
-            yield cells[0], cells[1:], line_no
-
-
-def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
-    """Every record of the text, and the tokenizer's diagnostics."""
-    diagnostics: list[Diagnostic] = []
-    records = list(iter_records(text, diagnostics))
+            records.append((cells[0], cells[1:], line_no))
     return records, diagnostics
 
 
@@ -219,10 +213,10 @@ def iter_games(
     diagnostics: list[Diagnostic],
     years: tuple[int, int] | None = None,
 ) -> Iterator[GameAccount | None]:
-    """Split the text into records, as ``iter_records`` does and with its
-    diagnostics, and fill one GameAccount per id record as its records
-    arrive; yield it as soon as the next id record or the end of the text
-    closes it.
+    """Split the text into records, as ``tokenize_event_file`` does and
+    with its diagnostics, and fill one GameAccount per id record as its
+    records arrive; yield it as soon as the next id record or the end of
+    the text closes it.
 
     An account that fails structural validation (malformed cells, missing
     required info, a play by a player never introduced) is dropped whole:

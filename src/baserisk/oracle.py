@@ -4,9 +4,12 @@ A half-inning is modeled as an absorbing chain over the 24 live base-out
 states (8 occupancy patterns x 3 out counts) plus two absorbing outcomes:
 at least one run scored, or three outs with none.  Plate-appearance
 outcomes and their deterministic runner-advance policies come from an
-OutcomeModel; the same transition rules drive an exact dynamic program,
-a seeded simulator, and an event-file emitter whose output round-trips
-through the parser and state machine.
+OutcomeModel.  A walk or a hit is written once, as the list of runner
+moves it makes from an occupancy mask; ``OutcomeModel.apply_outcome``
+folds that list into the next state for both the exact dynamic program
+and the seeded simulator, and the event-file emitter writes the same list
+as the play's advances, so its output round-trips through the parser and
+state machine.
 """
 
 from __future__ import annotations
@@ -99,18 +102,20 @@ class OutcomeModel:
     """Plate-appearance distribution plus deterministic advance policies.
 
     The double-play outcome only applies with a runner on first and fewer
-    than two outs; elsewhere its probability folds into the plain out.
+    than two outs; elsewhere it is played as the plain out.
 
     ``probs`` and ``advances`` are read-only copies of the mappings given,
-    so the tables cached from them cannot go stale.
+    ``advances`` over ``DEFAULT_ADVANCES``, so the tables cached from them
+    cannot go stale.
     """
 
     probs: Mapping[Outcome, float]
-    advances: Mapping[tuple[Outcome, int], int] = field(default_factory=lambda: DEFAULT_ADVANCES)
+    advances: Mapping[tuple[Outcome, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", MappingProxyType(dict(self.probs)))
-        object.__setattr__(self, "advances", MappingProxyType(dict(self.advances)))
+        object.__setattr__(self, "advances",
+                           MappingProxyType({**DEFAULT_ADVANCES, **self.advances}))
         unknown = set(self.probs) - set(Outcome)
         if unknown:
             raise InvalidModel(f"unknown outcomes: {sorted(o for o in unknown)!r}")
@@ -134,11 +139,7 @@ class OutcomeModel:
                     )
                 seq.append(dest)
             for trailing, leading in zip(seq, seq[1:]):
-                if trailing == 4 and leading != 4:
-                    raise InvalidModel(
-                        f"{hit.value} advances let a trailing runner pass a lead runner"
-                    )
-                if trailing != 4 and leading <= trailing:
+                if leading <= trailing and leading != 4:
                     raise InvalidModel(
                         f"{hit.value} advances let a trailing runner pass a lead runner"
                     )
@@ -147,25 +148,23 @@ class OutcomeModel:
         return self.probs.get(outcome, 0.0)
 
     def dest(self, outcome: Outcome, base: int) -> int:
-        return self.advances.get((outcome, base), DEFAULT_ADVANCES[(outcome, base)])
+        return self.advances[outcome, base]
 
     def gdp_applies(self, mask: int, outs: int) -> bool:
         return bool(mask & FIRST) and outs < 2
 
-    def effective_probs(self, mask: int, outs: int) -> list[tuple[Outcome, float]]:
-        """Per-state distribution with GDP folded into OUT when inapplicable."""
-        pairs = []
-        gdp = self.prob(Outcome.GDP)
-        for outcome in Outcome:
-            p = self.prob(outcome)
-            if outcome is Outcome.GDP:
-                if not self.gdp_applies(mask, outs):
-                    continue
-            elif outcome is Outcome.OUT and not self.gdp_applies(mask, outs):
-                p += gdp
-            if p > 0.0:
-                pairs.append((outcome, p))
-        return pairs
+    def _moves(self, mask: int, outcome: Outcome) -> list[tuple[int, int]]:
+        """The ``(from, to)`` runner moves of a walk or a hit from occupancy
+        ``mask``: lead runner first, the batter (base 0) last, 4 for home.
+        A walk moves only the runners it forces."""
+        if outcome is Outcome.WALK:
+            forced = 0
+            while forced < 3 and mask & (1 << forced):
+                forced += 1
+            return [*((base, base + 1) for base in range(forced, 0, -1)), (0, 1)]
+        return [*((base, self.dest(outcome, base))
+                  for base in (3, 2, 1) if mask & (1 << (base - 1))),
+                (0, HITS[outcome])]
 
     def apply_outcome(self, mask: int, outs: int, outcome: Outcome) -> tuple[int, int, int]:
         """Occupancy-level transition: (new_mask, outs_added, runs)."""
@@ -175,29 +174,15 @@ class OutcomeModel:
             if not self.gdp_applies(mask, outs):
                 return mask, 1, 0
             return mask & ~FIRST, 2, 0
-        if outcome is Outcome.WALK:
-            if not mask & FIRST:
-                return mask | FIRST, 0, 0
-            if not mask & SECOND:
-                return mask | SECOND, 0, 0
-            if not mask & THIRD:
-                return mask | THIRD, 0, 0
-            return mask, 0, 1
-        batter_dest = HITS[outcome]
-        new_mask = 0
         runs = 0
-        for base, bit in ((1, FIRST), (2, SECOND), (3, THIRD)):
-            if mask & bit:
-                dest = self.dest(outcome, base)
-                if dest >= 4:
-                    runs += 1
-                else:
-                    new_mask |= 1 << (dest - 1)
-        if batter_dest >= 4:
-            runs += 1
-        else:
-            new_mask |= 1 << (batter_dest - 1)
-        return new_mask, 0, runs
+        for frm, to in self._moves(mask, outcome):
+            if frm:
+                mask &= ~(1 << (frm - 1))
+            if to == HOME:
+                runs += 1
+            else:
+                mask |= 1 << (to - 1)
+        return mask, 0, runs
 
     @cached_property
     def _ladder(self) -> tuple[list[float], tuple[Outcome, ...]]:
@@ -219,39 +204,24 @@ class OutcomeModel:
         """One plate appearance from each live state, by sampled outcome:
         ``(mask, outs, outcome) -> (choices, token, new_mask, outs_added,
         runs)``.  ``choices`` holds the event texts the simulator picks
-        among with one draw, or is None where ``token`` is the only one.
-        A GDP that cannot apply is played as the plain out."""
+        among with one draw, or is None where ``token`` is the only one."""
         steps = {}
-        for outs in range(3):
-            for mask in range(8):
-                for outcome in Outcome:
-                    played = outcome
-                    if outcome is Outcome.GDP and not self.gdp_applies(mask, outs):
-                        played = Outcome.OUT
-                    tokens = _event_tokens(self, mask, played)
-                    steps[mask, outs, outcome] = (
-                        tokens if len(tokens) > 1 else None, tokens[0],
-                        *self.apply_outcome(mask, outs, played))
+        for mask, outs, outcome in itertools.product(range(8), range(3), Outcome):
+            tokens = _event_tokens(self, mask, outs, outcome)
+            steps[mask, outs, outcome] = (
+                tokens if len(tokens) > 1 else None, tokens[0],
+                *self.apply_outcome(mask, outs, outcome))
         return steps
 
 
-def _as_mask(bases: int | tuple[bool, bool, bool]) -> int:
-    if isinstance(bases, tuple):
-        first, second, third = bases
-        return (FIRST if first else 0) | (SECOND if second else 0) | (THIRD if third else 0)
-    if not 0 <= bases <= 7:
-        raise ValueError(f"base mask {bases} out of range")
-    return bases
-
-
-def exact_score_probability(
-    model: OutcomeModel, bases: int | tuple[bool, bool, bool], outs: int
-) -> float:
-    """P(at least one run scores before the third out) from a live state,
-    by dynamic programming over the absorbing chain."""
+def exact_score_probability(model: OutcomeModel, bases: int, outs: int) -> float:
+    """P(at least one run scores before the third out) from the live state
+    of occupancy mask ``bases`` and ``outs``, by dynamic programming over
+    the absorbing chain."""
     if outs not in (0, 1, 2):
         raise ValueError(f"outs must be 0-2, got {outs}")
-    start = _as_mask(bases)
+    if not 0 <= bases <= 7:
+        raise ValueError(f"base mask {bases} out of range")
     memo: dict[tuple[int, int], float] = {}
     on_stack: set[tuple[int, int]] = set()
 
@@ -263,19 +233,20 @@ def exact_score_probability(
             raise InvalidModel("advance policy creates a state cycle")
         on_stack.add(key)
         total = 0.0
-        for outcome, p in model.effective_probs(mask, k):
+        for outcome in Outcome:
+            p = model.prob(outcome)
+            if p <= 0.0:
+                continue
             new_mask, outs_added, runs = model.apply_outcome(mask, k, outcome)
             if runs > 0:
                 total += p
-            elif k + outs_added >= 3:
-                continue
-            else:
+            elif k + outs_added < 3:
                 total += p * probability(new_mask, k + outs_added)
         on_stack.discard(key)
         memo[key] = total
         return total
 
-    return probability(start, outs)
+    return probability(bases, outs)
 
 
 def exact_tsf(model: OutcomeModel, outs: int) -> tuple[float, float, float]:
@@ -291,8 +262,14 @@ def exact_tsf(model: OutcomeModel, outs: int) -> tuple[float, float, float]:
 
 # --- simulation and emission -------------------------------------------------
 
-_OUT_TOKENS = ("8/F", "7/F", "9/F", "3/G", "43/G", "63/G", "53/G", "4/P", "6/L")
-_HIT_TOKENS = {
+# outcomes whose event texts carry no advances
+_OUT_TOKENS = {
+    Outcome.OUT: ("8/F", "7/F", "9/F", "3/G", "43/G", "63/G", "53/G", "4/P", "6/L"),
+    Outcome.STRIKEOUT: ("K",),
+    Outcome.GDP: ("64(1)3/GDP",),
+}
+_BASIC_TOKENS = {
+    Outcome.WALK: ("W",),
     Outcome.SINGLE: ("S7", "S8", "S9", "S6"),
     Outcome.DOUBLE: ("D7", "D8", "D9"),
     Outcome.TRIPLE: ("T8", "T9"),
@@ -300,39 +277,20 @@ _HIT_TOKENS = {
 }
 
 
-def _advance_token(base: int, dest: int) -> str:
-    frm = "B" if base == 0 else str(base)
-    to = "H" if dest >= 4 else str(dest)
-    return f"{frm}-{to}"
-
-
-def _event_tokens(model: OutcomeModel, mask: int, outcome: Outcome) -> tuple[str, ...]:
-    """The event texts one outcome may be written as from occupancy
-    ``mask``, with every movement written as an explicit advance so the
-    parser never has to rely on implied rules."""
-    if outcome is Outcome.STRIKEOUT:
-        return ("K",)
-    if outcome is Outcome.OUT:
-        return _OUT_TOKENS
-    if outcome is Outcome.GDP:
-        return ("64(1)3/GDP",)
-    advances: list[str] = []
-    if outcome is Outcome.WALK:
-        chain = 0
-        while chain < 3 and mask & (1 << chain):
-            chain += 1
-        for base in range(chain, 0, -1):
-            advances.append(_advance_token(base, base + 1))
-        advances.append(_advance_token(0, 1))
-        basics: tuple[str, ...] = ("W",)
-    else:
-        for base, bit in ((3, THIRD), (2, SECOND), (1, FIRST)):
-            if mask & bit:
-                advances.append(_advance_token(base, model.dest(outcome, base)))
-        advances.append(_advance_token(0, HITS[outcome]))
-        basics = _HIT_TOKENS[outcome]
-    suffix = "." + ";".join(advances)
-    return tuple(basic + suffix for basic in basics)
+def _event_tokens(
+    model: OutcomeModel, mask: int, outs: int, outcome: Outcome
+) -> tuple[str, ...]:
+    """The event texts one outcome may be written as from state ``(mask,
+    outs)``, with every movement written as an explicit advance so the
+    parser never has to rely on implied rules.  A GDP that cannot apply is
+    written as the plain out."""
+    if outcome is Outcome.GDP and not model.gdp_applies(mask, outs):
+        outcome = Outcome.OUT
+    if outcome in _OUT_TOKENS:
+        return _OUT_TOKENS[outcome]
+    suffix = "." + ";".join(
+        f"{frm or 'B'}-{'H' if to == HOME else to}" for frm, to in model._moves(mask, outcome))
+    return tuple(basic + suffix for basic in _BASIC_TOKENS[outcome])
 
 
 # the nine batters of the visitors (team 0) and of the home side (team 1)
@@ -535,7 +493,7 @@ _BASE_NAMES = {"first": 1, "second": 2, "third": 3}
 def parse_model_text(text: str) -> OutcomeModel:
     """Read a key=value model description (see DEFAULT_MODEL_TEXT)."""
     probs: dict[Outcome, float] = {}
-    advances = dict(DEFAULT_ADVANCES)
+    advances: dict[tuple[Outcome, int], int] = {}
     outcome_names = {o.value: o for o in Outcome}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

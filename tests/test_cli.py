@@ -49,6 +49,31 @@ def test_simulate_rejects_nonpositive_games(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--season", "0"],
+    ["--season", "-5"],
+    ["--season", "99999"],
+    ["--season", "9999", "--games", "3000"],
+    ["--season", "2000", "--games", "2751"],
+], ids=["season-0", "season-negative", "season-99999", "past-year-9999", "season-overfull"])
+def test_simulate_refuses_dates_it_cannot_write(tmp_path, capsys, args):
+    """Games are dated ten a day from April 1, so a season holds 2,750 of
+    them, and a year must lie in 1-9999; anything else is a usage error
+    before any file is written."""
+    out = tmp_path / "none.evn"
+    assert main(["simulate", "-o", str(out), *args]) == 1
+    assert "Error: Invalid value for '--" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_fills_the_season_to_december_31(tmp_path):
+    out = tmp_path / "full.evn"
+    assert main(["simulate", "-o", str(out), "--season", "9999", "--games", "2750"]) == 0
+    dates = [line for line in out.read_text().splitlines() if line.startswith("info,date,")]
+    assert len(dates) == 2750
+    assert dates[-1] == "info,date,9999/12/31"
+
+
 def test_simulate_bad_model_file(tmp_path, capsys):
     model = tmp_path / "broken.model"
     model.write_text("out = 0.5\n")  # does not sum to one
@@ -363,6 +388,16 @@ def test_table1_missing_cache(tmp_path, capsys):
     assert "cache not found" in capsys.readouterr().err
 
 
+def test_table2_bad_boundaries_before_the_cache(tmp_path, capsys):
+    """A bad --boundaries list is a usage error at parse time, before the
+    cache is looked for."""
+    assert main(["table2", "--cache", str(tmp_path / "missing"),
+                 "--boundaries", "1,x"]) == 1
+    err = capsys.readouterr().err
+    assert "Error: bad boundaries: '1,x'" in err
+    assert "cache not found" not in err
+
+
 def test_table1_unreadable_cache(tmp_path, capsys):
     bad = tmp_path / "junk.cache"
     bad.write_text("not a cache\n")
@@ -493,6 +528,20 @@ def test_decide_clamped(capsys):
     out = capsys.readouterr().out
     assert out.startswith("threshold=1.000000 (clamped)")
     assert out.endswith("-> conventional\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "nan", "--tsf", "0.5", "0.4", "0.1"],
+    ["decide", "0.5", "--tsf", "nan", "0.4", "0.1"],
+    ["decide", "0.5", "--tsf", "0.5", "NaN", "0.1"],
+    ["decide", "0.5", "--tsf", "0.5", "0.4", "nan"],
+], ids=["p", "t", "s", "f"])
+def test_decide_refuses_nan(capsys, argv):
+    """NaN is no probability: it is refused as a usage error, as inf is."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan is not in the range 0.0<=x<=1.0." in captured.err
 
 
 def test_decide_usage_errors(workspace):

@@ -18,7 +18,6 @@ from baserisk.eventfile import (
     SubLine,
     assemble_games,
     iter_games,
-    iter_records,
     load_roster_names,
     tokenize_event_file,
 )
@@ -127,9 +126,7 @@ def test_line_numbers_across_chunk_cuts():
     assert len(text) > 2 * _CHUNK
     whole = [("com", line.split(",")[1:], n)
              for n, line in enumerate(text.splitlines(), start=1) if line]
-    diags = []
-    assert list(iter_records(text, diags)) == whole
-    assert diags == []
+    assert tokenize_event_file(text) == (whole, [])
 
 
 @given(st.lists(st.sampled_from(["c", "o", "m", ",", "x", *LINE_BREAKS]),
@@ -138,12 +135,10 @@ def test_line_numbers_across_chunk_cuts():
 def test_any_chunk_size_splits_as_the_whole_text(text, chunk):
     """Records, line numbers and diagnostics do not depend on the chunk
     size; a text this short is otherwise split in one piece."""
-    whole_diags, diags = [], []
-    whole = list(iter_records(text, whole_diags))
+    whole = tokenize_event_file(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eventfile, "_CHUNK", chunk)
-        records = list(iter_records(text, diags))
-    assert (records, diags) == (whole, whole_diags)
+        assert tokenize_event_file(text) == whole
 
 
 def test_two_games_split_in_order():

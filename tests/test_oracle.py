@@ -103,12 +103,6 @@ def test_realistic_model_orders_classes():
     assert t > s > f > 0
 
 
-def test_bases_accept_bool_triple():
-    model = default_model()
-    assert exact_score_probability(model, (False, False, True), 1) == \
-        exact_score_probability(model, 4, 1)
-
-
 def test_more_outs_never_help():
     model = default_model()
     for mask in range(8):
@@ -119,19 +113,36 @@ def test_more_outs_never_help():
 # --- DP vs Monte Carlo -------------------------------------------------------
 
 
+def state_distribution(model, mask, outs):
+    """The outcomes of a plate appearance from (mask, outs) with positive
+    probability, in ``Outcome`` order, with a GDP that cannot apply folded
+    into OUT.  Each state's ladder is cut exactly so, which keeps the
+    sampled paths of the seeds below what they were recorded with."""
+    pairs = []
+    for outcome in Outcome:
+        p = model.prob(outcome)
+        if outcome is Outcome.GDP and not model.gdp_applies(mask, outs):
+            continue
+        if outcome is Outcome.OUT and not model.gdp_applies(mask, outs):
+            p += model.prob(Outcome.GDP)
+        if p > 0.0:
+            pairs.append((outcome, p))
+    return pairs
+
+
 def transition_tables(model):
     """Cumulative outcome ladders and combined-state targets per state.
 
     Combined state s = mask + 8*outs; 24 = scored (absorbing), 25 = third
     out without a run (absorbing).
     """
-    width = max(len(model.effective_probs(m, k)) for m, k in ALL_STATES)
+    width = max(len(state_distribution(model, m, k)) for m, k in ALL_STATES)
     cum = np.full((24, width), 2.0)
     nxt = np.zeros((24, width), dtype=np.int64)
     for mask, outs in ALL_STATES:
         s = mask + 8 * outs
         acc = 0.0
-        pairs = model.effective_probs(mask, outs)
+        pairs = state_distribution(model, mask, outs)
         for i, (outcome, p) in enumerate(pairs):
             new_mask, outs_added, runs = model.apply_outcome(mask, outs, outcome)
             acc += p
@@ -360,6 +371,39 @@ def test_simulator_output_pinned():
               for n in range(60)]
     assert _record_digest(halves) == (
         "1c41ee531b7409bc7dc86f6c19a0a40b07f29a6526528b43d8ab73abf0e9d087")
+
+
+STATION_TO_STATION_ADVANCES = {
+    # a partial mapping: every other hit keeps its default advances
+    (Outcome.SINGLE, 1): 2,
+    (Outcome.SINGLE, 2): 3,
+    (Outcome.SINGLE, 3): 4,
+}
+
+
+def test_transitions_pinned():
+    """Every plate appearance from every live state, as the chain plays it
+    (``apply_outcome``) and as the simulator writes it (``_steps``), is a
+    fixed function of the model's advances."""
+    models = {
+        "default": default_model(),
+        "advances": parse_model_text(ADVANCES_MODEL_TEXT),
+        "no_gdp": parse_model_text(NO_GDP_MODEL_TEXT),
+        "all_hr": OutcomeModel(probs={Outcome.HOME_RUN: 1.0}),
+        "station": OutcomeModel(probs={Outcome.SINGLE: 1.0},
+                                advances=STATION_TO_STATION_ADVANCES),
+    }
+    digest = hashlib.sha256()
+    for name, model in models.items():
+        steps = model._steps
+        for mask, outs in ALL_STATES:
+            for outcome in Outcome:
+                digest.update(repr((
+                    name, mask, outs, outcome.value,
+                    model.apply_outcome(mask, outs, outcome),
+                    steps[mask, outs, outcome])).encode())
+    assert digest.hexdigest() == (
+        "a8d2e2150e4fb38b59e5ca911f9667be93b79d72a6c178d9f639692af471fb12")
 
 
 # --- model files -------------------------------------------------------------

@@ -227,9 +227,10 @@ def fingerprint_paths(digests: dict[str, str]) -> str:
 
 def load_era_csv(path: str | Path) -> dict[str, float]:
     """Read (pitcher_id, era) rows; a header line is allowed and skipped, and
-    so is a row whose era is not a finite number."""
+    so is a row whose era is not a finite number.  A UTF-8 byte-order mark
+    is not part of the first id."""
     eras: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for row in csv.reader(io.StringIO(text)):
         if len(row) < 2 or not row[0] or row[0] == "pitcher_id":
             continue

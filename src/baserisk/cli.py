@@ -167,17 +167,18 @@ def _unique_inputs(inputs: tuple[str, ...]) -> dict[tuple[int, int], str]:
 
 
 def _read_ids(path: str) -> list[str]:
-    """Non-blank lines of a file, stripped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Non-blank lines of a file, stripped, less a UTF-8 byte-order mark."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     return [line.strip() for line in lines if line.strip()]
 
 
 def _load_config(path: str | None) -> dict[str, dict[str, str]]:
-    """The default map of command.option=value lines, per command."""
+    """The default map of command.option=value lines, per command; a UTF-8
+    byte-order mark is not part of the first key."""
     if path is None:
         return {}
     defaults: dict[str, dict[str, str]] = {}
-    text = _read_input(lambda p: Path(p).read_text(encoding="utf-8"), path, "config")
+    text = _read_input(lambda p: Path(p).read_text(encoding="utf-8-sig"), path, "config")
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):

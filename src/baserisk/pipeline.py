@@ -1,8 +1,10 @@
 """End-to-end ingest: event files through replay into tally tables.
 
-The unit of parallelism is one list of input files; per-task results merge
-with plain integer addition, so any partition of the inputs produces the
-same tallies as a sequential pass, bit for bit.
+One loop, ``_file_timelines``, reads a task's input files into one
+``IngestResult``: ``ingest`` tallies its half-innings and ``query`` extracts
+their observations.  Worker results under ``--jobs N`` merge with plain
+integer addition, so any partition of the inputs produces the same tallies
+as a sequential pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,14 +52,11 @@ class IngestResult:
     # input file -> SHA-256 of the bytes ingested from it
     file_digests: dict[str, str] = field(default_factory=dict)
 
-    def _note(self, diagnostics: list[Diagnostic]) -> None:
-        self.diagnostic_counts.update(diag.code for diag in diagnostics)
-
     def merge(self, other: "IngestResult") -> "IngestResult":
-        """Add other's tallies and counters into this result in place.
-        Raises ``InputError``, and changes nothing, for a game id that both
-        results counted: a game is counted once, so this is one game in two
-        input files (a byte copy under another name, say)."""
+        """Add another worker's tallies and counters into this result in
+        place.  Raises ``InputError``, and changes nothing, for a game id
+        that both results counted: a game is counted once, so this is one
+        game in two input files (a byte copy under another name, say)."""
         for game_id, path in other.game_files.items():
             if game_id in self.game_files:
                 raise _counted_twice(game_id, self.game_files[game_id], path)
@@ -83,18 +82,16 @@ def iter_timelines(
     source: str = "",
 ) -> Iterator[StateTimeline]:
     """Split, assemble and replay one event file's text, one game at a
-    time, yielding every complete, unquarantined half-inning of the games
-    inside ``years``.
+    time through the caller's play memo ``steps``, yielding every complete,
+    unquarantined half-inning of the games inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
     and diagnostic codes are counted into ``result`` along the way, and
     each counted game's id is kept with ``source``, the file's name.  A
     game id that ``result`` already holds, from this file or an earlier
-    one, raises ``InputError``: a game is counted once.  The
-    diagnostics of the file's lines and blocks are counted once it is done,
-    less those of games outside ``years``, which ``iter_games`` drops
-    unbuilt.  Every game replays through the caller's play memo
-    ``steps``.
+    one, raises ``InputError``: a game is counted once.  The diagnostics of
+    the file's lines and blocks are counted once it is done, less those of
+    games outside ``years``, which ``iter_games`` drops unbuilt.
     """
     diags: list[Diagnostic] = []
     for account in iter_games(text, diags, years):
@@ -102,7 +99,7 @@ def iter_timelines(
             result.games_skipped += 1
             continue
         replay = replay_game(account, steps)
-        result._note(replay.diagnostics)
+        result.diagnostic_counts.update(diag.code for diag in replay.diagnostics)
         if not replay.timelines and replay.diagnostics:
             result.games_skipped += 1
             continue
@@ -118,26 +115,30 @@ def iter_timelines(
                 result.incomplete += 1
             else:
                 yield timeline
-    result._note(diags)
+    result.diagnostic_counts.update(diag.code for diag in diags)
+
+
+def _tally(result: IngestResult, timelines: Iterator[StateTimeline],
+           mode: CountingMode) -> IngestResult:
+    """Extract and add every timeline's observations and half-innings into
+    ``result``, which the timelines count into too."""
+    for timeline in timelines:
+        observations = extract_observations(timeline, mode)
+        result.observations += len(observations)
+        result.table.add_all(observations)
+        result.innings.add_timeline(timeline)
+    return result
 
 
 def ingest_text(
     text: str,
     mode: CountingMode = CountingMode.INCLUDE_PLAY,
     years: tuple[int, int] | None = None,
-    steps: StepMemo | None = None,
-    source: str = "",
 ) -> IngestResult:
-    """Parse and replay one event file's text into tallies, through the
-    play memo ``steps`` or, without one, a memo of its own.  ``source``
-    names the file in the result's ``game_files``."""
+    """Parse and replay one event file's text into tallies, through a play
+    memo of its own."""
     result = IngestResult()
-    for timeline in iter_timelines(text, years, result, {} if steps is None else steps, source):
-        observations = extract_observations(timeline, mode)
-        result.observations += len(observations)
-        result.table.add_all(observations)
-        result.innings.add_timeline(timeline)
-    return result
+    return _tally(result, iter_timelines(text, years, result, {}), mode)
 
 
 class InputError(Exception):
@@ -151,30 +152,30 @@ def _counted_twice(game_id: str, first: str, second: str) -> InputError:
     return InputError(f"game {game_id} is in both {first} and {second}")
 
 
-def _read_event_file(path: str) -> bytes:
-    r"""The file's bytes.  Decoded as latin-1 they split into the lines of
+def _file_timelines(paths: list[str], years: tuple[int, int] | None,
+                    result: IngestResult) -> Iterator[StateTimeline]:
+    r"""Every usable half-inning of the files, in order, counted into the
+    one ``result`` through one play memo, with each file's SHA-256 kept in
+    ``file_digests``.  Bytes decoded as latin-1 split into the lines of
     ``read_text``: ``splitlines`` ends a line at "\r\n" and "\r" as the
     universal newlines do."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read input: {exc}") from None
+    import hashlib  # OpenSSL is costly to load, and only ingest and query hash
 
-
-def _ingest_files(args: tuple[list[str], CountingMode, tuple[int, int] | None]) -> IngestResult:
-    """One task: ingest the files in order through one play memo, which
-    holds one entry per distinct (effect text, occupancy, outs) it meets,
-    and hash each file's bytes as read."""
-    import hashlib  # only ingest hashes its inputs, and OpenSSL is costly to load
-
-    paths, mode, years = args
     steps: StepMemo = {}
-    result = IngestResult()
     for path in paths:
-        data = _read_event_file(path)
-        result.merge(ingest_text(data.decode("latin-1"), mode, years, steps, path))
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise InputError(f"cannot read input: {exc}") from None
         result.file_digests[path] = hashlib.sha256(data).hexdigest()
-    return result
+        yield from iter_timelines(data.decode("latin-1"), years, result, steps, path)
+
+
+def _ingest_files(paths: list[str], mode: CountingMode,
+                  years: tuple[int, int] | None) -> IngestResult:
+    """One task: tally the files into one result."""
+    result = IngestResult()
+    return _tally(result, _file_timelines(paths, years, result), mode)
 
 
 def ingest_paths(
@@ -189,14 +190,14 @@ def ingest_paths(
     # a fork-based pool starts every worker up front, so never more than files
     workers = min(jobs, len(ordered))
     if workers <= 1:
-        return _ingest_files((ordered, mode, years))
+        return _ingest_files(ordered, mode, years)
     # only ingest --jobs N with N > 1 loads the process pool
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [(ordered[i::workers], mode, years) for i in range(workers)]
     result = IngestResult()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_ingest_files, chunks):
+        for part in pool.map(_ingest_files, [ordered[i::workers] for i in range(workers)],
+                             [mode] * workers, [years] * workers):
             result.merge(part)
     return result
 
@@ -211,8 +212,5 @@ def collect_observations(
     ``InputError`` at a game id that an earlier game, in this file or an
     earlier one, had."""
     counts = IngestResult()  # query reports none of ingest's counters
-    steps: StepMemo = {}
-    for path in sorted(str(p) for p in paths):
-        text = _read_event_file(path).decode("latin-1")
-        for timeline in iter_timelines(text, years, counts, steps, path):
-            yield from extract_observations(timeline, mode)
+    for timeline in _file_timelines(sorted(str(p) for p in paths), years, counts):
+        yield from extract_observations(timeline, mode)

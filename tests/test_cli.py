@@ -220,6 +220,25 @@ def test_ingest_refuses_a_game_repeated_in_one_file(workspace, tmp_path, capsys)
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "query"])
+def test_ingest_and_query_name_the_same_repeated_game(tmp_path, capsys, command):
+    """b.evn holds a.evn's first game, then another game twice.  Ingest and
+    query read their inputs by one rule, so both name the first repeat they
+    meet: the game that a.evn holds too."""
+    a, b = tmp_path / "a.evn", tmp_path / "b.evn"
+    assert main(["simulate", "-o", str(a), "--games", "2", "--seed", "3"]) == 0
+    assert main(["simulate", "-o", str(b), "--games", "1", "--seed", "4",
+                 "--season", "2001"]) == 0
+    first = a.read_text().split("id,")[1]
+    other = b.read_text()
+    b.write_text("id," + first + other + other)
+    args = [command, "-i", str(a), "-i", str(b)]
+    args += ["--cache", str(tmp_path / "stats.cache")] if command == "ingest" else []
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: game HOM200004010 is in both {a} and {b}\n"
+
+
 def test_ingest_missing_input(tmp_path):
     args = ["ingest", "-i", str(tmp_path / "ghost.evn"),
             "--cache", str(tmp_path / "c")]
@@ -346,6 +365,45 @@ def test_table2_save_leaders_unreadable(workspace, tmp_path, capsys, kind, messa
             "--save-leaders", str(unreadable(tmp_path, kind))]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+# --- a UTF-8 byte-order mark is not part of the first id or key -------------
+
+BOM = "\ufeff"
+
+
+def test_table3_era_file_with_a_byte_order_mark(workspace, tmp_path, capsys):
+    era = tmp_path / "era.csv"
+    era.write_text(BOM + "hpit0001,2.50\n", encoding="utf-8")
+    args = ["table3", "--cache", str(workspace["cache"]), "--min-appearances", "50",
+            "--era", str(era), "--format", "csv"]
+    assert main(args) == 0
+    homer = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("hpit0001"))
+    assert homer.endswith(",2.500")
+
+
+def test_table2_leaders_file_with_a_byte_order_mark(workspace, tmp_path, capsys):
+    """The marked file's first id still counts in the leaders row."""
+    outputs = []
+    for mark in ("", BOM):
+        leaders = tmp_path / "leaders.txt"
+        leaders.write_text(mark + "hpit0001\nvpit0001\n", encoding="utf-8")
+        args = ["table2", "--cache", str(workspace["cache"]), "--boundaries", "50",
+                "--save-leaders", str(leaders)]
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert [line.split()[2] for line in outputs[0].splitlines()
+            if "leaders" in line] == ["2", "2"]
+
+
+def test_config_file_with_a_byte_order_mark(workspace, tmp_path, capsys):
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_text(BOM + f"table1.format = csv\ntable1.cache = {workspace['cache']}\n",
+                   encoding="utf-8")
+    assert main(["--config", str(cfg), "table1"]) == 0
+    assert capsys.readouterr().out.startswith("stat,all/1 out")
 
 
 @pytest.mark.parametrize("kind,message", [

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -186,7 +187,11 @@ def random_model(rng):
 
 
 def test_dp_matches_monte_carlo():
-    """Forward sampling agrees with the recursion, three-sigma binomial."""
+    """Forward sampling agrees with the recursion within a binomial bound
+    that all 120 checks (5 models x 24 states) meet together with
+    probability 0.998, so a change of draws fails by chance 0.2 % of the
+    time, not the 28 % of 120 separate three-sigma checks."""
+    z = NormalDist().inv_cdf(1 - 0.002 / 240)  # two-sided, Bonferroni over 120
     n = 100_000
     seed_rng = random.Random(1213)
     np_rng = np.random.default_rng(913)
@@ -197,9 +202,9 @@ def test_dp_matches_monte_carlo():
             exact = exact_score_probability(model, mask, outs)
             sampled = mc_score_fraction(cum, nxt, mask + 8 * outs, n, np_rng)
             sigma = (exact * (1 - exact) / n) ** 0.5
-            assert abs(sampled - exact) <= 3.0 * sigma + 1e-12, (
+            assert abs(sampled - exact) <= z * sigma + 1e-12, (
                 f"state mask={mask} outs={outs}: sampled {sampled:.5f} "
-                f"vs exact {exact:.5f} (3 sigma = {3 * sigma:.5f})"
+                f"vs exact {exact:.5f} ({z:.2f} sigma = {z * sigma:.5f})"
             )
 
 

@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from baserisk import state
+from baserisk import cli, state
 from baserisk.cache import StatsCache, render_cache
 from baserisk.eventfile import (
     Half, PlayLine, assemble_games, iter_games, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
-from baserisk.pipeline import InputError, collect_observations, ingest_paths, ingest_text
+from baserisk.pipeline import (
+    IngestResult, InputError, collect_observations, ingest_paths, ingest_text, iter_timelines,
+)
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode
 from conftest import broken_text, damaged_texts, decorated_texts, make_game_text
@@ -183,6 +185,25 @@ def test_ingest_workers_capped_at_file_count(tmp_path, monkeypatch):
         paths.append(path)
     assert ingest_paths(paths, jobs=64).games == 6
     assert started == [2]
+
+
+@pytest.mark.parametrize("jobs,merges", [(1, 0), (2, 2)])
+def test_only_worker_results_merge(tmp_path, monkeypatch, jobs, merges):
+    """A task counts all its files into one result, so a serial ingest of
+    three files merges nothing, and two workers' results merge once each."""
+    calls = []
+    merge = IngestResult.merge
+    monkeypatch.setattr(IngestResult, "merge",
+                        lambda self, other: calls.append(other) or merge(self, other))
+    paths = []
+    for seed in range(3):
+        path = tmp_path / f"sim{seed}.evn"
+        path.write_text(emit_event_file(
+            simulate_season(default_model(), 3, seed=seed, season=2000 + seed)))
+        paths.append(path)
+    assert ingest_paths(paths, jobs=jobs).games == 9
+    assert len(calls) == merges
+
 
 def test_counting_mode_changes_numerators_only():
     text = emit_event_file(simulate_season(default_model(), 200, seed=9))
@@ -446,8 +467,9 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
 def test_memo_holds_only_resolved_plays(damaged_archive):
     """A parse error quotes its own token, so it is never memoized."""
     steps: state.StepMemo = {}
+    counts = IngestResult()
     for path in damaged_archive:
-        ingest_text(path.read_text(encoding="latin-1"), steps=steps)
+        list(iter_timelines(path.read_text(encoding="latin-1"), None, counts, steps))
     assert steps
     assert all(step[0] is None for step in steps.values())
 
@@ -501,3 +523,84 @@ def test_benchmark_selftest_passes(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 5 and all(line.startswith("ok ") for line in lines), done.stdout
+
+
+def _tally_digest(result) -> str:
+    """SHA-256 of what a result counted: its sorted cells and innings rows
+    and three of its counters, apart from any cache format."""
+    cells = sorted((pid, kind.value, outs, season, lev, num, den)
+                   for (pid, kind, outs, season, lev), (num, den) in result.table.cells.items())
+    innings = sorted((pid, season, hl, total)
+                     for (pid, season), (hl, total) in result.innings.counts.items())
+    counters = (result.games, result.games_skipped, result.observations)
+    return _digest(repr((cells, innings, counters)))
+
+
+TALLY_DIGESTS = {
+    "season-include":
+        "0a2b5e0a712f06a0a070bd0b9c37f2b52a75734bd7786bd2d9510346162208f2",
+    "season-exclude":
+        "4a70adae45af4cdfe5abe6c3bd8c631f065467ba7d40b03caa7609e6c75efc21",
+    "archive":
+        "e7fc1deb4f83f22249ca7da1549f2a3dcaa043850bc554727b788296720a3d8e",
+    "decorated":
+        "e96a864e8319d9224192241600939c5bdbc5b2a3175dac1b594e62023a7c7a68",
+    "damaged":
+        "e3ff4a1b44c709add477d8b4bcb78cab1ee5d8f485765115cd5f4d1fd232c880",
+}
+
+
+@pytest.mark.parametrize("case,jobs", [
+    ("season-include", 1), ("season-exclude", 1), ("archive", 1), ("archive", 2),
+    ("decorated", 1), ("decorated", 2), ("damaged", 1), ("damaged", 2),
+])
+def test_tally_content_pinned(case, jobs, request, tmp_path):
+    """The tally behind each cache pin above, recorded before ingest
+    counted each task into one result: it holds across a change of the
+    cache format, which moves every cache pin."""
+    if case.startswith("season"):
+        mode = CountingMode(case.split("-")[1])
+        text = emit_event_file(
+            simulate_season(default_model(), 300, seed=4242, midgame_subs=True))
+        result = ingest_text(text, mode)
+    elif case == "archive":
+        paths = _own_broken_ids(request.getfixturevalue("archive"), tmp_path)
+        result = ingest_paths(paths, years=WINDOW, jobs=jobs)
+    elif case == "decorated":
+        paths = _own_broken_ids(request.getfixturevalue("decorated_archive"), tmp_path)
+        result = ingest_paths(paths, jobs=jobs)
+    else:
+        result = ingest_paths(request.getfixturevalue("damaged_archive"), jobs=jobs)
+    assert _tally_digest(result) == TALLY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_archive_ingest_matches_the_reference(seed, tmp_path, monkeypatch, capsys):
+    """The benchmark's archive workload, ingested at --jobs 1 and 2, holds
+    the tally that the simulator's own record gives without the parser or
+    the replayer, and one strikeout turned into a home run shows."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import reference
+    import workloads
+
+    inputs = workloads.generate("archive-ingest", seed, tmp_path / "work")
+    (serial,) = inputs.commands
+    assert serial[-2:] == ["--jobs", "1"]
+    parallel_cache = tmp_path / "parallel.csv"
+    parallel = [str(parallel_cache) if arg == str(inputs.cache_path) else arg
+                for arg in serial[:-1]] + ["2"]
+
+    def summary(argv):
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        return capsys.readouterr().err.splitlines()[0]
+
+    summaries = [summary(serial), summary(parallel)]
+    assert reference.check_ingest(inputs, summaries) == []
+    assert reference.check_same_cache(inputs.cache_path, parallel_cache) == []
+
+    low, high = inputs.years
+    path = next(sim.path for sim in inputs.sim_files
+                if low <= int(sim.games[0].date[:4]) <= high and ",K\n" in sim.path.read_text())
+    path.write_text(path.read_text().replace(",K\n", ",HR\n", 1))
+    assert reference.check_ingest(inputs, [summary(serial)]) != []

@@ -14,7 +14,7 @@ break, so a cache whose text holds no quote splits the same with
 ``str.split``; any other cache goes through ``csv.reader``.  The reader
 refuses, with ``CacheError``, text that is not UTF-8, a row of the
 wrong width, counts outside 0 <= numerator <= denominator, a (class,
-outs) that ``classify_state`` cannot produce, a stratum that is not
+outs) that is not one of ``stats.CELLS``, a stratum that is not
 ``<season>:hl`` or ``<season>:other`` (or, on an innings row, a bare
 season) in the form the writer writes, a count that is not in that form
 either (``03``, ``+3``, `` 3``, ``1_0``), and a key that repeats an
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .stats import CountingMode, InningCounts, TallyTable, classify_state
+from .stats import CELLS, CountingMode, InningCounts, TallyTable
 
 __all__ = [
     "CacheError",
@@ -57,12 +57,8 @@ _MAGIC = "#baserisk-cache"
 _SCHEMA = "1"
 _HEADER = ["pitcher_id", "class", "outs", "stratum", "numerator", "denominator"]
 _INNINGS_CLASS = "innings"
-# the six (class, outs) cells that classify_state can produce, by their text
-_CELLS = {
-    (cell.kind.value, str(cell.outs)): (cell.kind, cell.outs)
-    for cell in (classify_state(bases, outs) for bases in range(8) for outs in range(3))
-    if cell is not None
-}
+# the six (class, outs) cells, by their text
+_CELLS = {(cell.kind.value, str(cell.outs)): cell for cell in CELLS}
 _LEVERAGE = {"hl": True, "other": False}
 
 

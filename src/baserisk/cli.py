@@ -45,9 +45,7 @@ from .stats import (
     CountingMode,
     EmptyBucket,
     EmptyCell,
-    Rate,
     RateSummary,
-    RateTriple,
     bucket_report,
     brt_from_rates,
     career_high_leverage_innings,
@@ -372,10 +370,7 @@ def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
         if pitcher_id:
             triple = summary.by_pitcher(outs, lev).get(pitcher_id)
             if triple is None:
-                if pitcher_id not in summary.rows:
-                    raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
-                # rows, but none that the filters keep: every cell is empty
-                triple = RateTriple(Rate(0, 0), Rate(0, 0), Rate(0, 0), outs)
+                raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
         else:
             triple = summary.pooled(outs, lev)
         value = brt_from_rates(triple)

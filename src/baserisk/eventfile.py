@@ -1,9 +1,9 @@
 """Record-level parsing of event files and assembly into game accounts.
 
 An event file is a sequence of comma-separated records (id, version, info,
-start, sub, play, data, com, badj, padj, ladj).  Tokenizing never aborts:
-bad lines become diagnostics and parsing continues, so one corrupt record
-costs at most its own game.
+start, sub, play, radj, data, com, badj, padj, ladj).  Tokenizing never
+aborts: bad lines become diagnostics and parsing continues, so one corrupt
+record costs at most its own game.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "GameAccount",
     "Half",
     "LineupEntry",
+    "PlacedRunner",
     "PlayLine",
     "SubLine",
     "assemble_games",
@@ -31,8 +32,8 @@ __all__ = [
 ]
 
 _KINDS = frozenset(
-    ("id", "version", "info", "start", "sub", "play", "data", "com", "badj",
-     "padj", "ladj")
+    ("id", "version", "info", "start", "sub", "play", "radj", "data", "com",
+     "badj", "padj", "ladj")
 )
 
 # (kind, fields after the kind, line number)
@@ -87,11 +88,21 @@ class PlayLine:
 
 
 @dataclass
+class PlacedRunner:
+    """A runner put on a base before the next play, as on second at the
+    start of an extra inning from 2020 on."""
+
+    runner_id: str
+    base: int
+    line_no: int
+
+
+@dataclass
 class GameAccount:
     game_id: str
     info: dict[str, str]
     starters: list[LineupEntry]
-    events: list[PlayLine | SubLine]
+    events: list[PlayLine | SubLine | PlacedRunner]
 
     @property
     def season(self) -> int:
@@ -197,7 +208,7 @@ def _finish(
         for ev in game.events:
             if isinstance(ev, SubLine):
                 known.add(ev.player_id)
-            elif ev.batter_id not in known:
+            elif not isinstance(ev, PlacedRunner) and ev.batter_id not in known:
                 error = Diagnostic(
                     "orphan_player", f"batter {ev.batter_id} not in lineup",
                     ev.line_no, game.game_id,
@@ -288,6 +299,8 @@ def iter_games(
                 elif kind == "sub":
                     game.events.append(SubLine(
                         cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
+                elif kind == "radj":
+                    game.events.append(PlacedRunner(cells[1], int(cells[2]), line_no))
                 elif kind == "info" and len(cells) > 1:
                     value = game.info[cells[1]] = cells[2] if len(cells) > 2 else ""
                     if years and cells[1] == "date":

@@ -519,7 +519,8 @@ def parse_model_text(text: str) -> OutcomeModel:
 
 
 def load_model(path: str | Path) -> OutcomeModel:
-    return parse_model_text(Path(path).read_text(encoding="utf-8"))
+    """A UTF-8 byte-order mark is not part of the first entry."""
+    return parse_model_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def default_model() -> OutcomeModel:

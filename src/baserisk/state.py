@@ -4,7 +4,7 @@
 for every play that is not a no-play, and folding each play's effects into
 the next state.  Anything it cannot replay exactly (an unparseable token, an
 advance from an empty base, a fourth out) quarantines the enclosing
-half-inning instead of guessing.
+half-inning instead of guessing, and so does a runner placed on a base.
 
 No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .eventfile import Diagnostic, GameAccount, Half, SubLine
+from .eventfile import Diagnostic, GameAccount, Half, PlacedRunner, PlayLine
 from .playtoken import Base, ParsedPlay, PlayKind, UnparseableEvent, parse_play_token
 
 __all__ = [
@@ -249,10 +249,13 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
     inning = half = None  # of the open half-inning
     batting = bases = outs = 0  # bases is an occupancy mask
     dead = False  # set by a quarantine: the half's remaining plays are skipped
+    placed: PlacedRunner | None = None  # a runner placed before the next play
 
     for item in account.events:
-        if isinstance(item, SubLine):
-            if item.position == 1:
+        if not isinstance(item, PlayLine):
+            if isinstance(item, PlacedRunner):
+                placed = item
+            elif item.position == 1:
                 pitchers[item.team] = item.player_id
             continue
         if item.inning != inning or item.half != half:
@@ -263,6 +266,17 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                                      score_reliable=score_reliable)
             timelines.append(timeline)
             batting, bases, outs, dead = int(half), 0, 0, False
+        if placed is not None:
+            # the paper's seasons have no placed runner, so such a half is
+            # left out rather than counted from an unusual start
+            if not dead:
+                timeline.excluded = reason = (
+                    f"runner {placed.runner_id} placed on base {placed.base}")
+                dead = True
+                score_reliable = False
+                diagnostics.append(
+                    Diagnostic("placed_runner", reason, placed.line_no, game_id))
+            placed = None
         token = item.event_text
         memo_key = (effect_text(token), bases, outs)
         step = memo.get(memo_key)

@@ -33,6 +33,7 @@ from .state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
 __all__ = [
     "BRTValue",
     "BucketRow",
+    "CELLS",
     "ClassKind",
     "CountingMode",
     "Decision",
@@ -122,6 +123,9 @@ _CLASS_OF = {
     for bases in range(8) for outs in range(3)
     if (situation := classify_state(bases, outs)) is not None
 }
+# the six cells that classify_state can produce, in the order of their slots
+# in a block of a RateSummary row
+CELLS = tuple(dict.fromkeys(_CLASS_OF.values()))
 
 
 class SituationObservation(NamedTuple):
@@ -264,17 +268,15 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
-# class -> outs -> the slot of the cell in a block of a RateSummary row.
-# A cell that no situation class has, which only a table built by hand can
-# hold, adds into slot 6, which no question reads.
+# class -> outs -> the slot of the cell in a block of a RateSummary row, or
+# None for a cell that no class has, which only a table built by hand holds
 _SLOT = {
-    kind: dict(enumerate(slots))
-    for kind, slots in ((ClassKind.THIRD_OCCUPIED, (0, 1, 6)),
-                        (ClassKind.SECOND_NO_THIRD, (2, 3, 6)),
-                        (ClassKind.FIRST_ONLY, (6, 4, 5)))
+    kind: tuple(CELLS.index((kind, outs)) if (kind, outs) in CELLS else None
+                for outs in range(3))
+    for kind in ClassKind
 }
 # where each block starts, by the leverage a question keeps
-_BLOCK = {False: 0, True: 7, None: 14}
+_BLOCK = {False: 0, True: len(CELLS), None: 2 * len(CELLS)}
 
 
 class RateSummary:
@@ -282,41 +284,39 @@ class RateSummary:
     inside ``years`` in one walk of the table, so that every rate question
     of a report reads the summary, not the table.
 
-    A row holds three blocks of seven slots: the other cells, the
-    high-leverage cells, and their sum.  A pitcher is in an answer only
-    when some cell of theirs matches it, even one with no observations, so
-    the walk also marks which cells it saw.
+    A row holds three blocks of six slots, one per cell of ``CELLS``: the
+    other cells, the high-leverage cells, and their sum.
     """
 
     def __init__(self, table: TallyTable, years: tuple[int, int] | None = None) -> None:
         self.years = years
-        # pitcher -> (numerators, denominators, cell seen), for every pitcher
-        # with a cell in the table, inside years or not
-        self.rows: dict[str, tuple[list[int], list[int], list[bool]]] = {}
+        # pitcher -> (numerators, denominators), for every pitcher with a
+        # cell in the table, inside years or not
+        self.rows: dict[str, tuple[list[int], list[int]]] = {}
         rows = self.rows
+        width = len(CELLS)
         last = None
         for (pid, kind, outs, season, lev), (num, den) in table.cells.items():
             if pid != last:  # a read cache holds each pitcher's cells in one run
                 row = rows.get(pid)
                 if row is None:
-                    row = rows[pid] = ([0] * 14, [0] * 14, [False] * 14)
-                nums, dens, seen = row
+                    row = rows[pid] = ([0] * 2 * width, [0] * 2 * width)
+                nums, dens = row
                 last = pid
-            if years and not (years[0] <= season <= years[1]):
+            i = _SLOT[kind][outs]
+            if i is None or years and not (years[0] <= season <= years[1]):
                 continue
-            i = _SLOT[kind][outs] + 7 * lev
+            i += width * lev
             nums[i] += num
             dens[i] += den
-            seen[i] = True
-        for nums, dens, seen in rows.values():
-            nums += [other + hl for other, hl in zip(nums, nums[7:])]
-            dens += [other + hl for other, hl in zip(dens, dens[7:])]
-            seen += [other or hl for other, hl in zip(seen, seen[7:])]
+        for nums, dens in rows.values():
+            nums += [other + hl for other, hl in zip(nums, nums[width:])]
+            dens += [other + hl for other, hl in zip(dens, dens[width:])]
 
     def by_pitcher(self, outs: int, leverage: bool | None = None) -> dict[str, RateTriple]:
         """Scoring rates for the three classes at threshold index ``outs``
         (the first-only class is read at ``outs + 1``), for every pitcher
-        with at least one matching cell.
+        with a row: one with no matching cell reads 0 of 0 in each.
 
         leverage=True keeps only high-leverage observations, None keeps all.
         """
@@ -329,8 +329,7 @@ class RateSummary:
         return {
             pid: RateTriple(Rate(nums[t], dens[t]), Rate(nums[s], dens[s]),
                             Rate(nums[f], dens[f]), outs)
-            for pid, (nums, dens, seen) in self.rows.items()
-            if seen[t] or seen[s] or seen[f]
+            for pid, (nums, dens) in self.rows.items()
         }
 
     def pooled(self, outs: int, leverage: bool | None = None) -> RateTriple:

@@ -21,7 +21,7 @@ from baserisk.cache import (
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import ingest_text
-from baserisk.stats import ClassKind, CountingMode, InningCounts, TallyTable
+from baserisk.stats import CELLS, ClassKind, CountingMode, InningCounts, TallyTable
 
 SAMPLE_CELLS = {
     ("riverma01", ClassKind.THIRD_OCCUPIED, 1, 2003, True): [3, 21],
@@ -185,6 +185,20 @@ def test_bad_row_rejected(tmp_path, row):
     path.write_text("\n".join([good[0], good[1], row]) + "\n", encoding="utf-8")
     with pytest.raises(CacheError):
         read_cache(path)
+
+
+@pytest.mark.parametrize("kind", ClassKind)
+@pytest.mark.parametrize("outs", range(4))
+def test_reader_accepts_exactly_the_cells(tmp_path, kind, outs):
+    good = render_cache(sample_cache()).splitlines()
+    path = tmp_path / "cell.cache"
+    row = f"zzz01,{kind.value},{outs},2003:hl,3,21"
+    path.write_text("\n".join([*good, row]) + "\n", encoding="utf-8")
+    if (kind, outs) in CELLS:
+        assert read_cache(path).table.cells[("zzz01", kind, outs, 2003, True)] == [3, 21]
+    else:
+        with pytest.raises(CacheError, match="is not a situation cell"):
+            read_cache(path)
 
 
 @pytest.mark.parametrize(

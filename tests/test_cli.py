@@ -406,6 +406,21 @@ def test_config_file_with_a_byte_order_mark(workspace, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("stat,all/1 out")
 
 
+def test_simulate_model_file_with_a_byte_order_mark(tmp_path):
+    from baserisk.oracle import DEFAULT_MODEL_TEXT
+
+    # the first line is an entry, not a comment
+    text = "".join(line for line in DEFAULT_MODEL_TEXT.splitlines(keepends=True)
+                   if not line.startswith("#"))
+    outputs = []
+    for mark in ("", BOM):
+        model, out = tmp_path / f"{len(mark)}.model", tmp_path / f"{len(mark)}.evn"
+        model.write_text(mark + text, encoding="utf-8")
+        assert main(["simulate", "--games", "3", "--model", str(model), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 @pytest.mark.parametrize("kind,message", [
     ("latin1", "is not UTF-8 text"), ("directory", "cannot read model")])
 def test_simulate_model_unreadable(tmp_path, capsys, kind, message):
@@ -903,6 +918,23 @@ def test_decide_names_pitcher_missing_from_cache(report_cache, capsys):
     assert captured.out == ""
     assert "ghost01" in captured.err
     assert "no tally rows" in captured.err
+
+
+@pytest.mark.parametrize("args,code,out,err", [
+    # p007's cells are 1987-1996: rows, but none inside the years
+    (["--pitcher", "p007", "--years", "1980-1981"], 2, "",
+     "error: third-occupied cell has no observations"),
+    (["--pitcher", "p003"], 2, "", "error: first-only cell has no observations"),
+    # innings rows, no cells
+    (["--pitcher", "p059"], 2, "", "error: pitcher p059 has no tally rows in the cache"),
+    (["--pitcher", "p003", "--all-innings"], 0,
+     "threshold=0.329575 p=0.300000 -> conventional\n", ""),
+], ids=["outside-years", "empty-cell", "innings-only", "all-innings"])
+def test_decide_pitcher_edge_cases(report_cache, capsys, args, code, out, err):
+    assert main(["decide", "0.3", *args, "--cache", report_cache["cache"]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.rstrip().endswith(err)
 
 
 # --- data errors leave through main with the line they had ------------------

@@ -140,6 +140,24 @@ def test_start_record_after_its_batters_play_counts():
     assert result.diagnostic_counts == {}
 
 
+@pytest.mark.parametrize("tokens", [["K", "K", "K"], ["S8", "K", "K", "K"]],
+                         ids=["three-strikeouts", "single-first"])
+def test_placed_runner_quarantines_its_half(tokens):
+    """A runner placed on second before an extra-inning half (radj, from
+    2020 on) is a known record, and the half it starts is quarantined under
+    a code of its own, not counted from empty bases."""
+    text = emit_event_file(simulate_season(default_model(), 1, seed=1, season=2021))
+    extra = ["radj,vbat0005,2"] + [
+        f"play,10,0,vbat{n:04d},??,,{token}" for n, token in enumerate(tokens, start=6)]
+    plain = ingest_text(text)
+    placed = ingest_text(text + "\n".join(extra) + "\n")
+    assert plain.diagnostic_counts == {}
+    assert placed.diagnostic_counts == {"placed_runner": 1}
+    assert (placed.half_innings, placed.quarantined) == (plain.half_innings + 1, 1)
+    assert placed.table.cells == plain.table.cells
+    assert placed.innings.counts == plain.innings.counts
+
+
 def test_ingest_heap_stays_small():
     """A 600-game file is ingested one game at a time from lines split a
     chunk at a time: the traced heap peak stays far below what the file's

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from baserisk.eventfile import Half
 from baserisk.state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
 from baserisk.stats import (
+    CELLS,
     ClassKind,
     CountingMode,
     Decision,
@@ -61,6 +62,13 @@ def test_classification_table(occ, outs, expected):
         assert got is None
     else:
         assert (got.kind, got.outs) == expected
+
+
+def test_cells_are_the_classes_classify_state_produces():
+    produced = {classify_state(mask, outs) for mask in range(8) for outs in range(3)}
+    assert len(set(CELLS)) == len(CELLS) == 6
+    assert set(CELLS) == produced - {None}
+    assert all(type(cell) is SituationClass for cell in CELLS)
 
 
 @given(st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2))
@@ -234,10 +242,10 @@ def test_merge_identity(a):
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
        st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
 def test_rates_sum_matching_cells(table, years, pitchers):
-    """rates pools every matching cell; by_pitcher holds a pitcher
-    exactly when some cell of theirs matches, with that pitcher's sums.  One
-    summary answers every question, and has a row for every pitcher with a
-    cell, inside ``years`` or not."""
+    """rates pools every matching cell; by_pitcher holds every pitcher
+    with a row, with that pitcher's sums, which are 0 of 0 where no cell of
+    theirs matches.  One summary answers every question, and has a row for
+    every pitcher with a cell, inside ``years`` or not."""
     summary = RateSummary(table, years)
     assert set(summary.rows) == {pid for pid, *_ in table.cells}
     for lev in (None, True, False):
@@ -264,8 +272,8 @@ def test_rates_sum_matching_cells(table, years, pitchers):
             check(rates(table, outs, lev, years), None)
             check(summary.pooled(outs, lev), None)
             by_pitcher = summary.by_pitcher(outs, lev)
-            for pid in pitchers or {pid for pid, *_ in table.cells}:
-                assert (pid in by_pitcher) == bool(matching(wanted.values(), {pid}))
+            assert by_pitcher.keys() == summary.rows.keys()
+            for pid in pitchers or summary.rows:
                 if pid in by_pitcher:
                     check(by_pitcher[pid], {pid})
 

@@ -11,24 +11,29 @@ byte-identical files.
 
 ``csv.writer`` quotes only a field that holds a quote, a comma or a line
 break, so a cache whose text holds no quote splits the same with
-``str.split``; any other cache goes through ``csv.reader``.  The reader
-refuses, with ``CacheError``, text that is not UTF-8, a row of the
-wrong width, counts outside 0 <= numerator <= denominator, a (class,
-outs) that is not one of ``stats.CELLS``, a stratum that is not
-``<season>:hl`` or ``<season>:other`` (or, on an innings row, a bare
-season) in the form the writer writes, a count that is not in that form
-either (``03``, ``+3``, `` 3``, ``1_0``), and a key that repeats an
-earlier row's.  The writer refuses a pitcher id that holds a line break.
+``str.split``; any other cache goes through ``csv.reader``.  Two readers
+share one loop of checks, and so refuse the same text with the same
+``CacheError``: text that is not UTF-8, a row of the wrong width, counts
+outside 0 <= numerator <= denominator, a (class, outs) that is not one of
+``stats.CELLS``, a stratum that is not ``<season>:hl`` or
+``<season>:other`` (or, on an innings row, a bare season) in the form the
+writer writes, a count that is not in that form either (``03``, ``+3``,
+`` 3``, ``1_0``), and a key that repeats an earlier row's.  The writer
+refuses a pitcher id that holds a line break.
 
-A read allocates two containers per row, a key tuple and a count list,
-that live as long as the table and form no cycles.  The cyclic collector
-counts them toward its thresholds all the same and, left running, walks
-the growing table again and again, and the finished one while a report
-reads it, freeing nothing: on the perfbench query cache (32,970 rows) one
-round of ``table1``, ``table2`` and ``table3`` ran 252 generation-0, 22
-generation-1 and 2 full collections.  ``cli.main`` therefore pauses it for
-the whole command and puts back the caller's setting, and the round runs
-none; a caller that reads a cache outside ``main`` decides for itself.
+``read_cache`` keeps every row under its own key, and so allocates two
+containers per row, a key tuple and a count list.  ``read_summary``, the
+report commands' read, adds each situation row straight into its
+pitcher's ``stats.RateSummary`` row and allocates those two only per
+innings row; a repeated key is found by an integer id per distinct
+(class, outs, stratum), held in one set per pitcher.  None of these form
+cycles.  The cyclic collector counts them toward its thresholds all the
+same and, left running, walks them again and again, freeing nothing: on
+the perfbench query cache (32,970 rows), one round of ``table1``,
+``table2`` and ``table3`` that each read the whole table ran 252
+generation-0, 22 generation-1 and 2 full collections.  ``cli.main``
+therefore pauses it for the whole command and puts back the caller's
+setting; a caller that reads a cache outside ``main`` decides for itself.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .stats import CELLS, CountingMode, InningCounts, TallyTable
+from .stats import CELLS, CountingMode, InningCounts, RateSummary, TallyTable
 
 __all__ = [
     "CacheError",
@@ -49,6 +54,7 @@ __all__ = [
     "fingerprint_paths",
     "load_era_csv",
     "read_cache",
+    "read_summary",
     "render_cache",
     "write_cache",
 ]
@@ -116,22 +122,28 @@ def write_cache(path: str | Path, cache: StatsCache) -> None:
 
 
 def _row_tail(
-    class_name: str, outs: str, stratum: str, table: TallyTable, innings: InningCounts
-) -> tuple[dict, tuple]:
-    """The dict a row with this (class, outs, stratum) text fills, and its
-    key after the pitcher id.  Raises ValueError for text the writer never
+    class_name: str, outs: str, stratum: str, innings: InningCounts,
+    sink: TallyTable | RateSummary,
+) -> tuple[dict | None, tuple | None, int | None]:
+    """Where a row with this (class, outs, stratum) text goes: the dict it
+    fills and its key there after the pitcher id; or, for a situation row
+    read into a ``RateSummary``, no dict and the slot the row adds into,
+    None when it adds nowhere.  Raises ValueError for text the writer never
     writes."""
     if class_name == _INNINGS_CLASS:
         if outs != "0":
             raise ValueError("innings rows have outs 0")
-        return innings.counts, (_as_written(stratum),)
+        return innings.counts, (_as_written(stratum),), None
     cell = _CELLS.get((class_name, outs))
     if cell is None:
         raise ValueError(f"({class_name}, {outs}) is not a situation cell")
     season, _, leverage = stratum.partition(":")
     if leverage not in _LEVERAGE:
         raise ValueError("stratum must be <season>:hl or <season>:other")
-    return table.cells, (*cell, _as_written(season), _LEVERAGE[leverage])
+    key = (*cell, _as_written(season), _LEVERAGE[leverage])
+    if isinstance(sink, TallyTable):
+        return sink.cells, key, None
+    return None, None, sink.slot(*key)
 
 
 def _as_written(text: str) -> int:
@@ -157,6 +169,32 @@ class _Memo(dict):
 
 
 def read_cache(path: str | Path) -> StatsCache:
+    """The whole cache: every row under its own key."""
+    table = TallyTable()
+    innings = InningCounts()
+    mode, fingerprint = _read(path, innings, table)
+    return StatsCache(table, innings, mode, fingerprint)
+
+
+def read_summary(
+    path: str | Path, years: tuple[int, int] | None = None
+) -> tuple[RateSummary, InningCounts]:
+    """What the reports read: the situation rows added straight into a
+    ``RateSummary`` over ``years``, which holds a row for every pitcher with
+    a situation row, and the innings rows.  The same rows are refused, with
+    the same text, as by ``read_cache``."""
+    summary = RateSummary(years=years)
+    innings = InningCounts()
+    _read(path, innings, summary)
+    summary.add_sums()
+    return summary, innings
+
+
+def _read(
+    path: str | Path, innings: InningCounts, sink: TallyTable | RateSummary
+) -> tuple[CountingMode, str]:
+    """Check every row of the cache at ``path`` and add it into ``innings``
+    or ``sink``; return the manifest's counting mode and fingerprint."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -182,13 +220,14 @@ def read_cache(path: str | Path) -> StatsCache:
         rows = csv.reader(body)
     else:
         rows = map(str.split, body, repeat(","))
-    table = TallyTable()
-    innings = InningCounts()
     # a few hundred distinct (class, outs, stratum) tails and a few hundred
     # distinct count texts cover any number of rows, so each is checked
-    # and converted once
-    tails = _Memo(lambda key: _row_tail(*key, table, innings))
+    # and converted once, and each tail gets an id of its own
+    tails = _Memo(lambda key: (len(tails), *_row_tail(*key, innings, sink)))
     counts = _Memo(_as_written)
+    # pitcher -> the ids of the tails of their rows so far
+    seen_tails: dict[str, set[int]] = {}
+    last = None
     try:
         header = next(csv.reader(lines[1:2]), None)
         if header != _HEADER:
@@ -196,18 +235,32 @@ def read_cache(path: str | Path) -> StatsCache:
         for row in rows:
             try:
                 pid, class_name, outs, stratum, num, den = row
-                store, suffix = tails[class_name, outs, stratum]
+                tail, store, key, slot = tails[class_name, outs, stratum]
                 n, d = counts[num], counts[den]
                 if not 0 <= n <= d:
                     raise ValueError("counts must be 0 <= numerator <= denominator")
-                cell = [n, d]
-                if store.setdefault((pid,) + suffix, cell) is not cell:
+                if pid != last:  # a written cache holds each pitcher's rows in one run
+                    last = pid
+                    seen = seen_tails.get(pid)
+                    if seen is None:
+                        seen = seen_tails[pid] = set()
+                    sums = None
+                if tail in seen:
                     raise ValueError("repeats the key of an earlier row")
+                seen.add(tail)
+                if store is not None:
+                    store[(pid,) + key] = [n, d]
+                    continue
+                if sums is None:
+                    nums, dens = sums = sink.row(pid)
+                if slot is not None:
+                    nums[slot] += n
+                    dens[slot] += d
             except ValueError as exc:
                 raise CacheError(f"bad cache row {row!r}: {exc}") from exc
     except csv.Error as exc:
         raise CacheError(f"unreadable cache line: {exc}") from exc
-    return StatsCache(table, innings, mode, manifest.get("fingerprint", ""))
+    return mode, manifest.get("fingerprint", "")
 
 
 def fingerprint_paths(digests: dict[str, str]) -> str:

@@ -28,7 +28,8 @@ from .cache import (
     StatsCache,
     fingerprint_paths,
     load_era_csv,
-    read_cache,
+    read_cache,  # no command calls it; perfbench/spans.py wraps cli.read_cache by name
+    read_summary,
     write_cache,
 )
 from .eventfile import load_roster_names
@@ -45,6 +46,7 @@ from .stats import (
     CountingMode,
     EmptyBucket,
     EmptyCell,
+    InningCounts,
     RateSummary,
     bucket_report,
     brt_from_rates,
@@ -124,9 +126,11 @@ _counting_mode_option = click.option(
     callback=lambda ctx, param, value: CountingMode(value))
 
 
-def _load_cache(path: str) -> StatsCache:
+def _load_summary(
+    path: str, years: tuple[int, int] | None
+) -> tuple[RateSummary, InningCounts]:
     try:
-        return read_cache(path)
+        return read_summary(path, years)
     except FileNotFoundError:
         raise DataError(f"cache not found: {path}")
     except OSError as exc:
@@ -274,7 +278,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 @_format_option
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
-    summary = RateSummary(_load_cache(cache_path).table, years)
+    summary, _ = _load_summary(cache_path, years)
     cells = {}
     for scope, leverage in (("all", None), ("hl", True)):
         for outs in (1, 0):
@@ -299,12 +303,11 @@ def table1(cache_path, years, fmt):
 def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
            years, fmt):
     """Career-workload buckets of per-pitcher thresholds."""
-    cache = _load_cache(cache_path)
+    summary, innings = _load_summary(cache_path, years)
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
-    summary = RateSummary(cache.table, years)
     blocks = {}
     for outs in outs_list:
-        blocks[outs] = bucket_report(summary, cache.innings, outs, boundaries=boundaries,
+        blocks[outs] = bucket_report(summary, innings, outs, boundaries=boundaries,
                                      cohort_last_season_min=cohort_min_season)
         if leaders is not None:
             blocks[outs].append(group_summary(summary, leaders, outs))
@@ -324,13 +327,13 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
 @_format_option
 def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt):
     """Per-pitcher thresholds for heavy high-leverage workloads."""
-    cache = _load_cache(cache_path)
+    summary, innings = _load_summary(cache_path, years)
     eras = _read_input(load_era_csv, era_path, "era file") if era_path else {}
     names = {}
     if roster_paths:
         names = _read_input(load_roster_names, list(roster_paths), "roster")
-    careers = career_high_leverage_innings(cache.innings, years)
-    by_pitcher = RateSummary(cache.table, years).by_pitcher(outs, leverage=True)
+    careers = career_high_leverage_innings(innings, years)
+    by_pitcher = summary.by_pitcher(outs, leverage=True)
     rows = []
     for pid in sorted(by_pitcher):
         triple = by_pitcher[pid]
@@ -365,7 +368,7 @@ def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
                                    "and no --outs, --leverage or --all-innings")
         value = compute_brt(*tsf)
     elif cache_path:
-        summary = RateSummary(_load_cache(cache_path).table, years)
+        summary, _ = _load_summary(cache_path, years)
         lev = True if leverage else None
         if pitcher_id:
             triple = summary.by_pitcher(outs, lev).get(pitcher_id)
@@ -457,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
 
     The command runs with the cyclic garbage collector paused, and the
     caller's setting, enabled or disabled, is put back on every exit.  A
-    report command builds a table of tens of thousands of key tuples and
-    count lists that live until it returns and form no cycles, so a
+    report command reads thousands of innings keys and count lists and a
+    set per pitcher that live until it returns and form no cycles, so a
     collection while it runs could free nothing; ingest leaves a few
     thousand cyclic objects, which wait until the collector runs again.
     """

@@ -260,6 +260,15 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
             continue
         if item.inning != inning or item.half != half:
             if timeline is not None:
+                if (item.inning, item.half) < (inning, half):
+                    # a game's account, a suspended game's too, runs in
+                    # order, so a half that goes back belongs to another
+                    # game whose id record is lost: drop the game
+                    diagnostics.append(Diagnostic(
+                        "halves_out_of_order",
+                        f"inning {item.inning} {item.half.name.lower()} after "
+                        f"inning {inning} {half.name.lower()}", item.line_no, game_id))
+                    return GameReplay(game_id, [], diagnostics, (0, 0))
                 _close(timeline, outs, False, diagnostics)
             inning, half = item.inning, item.half
             timeline = StateTimeline((game_id, inning, half), season,

@@ -279,37 +279,67 @@ _SLOT = {
 _BLOCK = {False: 0, True: len(CELLS), None: 2 * len(CELLS)}
 
 
+def _triple_slots(outs: int, leverage: bool | None) -> tuple[int, int, int]:
+    """The slots of T, S and F at threshold index ``outs``."""
+    if outs not in (0, 1):
+        raise ValueError("threshold index must be 0 or 1")
+    block = _BLOCK[leverage]
+    return (block + _SLOT[ClassKind.THIRD_OCCUPIED][outs],
+            block + _SLOT[ClassKind.SECOND_NO_THIRD][outs],
+            block + _SLOT[ClassKind.FIRST_ONLY][outs + 1])
+
+
 class RateSummary:
     """Each pitcher's six (class, outs) cells summed over the seasons
     inside ``years`` in one walk of the table, so that every rate question
     of a report reads the summary, not the table.
 
     A row holds three blocks of six slots, one per cell of ``CELLS``: the
-    other cells, the high-leverage cells, and their sum.
+    other cells, the high-leverage cells, and their sum.  Without a table
+    the summary starts empty: a reader adds each cell into ``row(pid)`` at
+    ``slot(...)`` and calls ``add_sums`` once, after the last cell.
     """
 
-    def __init__(self, table: TallyTable, years: tuple[int, int] | None = None) -> None:
+    def __init__(self, table: TallyTable | None = None,
+                 years: tuple[int, int] | None = None) -> None:
         self.years = years
         # pitcher -> (numerators, denominators), for every pitcher with a
-        # cell in the table, inside years or not
+        # cell, inside years or not
         self.rows: dict[str, tuple[list[int], list[int]]] = {}
-        rows = self.rows
-        width = len(CELLS)
+        if table is None:
+            return
         last = None
         for (pid, kind, outs, season, lev), (num, den) in table.cells.items():
             if pid != last:  # a read cache holds each pitcher's cells in one run
-                row = rows.get(pid)
-                if row is None:
-                    row = rows[pid] = ([0] * 2 * width, [0] * 2 * width)
-                nums, dens = row
+                nums, dens = self.row(pid)
                 last = pid
-            i = _SLOT[kind][outs]
-            if i is None or years and not (years[0] <= season <= years[1]):
-                continue
-            i += width * lev
-            nums[i] += num
-            dens[i] += den
-        for nums, dens in rows.values():
+            i = self.slot(kind, outs, season, lev)
+            if i is not None:
+                nums[i] += num
+                dens[i] += den
+        self.add_sums()
+
+    def slot(self, kind: ClassKind, outs: int, season: int, high_leverage: bool) -> int | None:
+        """Where a cell with this key adds in a row, or None when it adds
+        nowhere: its season is outside ``years``, or no class has it, which
+        only a table built by hand can hold."""
+        i = _SLOT[kind][outs]
+        years = self.years
+        if i is None or years and not (years[0] <= season <= years[1]):
+            return None
+        return i + len(CELLS) * high_leverage
+
+    def row(self, pid: str) -> tuple[list[int], list[int]]:
+        """``pid``'s other and high-leverage blocks, zeros when new."""
+        row = self.rows.get(pid)
+        if row is None:
+            row = self.rows[pid] = ([0] * 2 * len(CELLS), [0] * 2 * len(CELLS))
+        return row
+
+    def add_sums(self) -> None:
+        """Append every row's sum block."""
+        width = len(CELLS)
+        for nums, dens in self.rows.values():
             nums += [other + hl for other, hl in zip(nums, nums[width:])]
             dens += [other + hl for other, hl in zip(dens, dens[width:])]
 
@@ -320,12 +350,7 @@ class RateSummary:
 
         leverage=True keeps only high-leverage observations, None keeps all.
         """
-        if outs not in (0, 1):
-            raise ValueError("threshold index must be 0 or 1")
-        block = _BLOCK[leverage]
-        t = block + _SLOT[ClassKind.THIRD_OCCUPIED][outs]
-        s = block + _SLOT[ClassKind.SECOND_NO_THIRD][outs]
-        f = block + _SLOT[ClassKind.FIRST_ONLY][outs + 1]
+        t, s, f = _triple_slots(outs, leverage)
         return {
             pid: RateTriple(Rate(nums[t], dens[t]), Rate(nums[s], dens[s]),
                             Rate(nums[f], dens[f]), outs)
@@ -333,8 +358,12 @@ class RateSummary:
         }
 
     def pooled(self, outs: int, leverage: bool | None = None) -> RateTriple:
-        """by_pitcher pooled over every pitcher."""
-        return _pooled(self.by_pitcher(outs, leverage).values(), outs)
+        """by_pitcher pooled over every pitcher, summed slot by slot."""
+        rows = self.rows.values()
+        return RateTriple(*(
+            Rate(sum(nums[i] for nums, _ in rows), sum(dens[i] for _, dens in rows))
+            for i in _triple_slots(outs, leverage)
+        ), outs)
 
 
 def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:

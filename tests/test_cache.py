@@ -16,12 +16,20 @@ from baserisk.cache import (
     fingerprint_paths,
     load_era_csv,
     read_cache,
+    read_summary,
     render_cache,
     write_cache,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import ingest_text
-from baserisk.stats import CELLS, ClassKind, CountingMode, InningCounts, TallyTable
+from baserisk.stats import (
+    CELLS,
+    ClassKind,
+    CountingMode,
+    InningCounts,
+    RateSummary,
+    TallyTable,
+)
 
 SAMPLE_CELLS = {
     ("riverma01", ClassKind.THIRD_OCCUPIED, 1, 2003, True): [3, 21],
@@ -180,11 +188,17 @@ def test_bad_header_rejected(tmp_path):
     ],
 )
 def test_bad_row_rejected(tmp_path, row):
+    """Both readers refuse the row with the same text, the report read
+    even when the row's season lies outside its years."""
     good = render_cache(sample_cache()).splitlines()
     path = tmp_path / "bad.cache"
     path.write_text("\n".join([good[0], good[1], row]) + "\n", encoding="utf-8")
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError) as whole:
         read_cache(path)
+    for years in (None, (2004, 2010)):
+        with pytest.raises(CacheError) as summed:
+            read_summary(path, years)
+        assert str(summed.value) == str(whole.value)
 
 
 @pytest.mark.parametrize("kind", ClassKind)
@@ -216,6 +230,8 @@ def test_repeated_key_rejected(tmp_path, row):
     path.write_text("\n".join([*good, row]) + "\n")
     with pytest.raises(CacheError, match="repeats"):
         read_cache(path)
+    with pytest.raises(CacheError, match="repeats"):
+        read_summary(path)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -372,3 +388,30 @@ def test_read_cache_matches_reference(tmp_path_factory, cache):
     assert list(loaded.innings.counts.items()) == list(innings.items())
     assert (loaded.counting_mode, loaded.fingerprint) == (mode, fingerprint)
     assert render_cache(loaded) == text
+
+
+years_windows = st.one_of(st.none(), st.tuples(seasons, seasons).map(lambda ys: tuple(sorted(ys))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(caches, years_windows)
+def test_read_summary_matches_read_cache(tmp_path_factory, cache, years):
+    """The report read adds the rows into the summary that ``RateSummary``
+    makes of ``read_cache``'s table, with a row for every pitcher with a
+    situation row and none for a pitcher with innings rows alone, and reads
+    the same innings rows."""
+    text = render_cache(cache)
+    path = tmp_path_factory.getbasetemp() / f"summary-{next(_NAMES)}.cache"
+    path.write_text(text, encoding="utf-8")
+    summary, innings = read_summary(path, years)
+    whole = read_cache(path)
+    path.unlink()
+    event("quoted" if '"' in text else "split")
+    situated = {key[0] for key in cache.table.cells}
+    if {pid for pid, _ in cache.innings.counts} - situated:
+        event("a pitcher with innings rows alone")
+    expected = RateSummary(whole.table, years)
+    assert summary.years == years
+    assert set(summary.rows) == situated
+    assert list(summary.rows.items()) == list(expected.rows.items())
+    assert list(innings.counts.items()) == list(whole.innings.counts.items())

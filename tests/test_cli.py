@@ -1,7 +1,9 @@
 """Command-line flows, exit codes, and report plumbing."""
 
+import builtins
 import gc
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 import baserisk
 from baserisk import cli
 from baserisk.cli import DataError, _unique_inputs, main
+from baserisk.stats import RateSummary, TallyTable
 
 
 @pytest.fixture(scope="module")
@@ -1063,28 +1066,6 @@ def test_table2_starts_no_collection(tmp_path, capsys):
     assert "150-199" in capsys.readouterr().out
 
 
-class CountingCells(dict):
-    """A cell dict that counts the walks made over it."""
-
-    walks = 0
-
-    def items(self):
-        self.walks += 1
-        return super().items()
-
-    def keys(self):
-        self.walks += 1
-        return super().keys()
-
-    def values(self):
-        self.walks += 1
-        return super().values()
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("args", [
     ["table1"],
     ["table1", "--years", "1990-1999"],
@@ -1094,17 +1075,27 @@ class CountingCells(dict):
     ["decide", "0.3", "--pitcher", "p007", "--all-innings"],
 ], ids=["table1", "table1-years", "table2-leaders", "table3", "decide", "decide-pitcher"])
 def test_report_walks_the_tally_once(report_cache, capsys, monkeypatch, args):
-    """Every rate a report prints comes from one walk of the cache's cells."""
-    read = cli.read_cache
-    tables = []
+    """A report reads the cache file once and adds its rows straight into
+    one ``RateSummary``: it builds no ``TallyTable`` to walk."""
+    built = []
+    for kind in (TallyTable, RateSummary):
+        def counted_init(self, *a, _init=kind.__init__, _kind=kind, **kw):
+            built.append(_kind)
+            _init(self, *a, **kw)
 
-    def counted_read(path):
-        cache = read(path)
-        cache.table.cells = CountingCells(cache.table.cells)
-        tables.append(cache.table)
-        return cache
+        monkeypatch.setattr(kind, "__init__", counted_init)
+    cache = os.fspath(report_cache["cache"])
+    opened = []
+    real_open = io.open
 
-    monkeypatch.setattr(cli, "read_cache", counted_read)
+    def counted_open(file, *a, **kw):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == cache:
+            opened.append(file)
+        return real_open(file, *a, **kw)
+
+    monkeypatch.setattr(io, "open", counted_open)
+    monkeypatch.setattr(builtins, "open", counted_open)
     args = [report_cache["leaders"] if a == "LEADERS" else a for a in args]
-    assert main(args + ["--cache", report_cache["cache"]]) == 0
-    assert [table.cells.walks for table in tables] == [1]
+    assert main(args + ["--cache", cache]) == 0
+    assert built == [RateSummary]
+    assert len(opened) == 1

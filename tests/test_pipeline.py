@@ -158,6 +158,20 @@ def test_placed_runner_quarantines_its_half(tokens):
     assert placed.innings.counts == plain.innings.counts
 
 
+def test_lost_id_record_drops_the_merged_game():
+    """A lost ``id`` record runs two games into one account, which replay
+    drops at the first half that goes back, so the rest count as before."""
+    text = emit_event_file(simulate_season(default_model(), 6, seed=1, midgame_subs=True))
+    lines = text.split("\n")
+    ids = [i for i, line in enumerate(lines) if line.startswith("id,")]
+    merged = ingest_text("\n".join(lines[:ids[1]] + lines[ids[1] + 1:]))
+    rest = ingest_text("\n".join(lines[ids[2]:]))
+    assert (merged.games, merged.games_skipped) == (4, 1)
+    assert merged.diagnostic_counts == {"halves_out_of_order": 1}
+    assert merged.table.cells == rest.table.cells
+    assert merged.innings.counts == rest.innings.counts
+
+
 def test_ingest_heap_stays_small():
     """A 600-game file is ingested one game at a time from lines split a
     chunk at a time: the traced heap peak stays far below what the file's

@@ -19,6 +19,7 @@ from baserisk.stats import (
     RateSummary,
     SituationClass,
     TallyTable,
+    _pooled,
     add_cells,
     brt_from_rates,
     bucket_report,
@@ -276,6 +277,17 @@ def test_rates_sum_matching_cells(table, years, pitchers):
             for pid in pitchers or summary.rows:
                 if pid in by_pitcher:
                     check(by_pitcher[pid], {pid})
+
+
+@given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]))
+def test_pooled_sums_the_slot_columns(table, years):
+    """``pooled`` sums the summary's slots straight, to the triple that
+    pooling every pitcher's ``by_pitcher`` triple gives."""
+    summary = RateSummary(table, years)
+    for lev in (None, True, False):
+        for outs in (0, 1):
+            assert summary.pooled(outs, lev) == _pooled(
+                summary.by_pitcher(outs, lev).values(), outs)
 
 
 def test_inning_counts_and_career():

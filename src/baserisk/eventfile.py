@@ -203,7 +203,6 @@ def _finish(
                 error = Diagnostic("missing_info", f"no {key} record", game_id=game.game_id)
                 break
     if error is None:
-        # every start record counts, one after its batter's play too
         known = {s.player_id for s in game.starters}
         for ev in game.events:
             if isinstance(ev, SubLine):
@@ -229,8 +228,9 @@ def iter_games(
     records arrive; yield it as soon as the next id record or the end of
     the text closes it.
 
-    An account that fails structural validation (malformed cells, missing
-    required info, a play by a player never introduced) is dropped whole:
+    An account that fails structural validation (malformed cells, a start
+    record after its first play, sub or radj record, missing required info,
+    a play by a player never introduced) is dropped whole:
     ``None`` is yielded in its place, with one diagnostic naming the game,
     so it is never silently truncated.  With ``years``, a block of another
     season is dropped at close without a yield, and so are its diagnostics.
@@ -294,6 +294,9 @@ def iter_games(
                         half = Half(int(cells[2]))
                     game.events.append(PlayLine(inning, half, cells[3], cells[6], line_no))
                 elif kind == "start":
+                    if game.events:
+                        # the next game's, after a lost id record
+                        raise ValueError("after the game's first play, sub or radj record")
                     game.starters.append(LineupEntry(
                         cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
                 elif kind == "sub":

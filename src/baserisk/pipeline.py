@@ -25,6 +25,7 @@ from .stats import (
     TallyTable,
     add_cells,
     extract_observations,
+    tally_halves,
 )
 
 __all__ = [
@@ -120,13 +121,10 @@ def iter_timelines(
 
 def _tally(result: IngestResult, timelines: Iterator[StateTimeline],
            mode: CountingMode) -> IngestResult:
-    """Extract and add every timeline's observations and half-innings into
-    ``result``, which the timelines count into too."""
-    for timeline in timelines:
-        observations = extract_observations(timeline, mode)
-        result.observations += len(observations)
-        result.table.add_all(observations)
-        result.innings.add_timeline(timeline)
+    """Add every timeline's record of its observations and half-innings
+    into ``result``, which the timelines count into too."""
+    observations = tally_halves(timelines, result.table, result.innings, mode)
+    result.observations += observations
     return result
 
 

@@ -10,12 +10,20 @@ No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
 replay resolves each (effect text, occupancy, outs) only once, through a memo
 that holds only the plays that parse.
+
+The tallies read no snapshot.  Beside each one, replay records what they
+need of the open half-inning: the first snapshot of each situation class,
+found by one lookup in a table of the base-out states, and each pitcher who
+faced a snapshot, with whether one of theirs was late and close.  So the
+situation classes and the leverage window are defined here, next to the
+walk that applies them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,11 +31,17 @@ from .eventfile import Diagnostic, GameAccount, Half, PlacedRunner, PlayLine
 from .playtoken import Base, ParsedPlay, PlayKind, UnparseableEvent, parse_play_token
 
 __all__ = [
+    "CLASS_AT",
+    "HIGH_LEVERAGE_INNINGS",
+    "HIGH_LEVERAGE_MARGIN",
+    "ClassKind",
     "GameReplay",
     "IllegalState",
+    "SituationClass",
     "Snapshot",
     "StateTimeline",
     "apply_play",
+    "classify_state",
     "effect_text",
     "replay_game",
     "resolve_step",
@@ -37,6 +51,47 @@ FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
 _BIT = (0, FIRST, SECOND, THIRD)  # indexed by Base; the batter stands on none
 # builds a Snapshot in half the time of its class's Python-level __new__
 _new_tuple = tuple.__new__
+
+# a snapshot is late and close in these innings, within this many runs,
+# while the game's running score is still trusted
+HIGH_LEVERAGE_INNINGS = (8, 9)
+HIGH_LEVERAGE_MARGIN = 1
+
+
+class ClassKind(Enum):
+    THIRD_OCCUPIED = "third_occupied"
+    SECOND_NO_THIRD = "second_no_third"
+    FIRST_ONLY = "first_only"
+
+    # members compare by identity, so the C-level identity hash agrees with
+    # equality; Enum's own hashes the name in Python, once per tally key
+    __hash__ = object.__hash__
+
+
+class SituationClass(NamedTuple):
+    kind: ClassKind
+    outs: int
+
+
+def classify_state(bases: int, outs: int) -> SituationClass | None:
+    """Map an occupancy mask and out count to its situation class, if any.
+
+    Third-occupied takes precedence, then second-no-third; first-only
+    requires first to be the lone occupied base.  Classes are mutually
+    exclusive by construction.
+    """
+    if bases & THIRD and outs in (0, 1):
+        return SituationClass(ClassKind.THIRD_OCCUPIED, outs)
+    if bases & SECOND and outs in (0, 1):
+        return SituationClass(ClassKind.SECOND_NO_THIRD, outs)
+    if bases == FIRST and outs in (1, 2):
+        return SituationClass(ClassKind.FIRST_ONLY, outs)
+    return None
+
+
+# the class of every base-out state a snapshot can show, at bases << 2 | outs:
+# a play after the third out, such as a balk, has a snapshot at 3 outs
+CLASS_AT = tuple(classify_state(bases, outs) for bases in range(8) for outs in range(4))
 
 
 class IllegalState(ValueError):
@@ -62,6 +117,12 @@ class StateTimeline:
     runs_on_play[i] is the number of runs scored on play i, the play whose
     pre-play state is snapshots[i].  complete is False when the half-inning
     was cut off mid-stream by anything other than the end of the game.
+
+    Replay's record of the half, which the tallies read in place of the
+    snapshots: ``firsts`` maps each situation class, in the order met, to
+    its first snapshot's (pitcher, runs earlier in the half, runs on its
+    play, high leverage), and ``faced`` maps each pitcher with a snapshot
+    to whether one of theirs was high leverage.
     """
 
     half_inning_key: tuple[str, int, Half]
@@ -69,9 +130,12 @@ class StateTimeline:
     snapshots: list[Snapshot] = field(default_factory=list)
     runs_on_play: list[int] = field(default_factory=list)
     outs_total: int = 0
+    runs: int = 0  # scored in the half
     complete: bool = False
     excluded: str | None = None  # quarantine reason, None when usable
     score_reliable: bool = True
+    firsts: dict[SituationClass, tuple[str, int, int, bool]] = field(default_factory=dict)
+    faced: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
@@ -210,11 +274,14 @@ def resolve_step(token: str, bases: int, outs: int) -> Step:
 
 
 def _close(
-    timeline: StateTimeline, outs: int, at_game_end: bool, diagnostics: list[Diagnostic]
+    timeline: StateTimeline, outs: int, runs: int, at_game_end: bool,
+    diagnostics: list[Diagnostic],
 ) -> None:
-    """Close a half-inning after ``outs`` outs; one cut off short of three
-    before the game ends is reported unless it was already quarantined."""
+    """Close a half-inning after ``outs`` outs and ``runs`` runs; one cut
+    off short of three before the game ends is reported unless it was
+    already quarantined."""
     timeline.outs_total = outs
+    timeline.runs = runs
     timeline.complete = outs == 3 or at_game_end
     if not timeline.complete and timeline.excluded is None:
         game_id, inning, _ = timeline.half_inning_key
@@ -248,6 +315,8 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
     timeline: StateTimeline | None = None
     inning = half = None  # of the open half-inning
     batting = bases = outs = 0  # bases is an occupancy mask
+    opening = fielding = 0  # the batting side's score at the half's start, the other's
+    late = False  # the half is late and its score trusted: a close snapshot is high leverage
     dead = False  # set by a quarantine: the half's remaining plays are skipped
     placed: PlacedRunner | None = None  # a runner placed before the next play
 
@@ -269,12 +338,16 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                         f"inning {item.inning} {item.half.name.lower()} after "
                         f"inning {inning} {half.name.lower()}", item.line_no, game_id))
                     return GameReplay(game_id, [], diagnostics, (0, 0))
-                _close(timeline, outs, False, diagnostics)
+                _close(timeline, outs, scores[batting] - opening, False, diagnostics)
             inning, half = item.inning, item.half
             timeline = StateTimeline((game_id, inning, half), season,
                                      score_reliable=score_reliable)
             timelines.append(timeline)
+            snapshots, runs_on_play = timeline.snapshots, timeline.runs_on_play
+            firsts, faced = timeline.firsts, timeline.faced
             batting, bases, outs, dead = int(half), 0, 0, False
+            opening, fielding = scores[batting], scores[1 - batting]
+            late = score_reliable and inning in HIGH_LEVERAGE_INNINGS
         if placed is not None:
             # the paper's seasons have no placed runner, so such a half is
             # left out rather than counted from an unusual start
@@ -308,16 +381,22 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                 Diagnostic("quarantined_half_inning", reason, item.line_no, game_id)
             )
             continue
-        timeline.snapshots.append(_new_tuple(Snapshot, (
-            bases, outs, scores[batting], scores[1 - batting],
-            pitchers[1 - batting], inning,
-        )))
-        timeline.runs_on_play.append(runs)
+        score, pitcher = scores[batting], pitchers[1 - batting]
+        snapshots.append(_new_tuple(Snapshot, (bases, outs, score, fielding, pitcher, inning)))
+        runs_on_play.append(runs)
+        high = late and abs(score - fielding) <= HIGH_LEVERAGE_MARGIN
+        situation = CLASS_AT[bases << 2 | outs]
+        if situation is not None and situation not in firsts:
+            firsts[situation] = (pitcher, score - opening, runs, high)
+        if high:
+            faced[pitcher] = True
+        elif pitcher not in faced:
+            faced[pitcher] = False
         bases = new_bases
         outs += outs_recorded
-        scores[batting] += runs
+        scores[batting] = score + runs
 
     if timeline is not None:
         # the account simply ends: a walk-off or a home win with no bottom 9
-        _close(timeline, outs, True, diagnostics)
+        _close(timeline, outs, scores[batting] - opening, True, diagnostics)
     return GameReplay(game_id, timelines, diagnostics, (scores[0], scores[1]))

@@ -8,7 +8,10 @@ Three situation classes are tracked, each at a fixed out count:
 
 A half-inning contributes at most one observation per class, taken at the
 first qualifying snapshot; the recorded outcome is whether at least one run
-scored from that point to the end of the half-inning.  The threshold for
+scored from that point to the end of the half-inning.  The classes and the
+high-leverage window are defined in ``state``, whose replay records each
+half's first snapshot per class and the pitchers who faced it; this module
+turns that record into observations and tally cells.  The threshold for
 sending a runner compares the scoring rate lost by an out on the bases
 against the rate gained by taking the extra base:
 
@@ -28,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .eventfile import Half
-from .state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
+from .state import CLASS_AT, ClassKind, SituationClass, StateTimeline, classify_state
 
 __all__ = [
     "BRTValue",
@@ -56,25 +59,8 @@ __all__ = [
     "extract_observations",
     "group_summary",
     "rates",
+    "tally_halves",
 ]
-
-HIGH_LEVERAGE_INNINGS = (8, 9)
-HIGH_LEVERAGE_MARGIN = 1
-
-
-class ClassKind(Enum):
-    THIRD_OCCUPIED = "third_occupied"
-    SECOND_NO_THIRD = "second_no_third"
-    FIRST_ONLY = "first_only"
-
-    # members compare by identity, so the C-level identity hash agrees with
-    # equality; Enum's own hashes the name in Python, once per tally key
-    __hash__ = object.__hash__
-
-
-class SituationClass(NamedTuple):
-    kind: ClassKind
-    outs: int
 
 
 class CountingMode(Enum):
@@ -100,32 +86,9 @@ class EmptyBucket(ValueError):
     """No pitcher fell into any requested bucket."""
 
 
-def classify_state(bases: int, outs: int) -> SituationClass | None:
-    """Map an occupancy mask and out count to its situation class, if any.
-
-    Third-occupied takes precedence, then second-no-third; first-only
-    requires first to be the lone occupied base.  Classes are mutually
-    exclusive by construction.
-    """
-    if bases & THIRD and outs in (0, 1):
-        return SituationClass(ClassKind.THIRD_OCCUPIED, outs)
-    if bases & SECOND and outs in (0, 1):
-        return SituationClass(ClassKind.SECOND_NO_THIRD, outs)
-    if bases == FIRST and outs in (1, 2):
-        return SituationClass(ClassKind.FIRST_ONLY, outs)
-    return None
-
-
-# (occupancy, outs) -> class for the base-out states that classify_state
-# puts in a class; any other state is in none
-_CLASS_OF = {
-    (bases, outs): situation
-    for bases in range(8) for outs in range(3)
-    if (situation := classify_state(bases, outs)) is not None
-}
 # the six cells that classify_state can produce, in the order of their slots
 # in a block of a RateSummary row
-CELLS = tuple(dict.fromkeys(_CLASS_OF.values()))
+CELLS = tuple(dict.fromkeys(situation for situation in CLASS_AT if situation is not None))
 
 
 class SituationObservation(NamedTuple):
@@ -139,43 +102,24 @@ class SituationObservation(NamedTuple):
     season: int
 
 
-def _high_leverage(snap: Snapshot, score_reliable: bool) -> bool:
-    """Late and close at this snapshot, and never once the game's running
-    score is no longer trustworthy."""
-    return (
-        score_reliable
-        and snap.inning in HIGH_LEVERAGE_INNINGS
-        and abs(snap.score_batting - snap.score_fielding) <= HIGH_LEVERAGE_MARGIN
-    )
-
-
 def extract_observations(
     timeline: StateTimeline, mode: CountingMode = CountingMode.INCLUDE_PLAY
 ) -> list[SituationObservation]:
-    """First qualifying snapshot per class, at most one per half-inning.
+    """The observations of replay's record of the half: the first
+    qualifying snapshot per class, with its pitcher and leverage, and
+    whether a run scored from it to the end of the half.
 
-    Quarantined and incomplete timelines yield nothing.  The high-leverage
-    flag is evaluated at the qualifying snapshot and is never set when the
-    running score is no longer trustworthy for this game.
+    Quarantined and incomplete timelines yield nothing.
     """
     if timeline.excluded is not None or not timeline.complete:
         return []
-    key, season, reliable = timeline.half_inning_key, timeline.season, timeline.score_reliable
+    key, season, runs = timeline.half_inning_key, timeline.season, timeline.runs
     exclude = mode is CountingMode.EXCLUDE_PLAY
-    runs_left = sum(timeline.runs_on_play)  # runs from the current play on
-    seen: set[SituationClass] = set()
-    observations: list[SituationObservation] = []
-    for snap, runs in zip(timeline.snapshots, timeline.runs_on_play):
-        situation = _CLASS_OF.get((snap.bases, snap.outs))
-        if situation is not None and situation not in seen:
-            seen.add(situation)
-            later = runs_left - runs if exclude else runs_left
-            observations.append(SituationObservation(
-                key, snap.pitcher_id, situation, later >= 1,
-                _high_leverage(snap, reliable), season,
-            ))
-        runs_left -= runs
-    return observations
+    return [
+        SituationObservation(key, pid, situation,
+                             runs - earlier - (on_play if exclude else 0) >= 1, high, season)
+        for situation, (pid, earlier, on_play, high) in timeline.firsts.items()
+    ]
 
 
 # (pitcher, class kind, outs, season, high_leverage) -> [numerator, denominator]
@@ -211,20 +155,38 @@ class InningCounts:
     counts: dict[tuple[str, int], list[int]] = field(default_factory=dict)
 
     def add_timeline(self, timeline: StateTimeline) -> None:
+        """Count a usable half for each pitcher in replay's record of it."""
         if timeline.excluded is not None or not timeline.complete:
             return
-        reliable = timeline.score_reliable
-        pitchers: set[str] = set()
-        hl_pitchers: set[str] = set()
-        for snap in timeline.snapshots:
-            pitchers.add(snap.pitcher_id)
-            if _high_leverage(snap, reliable):
-                hl_pitchers.add(snap.pitcher_id)
-        for pid in pitchers:
+        for pid, high in timeline.faced.items():
             cell = self.counts.setdefault((pid, timeline.season), [0, 0])
+            cell[0] += high
             cell[1] += 1
-            if pid in hl_pitchers:
-                cell[0] += 1
+
+
+def tally_halves(timelines: Iterable[StateTimeline], table: TallyTable,
+                 innings: InningCounts, mode: CountingMode) -> int:
+    """Add each usable half's record straight into the table's cells and
+    the innings rows, as ``extract_observations``, ``TallyTable.add_all``
+    and ``InningCounts.add_timeline`` would, but with no observation built;
+    return the number of observations."""
+    cells, counts = table.cells, innings.counts
+    exclude = mode is CountingMode.EXCLUDE_PLAY
+    observations = 0
+    for timeline in timelines:
+        if timeline.excluded is not None or not timeline.complete:
+            continue
+        season, runs, firsts = timeline.season, timeline.runs, timeline.firsts
+        observations += len(firsts)
+        for (kind, outs), (pid, earlier, on_play, high) in firsts.items():
+            cell = cells.setdefault((pid, kind, outs, season, high), [0, 0])
+            cell[0] += runs - earlier - (on_play if exclude else 0) >= 1
+            cell[1] += 1
+        for pid, high in timeline.faced.items():
+            cell = counts.setdefault((pid, season), [0, 0])
+            cell[0] += high
+            cell[1] += 1
+    return observations
 
 
 def career_high_leverage_innings(

@@ -20,7 +20,7 @@ from baserisk.oracle import (
     emit_event_file,
     simulate_season,
 )
-from baserisk.state import replay_game
+from baserisk.state import GameReplay, replay_game
 
 
 @pytest.fixture(autouse=True)
@@ -69,24 +69,34 @@ def make_game_text(
     return "\n".join(lines) + "\n"
 
 
-def run_half(tokens: list[str], at_game_end: bool = True):
-    """Replay a bare token list as the top of the first inning of a game,
-    with fresh batters.  Unless at_game_end, a no-play in the second inning
-    follows, so the half closes cut off rather than with the game."""
-    events = [
-        PlayLine(1, Half.TOP, f"bat{i}", token, i + 1)
-        for i, token in enumerate(tokens)
+def replay_events(events: list) -> GameReplay:
+    """Replay a game between the starting pitchers vpit1 and hpit1 whose
+    events are (inning, half, token) plays, each by a fresh batter, and
+    sub or radj records given as ``SubLine`` or ``PlacedRunner``."""
+    items = [
+        PlayLine(event[0], Half(event[1]), f"bat{n}", event[2], n + 1)
+        if isinstance(event, tuple) else event
+        for n, event in enumerate(events)
     ]
-    if not at_game_end:
-        events.append(PlayLine(2, Half.TOP, "bat", "NP", len(tokens) + 1))
     account = GameAccount(
         "TST200004010",
         {"visteam": "VIS", "hometeam": "HOM", "date": "2000/04/01"},
         [LineupEntry("vpit1", "V Pitcher", 0, 0, 1),
          LineupEntry("hpit1", "H Pitcher", 1, 0, 1)],
-        events,
+        items,
     )
-    replay = replay_game(account)
+    return replay_game(account)
+
+
+def run_half(tokens: list, at_game_end: bool = True):
+    """Replay a bare token list, with any ``SubLine`` among the tokens, as
+    the top of the first inning of a game, with fresh batters.  Unless
+    at_game_end, a no-play in the second inning follows, so the half closes
+    cut off rather than with the game."""
+    events = [(1, Half.TOP, token) if isinstance(token, str) else token for token in tokens]
+    if not at_game_end:
+        events.append((2, Half.TOP, "NP"))
+    replay = replay_events(events)
     return replay.timelines[0], replay.diagnostics
 
 

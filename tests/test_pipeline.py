@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from baserisk import cli, state
-from baserisk.cache import StatsCache, render_cache
+from baserisk.cache import StatsCache, read_cache, render_cache
 from baserisk.eventfile import (
     Half, PlayLine, assemble_games, iter_games, tokenize_event_file,
 )
@@ -127,17 +127,19 @@ def test_date_after_malformed_record_sets_season(years, skipped, counts):
     assert result.diagnostic_counts == counts
 
 
-def test_start_record_after_its_batters_play_counts():
-    """Every start record of a block introduces its player, one placed
-    after that player's play too."""
+def test_start_record_after_the_first_play_drops_the_game():
+    """A start record after the block's first play belongs to another game
+    whose id record is lost, so the block is dropped whole, not counted
+    with the late record's player in its lineup."""
     text = make_game_text(
         [(1, 0, "vbat1", "K"), "play,1,0,vlate1,??,,K", 'start,vlate1,"Late",0,9,7'])
-    (game,), diags = assemble_games(text)
-    assert diags == []
-    assert "vlate1" in {entry.player_id for entry in game.starters}
+    games, diags = assemble_games(text)
+    assert games == []
+    assert [(d.code, d.line_no) for d in diags] == [("malformed_record", 11)]
+    assert "after the game's first play" in diags[0].detail
     result = ingest_text(text)
-    assert (result.games, result.games_skipped) == (1, 0)
-    assert result.diagnostic_counts == {}
+    assert (result.games, result.games_skipped) == (0, 1)
+    assert result.diagnostic_counts == {"malformed_record": 1}
 
 
 @pytest.mark.parametrize("tokens", [["K", "K", "K"], ["S8", "K", "K", "K"]],
@@ -159,15 +161,32 @@ def test_placed_runner_quarantines_its_half(tokens):
 
 
 def test_lost_id_record_drops_the_merged_game():
-    """A lost ``id`` record runs two games into one account, which replay
-    drops at the first half that goes back, so the rest count as before."""
+    """A lost ``id`` record would run two games into one account, which
+    assembly drops at the second game's first start record, so the rest
+    count as before."""
     text = emit_event_file(simulate_season(default_model(), 6, seed=1, midgame_subs=True))
     lines = text.split("\n")
     ids = [i for i, line in enumerate(lines) if line.startswith("id,")]
     merged = ingest_text("\n".join(lines[:ids[1]] + lines[ids[1] + 1:]))
     rest = ingest_text("\n".join(lines[ids[2]:]))
     assert (merged.games, merged.games_skipped) == (4, 1)
-    assert merged.diagnostic_counts == {"halves_out_of_order": 1}
+    assert merged.diagnostic_counts == {"malformed_record": 1}
+    assert merged.table.cells == rest.table.cells
+    assert merged.innings.counts == rest.innings.counts
+
+
+def test_lost_id_record_after_a_cut_off_first_half_drops_the_merged_game():
+    """A game cut off in the top of the 1st, then the next game with its
+    ``id`` record lost: that game's plays would carry on the open half, so
+    its start records drop the merged game."""
+    text = emit_event_file(simulate_season(default_model(), 6, seed=1, midgame_subs=True))
+    lines = text.split("\n")
+    ids = [i for i, line in enumerate(lines) if line.startswith("id,")]
+    first_play = next(i for i in range(ids[0], ids[1]) if lines[i].startswith("play,"))
+    merged = ingest_text("\n".join(lines[:first_play + 2] + lines[ids[1] + 1:]))
+    rest = ingest_text("\n".join(lines[ids[2]:]))
+    assert (merged.games, merged.games_skipped) == (4, 1)
+    assert merged.diagnostic_counts == {"malformed_record": 1}
     assert merged.table.cells == rest.table.cells
     assert merged.innings.counts == rest.innings.counts
 
@@ -636,3 +655,74 @@ def test_archive_ingest_matches_the_reference(seed, tmp_path, monkeypatch, capsy
                 if low <= int(sim.games[0].date[:4]) <= high and ",K\n" in sim.path.read_text())
     path.write_text(path.read_text().replace(",K\n", ",HR\n", 1))
     assert reference.check_ingest(inputs, [summary(serial)]) != []
+
+
+def _exclude_mode_tally(games):
+    """Cells and innings rows of ``--counting-mode exclude`` from the
+    simulator's record alone, by the rules of the benchmark's
+    ``reference_tally``, with a run on the snapshot's own play left out.
+    A play's runs are the next play's ``pre_runs`` less its own, or the
+    half's runs less its own after its last play."""
+    from reference import HIGH_LEVERAGE_INNINGS, HIGH_LEVERAGE_MARGIN, classify
+
+    cells, innings = {}, {}
+    for game in games:
+        season = int(game.date[:4])
+        score = [0, 0]
+        pitcher = {0: "vpit0001", 1: "hpit0001"}
+        for half in game.halves:
+            batting = int(half.half)
+            subs = {}
+            for idx, sub in half.subs:
+                subs.setdefault(idx, []).append(sub)
+            seen, faced, faced_hl = set(), set(), set()
+            for idx, play in enumerate(half.plays):
+                for sub in subs.get(idx, []):
+                    if sub.position == 1:
+                        pitcher[sub.team] = sub.player_id
+                pid = pitcher[1 - batting]
+                margin = abs(score[batting] + play.pre_runs - score[1 - batting])
+                hl = half.inning in HIGH_LEVERAGE_INNINGS and margin <= HIGH_LEVERAGE_MARGIN
+                faced.add(pid)
+                if hl:
+                    faced_hl.add(pid)
+                situation = classify(play.pre_mask, play.pre_outs)
+                if situation is None or situation in seen:
+                    continue
+                seen.add(situation)
+                after = half.plays[idx + 1].pre_runs if idx + 1 < len(half.plays) else half.runs
+                on_play = after - play.pre_runs
+                cell = cells.setdefault((pid, *situation, season, hl), [0, 0])
+                cell[0] += half.runs - play.pre_runs - on_play >= 1
+                cell[1] += 1
+            for pid in faced:
+                row = innings.setdefault((pid, season), [0, 0])
+                row[0] += pid in faced_hl
+                row[1] += 1
+            score[batting] += half.runs
+    return cells, innings
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_exclude_mode_ingest_matches_the_simulator_record(jobs, tmp_path, monkeypatch, capsys):
+    """A relief-pitcher season in three files, ingested in exclude mode with
+    no years filter, holds the tally of the simulator's own record, which
+    reads neither the parser nor the replayer."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    games = simulate_season(default_model(), 240, seed=31, midgame_subs=True)
+    inputs = []
+    for n in range(3):
+        inputs += ["-i", str(tmp_path / f"part{n}.ev")]
+        Path(inputs[-1]).write_text(emit_event_file(games[80 * n:80 * (n + 1)]))
+    cache_path = tmp_path / "exclude.csv"
+    assert cli.main(["ingest", *inputs, "--cache", str(cache_path),
+                     "--counting-mode", "exclude", "--jobs", str(jobs)]) == 0
+    summary = capsys.readouterr().err
+    assert summary.startswith("games=240 skipped=0 ")
+    assert " quarantined=0 incomplete=0 " in summary
+    cache = read_cache(cache_path)
+    assert cache.counting_mode is CountingMode.EXCLUDE_PLAY
+    cells, innings = _exclude_mode_tally(games)
+    assert {(pid, kind.value, outs, season, lev): cell
+            for (pid, kind, outs, season, lev), cell in cache.table.cells.items()} == cells
+    assert cache.innings.counts == innings

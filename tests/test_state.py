@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baserisk.eventfile import assemble_games
+from baserisk.eventfile import SubLine, assemble_games
 from baserisk.playtoken import (
     Base,
     PlayKind,
@@ -18,14 +18,16 @@ from baserisk.state import (
     FIRST,
     SECOND,
     THIRD,
+    ClassKind,
     IllegalState,
+    SituationClass,
     Snapshot,
     apply_play,
     effect_text,
     replay_game,
     resolve_step,
 )
-from conftest import decorate, make_game_text, pin_corpus, run_half
+from conftest import decorate, make_game_text, pin_corpus, replay_events, run_half
 
 LOADED = FIRST | SECOND | THIRD
 
@@ -242,6 +244,38 @@ def test_scores_accumulate_across_halves():
     assert (first.score_batting, first.score_fielding) == (0, 1)
     later = bottom2.snapshots[2]
     assert (later.score_batting, later.score_fielding) == (2, 1)
+
+
+def test_half_that_goes_back_drops_the_game():
+    """A half before the open one is another game's, whose id and start
+    records are lost, so replay drops the game."""
+    replay = replay_events([(2, 0, "K"), (2, 0, "K"), (2, 0, "K"), (1, 1, "K")])
+    assert replay.timelines == []
+    assert [(d.code, d.detail) for d in replay.diagnostics] == [
+        ("halves_out_of_order", "inning 1 bottom after inning 2 top")]
+
+
+def test_replay_records_what_the_tallies_read():
+    """Beside the snapshots, a half records its runs, the first snapshot of
+    each class and whether each pitcher faced a late and close one."""
+    relief = [SubLine(f"vpit{n}", "Relief", 0, 0, 1) for n in (2, 3)]
+    replay = replay_events(
+        [(8, 0, t) for t in ["HR", "K", "K", "K"]]
+        + [(8, 1, t) if isinstance(t, str) else t
+           for t in ["D7", "K", relief[0], "D7", "HR", relief[1], "S8", "K", "K"]])
+    bottom = replay.timelines[-1]
+    assert [(s.bases, s.outs) for s in bottom.snapshots] == [
+        (0, 0), (SECOND, 0), (SECOND, 1), (SECOND | THIRD, 1), (0, 1), (FIRST, 1), (FIRST, 2)]
+    assert bottom.runs_on_play == [0, 0, 0, 3, 0, 0, 0] and bottom.runs == 3
+    # within a run until the home run, which put the home side two ahead
+    assert list(bottom.firsts.items()) == [
+        (SituationClass(ClassKind.SECOND_NO_THIRD, 0), ("vpit1", 0, 0, True)),
+        (SituationClass(ClassKind.SECOND_NO_THIRD, 1), ("vpit2", 0, 0, True)),
+        (SituationClass(ClassKind.THIRD_OCCUPIED, 1), ("vpit2", 0, 3, True)),
+        (SituationClass(ClassKind.FIRST_ONLY, 1), ("vpit3", 3, 0, False)),
+        (SituationClass(ClassKind.FIRST_ONLY, 2), ("vpit3", 3, 0, False)),
+    ]
+    assert bottom.faced == {"vpit1": True, "vpit2": True, "vpit3": False}
 
 
 def test_snapshot_pitcher_is_fielding_side():

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from baserisk.eventfile import Half
-from baserisk.state import FIRST, SECOND, THIRD, Snapshot, StateTimeline
+from baserisk.eventfile import SubLine, iter_games
+from baserisk.pipeline import ingest_text
+from baserisk.state import FIRST, SECOND, THIRD, replay_game
 from baserisk.stats import (
     CELLS,
     ClassKind,
@@ -18,6 +19,7 @@ from baserisk.stats import (
     Rate,
     RateSummary,
     SituationClass,
+    SituationObservation,
     TallyTable,
     _pooled,
     add_cells,
@@ -31,9 +33,7 @@ from baserisk.stats import (
     group_summary,
     rates,
 )
-
-KEY = ("TST200004010", 9, Half.TOP)
-
+from conftest import make_game_text, replay_events, run_half
 
 def bases(first=False, second=False, third=False):
     return (FIRST if first else 0) | (SECOND if second else 0) | (THIRD if third else 0)
@@ -91,79 +91,83 @@ def test_classes_mutually_exclusive(first, second, third, outs):
 
 # --- observation extraction --------------------------------------------------
 
+T1 = SituationClass(ClassKind.THIRD_OCCUPIED, 1)
 
-def make_timeline(states, runs_on_play, scores=(0, 0), inning=9,
-                  complete=True, score_reliable=True, pitchers=None):
-    snapshots = [
-        Snapshot(b, outs, scores[0], scores[1],
-                 (pitchers or ["p1"] * len(states))[i], inning)
-        for i, (b, outs) in enumerate(states)
-    ]
-    return StateTimeline(
-        KEY, 2000, snapshots, list(runs_on_play),
-        outs_total=3, complete=complete,
-        score_reliable=score_reliable,
-    )
+
+def relief(pid="hrel1"):
+    """A home reliever coming in."""
+    return SubLine(pid, "Reliever", 1, 0, 1)
+
+
+def late_half(tokens, inning=9, scores=(0, 0), quarantine_first=False):
+    """The top half of ``inning``, its tokens as in ``run_half``, replayed after a first inning in which
+    the visitors and then the home side hit ``scores`` home runs, so that
+    the half opens at that score; with ``quarantine_first`` the top of the
+    1st is quarantined first, so that no later score is trusted."""
+    events = [(1, 0, "ZZ9")] if quarantine_first else []
+    for half, runs in enumerate(scores):
+        events += [(1, half, "HR")] * runs + [(1, half, "K")] * 3
+    events += [(inning, 0, t) if isinstance(t, str) else t for t in tokens]
+    return replay_events(events).timelines[-1]
+
+
+def observed(timeline, situation, mode=CountingMode.INCLUDE_PLAY):
+    (obs,) = [o for o in extract_observations(timeline, mode) if o.situation == situation]
+    return obs
 
 
 def test_first_occurrence_wins_dedup():
-    timeline = make_timeline(
-        [(bases(third=True), 1), (bases(third=True), 1), (bases(), 2)],
-        [0, 1, 0],
-        pitchers=["p1", "p2", "p2"],
-    )
+    # third and one out twice, the second time under a reliever whose play
+    # scores the run
+    timeline, _ = run_half(["K", "T9", "WP", relief(), "S8.3-H", "K", "K"])
+    assert [(s.bases, s.outs) for s in timeline.snapshots[2:4]] == [(THIRD, 1)] * 2
     obs = extract_observations(timeline)
-    assert len(obs) == 1
-    assert obs[0].pitcher_id == "p1"
-    assert obs[0].scored_later  # a run came later, from the second play
+    assert [o.situation for o in obs].count(T1) == 1
+    first = observed(timeline, T1)
+    assert first.pitcher_id == "hpit1"
+    assert first.scored_later  # a run came later, on the reliever's play
 
 
 def test_one_observation_per_class():
-    timeline = make_timeline(
-        [(bases(second=True), 0), (bases(third=True), 0),
-         (bases(third=True), 1), (bases(first=True), 2)],
-        [0, 0, 0, 1],
-    )
+    timeline, _ = run_half(["D7", "WP.2-3", "K", "8/F.3-H", "S8", "K"])
     obs = extract_observations(timeline)
-    kinds = {(o.situation.kind, o.situation.outs) for o in obs}
-    assert kinds == {
+    kinds = [(o.situation.kind, o.situation.outs) for o in obs]
+    assert kinds == [
         (ClassKind.SECOND_NO_THIRD, 0),
         (ClassKind.THIRD_OCCUPIED, 0),
         (ClassKind.THIRD_OCCUPIED, 1),
         (ClassKind.FIRST_ONLY, 2),
-    }
+    ]
 
 
 def test_counting_modes_differ_on_scoring_play():
-    timeline = make_timeline([(bases(third=True), 1)], [1])
-    include = extract_observations(timeline, CountingMode.INCLUDE_PLAY)
-    exclude = extract_observations(timeline, CountingMode.EXCLUDE_PLAY)
-    assert include[0].scored_later is True
-    assert exclude[0].scored_later is False
+    timeline, _ = run_half(["K", "T9", "S8.3-H", "K", "K"])
+    assert observed(timeline, T1, CountingMode.INCLUDE_PLAY).scored_later is True
+    assert observed(timeline, T1, CountingMode.EXCLUDE_PLAY).scored_later is False
 
 
 def test_high_leverage_window():
-    close = make_timeline([(bases(third=True), 0)], [0], scores=(3, 4))
-    assert extract_observations(close)[0].high_leverage
-    blowout = make_timeline([(bases(third=True), 0)], [0], scores=(1, 4))
-    assert not extract_observations(blowout)[0].high_leverage
-    early = make_timeline([(bases(third=True), 0)], [0], inning=5)
-    assert not extract_observations(early)[0].high_leverage
-    extras = make_timeline([(bases(third=True), 0)], [0], inning=10)
-    assert not extract_observations(extras)[0].high_leverage
+    third = SituationClass(ClassKind.THIRD_OCCUPIED, 0)
+    tokens = ["T9", "K", "K", "K"]
+    assert observed(late_half(tokens, scores=(3, 4)), third).high_leverage
+    assert not observed(late_half(tokens, scores=(1, 4)), third).high_leverage
+    assert not observed(late_half(tokens, inning=5), third).high_leverage
+    assert not observed(late_half(tokens, inning=10), third).high_leverage
 
 
 def test_unreliable_score_never_high_leverage():
-    timeline = make_timeline([(bases(third=True), 0)], [0], score_reliable=False)
+    timeline = late_half(["T9", "K", "K", "K"], quarantine_first=True)
+    assert not timeline.score_reliable
     obs = extract_observations(timeline)
-    assert obs and not obs[0].high_leverage
+    assert obs and not any(o.high_leverage for o in obs)
 
 
 def test_quarantined_and_incomplete_yield_nothing():
-    timeline = make_timeline([(bases(third=True), 0)], [0])
-    timeline.excluded = "broken"
+    timeline, _ = run_half(["T9", "K", "ZZ9", "K", "K"])
+    assert timeline.excluded is not None and timeline.firsts
     assert extract_observations(timeline) == []
-    truncated = make_timeline([(bases(third=True), 0)], [0], complete=False)
+    truncated, _ = run_half(["T9", "K"], at_game_end=False)
+    assert not truncated.complete and truncated.firsts
     assert extract_observations(truncated) == []
 
 
@@ -171,16 +175,14 @@ def test_quarantined_and_incomplete_yield_nothing():
 
 
 def sample_observations():
-    timelines = [
-        make_timeline([(bases(third=True), 1)], [1]),
-        make_timeline([(bases(third=True), 1)], [0]),
-        make_timeline([(bases(second=True), 1)], [0]),
-        make_timeline([(bases(first=True), 2)], [0]),
-    ]
-    obs = []
-    for t in timelines:
-        obs.extend(extract_observations(t))
-    return obs
+    """Third and one out scored on its own play, then not at all, then
+    second and one out and first and two outs, neither scored."""
+    replay = replay_events(
+        [(1, 0, t) for t in ["K", "T9", "HR", "K", "K"]]
+        + [(1, 1, t) for t in ["K", "T9", "K", "K"]]
+        + [(2, 0, t) for t in ["K", "D7", "K", "K"]]
+        + [(2, 1, t) for t in ["K", "K", "S8", "K"]])
+    return [obs for t in replay.timelines for obs in extract_observations(t)]
 
 
 def test_tally_and_rates():
@@ -291,68 +293,66 @@ def test_pooled_sums_the_slot_columns(table, years):
 
 
 def test_inning_counts_and_career():
+    replay = replay_events([(5, 0, t) for t in ["T9", "K", "K", "K"]]
+                           + [(9, 0, t) for t in ["T9", "K", "K", "K"]])
     innings = InningCounts()
-    innings.add_timeline(make_timeline([(bases(third=True), 0)], [0]))
-    innings.add_timeline(make_timeline([(bases(third=True), 0)], [0], inning=5))
-    assert innings.counts[("p1", 2000)] == [1, 2]
-    assert career_high_leverage_innings(innings) == {"p1": 1}
-    assert career_high_leverage_innings(innings, years=(1999, 1999)) == {"p1": 0}
-    other = InningCounts({("p1", 2001): [2, 3]})
+    for timeline in replay.timelines:
+        innings.add_timeline(timeline)
+    assert innings.counts == {("hpit1", 2000): [1, 2]}
+    assert career_high_leverage_innings(innings) == {"hpit1": 1}
+    assert career_high_leverage_innings(innings, years=(1999, 1999)) == {"hpit1": 0}
+    other = InningCounts({("hpit1", 2001): [2, 3]})
     combined = InningCounts()
     for part in (innings, other):
         add_cells(combined.counts, part.counts)
-    assert career_high_leverage_innings(combined) == {"p1": 3}
+    assert career_high_leverage_innings(combined) == {"hpit1": 3}
 
 
 def test_two_pitchers_in_one_half_both_credited():
-    timeline = make_timeline(
-        [(bases(third=True), 0), (bases(third=True), 1)], [0, 0],
-        pitchers=["p1", "p2"],
-    )
+    timeline = late_half(["T9", relief("p2"), "K", "K", "K"])
     innings = InningCounts()
     innings.add_timeline(timeline)
-    assert innings.counts[("p1", 2000)] == [1, 1]
-    assert innings.counts[("p2", 2000)] == [1, 1]
+    assert innings.counts == {("hpit1", 2000): [1, 1], ("p2", 2000): [1, 1]}
 
 
-# --- the tally path against a plain reference --------------------------------
+# --- the tally path against a plain walk of the replayed snapshots ----------
+
+# plays that record no out and are legal on any bases, one that is legal
+# only with a runner on third, and one that never parses
+SAFE_PLAYS = ["S8", "D7", "T9", "HR", "W", "HP", "E6", "WP", "NP", "FC5"]
+RISKY_PLAYS = ["S8.3-H", "ZZ9"]
 
 
 @st.composite
-def late_timelines(draw):
-    """A half-inning of late innings: the batting side's score moves as runs
-    score, the pitcher may change mid-half, the inning may differ from one
-    snapshot to the next (only hand-built timelines do that), and the
-    timeline may be empty, quarantined or cut off."""
-    plays = draw(st.lists(
-        st.tuples(st.integers(0, 7), st.integers(0, 2), st.sampled_from([0, 0, 0, 1, 2])),
-        max_size=10))
-    inning = draw(st.integers(7, 10))
-    varied = draw(st.booleans())
-    change = draw(st.integers(0, len(plays)))
-    before, after = draw(st.sampled_from([("p1", "p2"), ("p2", "p1"), ("p1", "p1")]))
-    batting, fielding = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    snapshots = []
-    for idx, (b, outs, runs) in enumerate(plays):
-        snap_inning = draw(st.integers(7, 10)) if varied else inning
-        pid = before if idx < change else after
-        snapshots.append(Snapshot(b, outs, batting, fielding, pid, snap_inning))
-        batting += runs
-    state = draw(st.sampled_from(["usable", "usable", "quarantined", "incomplete"]))
-    return StateTimeline(
-        (f"TST20000401{draw(st.integers(0, 2))}", inning, Half.TOP),
-        draw(st.sampled_from([1999, 2000])),
-        snapshots, [runs for _, _, runs in plays],
-        outs_total=3, complete=state != "incomplete",
-        excluded="broken" if state == "quarantined" else None,
-        score_reliable=draw(st.booleans()),
-    )
+def late_games(draw):
+    """The lines of a game of consecutive halves in innings 7-10 whose
+    margins move as runs score.  A half may change pitchers mid-way, hold a
+    play that quarantines it (and leaves no later score trusted), or stop
+    short of its third out, cut off by the next half."""
+    first = draw(st.integers(14, 19))  # 2 * inning + half
+    lines = []
+    for number in range(first, min(first + draw(st.integers(1, 5)), 22)):
+        inning, half = divmod(number, 2)
+        plays = draw(st.lists(st.sampled_from(SAFE_PLAYS * 4 + RISKY_PLAYS + ["K"]),
+                              max_size=8))
+        outs = min(plays.count("K"), 3)
+        if draw(st.booleans()) or number == 21:
+            plays += ["K"] * (3 - outs)  # close the half
+        team = "vh"[half]
+        half_lines = [(inning, half, f"{team}{n}", token) for n, token in enumerate(plays)]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(half_lines)))
+            half_lines.insert(at, f'sub,rel{number},"Reliever",{1 - half},0,1')
+        lines += half_lines
+    return lines
 
 
-def reference_tally(timelines, mode):
-    """Cells, innings rows and observation count, written out plainly."""
-    cells, innings, count = {}, {}, 0
+def plain_walk(timelines, mode):
+    """Cells, innings rows and each timeline's observations, from the
+    snapshots and runs of each usable half, written out plainly."""
+    cells, innings, observations = {}, {}, []
     for t in timelines:
+        observations.append([])
         if t.excluded is not None or not t.complete:
             continue
 
@@ -369,31 +369,38 @@ def reference_tally(timelines, mode):
             later = sum(t.runs_on_play[idx:])
             if mode is CountingMode.EXCLUDE_PLAY:
                 later -= t.runs_on_play[idx]
+            observations[-1].append(SituationObservation(
+                t.half_inning_key, snap.pitcher_id, situation, later >= 1,
+                late_and_close(snap), t.season))
             key = (snap.pitcher_id, situation.kind, situation.outs, t.season,
                    late_and_close(snap))
             cell = cells.setdefault(key, [0, 0])
             cell[0] += later >= 1
             cell[1] += 1
-            count += 1
         for pid in {snap.pitcher_id for snap in t.snapshots}:
             row = innings.setdefault((pid, t.season), [0, 0])
             row[0] += any(late_and_close(snap) for snap in t.snapshots
                           if snap.pitcher_id == pid)
             row[1] += 1
-    return cells, innings, count
+    return cells, innings, observations
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(late_timelines(), max_size=5))
-def test_tally_matches_reference(timelines):
+@given(late_games())
+def test_tally_matches_a_plain_walk_of_replayed_halves(lines):
+    """Ingest's tallies and ``extract_observations`` read replay's record of
+    each half, never its snapshots: both agree with a walk of the snapshots
+    in both counting modes."""
+    text = make_game_text(lines)
+    (account,) = iter_games(text, [])
+    timelines = replay_game(account).timelines
     for mode in CountingMode:
-        table, innings, count = TallyTable(), InningCounts(), 0
-        for timeline in timelines:
-            observations = extract_observations(timeline, mode)
-            count += len(observations)
-            table.add_all(observations)
-            innings.add_timeline(timeline)
-        assert (table.cells, innings.counts, count) == reference_tally(timelines, mode)
+        cells, innings, observations = plain_walk(timelines, mode)
+        result = ingest_text(text, mode)
+        assert result.table.cells == cells
+        assert result.innings.counts == innings
+        assert result.observations == sum(map(len, observations))
+        assert [extract_observations(t, mode) for t in timelines] == observations
 
 
 # --- threshold formula -------------------------------------------------------

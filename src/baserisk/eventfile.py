@@ -4,6 +4,11 @@ An event file is a sequence of comma-separated records (id, version, info,
 start, sub, play, radj, data, com, badj, padj, ladj).  Tokenizing never
 aborts: bad lines become diagnostics and parsing continues, so one corrupt
 record costs at most its own game.
+
+``iter_games`` reads a file in one pass.  It checks each play's batter
+against the lineup as the play's line is read, and it builds each distinct
+``start`` or ``sub`` line of a file once: a repeat of the line, in the same
+file, shares the entry built from its first reading.
 """
 
 from __future__ import annotations
@@ -64,8 +69,9 @@ class Diagnostic:
     game_id: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineupEntry:
+    # frozen: iter_games shares one entry among the games that repeat its line
     player_id: str
     name: str
     team: int  # 0 visitor, 1 home
@@ -187,13 +193,14 @@ def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
 
 
 def _finish(
-    game: GameAccount, error: Diagnostic | None, diagnostics: list[Diagnostic],
-    mark: int, outside: bool,
+    game: GameAccount, error: Diagnostic | None, orphan: Diagnostic | None,
+    diagnostics: list[Diagnostic], mark: int, outside: bool,
 ) -> Iterator[GameAccount | None]:
     """Yield a closed block's game, or ``None`` with the one diagnostic that
-    drops it, or nothing for a block whose season is ``outside`` the years
-    asked for, whose diagnostics since its id record, at ``mark``, are
-    deleted."""
+    drops it: its first malformed record, else a missing info record, else
+    its ``orphan`` play.  Yield nothing for a block whose season is
+    ``outside`` the years asked for, whose diagnostics since its id record,
+    at ``mark``, are deleted."""
     if outside:
         del diagnostics[mark:]
         return
@@ -203,16 +210,7 @@ def _finish(
                 error = Diagnostic("missing_info", f"no {key} record", game_id=game.game_id)
                 break
     if error is None:
-        known = {s.player_id for s in game.starters}
-        for ev in game.events:
-            if isinstance(ev, SubLine):
-                known.add(ev.player_id)
-            elif not isinstance(ev, PlacedRunner) and ev.batter_id not in known:
-                error = Diagnostic(
-                    "orphan_player", f"batter {ev.batter_id} not in lineup",
-                    ev.line_no, game.game_id,
-                )
-                break
+        error = orphan
     if error is not None:
         diagnostics.append(error)
     yield None if error else game
@@ -236,6 +234,19 @@ def iter_games(
     season is dropped at close without a yield, and so are its diagnostics.
     Diagnostics that belong to no game block stay.
 
+    A play's batter is checked as its line is read, against the block's
+    start records and the sub records before it, and the first play by a
+    batter not among them is the block's ``orphan_player``, unless the
+    block has a malformed record or lacks an info record.
+
+    Lineup lines repeat: a team's starters and relievers come back game
+    after game.  So each call, and thus each input file, keeps every
+    ``start`` or ``sub`` line it has built, by the line's stripped text,
+    and a repeat of the line shares the built entry.  A repeat is taken
+    from that memo only where its record would be accepted anew, in an
+    open block and, for a ``start`` line, before the block's first event;
+    elsewhere it is read as any line is, diagnostics and all.
+
     A block's season is its last ``info,date`` so far, else its game-id
     year.  While that is outside ``years`` the block's lines are held
     unsplit, but for those that start with ``i`` or a quote and so may be
@@ -247,6 +258,9 @@ def iter_games(
     error: Diagnostic | None = None  # the open block's first malformed record
     mark = 0
     held: list[tuple[int, str]] | None = None  # the open block's lines while outside years
+    known: set[str] = set()  # the open block's starters and subs so far
+    orphan: Diagnostic | None = None  # the open block's first play by a batter not known
+    lineups: dict[str, LineupEntry] = {}  # every start or sub line built, by its text
     lines = _lines(text)
     while True:
         for line_no, line in lines:
@@ -260,6 +274,12 @@ def iter_games(
                         or cells[0] not in ("id", "info")):
                     held.append((line_no, line))
                     continue
+            elif ((entry := lineups.get(line)) is not None and game is not None
+                    and (isinstance(entry, SubLine) or not game.events)):
+                # a start or sub line met before: its entry is built already
+                (game.events if isinstance(entry, SubLine) else game.starters).append(entry)
+                known.add(entry.player_id)
+                continue
             elif '"' in line or len(line) > limit or (cells := line.split(","))[0] not in _KINDS:
                 cells = _record(line, line_no, diagnostics)
                 if cells is None:
@@ -267,9 +287,10 @@ def iter_games(
             kind = cells[0]
             if kind == "id":
                 if game is not None:
-                    yield from _finish(game, error, diagnostics, mark, held is not None)
+                    yield from _finish(game, error, orphan, diagnostics, mark, held is not None)
                 mark = len(diagnostics)
-                error = held = None
+                error = held = orphan = None
+                known = set()
                 if len(cells) > 1 and cells[1]:
                     game = GameAccount(cells[1], {}, [], [])
                     if years and not years[0] <= _season(cells[1], "") <= years[1]:
@@ -292,16 +313,24 @@ def iter_games(
                     half = _HALVES.get(cells[2])
                     if half is None:  # any other spelling: accepted or rejected as by int()
                         half = Half(int(cells[2]))
-                    game.events.append(PlayLine(inning, half, cells[3], cells[6], line_no))
+                    batter = cells[3]
+                    game.events.append(PlayLine(inning, half, batter, cells[6], line_no))
+                    if batter not in known and orphan is None:
+                        orphan = Diagnostic("orphan_player", f"batter {batter} not in lineup",
+                                            line_no, game.game_id)
                 elif kind == "start":
                     if game.events:
                         # the next game's, after a lost id record
                         raise ValueError("after the game's first play, sub or radj record")
-                    game.starters.append(LineupEntry(
-                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
+                    entry = lineups[line] = LineupEntry(
+                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]))
+                    game.starters.append(entry)
+                    known.add(entry.player_id)
                 elif kind == "sub":
-                    game.events.append(SubLine(
-                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5])))
+                    entry = lineups[line] = SubLine(
+                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]))
+                    game.events.append(entry)
+                    known.add(entry.player_id)
                 elif kind == "radj":
                     game.events.append(PlacedRunner(cells[1], int(cells[2]), line_no))
                 elif kind == "info" and len(cells) > 1:
@@ -325,7 +354,7 @@ def iter_games(
         else:
             break
     if game is not None:
-        yield from _finish(game, error, diagnostics, mark, held is not None)
+        yield from _finish(game, error, orphan, diagnostics, mark, held is not None)
 
 
 def assemble_games(text: str) -> tuple[list[GameAccount], list[Diagnostic]]:

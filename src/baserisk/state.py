@@ -3,8 +3,9 @@
 ``replay_game`` walks a game account in order, emitting a pre-play Snapshot
 for every play that is not a no-play, and folding each play's effects into
 the next state.  Anything it cannot replay exactly (an unparseable token, an
-advance from an empty base, a fourth out) quarantines the enclosing
-half-inning instead of guessing, and so does a runner placed on a base.
+advance from an empty base, a fourth out, a play after the third out)
+quarantines the enclosing half-inning instead of guessing, and so does a
+runner placed on a base.
 
 No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
@@ -89,8 +90,9 @@ def classify_state(bases: int, outs: int) -> SituationClass | None:
     return None
 
 
-# the class of every base-out state a snapshot can show, at bases << 2 | outs:
-# a play after the third out, such as a balk, has a snapshot at 3 outs
+# the class of every base-out state, at bases << 2 | outs; a snapshot never
+# shows 3 outs, since a play after the third out is refused, but the shift
+# keeps a slot for them
 CLASS_AT = tuple(classify_state(bases, outs) for bases in range(8) for outs in range(4))
 
 
@@ -155,8 +157,11 @@ def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int
     scores them, else they hold: so K.B-1 on a dropped third strike is not an
     out.  A runner who holds is pushed the minimum number of bases when a
     trailing runner or the batter forces them on (a bases-loaded walk scores
-    this way).
+    this way).  A play after the third out, a balk as much as a home run, is
+    refused.
     """
+    if outs_before >= 3:
+        raise IllegalState("play after the third out")
     explicit = {a.frm: a for a in play.advances}
     home_run = play.kind is PlayKind.HOME_RUN
     # where each runner who is not out goes; lead runners resolved first

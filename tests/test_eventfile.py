@@ -460,3 +460,75 @@ def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
     assert [row[:2] for row in rows] == [
         ("diagnostic", "unknown_record_kind"), ("diagnostic", "unreadable_line"),
         ("game", "LAT197904010")]
+
+
+# --- lineup memo and the orphan check ----------------------------------------
+
+
+def _games_and_diagnostics(text):
+    """The ids of the text's games, and its diagnostics as tuples."""
+    games, diags = assemble_games(text)
+    return [g.game_id for g in games], [(d.code, d.detail, d.line_no, d.game_id) for d in diags]
+
+
+def test_repeated_lineup_lines_share_one_entry_per_file():
+    text = "".join(make_game_text([(1, 0, "vbat1", "K"), 'sub,hpit2,"Relief",1,0,1'],
+                                  game_id=f"G{n}0200004010") for n in range(2))
+    first, second = assemble_games(text)[0]
+    assert first.starters == second.starters
+    assert all(a is b for a, b in zip(first.starters, second.starters, strict=True))
+    assert first.events[1] is second.events[1] and isinstance(second.events[1], SubLine)
+    # another call, as for another file, builds entries of its own
+    again = assemble_games(text)[0][0]
+    assert again.starters == first.starters and again.starters[0] is not first.starters[0]
+
+
+def test_repeated_start_line_after_a_play_is_malformed():
+    """A start line built in an earlier game is still refused after the
+    game's first play, in the words of a line never seen before."""
+    first = make_game_text([(1, 0, "vbat1", "K")], game_id="AAA200004010")
+    second = make_game_text([(1, 0, "vbat1", "K"), 'start,vbat1,"vbat1",0,1,2'],
+                            game_id="BBB200004010")
+    detail = ("start ['vbat1', 'vbat1', '0', '1', '2'] "
+              "(after the game's first play, sub or radj record)")
+    assert _games_and_diagnostics(first + second) == (
+        ["AAA200004010"], [("malformed_record", detail, 19, "BBB200004010")])
+    assert _games_and_diagnostics(second) == (
+        [], [("malformed_record", detail, 10, "BBB200004010")])
+
+
+def test_repeated_malformed_lineup_line_drops_each_game():
+    text = "".join(make_game_text(['start,x,"N",0,1,z', (1, 0, "vbat1", "K")],
+                                  game_id=f"G{n}0200004010") for n in range(2))
+    detail = "start ['x', 'N', '0', '1', 'z'] (invalid literal for int() with base 10: 'z')"
+    assert _games_and_diagnostics(text) == ([], [
+        ("malformed_record", detail, 9, "G00200004010"),
+        ("malformed_record", detail, 19, "G10200004010")])
+
+
+def test_repeated_sub_line_makes_its_batter_known():
+    sub = 'sub,vbat9,"Runner",0,1,12'
+    known = make_game_text([(1, 0, "vbat1", "W"), sub, "play,1,0,vbat9,??,,K"],
+                           game_id="AAA200004010")
+    again = known.replace("AAA", "BBB")
+    early = make_game_text([(1, 0, "vbat1", "W"), "play,1,0,vbat9,??,,K", sub],
+                           game_id="CCC200004010")
+    assert _games_and_diagnostics(known + again + early) == (
+        ["AAA200004010", "BBB200004010"],
+        [("orphan_player", "batter vbat9 not in lineup", 32, "CCC200004010")])
+
+
+def test_orphan_batter_comes_after_a_malformed_record_and_missing_info():
+    """A game with a play by an unknown batter is dropped for its first
+    malformed record, else for a missing info record, else for its first
+    such play."""
+    ghosts = ["play,1,0,ghost1,??,,K", "play,1,0,ghost2,??,,K"]
+    orphan = make_game_text([(1, 0, "vbat1", "K"), *ghosts])
+    assert _games_and_diagnostics(orphan) == (
+        [], [("orphan_player", "batter ghost1 not in lineup", 10, "TST200004010")])
+    no_date = orphan.replace("info,date,2000/04/01\n", "")
+    assert _games_and_diagnostics(no_date) == (
+        [], [("missing_info", "no date record", None, "TST200004010")])
+    for malformed in (no_date + "play,x,0,vbat1,??,,K\n",
+                      no_date.replace("play,1,0,vbat1", "play,x,0,vbat1")):
+        assert [d[0] for d in _games_and_diagnostics(malformed)[1]] == ["malformed_record"]

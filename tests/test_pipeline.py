@@ -703,6 +703,28 @@ def _exclude_mode_tally(games):
     return cells, innings
 
 
+def _ingest_matches_the_record(parts, counted, options, jobs, tmp_path, capsys):
+    """Ingest the simulated games of ``parts``, one file each, in exclude
+    mode with ``options``, and check that the cache holds the record's
+    tally of the games ``counted``."""
+    inputs = []
+    for n, part in enumerate(parts):
+        inputs += ["-i", str(tmp_path / f"part{n}.ev")]
+        Path(inputs[-1]).write_text(emit_event_file(part))
+    cache_path = tmp_path / "exclude.csv"
+    assert cli.main(["ingest", *inputs, "--cache", str(cache_path),
+                     "--counting-mode", "exclude", *options, "--jobs", str(jobs)]) == 0
+    summary = capsys.readouterr().err
+    assert summary.startswith(f"games={len(counted)} skipped=0 ")
+    assert " quarantined=0 incomplete=0 " in summary
+    cache = read_cache(cache_path)
+    assert cache.counting_mode is CountingMode.EXCLUDE_PLAY
+    cells, innings = _exclude_mode_tally(counted)
+    assert {(pid, kind.value, outs, season, lev): cell
+            for (pid, kind, outs, season, lev), cell in cache.table.cells.items()} == cells
+    assert cache.innings.counts == innings
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_exclude_mode_ingest_matches_the_simulator_record(jobs, tmp_path, monkeypatch, capsys):
     """A relief-pitcher season in three files, ingested in exclude mode with
@@ -710,19 +732,23 @@ def test_exclude_mode_ingest_matches_the_simulator_record(jobs, tmp_path, monkey
     reads neither the parser nor the replayer."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     games = simulate_season(default_model(), 240, seed=31, midgame_subs=True)
-    inputs = []
-    for n in range(3):
-        inputs += ["-i", str(tmp_path / f"part{n}.ev")]
-        Path(inputs[-1]).write_text(emit_event_file(games[80 * n:80 * (n + 1)]))
-    cache_path = tmp_path / "exclude.csv"
-    assert cli.main(["ingest", *inputs, "--cache", str(cache_path),
-                     "--counting-mode", "exclude", "--jobs", str(jobs)]) == 0
-    summary = capsys.readouterr().err
-    assert summary.startswith("games=240 skipped=0 ")
-    assert " quarantined=0 incomplete=0 " in summary
-    cache = read_cache(cache_path)
-    assert cache.counting_mode is CountingMode.EXCLUDE_PLAY
-    cells, innings = _exclude_mode_tally(games)
-    assert {(pid, kind.value, outs, season, lev): cell
-            for (pid, kind, outs, season, lev), cell in cache.table.cells.items()} == cells
-    assert cache.innings.counts == innings
+    parts = [games[80 * n:80 * (n + 1)] for n in range(3)]
+    _ingest_matches_the_record(parts, games, [], jobs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_years_filtered_ingest_matches_the_simulator_record(jobs, tmp_path, monkeypatch,
+                                                            capsys):
+    """Four relief-pitcher seasons, mixed in three files so that each file
+    goes in and out of the window, ingested with ``--years 1984-1985``:
+    the cache holds the record's tally of the two seasons inside the
+    window, and nothing of the seasons just outside it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    seasons = [simulate_season(default_model(), 60, seed=year, season=year, midgame_subs=True)
+               for year in range(1983, 1987)]
+    parts = [[game for games in seasons for game in games[20 * n:20 * (n + 1)]]
+             for n in range(3)]
+    counted = [game for part in parts for game in part if 1984 <= int(game.date[:4]) <= 1985]
+    assert len(counted) == 120
+    _ingest_matches_the_record(parts, counted, ["--years", "1984-1985"], jobs, tmp_path,
+                               capsys)

@@ -220,6 +220,25 @@ def test_snapshots_never_show_three_outs():
     assert all(s.outs <= 2 for s in timeline.snapshots)
 
 
+@pytest.mark.parametrize("tokens", [["K", "K", "K", "HR"], ["K", "K", "K", "S8", "S8"]])
+def test_play_after_the_third_out_quarantines(tokens):
+    """A play after the third out scores no run and puts no runner on: the
+    half is quarantined and the game's later margins are not trusted.  A
+    no-play there is still nothing."""
+    events = [(8, 0, token) for token in tokens] + [(8, 1, "K")] * 3
+    replay = replay_events(events)
+    top, bottom = replay.timelines
+    assert top.excluded == "play after the third out"
+    assert (top.runs, top.outs_total, len(top.snapshots)) == (0, 3, 3)
+    assert not top.firsts
+    assert replay.final_score == (0, 0)
+    assert not bottom.score_reliable and bottom.faced == {"vpit1": False}
+    assert [(d.code, d.detail, d.line_no) for d in replay.diagnostics] == [
+        ("quarantined_half_inning", "play after the third out", 4)]
+    assert resolve_step("HR", 0, 3) == (None, False, "play after the third out", 0, 0, 0)
+    assert resolve_step("NP", 0, 3) == (None, True, None, 0, 0, 0)
+
+
 # --- whole-game replay -------------------------------------------------------
 
 

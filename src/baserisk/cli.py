@@ -106,7 +106,8 @@ def _parse_years(ctx, param, text: str | None) -> tuple[int, int] | None:
 
 def _parse_boundaries(ctx, param, text: str) -> tuple[int, ...]:
     try:
-        edges = tuple(int(b) for b in text.split(",") if b.strip())
+        # an empty field fails int() too: "100,,150" is no list of edges
+        edges = tuple(int(b) for b in text.split(","))
     except ValueError:
         raise click.UsageError(f"bad boundaries: {text!r}")
     if not edges or edges[0] < 0:

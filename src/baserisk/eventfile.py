@@ -7,8 +7,9 @@ record costs at most its own game.
 
 ``iter_games`` reads a file in one pass.  It checks each play's batter
 against the lineup as the play's line is read, and it builds each distinct
-``start`` or ``sub`` line of a file once: a repeat of the line, in the same
-file, shares the entry built from its first reading.
+``start`` or ``sub`` line once per ingest task: a repeat of the line, in the
+same file or a later file of the task, shares the entry built from its
+first reading.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ class LineupEntry:
 
 class SubLine(LineupEntry):
     """A lineup change in the middle of the game's events."""
+
+
+# a stripped start or sub line's text -> the entry built from it
+LineupMemo = dict[str, LineupEntry]
 
 
 @dataclass(slots=True)
@@ -220,6 +225,7 @@ def iter_games(
     text: str,
     diagnostics: list[Diagnostic],
     years: tuple[int, int] | None = None,
+    lineups: LineupMemo | None = None,
 ) -> Iterator[GameAccount | None]:
     """Split the text into records, as ``tokenize_event_file`` does and
     with its diagnostics, and fill one GameAccount per id record as its
@@ -240,11 +246,12 @@ def iter_games(
     block has a malformed record or lacks an info record.
 
     Lineup lines repeat: a team's starters and relievers come back game
-    after game.  So each call, and thus each input file, keeps every
-    ``start`` or ``sub`` line it has built, by the line's stripped text,
-    and a repeat of the line shares the built entry.  A repeat is taken
-    from that memo only where its record would be accepted anew, in an
-    open block and, for a ``start`` line, before the block's first event;
+    after game and file after file.  So every ``start`` or ``sub`` line
+    built is kept in ``lineups``, the caller's memo for a task of many
+    files, or a memo of the call's own, by the line's stripped text, and a
+    repeat of the line shares the built entry.  A repeat is taken from
+    that memo only where its record would be accepted anew, in an open
+    block and, for a ``start`` line, before the block's first event;
     elsewhere it is read as any line is, diagnostics and all.
 
     A block's season is its last ``info,date`` so far, else its game-id
@@ -260,7 +267,8 @@ def iter_games(
     held: list[tuple[int, str]] | None = None  # the open block's lines while outside years
     known: set[str] = set()  # the open block's starters and subs so far
     orphan: Diagnostic | None = None  # the open block's first play by a batter not known
-    lineups: dict[str, LineupEntry] = {}  # every start or sub line built, by its text
+    if lineups is None:
+        lineups = {}
     lines = _lines(text)
     while True:
         for line_no, line in lines:

@@ -2,9 +2,11 @@
 
 One loop, ``_file_timelines``, reads a task's input files into one
 ``IngestResult``: ``ingest`` tallies its half-innings and ``query`` extracts
-their observations.  Worker results under ``--jobs N`` merge with plain
-integer addition, so any partition of the inputs produces the same tallies
-as a sequential pass, bit for bit.
+their observations.  The task keeps two memos across its files, one of
+play steps by token and one of lineup entries by line, and drops both
+whole when either passes ``_MEMO_LIMIT`` entries.  Worker results under
+``--jobs N`` merge with plain integer addition, so any partition of the
+inputs produces the same tallies as a sequential pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .eventfile import Diagnostic, iter_games
+from .eventfile import Diagnostic, LineupMemo, iter_games
 # unused here, but the benchmark's span hooks wrap these two by name
 from .eventfile import assemble_games, tokenize_event_file
 from .state import StateTimeline, StepMemo, replay_game
@@ -36,6 +38,11 @@ __all__ = [
     "ingest_text",
     "iter_timelines",
 ]
+
+# a task's play and lineup memos are dropped whole, before its next file,
+# once either holds more entries than this
+_MEMO_LIMIT = 65_536
+
 
 @dataclass
 class IngestResult:
@@ -81,9 +88,11 @@ def iter_timelines(
     result: IngestResult,
     steps: StepMemo,
     source: str = "",
+    lineups: LineupMemo | None = None,
 ) -> Iterator[StateTimeline]:
     """Split, assemble and replay one event file's text, one game at a
-    time through the caller's play memo ``steps``, yielding every complete,
+    time through the caller's play memo ``steps`` and lineup memo
+    ``lineups`` (else one of the file's own), yielding every complete,
     unquarantined half-inning of the games inside ``years``.
 
     Games, skipped games, half-innings, quarantined and incomplete halves
@@ -95,7 +104,7 @@ def iter_timelines(
     games outside ``years``, which ``iter_games`` drops unbuilt.
     """
     diags: list[Diagnostic] = []
-    for account in iter_games(text, diags, years):
+    for account in iter_games(text, diags, years, lineups):
         if account is None:  # dropped at assembly, with one diagnostic
             result.games_skipped += 1
             continue
@@ -133,8 +142,8 @@ def ingest_text(
     mode: CountingMode = CountingMode.INCLUDE_PLAY,
     years: tuple[int, int] | None = None,
 ) -> IngestResult:
-    """Parse and replay one event file's text into tallies, through a play
-    memo of its own."""
+    """Parse and replay one event file's text into tallies, through play
+    and lineup memos of its own."""
     result = IngestResult()
     return _tally(result, iter_timelines(text, years, result, {}), mode)
 
@@ -153,20 +162,24 @@ def _counted_twice(game_id: str, first: str, second: str) -> InputError:
 def _file_timelines(paths: list[str], years: tuple[int, int] | None,
                     result: IngestResult) -> Iterator[StateTimeline]:
     r"""Every usable half-inning of the files, in order, counted into the
-    one ``result`` through one play memo, with each file's SHA-256 kept in
-    ``file_digests``.  Bytes decoded as latin-1 split into the lines of
-    ``read_text``: ``splitlines`` ends a line at "\r\n" and "\r" as the
-    universal newlines do."""
+    one ``result`` through one play memo and one lineup memo, with each
+    file's SHA-256 kept in ``file_digests``.  Bytes decoded as latin-1 split
+    into the lines of ``read_text``: ``splitlines`` ends a line at "\r\n"
+    and "\r" as the universal newlines do."""
     import hashlib  # OpenSSL is costly to load, and only ingest and query hash
 
     steps: StepMemo = {}
+    lineups: LineupMemo = {}
     for path in paths:
+        if len(steps) > _MEMO_LIMIT or len(lineups) > _MEMO_LIMIT:
+            steps.clear()
+            lineups.clear()
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise InputError(f"cannot read input: {exc}") from None
         result.file_digests[path] = hashlib.sha256(data).hexdigest()
-        yield from iter_timelines(data.decode("latin-1"), years, result, steps, path)
+        yield from iter_timelines(data.decode("latin-1"), years, result, steps, path, lineups)
 
 
 def _ingest_files(paths: list[str], mode: CountingMode,

@@ -9,8 +9,9 @@ runner placed on a base.
 
 No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
-replay resolves each (effect text, occupancy, outs) only once, through a memo
-that holds only the plays that parse.
+replay resolves each (effect text, occupancy, outs) only once per ingest
+task, through a memo that maps each token as written to one row of steps
+per effect text and holds only the plays that parse.
 
 The tallies read no snapshot.  Beside each one, replay records what they
 need of the open half-inning: the first snapshot of each situation class,
@@ -25,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .eventfile import Diagnostic, GameAccount, Half, PlacedRunner, PlayLine
@@ -222,8 +222,11 @@ def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int
 # (parse error, no-play, IllegalState message, outs recorded, runs scored,
 # new occupancy): everything a play does to the replay
 Step = tuple[str | None, bool, str | None, int, int, int]
-# (effect text, occupancy, outs) -> Step, shared by the files of one ingest task
-StepMemo = dict[tuple[str, int, int], Step]
+# a play token as written -> the row of its effect text, whose slot at
+# bases << 2 | outs holds that state's Step once a play there has parsed.  An
+# effect text is a key too, so every token that reduces to it finds its row.
+# Shared by the files of one ingest task.
+StepMemo = dict[str, list[Step | None]]
 
 # a basic event that is one whole parser section, up to the first "/", then
 # modifier sections that are not empty and hold no group
@@ -232,8 +235,6 @@ _PLAIN_EVENT_RE = re.compile(r"((?:[^/(]|\([^/)]*\))+)(?:/[^/()]+)*")
 _NOTED_SAFE_ADVANCE_RE = re.compile(r"([B123]-[123H])(?:\([^()]*\))+")
 
 
-# plays repeat their tokens; the bound keeps an archive of one-off tokens small
-@lru_cache(maxsize=4096)
 def effect_text(token: str) -> str:
     """The token less what the parser accepts but ``apply_play`` never reads:
     the modifier sections (``S8/G34`` -> ``S8``) and the notes on a safe
@@ -300,8 +301,10 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
     """Replay a full game account into per-half-inning timelines.
 
     ``steps`` is a play memo to share with the other games of an ingest
-    task; without it the game gets a memo of its own.  Only plays that
-    parse are stored, since a parse error quotes its own token.
+    task; without it the game gets a memo of its own.  A token met for the
+    first time costs one ``effect_text`` call, and a step one
+    ``resolve_step`` call.  Only plays that parse are stored, since a parse
+    error quotes its own token.
     """
     game_id = account.game_id
     diagnostics: list[Diagnostic] = []
@@ -365,12 +368,19 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                     Diagnostic("placed_runner", reason, placed.line_no, game_id))
             placed = None
         token = item.event_text
-        memo_key = (effect_text(token), bases, outs)
-        step = memo.get(memo_key)
+        row = memo.get(token)
+        if row is None:
+            effect = effect_text(token)
+            row = memo.get(effect)
+            if row is None:
+                row = memo[effect] = [None] * len(CLASS_AT)
+            memo[token] = row
+        at = bases << 2 | outs
+        step = row[at]
         if step is None:
             step = resolve_step(token, bases, outs)
             if step[0] is None:
-                memo[memo_key] = step
+                row[at] = step
         parse_error, no_play, illegal, outs_recorded, runs, new_bases = step
         # a parse error quarantines even a dead half; otherwise a dead half
         # or a no-play is skipped before an illegal step quarantines
@@ -390,7 +400,7 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
         snapshots.append(_new_tuple(Snapshot, (bases, outs, score, fielding, pitcher, inning)))
         runs_on_play.append(runs)
         high = late and abs(score - fielding) <= HIGH_LEVERAGE_MARGIN
-        situation = CLASS_AT[bases << 2 | outs]
+        situation = CLASS_AT[at]
         if situation is not None and situation not in firsts:
             firsts[situation] = (pitcher, score - opening, runs, high)
         if high:

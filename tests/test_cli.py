@@ -465,13 +465,18 @@ def test_table1_missing_cache(tmp_path, capsys):
 
 
 def test_table2_bad_boundaries_before_the_cache(tmp_path, capsys):
-    """A bad --boundaries list is a usage error at parse time, before the
-    cache is looked for."""
-    assert main(["table2", "--cache", str(tmp_path / "missing"),
-                 "--boundaries", "1,x"]) == 1
-    err = capsys.readouterr().err
-    assert "Error: bad boundaries: '1,x'" in err
-    assert "cache not found" not in err
+    """A bad --boundaries list, an empty field as much as a word, is a
+    usage error at parse time, before the cache is looked for, from the
+    command line and the config file alike."""
+    config = tmp_path / "baserisk.cfg"
+    for boundaries in ["1,x", "100,,150", ",100", "100,"]:
+        config.write_text(f"table2.boundaries = {boundaries}\n")
+        for given in (["--boundaries", boundaries], []):
+            args = ["table2", "--cache", str(tmp_path / "missing"), *given]
+            assert main(args if given else ["--config", str(config), *args]) == 1
+            err = capsys.readouterr().err
+            assert f"Error: bad boundaries: {boundaries!r}" in err
+            assert "cache not found" not in err
 
 
 def test_table1_unreadable_cache(tmp_path, capsys):

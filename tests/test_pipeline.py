@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,18 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from baserisk import cli, state
+from baserisk import cli, pipeline, state
 from baserisk.cache import StatsCache, read_cache, render_cache
 from baserisk.eventfile import (
-    Half, PlayLine, assemble_games, iter_games, tokenize_event_file,
+    Half, LineupEntry, PlayLine, assemble_games, iter_games, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import (
     IngestResult, InputError, collect_observations, ingest_paths, ingest_text, iter_timelines,
 )
 from baserisk.state import replay_game
-from baserisk.stats import CountingMode
-from conftest import broken_text, damaged_texts, decorated_texts, make_game_text
+from baserisk.stats import CountingMode, extract_observations
+from conftest import PIN_ALPHABET, broken_text, damaged_texts, decorated_texts, make_game_text
 
 
 @pytest.fixture(scope="module")
@@ -515,31 +516,224 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
         "d7ccd564393f4080bd5b99f3ea71aa0adf095eea507d48bb9c18dd5abd24f7b2")
 
 
-def test_memo_holds_only_resolved_plays(damaged_archive):
-    """A parse error quotes its own token, so it is never memoized."""
+def _counting_calls(monkeypatch, name: str) -> list:
+    """The arguments of every call the program makes to ``state.<name>``."""
+    calls = []
+    original = getattr(state, name)
+    monkeypatch.setattr(state, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_memo_holds_only_resolved_plays(damaged_archive, monkeypatch):
+    """A parse error quotes its own token, so it is never memoized: every
+    filled slot of the token index holds a step that parsed, and a token
+    that does not parse is resolved again at each of its plays, even where
+    it shares its effect text's row with another token."""
     steps: state.StepMemo = {}
     counts = IngestResult()
     for path in damaged_archive:
         list(iter_timelines(path.read_text(encoding="latin-1"), None, counts, steps))
-    assert steps
-    assert all(step[0] is None for step in steps.values())
+    filled = [step for row in steps.values() for step in row if step is not None]
+    assert filled
+    assert all(step[0] is None for step in filled)
+
+    calls = _counting_calls(monkeypatch, "resolve_step")
+    plays = [(1, 0, "v1", "ZZ9"), (1, 0, "v2", "ZZ9/G"), (1, 1, "h1", "ZZ9")]
+    text = make_game_text(plays) + make_game_text(plays, game_id="TST200004020")
+    diags = []
+    for account in iter_games(text, diags):
+        diags += replay_game(account, steps).diagnostics
+    assert sorted(token for token, _, _ in calls) == ["ZZ9"] * 4 + ["ZZ9/G"] * 2
+    assert steps["ZZ9"] is steps["ZZ9/G"]
+    assert [d.detail.count("ZZ9/G") for d in diags] == [0, 1, 0] * 2
+    assert all(d.code == "quarantined_half_inning" for d in diags)
 
 
 def test_repeated_plays_resolve_once(tmp_path, monkeypatch):
     """A second file with the same plays in other games is answered from
-    the memo of the first."""
-    calls = []
-    resolve = state.resolve_step
-    monkeypatch.setattr(state, "resolve_step", lambda *key: calls.append(key) or resolve(*key))
+    the memo of the first, and no memo outlives its task: a second ingest
+    in one process derives as many effect texts and steps as the first."""
+    calls = _counting_calls(monkeypatch, "resolve_step")
+    effects = _counting_calls(monkeypatch, "effect_text")
     text = emit_event_file(simulate_season(default_model(), 5, seed=31))
     first, second = tmp_path / "a.evn", tmp_path / "b.evn"
     first.write_text(text)
     second.write_text(text.replace("id,HOM", "id,AWY"))
-    ingest_paths([first])
-    once = len(calls)
-    calls.clear()
-    ingest_paths([first, second])
-    assert len(calls) == once > 0
+    work = []
+    for paths in ([first], [first, second], [first]):
+        ingest_paths(paths)
+        assert len(effects) == len(set(effects))  # each token once per task
+        work.append((len(calls), len(effects)))
+        calls.clear()
+        effects.clear()
+    assert work[0] == work[1] == work[2]
+    assert min(work[0]) > 0
+
+
+@pytest.mark.parametrize("case", ["decorated", "damaged"])
+def test_memos_dropped_at_the_limit_count_the_same(case, request, tmp_path, monkeypatch):
+    """Memos dropped whole before each file, once past a limit of 8
+    entries, change no count: they only cost the work again."""
+    if case == "decorated":
+        paths = _own_broken_ids(request.getfixturevalue("decorated_archive"), tmp_path)
+    else:
+        paths = request.getfixturevalue("damaged_archive")
+    effects = _counting_calls(monkeypatch, "effect_text")
+    kept = ingest_paths(paths)
+    derived = len(effects)
+    effects.clear()
+    monkeypatch.setattr(pipeline, "_MEMO_LIMIT", 8)
+    dropped = ingest_paths(paths)
+    assert len(effects) > derived
+    assert _tally_digest(dropped) == _tally_digest(kept)
+    assert dropped.diagnostic_counts == kept.diagnostic_counts
+
+
+def _lineup_texts() -> list[str]:
+    """Two simulated relief-pitcher seasons whose teams and pitchers are
+    the same."""
+    return [emit_event_file(simulate_season(
+        default_model(), 4, seed=seed, season=season, midgame_subs=True))
+        for seed, season in ((61, 1990), (62, 1991))]
+
+
+def test_task_lineup_memo_spans_its_files(tmp_path, monkeypatch):
+    """One task of two files builds a lineup line of both once: the second
+    file's repeated start and sub lines share the first file's entries."""
+    first, second = _lineup_texts()
+    accounts = []
+    original = pipeline.iter_games
+
+    def recording(*args):
+        for account in original(*args):
+            accounts.append(account)
+            yield account
+
+    monkeypatch.setattr(pipeline, "iter_games", recording)
+    a, b = tmp_path / "a.evn", tmp_path / "b.evn"
+    a.write_text(first)
+    b.write_text(second)
+    ingest_paths([a, b])
+    entries = [entry for account in accounts
+               for entry in [*account.starters, *account.events]
+               if isinstance(entry, LineupEntry)]
+    assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+    first_ids = {id(entry) for account in accounts[:4] for entry in account.starters}
+    assert first_ids & {id(entry) for account in accounts[4:] for entry in account.starters}
+
+
+def test_start_line_built_in_an_earlier_file_still_refused_late(tmp_path):
+    """A start line built in the first file of a task and met after a
+    game's first play in the second is refused as a line never seen
+    before, and the two files as one task count what they count apart."""
+    first, text = _lineup_texts()
+    second = text.splitlines()
+    play = next(i for i, line in enumerate(second) if line.startswith("play,"))
+    start = next(i for i, line in enumerate(second[:play])
+                 if line.startswith("start,") and line in first.splitlines())
+    line = second.pop(start)
+    second.insert(play, line)  # just after the game's first play
+    late = "\n".join(second) + "\n"
+
+    alone, after = [], []
+    list(iter_games(late, alone))
+    lineups = {}
+    list(iter_games(first, [], None, lineups))
+    assert line in lineups
+    list(iter_games(late, after, None, lineups))
+    assert [astuple(d) for d in after] == [astuple(d) for d in alone]
+    assert [d.code for d in after] == ["malformed_record"]
+
+    a, b = tmp_path / "a.evn", tmp_path / "b.evn"
+    a.write_text(first)
+    b.write_text(late)
+    together = ingest_paths([a, b])
+    apart = ingest_paths([a]).merge(ingest_paths([b]))
+    assert together.games_skipped == 1
+    assert _tally_digest(together) == _tally_digest(apart)
+    assert together.diagnostic_counts == apart.diagnostic_counts
+
+
+def _task_games(paths: list[Path]) -> tuple[dict, dict]:
+    """What one ingest task of the files counts, by game id: the file that
+    counted the game, and the observations of each usable half."""
+    result = IngestResult()
+    halves = {}
+    for timeline in pipeline._file_timelines([str(p) for p in paths], None, result):
+        game_id, inning, half = timeline.half_inning_key
+        halves.setdefault(game_id, {})[inning, half] = extract_observations(timeline)
+    return result.game_files, halves
+
+
+def _mutate_line(rng: random.Random, lines: list[str]) -> tuple[list[str], list[int]]:
+    """The lines after one random line mutation, and the indices of the
+    lines it damaged: a line deleted, repeated, swapped with the next,
+    with one character changed or deleted, or joined to the next."""
+    op = rng.randrange(6)
+    i = rng.randrange(len(lines) - 1)
+    line, out = lines[i], list(lines)
+    cut = rng.randrange(len(line))
+    if op == 0:
+        del out[i]
+    elif op == 1:
+        out.insert(i, line)
+    elif op == 2:
+        out[i:i + 2] = [lines[i + 1], line]
+    elif op == 3:
+        out[i] = line[:cut] + rng.choice(PIN_ALPHABET + '"') + line[cut + 1:]
+    elif op == 4:
+        out[i] = line[:cut] + line[cut + 1:]
+    else:
+        out[i:i + 2] = [line + lines[i + 1]]
+    return out, [i, i + 1] if op in (2, 5) else [i]
+
+
+def test_line_damage_stays_in_its_game(tmp_path):
+    """One task of two simulated files, the second with one line damaged:
+    every game that holds no damaged line counts exactly as before, in
+    both files; the damaged game keeps the halves it finished before the
+    damage or is dropped whole; and only ``InputError`` escapes.  A
+    damaged ``id`` line counts as damage to the game before it too, since
+    losing the line merges the two games."""
+    texts = [emit_event_file(simulate_season(
+        default_model(), 6, seed=seed, season=season, midgame_subs=True))
+        for seed, season in ((71, 1990), (72, 1991))]
+    paths = [tmp_path / "a.evn", tmp_path / "b.evn"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    base_files, base_halves = _task_games(paths)
+    lines = texts[1].splitlines()
+    game_of, last_line, previous = [], {}, {}
+    game_id = None
+    for n, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[0] == "id":
+            previous[cells[1]], game_id = game_id, cells[1]
+        elif cells[0] == "play":
+            last_line[game_id, int(cells[1]), Half(int(cells[2]))] = n
+        game_of.append(game_id)
+
+    rng = random.Random(11)
+    escaped = 0
+    for _ in range(250):
+        damaged, hit = _mutate_line(rng, lines)
+        paths[1].write_text("\n".join(damaged) + "\n")
+        try:
+            files, halves = _task_games(paths)
+        except InputError:
+            escaped += 1
+            continue
+        games = {game_of[n] for n in hit}
+        games |= {previous[game_of[n]] for n in hit if lines[n].startswith("id,")}
+        for game_id, path in base_files.items():
+            got, before = halves.get(game_id, {}), base_halves.get(game_id, {})
+            if game_id not in games:
+                assert (files.get(game_id), got) == (path, before), (hit, damaged[min(hit)])
+            elif game_id in files:
+                kept = {key: obs for key, obs in before.items()
+                        if last_line[(game_id, *key)] < min(hit)}
+                assert {key: got.get(key) for key in kept} == kept, (hit, damaged[min(hit)])
+    assert escaped < 10
 
 
 def test_benchmark_hooks_restore_originals(monkeypatch):

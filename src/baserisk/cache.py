@@ -179,14 +179,14 @@ def read_cache(path: str | Path) -> StatsCache:
 def read_summary(
     path: str | Path, years: tuple[int, int] | None = None
 ) -> tuple[RateSummary, InningCounts]:
-    """What the reports read: the situation rows added straight into a
-    ``RateSummary`` over ``years``, which holds a row for every pitcher with
-    a situation row, and the innings rows.  The same rows are refused, with
-    the same text, as by ``read_cache``."""
+    """What the reports read: the situation rows added straight into the
+    rows of a ``RateSummary`` over ``years``, which holds a row for every
+    pitcher with a situation row, and the innings rows.  The summary is
+    whole once the last row is read.  The same rows are refused, with the
+    same text, as by ``read_cache``."""
     summary = RateSummary(years=years)
     innings = InningCounts()
     _read(path, innings, summary)
-    summary.add_sums()
     return summary, innings
 
 

@@ -334,11 +334,12 @@ def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt
     if roster_paths:
         names = _read_input(load_roster_names, list(roster_paths), "roster")
     careers = career_high_leverage_innings(innings, years)
-    by_pitcher = summary.by_pitcher(outs, leverage=True)
     rows = []
-    for pid in sorted(by_pitcher):
-        triple = by_pitcher[pid]
-        if careers.get(pid, 0) < min_appearances or not triple.complete():
+    for pid in sorted(summary.rows):
+        if careers.get(pid, 0) < min_appearances:
+            continue
+        triple = summary.triple(pid, outs, leverage=True)
+        if not triple.complete():
             continue
         last, first = names.get(pid, (pid, ""))
         rows.append(Table3Row(pid, last, first, brt_from_rates(triple), eras.get(pid)))
@@ -371,8 +372,8 @@ def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
     elif cache_path:
         summary, _ = _load_summary(cache_path, years)
         lev = True if leverage else None
-        if pitcher_id:
-            triple = summary.by_pitcher(outs, lev).get(pitcher_id)
+        if pitcher_id is not None:
+            triple = summary.triple(pitcher_id, outs, lev)
             if triple is None:
                 raise DataError(f"pitcher {pitcher_id} has no tally rows in the cache")
         else:
@@ -405,7 +406,7 @@ def query(inputs, pitcher_id, class_name, outs, years, leverage, counting_mode):
     # until all are read, so a refused input leaves stdout empty
     lines: list[str] = []
     for obs in observations:
-        if pitcher_id and obs.pitcher_id != pitcher_id:
+        if pitcher_id is not None and obs.pitcher_id != pitcher_id:
             continue
         if kind and obs.situation.kind is not kind:
             continue

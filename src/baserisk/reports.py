@@ -35,7 +35,7 @@ def _brt_or_none(value: BRTValue | None) -> float | None:
 @dataclass
 class Table1Cell:
     triple: RateTriple
-    brt: BRTValue | None  # None when any class has no observations
+    brt: BRTValue
 
 
 def render_table1(
@@ -56,8 +56,7 @@ def render_table1(
         row("T", lambda c: fmt3(c.triple.t.value)),
         row("S", lambda c: fmt3(c.triple.s.value)),
         row("F", lambda c: fmt3(c.triple.f.value)),
-        row("threshold", lambda c: fmt3(_brt_or_none(c.brt))
-            + ("*" if c.brt is not None and c.brt.clamped else "")),
+        row("threshold", lambda c: fmt3(c.brt.brt) + ("*" if c.brt.clamped else "")),
         row("n(T)", lambda c: str(c.triple.t.denominator)),
         row("n(S)", lambda c: str(c.triple.s.denominator)),
         row("n(F)", lambda c: str(c.triple.f.denominator)),
@@ -66,7 +65,7 @@ def render_table1(
     if fmt == "csv":
         return _csv([header] + rows)
     text = _aligned([header] + rows)
-    if any(cells[k].brt is not None and cells[k].brt.clamped for k in present):
+    if any(cells[k].brt.clamped for k in present):
         text += "* threshold clamped: taking the extra base never helps\n"
     return text
 

@@ -25,7 +25,7 @@ p is at least brt.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -237,18 +237,18 @@ _SLOT = {
                 for outs in range(3))
     for kind in ClassKind
 }
-# where each block starts, by the leverage a question keeps
-_BLOCK = {False: 0, True: len(CELLS), None: 2 * len(CELLS)}
+# where each block starts in a RateSummary row, by the leverage a question
+# keeps: an all-innings question adds both blocks
+_BLOCKS = {False: (0,), True: (len(CELLS),), None: (0, len(CELLS))}
 
 
-def _triple_slots(outs: int, leverage: bool | None) -> tuple[int, int, int]:
-    """The slots of T, S and F at threshold index ``outs``."""
+def _triple_slots(outs: int, leverage: bool | None) -> tuple[tuple[int, ...], ...]:
+    """The slots that add up to T, S and F at threshold index ``outs``."""
     if outs not in (0, 1):
         raise ValueError("threshold index must be 0 or 1")
-    block = _BLOCK[leverage]
-    return (block + _SLOT[ClassKind.THIRD_OCCUPIED][outs],
-            block + _SLOT[ClassKind.SECOND_NO_THIRD][outs],
-            block + _SLOT[ClassKind.FIRST_ONLY][outs + 1])
+    cells = (_SLOT[ClassKind.THIRD_OCCUPIED][outs], _SLOT[ClassKind.SECOND_NO_THIRD][outs],
+             _SLOT[ClassKind.FIRST_ONLY][outs + 1])
+    return tuple(tuple(block + i for block in _BLOCKS[leverage]) for i in cells)
 
 
 class RateSummary:
@@ -256,10 +256,10 @@ class RateSummary:
     inside ``years`` in one walk of the table, so that every rate question
     of a report reads the summary, not the table.
 
-    A row holds three blocks of six slots, one per cell of ``CELLS``: the
-    other cells, the high-leverage cells, and their sum.  Without a table
-    the summary starts empty: a reader adds each cell into ``row(pid)`` at
-    ``slot(...)`` and calls ``add_sums`` once, after the last cell.
+    A row holds two blocks of six slots, one per cell of ``CELLS``: the
+    other cells, then the high-leverage cells.  Without a table the
+    summary starts empty, and a reader adds each cell into ``row(pid)`` at
+    ``slot(...)``.  ``triple`` and ``pooled`` answer every question.
     """
 
     def __init__(self, table: TallyTable | None = None,
@@ -279,7 +279,6 @@ class RateSummary:
             if i is not None:
                 nums[i] += num
                 dens[i] += den
-        self.add_sums()
 
     def slot(self, kind: ClassKind, outs: int, season: int, high_leverage: bool) -> int | None:
         """Where a cell with this key adds in a row, or None when it adds
@@ -298,43 +297,34 @@ class RateSummary:
             row = self.rows[pid] = ([0] * 2 * len(CELLS), [0] * 2 * len(CELLS))
         return row
 
-    def add_sums(self) -> None:
-        """Append every row's sum block."""
-        width = len(CELLS)
-        for nums, dens in self.rows.values():
-            nums += [other + hl for other, hl in zip(nums, nums[width:])]
-            dens += [other + hl for other, hl in zip(dens, dens[width:])]
+    def triple(self, pid: str, outs: int, leverage: bool | None = None) -> RateTriple | None:
+        """``pid``'s scoring rates for the three classes at threshold index
+        ``outs`` (the first-only class is read at ``outs + 1``), 0 of 0
+        where no cell of theirs matches; None when ``pid`` has no row.
 
-    def by_pitcher(self, outs: int, leverage: bool | None = None) -> dict[str, RateTriple]:
-        """Scoring rates for the three classes at threshold index ``outs``
-        (the first-only class is read at ``outs + 1``), for every pitcher
-        with a row: one with no matching cell reads 0 of 0 in each.
-
-        leverage=True keeps only high-leverage observations, None keeps all.
+        leverage=True keeps only high-leverage observations, False only
+        the others, None keeps all.
         """
-        t, s, f = _triple_slots(outs, leverage)
-        return {
-            pid: RateTriple(Rate(nums[t], dens[t]), Rate(nums[s], dens[s]),
-                            Rate(nums[f], dens[f]), outs)
-            for pid, (nums, dens) in self.rows.items()
-        }
+        row = self.rows.get(pid)
+        return None if row is None else _summed((row,), outs, leverage)
 
-    def pooled(self, outs: int, leverage: bool | None = None) -> RateTriple:
-        """by_pitcher pooled over every pitcher, summed slot by slot."""
-        rows = self.rows.values()
-        return RateTriple(*(
-            Rate(sum(nums[i] for nums, _ in rows), sum(dens[i] for _, dens in rows))
-            for i in _triple_slots(outs, leverage)
-        ), outs)
+    def pooled(self, outs: int, leverage: bool | None = None,
+               pids: Iterable[str] | None = None) -> RateTriple:
+        """``triple`` summed slot by slot over ``pids``, each id once, or
+        over every row; an id with no row adds nothing."""
+        rows = self.rows
+        chosen = rows.values() if pids is None else [rows[p] for p in set(pids) if p in rows]
+        return _summed(chosen, outs, leverage)
 
 
-def _pooled(triples: Iterable[RateTriple], outs: int) -> RateTriple:
-    sums = [[0, 0], [0, 0], [0, 0]]
-    for triple in triples:
-        for cell, rate in zip(sums, (triple.t, triple.s, triple.f)):
-            cell[0] += rate.numerator
-            cell[1] += rate.denominator
-    return RateTriple(*(Rate(*cell) for cell in sums), outs)
+def _summed(rows: Collection[tuple[list[int], list[int]]], outs: int,
+            leverage: bool | None) -> RateTriple:
+    """T, S and F summed over ``rows`` slot by slot."""
+    return RateTriple(*(
+        Rate(sum(nums[i] for nums, _ in rows for i in slots),
+             sum(dens[i] for _, dens in rows for i in slots))
+        for slots in _triple_slots(outs, leverage)
+    ), outs)
 
 
 def rates(
@@ -407,17 +397,18 @@ def _bucket_row(
     low: int,
     high: int | None,
     members: list[str],
-    by_pitcher: dict[str, RateTriple],
+    summary: RateSummary,
     outs: int,
 ) -> BucketRow:
-    """Pooled threshold of the members, no id twice, plus the spread of
-    their own thresholds, leaving out members with an empty cell."""
-    pooled = _pooled((by_pitcher[pid] for pid in members if pid in by_pitcher), outs)
+    """Pooled high-leverage threshold of the members, no id twice, plus
+    the spread of their own thresholds, leaving out members with an empty
+    cell."""
+    pooled = summary.pooled(outs, True, members)
     cumulative = brt_from_rates(pooled) if pooled.complete() else None
     per_pitcher: list[float] = []
     excluded: list[str] = []
     for pid in members:
-        triple = by_pitcher.get(pid)
+        triple = summary.triple(pid, outs, True)
         if triple is not None and triple.complete():
             per_pitcher.append(brt_from_rates(triple).brt)
         else:
@@ -446,7 +437,6 @@ def bucket_report(
     if cohort_last_season_min is not None:
         cohort = {pid for pid, season in innings.counts if season >= cohort_last_season_min}
         careers = {pid: career for pid, career in careers.items() if pid in cohort}
-    by_pitcher = summary.by_pitcher(outs, leverage=True)
 
     edges = list(boundaries) + [None]
     rows: list[BucketRow] = []
@@ -456,7 +446,7 @@ def bucket_report(
             if career >= low and (high is None or career < high)
         )
         label = f"{low}+" if high is None else f"{low}-{high - 1}"
-        rows.append(_bucket_row(label, low, high, members, by_pitcher, outs))
+        rows.append(_bucket_row(label, low, high, members, summary, outs))
     if not any(row.pitchers for row in rows):
         raise EmptyBucket("no pitcher reached the first boundary")
     return rows
@@ -467,6 +457,5 @@ def group_summary(summary: RateSummary, pitcher_ids: list[str], outs: int) -> Bu
     each id counted once."""
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
-    by_pitcher = summary.by_pitcher(outs, leverage=True)
     members = list(dict.fromkeys(pitcher_ids))
-    return _bucket_row("leaders", 0, None, members, by_pitcher, outs)
+    return _bucket_row("leaders", 0, None, members, summary, outs)

@@ -755,6 +755,20 @@ def test_query_without_matches(workspace, capsys):
     assert "no matching observations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,err", [
+    (["decide", "0.4", "--cache", "CACHE"], "no tally rows"),
+    (["query", "-i", "EVN"], "no matching observations"),
+], ids=["decide", "query"])
+def test_empty_pitcher_id_is_an_id(workspace, capsys, args, err):
+    """``--pitcher ""`` asks about the pitcher whose id is empty, who has
+    no rows; it never widens to the league or to every pitcher."""
+    paths = {"CACHE": str(workspace["cache"]), "EVN": str(workspace["evn"])}
+    assert main([paths.get(a, a) for a in args] + ["--pitcher", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert err in captured.err
+
+
 def test_config_supplies_defaults(workspace, capsys):
     cfg = workspace["root"] / "defaults.cfg"
     cfg.write_text(

@@ -76,13 +76,6 @@ def test_table1_clamp_footnote():
     assert "clamped" not in csv_text  # footnote is text-format only
 
 
-def test_table1_empty_brt_blank():
-    rt = RateTriple(Rate(0, 0), Rate(1, 2), Rate(1, 3), 1)
-    text = render_table1({("all", 1): Table1Cell(rt, None)})
-    threshold_line = text.splitlines()[4]
-    assert threshold_line.split() == ["threshold"]
-
-
 def test_table1_csv_matches_text_values():
     rt = triple()
     cells = {("all", 1): Table1Cell(rt, brt_of(rt))}

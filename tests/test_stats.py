@@ -18,10 +18,10 @@ from baserisk.stats import (
     InningCounts,
     Rate,
     RateSummary,
+    RateTriple,
     SituationClass,
     SituationObservation,
     TallyTable,
-    _pooled,
     add_cells,
     brt_from_rates,
     bucket_report,
@@ -245,9 +245,10 @@ def test_merge_identity(a):
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]),
        st.sampled_from([None, {"p1"}, {"p2", "p3", "p9"}]))
 def test_rates_sum_matching_cells(table, years, pitchers):
-    """rates pools every matching cell; by_pitcher holds every pitcher
-    with a row, with that pitcher's sums, which are 0 of 0 where no cell of
-    theirs matches.  One summary answers every question, and has a row for
+    """rates and pooled pool every matching cell, over every pitcher or
+    over the ids asked for, each id once; triple holds each pitcher's sums,
+    which are 0 of 0 where no cell of theirs matches, and is None for an id
+    with no row.  One summary answers every question, and has a row for
     every pitcher with a cell, inside ``years`` or not."""
     summary = RateSummary(table, years)
     assert set(summary.rows) == {pid for pid, *_ in table.cells}
@@ -274,22 +275,30 @@ def test_rates_sum_matching_cells(table, years, pitchers):
 
             check(rates(table, outs, lev, years), None)
             check(summary.pooled(outs, lev), None)
-            by_pitcher = summary.by_pitcher(outs, lev)
-            assert by_pitcher.keys() == summary.rows.keys()
+            if pitchers is not None:
+                check(summary.pooled(outs, lev, pitchers), pitchers)
+                repeated = [pid for pid in sorted(pitchers) for _ in range(2)]
+                check(summary.pooled(outs, lev, repeated), pitchers)
             for pid in pitchers or summary.rows:
-                if pid in by_pitcher:
-                    check(by_pitcher[pid], {pid})
+                triple = summary.triple(pid, outs, lev)
+                if pid in summary.rows:
+                    check(triple, {pid})
+                else:
+                    assert triple is None
 
 
 @given(tables, st.sampled_from([None, (1999, 1999), (2000, 2005)]))
 def test_pooled_sums_the_slot_columns(table, years):
     """``pooled`` sums the summary's slots straight, to the triple that
-    pooling every pitcher's ``by_pitcher`` triple gives."""
+    adding every pitcher's ``triple`` rate by rate gives."""
     summary = RateSummary(table, years)
     for lev in (None, True, False):
         for outs in (0, 1):
-            assert summary.pooled(outs, lev) == _pooled(
-                summary.by_pitcher(outs, lev).values(), outs)
+            triples = [summary.triple(pid, outs, lev) for pid in summary.rows]
+            assert summary.pooled(outs, lev) == RateTriple(*(
+                Rate(sum(getattr(t, k).numerator for t in triples),
+                     sum(getattr(t, k).denominator for t in triples))
+                for k in "tsf"), outs)
 
 
 def test_inning_counts_and_career():

@@ -18,19 +18,20 @@ outside 0 <= numerator <= denominator, a (class, outs) that is not one of
 ``stats.CELLS``, a stratum that is not ``<season>:hl`` or
 ``<season>:other`` (or, on an innings row, a bare season) in the form the
 writer writes, a count that is not in that form either (``03``, ``+3``,
-`` 3``, ``1_0``), and a key that repeats an earlier row's.  The writer
+`` 3``, ``1_0``), and a row whose (pitcher_id, class, outs, stratum) key
+does not sort strictly after the row above's, as the writer sorts them:
+one comparison finds a repeated key and a row out of place.  The writer
 refuses a pitcher id that holds a line break.
 
 ``read_cache`` keeps every row under its own key, and so allocates two
 containers per row, a key tuple and a count list.  ``read_summary``, the
 report commands' read, adds each situation row straight into its
 pitcher's ``stats.RateSummary`` row and allocates those two only per
-innings row; a repeated key is found by an integer id per distinct
-(class, outs, stratum), held in one set per pitcher.  None of these form
-cycles.  The cyclic collector counts them toward its thresholds all the
-same and, left running, walks them again and again, freeing nothing: on
-the perfbench query cache (32,970 rows), one round of ``table1``,
-``table2`` and ``table3`` that each read the whole table ran 252
+innings row.  Each row's sort key lives until the next row is read.  None
+of these form cycles.  The cyclic collector counts them toward its
+thresholds all the same and, left running, walks them again and again,
+freeing nothing: on the perfbench query cache (32,970 rows), one round of
+``table1``, ``table2`` and ``table3`` that each read the whole table ran 252
 generation-0, 22 generation-1 and 2 full collections.  ``cli.main``
 therefore pauses it for the whole command and puts back the caller's
 setting; a caller that reads a cache outside ``main`` decides for itself.
@@ -222,11 +223,10 @@ def _read(
         rows = map(str.split, body, repeat(","))
     # a few hundred distinct (class, outs, stratum) tails and a few hundred
     # distinct count texts cover any number of rows, so each is checked
-    # and converted once, and each tail gets an id of its own
-    tails = _Memo(lambda key: (len(tails), *_row_tail(*key, innings, sink)))
+    # and converted once
+    tails = _Memo(lambda key: _row_tail(*key, innings, sink))
     counts = _Memo(_as_written)
-    # pitcher -> the ids of the tails of their rows so far
-    seen_tails: dict[str, set[int]] = {}
+    above = ()  # the key of the row above; () sorts before every key
     last = None
     try:
         header = next(csv.reader(lines[1:2]), None)
@@ -235,19 +235,18 @@ def _read(
         for row in rows:
             try:
                 pid, class_name, outs, stratum, num, den = row
-                tail, store, key, slot = tails[class_name, outs, stratum]
+                store, key, slot = tails[class_name, outs, stratum]
                 n, d = counts[num], counts[den]
                 if not 0 <= n <= d:
                     raise ValueError("counts must be 0 <= numerator <= denominator")
-                if pid != last:  # a written cache holds each pitcher's rows in one run
-                    last = pid
-                    seen = seen_tails.get(pid)
-                    if seen is None:
-                        seen = seen_tails[pid] = set()
-                    sums = None
-                if tail in seen:
-                    raise ValueError("repeats the key of an earlier row")
-                seen.add(tail)
+                # the writer's rows sort strictly by key, and a valid tail's
+                # texts sort as the writer's values do
+                row_key = (pid, class_name, outs, stratum)
+                if row_key <= above:
+                    raise ValueError("repeats or sorts before the key of the row above")
+                above = row_key
+                if pid != last:
+                    last, sums = pid, None
                 if store is not None:
                     store[(pid,) + key] = [n, d]
                     continue

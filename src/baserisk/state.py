@@ -13,18 +13,18 @@ replay resolves each (effect text, occupancy, outs) only once per ingest
 task, through a memo that maps each token as written to one row of steps
 per effect text and holds only the plays that parse.
 
-The tallies read no snapshot.  Beside each one, replay records what they
-need of the open half-inning: the first snapshot of each situation class,
-found by one lookup in a table of the base-out states, and each pitcher who
-faced a snapshot, with whether one of theirs was late and close.  So the
-situation classes and the leverage window are defined here, next to the
-walk that applies them.
+The tallies read no snapshot.  Beside each one, replay keeps what they
+need of the open half-inning in loop locals: the first snapshot of each
+situation class, found by one lookup in a table of the base-out states,
+and each pitcher who faced a snapshot, with whether one of theirs was late
+and close.  When the half closes, ``_close`` builds its ``StateTimeline``
+once, as a tuple.  So the situation classes and the leverage window are
+defined here, next to the walk that applies them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,7 +50,8 @@ __all__ = [
 
 FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
 _BIT = (0, FIRST, SECOND, THIRD)  # indexed by Base; the batter stands on none
-# builds a Snapshot in half the time of its class's Python-level __new__
+# builds a Snapshot or a StateTimeline in half the time of its class's
+# Python-level __new__
 _new_tuple = tuple.__new__
 
 # a snapshot is late and close in these innings, within this many runs,
@@ -112,40 +113,31 @@ class Snapshot(NamedTuple):
     inning: int
 
 
-@dataclass
-class StateTimeline:
-    """One half-inning's snapshots plus run bookkeeping.
+class StateTimeline(NamedTuple):
+    """Replay's record of one half-inning, built once when it closes.
 
-    runs_on_play[i] is the number of runs scored on play i, the play whose
-    pre-play state is snapshots[i].  complete is False when the half-inning
-    was cut off mid-stream by anything other than the end of the game.
-
-    Replay's record of the half, which the tallies read in place of the
-    snapshots: ``firsts`` maps each situation class, in the order met, to
-    its first snapshot's (pitcher, runs earlier in the half, runs on its
-    play, high leverage), and ``faced`` maps each pitcher with a snapshot
-    to whether one of theirs was high leverage.
+    ``complete`` is False when the half was cut off short of three outs by
+    anything other than the end of the game, and ``excluded`` is the
+    quarantine reason, None when the half is usable.  ``firsts`` maps each
+    situation class, in the order met, to its first snapshot's (pitcher,
+    runs earlier in the half, runs on its play, high leverage), and
+    ``faced`` maps each pitcher with a snapshot to whether one of theirs
+    was high leverage.  The tallies read these in place of the snapshots.
     """
 
     half_inning_key: tuple[str, int, Half]
     season: int
-    snapshots: list[Snapshot] = field(default_factory=list)
-    runs_on_play: list[int] = field(default_factory=list)
-    outs_total: int = 0
-    runs: int = 0  # scored in the half
-    complete: bool = False
-    excluded: str | None = None  # quarantine reason, None when usable
-    score_reliable: bool = True
-    firsts: dict[SituationClass, tuple[str, int, int, bool]] = field(default_factory=dict)
-    faced: dict[str, bool] = field(default_factory=dict)
+    snapshots: list[Snapshot]
+    runs: int  # scored in the half
+    complete: bool
+    excluded: str | None
+    firsts: dict[SituationClass, tuple[str, int, int, bool]]
+    faced: dict[str, bool]
 
 
-@dataclass
-class GameReplay:
-    game_id: str
+class GameReplay(NamedTuple):
     timelines: list[StateTimeline]
     diagnostics: list[Diagnostic]
-    final_score: tuple[int, int]  # visitor, home
 
 
 def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int, int]:
@@ -280,21 +272,23 @@ def resolve_step(token: str, bases: int, outs: int) -> Step:
 
 
 def _close(
-    timeline: StateTimeline, outs: int, runs: int, at_game_end: bool,
+    key: tuple[str, int, Half], season: int, snapshots: list[Snapshot], runs: int,
+    outs: int, at_game_end: bool, excluded: str | None,
+    firsts: dict[SituationClass, tuple[str, int, int, bool]], faced: dict[str, bool],
     diagnostics: list[Diagnostic],
-) -> None:
-    """Close a half-inning after ``outs`` outs and ``runs`` runs; one cut
-    off short of three before the game ends is reported unless it was
-    already quarantined."""
-    timeline.outs_total = outs
-    timeline.runs = runs
-    timeline.complete = outs == 3 or at_game_end
-    if not timeline.complete and timeline.excluded is None:
-        game_id, inning, _ = timeline.half_inning_key
+) -> StateTimeline:
+    """The record of a half-inning closed after ``outs`` outs and ``runs``
+    runs; one cut off short of three before the game ends is reported
+    unless it was already quarantined."""
+    complete = outs == 3 or at_game_end
+    if not complete and excluded is None:
+        game_id, inning, _ = key
         diagnostics.append(Diagnostic(
             "incomplete_half_inning", f"inning {inning} ended after {outs} outs",
             game_id=game_id,
         ))
+    return _new_tuple(StateTimeline,
+                      (key, season, snapshots, runs, complete, excluded, firsts, faced))
 
 
 def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
@@ -313,19 +307,19 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
         diagnostics.append(
             Diagnostic("missing_info", "no starting pitcher listed", game_id=game_id)
         )
-        return GameReplay(game_id, [], diagnostics, (0, 0))
+        return GameReplay([], diagnostics)
 
     memo: StepMemo = {} if steps is None else steps
     season = account.season
     scores = [0, 0]  # visitor, home
-    score_reliable = True
+    score_reliable = True  # no half so far was quarantined, so every run is known
     timelines: list[StateTimeline] = []
-    timeline: StateTimeline | None = None
-    inning = half = None  # of the open half-inning
+    inning = half = None  # of the open half-inning, None before the first
     batting = bases = outs = 0  # bases is an occupancy mask
     opening = fielding = 0  # the batting side's score at the half's start, the other's
     late = False  # the half is late and its score trusted: a close snapshot is high leverage
-    dead = False  # set by a quarantine: the half's remaining plays are skipped
+    # the open half's quarantine reason: once set, its remaining plays are skipped
+    excluded: str | None = None
     placed: PlacedRunner | None = None  # a runner placed before the next play
 
     for item in account.events:
@@ -336,7 +330,7 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                 pitchers[item.team] = item.player_id
             continue
         if item.inning != inning or item.half != half:
-            if timeline is not None:
+            if inning is not None:
                 if (item.inning, item.half) < (inning, half):
                     # a game's account, a suspended game's too, runs in
                     # order, so a half that goes back belongs to another
@@ -345,27 +339,23 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                         "halves_out_of_order",
                         f"inning {item.inning} {item.half.name.lower()} after "
                         f"inning {inning} {half.name.lower()}", item.line_no, game_id))
-                    return GameReplay(game_id, [], diagnostics, (0, 0))
-                _close(timeline, outs, scores[batting] - opening, False, diagnostics)
+                    return GameReplay([], diagnostics)
+                timelines.append(_close(key, season, snapshots, scores[batting] - opening,
+                                        outs, False, excluded, firsts, faced, diagnostics))
             inning, half = item.inning, item.half
-            timeline = StateTimeline((game_id, inning, half), season,
-                                     score_reliable=score_reliable)
-            timelines.append(timeline)
-            snapshots, runs_on_play = timeline.snapshots, timeline.runs_on_play
-            firsts, faced = timeline.firsts, timeline.faced
-            batting, bases, outs, dead = int(half), 0, 0, False
+            key = (game_id, inning, half)
+            snapshots, firsts, faced, excluded = [], {}, {}, None
+            batting, bases, outs = int(half), 0, 0
             opening, fielding = scores[batting], scores[1 - batting]
             late = score_reliable and inning in HIGH_LEVERAGE_INNINGS
         if placed is not None:
             # the paper's seasons have no placed runner, so such a half is
             # left out rather than counted from an unusual start
-            if not dead:
-                timeline.excluded = reason = (
-                    f"runner {placed.runner_id} placed on base {placed.base}")
-                dead = True
+            if excluded is None:
+                excluded = f"runner {placed.runner_id} placed on base {placed.base}"
                 score_reliable = False
                 diagnostics.append(
-                    Diagnostic("placed_runner", reason, placed.line_no, game_id))
+                    Diagnostic("placed_runner", excluded, placed.line_no, game_id))
             placed = None
         token = item.event_text
         row = memo.get(token)
@@ -382,14 +372,13 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
             if step[0] is None:
                 row[at] = step
         parse_error, no_play, illegal, outs_recorded, runs, new_bases = step
-        # a parse error quarantines even a dead half; otherwise a dead half
-        # or a no-play is skipped before an illegal step quarantines
-        if parse_error is None and (dead or no_play):
+        # a parse error quarantines even a quarantined half; otherwise such a
+        # half or a no-play is skipped before an illegal step quarantines
+        if parse_error is None and (excluded is not None or no_play):
             continue
         reason = illegal if parse_error is None else parse_error
         if reason is not None:
-            timeline.excluded = reason
-            dead = True
+            excluded = reason
             # runs from here on are unknown, so later score margins are too
             score_reliable = False
             diagnostics.append(
@@ -398,7 +387,6 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
             continue
         score, pitcher = scores[batting], pitchers[1 - batting]
         snapshots.append(_new_tuple(Snapshot, (bases, outs, score, fielding, pitcher, inning)))
-        runs_on_play.append(runs)
         high = late and abs(score - fielding) <= HIGH_LEVERAGE_MARGIN
         situation = CLASS_AT[at]
         if situation is not None and situation not in firsts:
@@ -411,7 +399,8 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
         outs += outs_recorded
         scores[batting] = score + runs
 
-    if timeline is not None:
+    if inning is not None:
         # the account simply ends: a walk-off or a home win with no bottom 9
-        _close(timeline, outs, scores[batting] - opening, True, diagnostics)
-    return GameReplay(game_id, timelines, diagnostics, (scores[0], scores[1]))
+        timelines.append(_close(key, season, snapshots, scores[batting] - opening,
+                                outs, True, excluded, firsts, faced, diagnostics))
+    return GameReplay(timelines, diagnostics)

@@ -230,13 +230,8 @@ class RateTriple:
         return all(r.denominator > 0 for r in (self.t, self.s, self.f))
 
 
-# class -> outs -> the slot of the cell in a block of a RateSummary row, or
-# None for a cell that no class has, which only a table built by hand holds
-_SLOT = {
-    kind: tuple(CELLS.index((kind, outs)) if (kind, outs) in CELLS else None
-                for outs in range(3))
-    for kind in ClassKind
-}
+# (class, outs) -> the slot of the cell in a block of a RateSummary row
+_SLOT = {cell: i for i, cell in enumerate(CELLS)}
 # where each block starts in a RateSummary row, by the leverage a question
 # keeps: an all-innings question adds both blocks
 _BLOCKS = {False: (0,), True: (len(CELLS),), None: (0, len(CELLS))}
@@ -246,8 +241,9 @@ def _triple_slots(outs: int, leverage: bool | None) -> tuple[tuple[int, ...], ..
     """The slots that add up to T, S and F at threshold index ``outs``."""
     if outs not in (0, 1):
         raise ValueError("threshold index must be 0 or 1")
-    cells = (_SLOT[ClassKind.THIRD_OCCUPIED][outs], _SLOT[ClassKind.SECOND_NO_THIRD][outs],
-             _SLOT[ClassKind.FIRST_ONLY][outs + 1])
+    cells = (_SLOT[SituationClass(ClassKind.THIRD_OCCUPIED, outs)],
+             _SLOT[SituationClass(ClassKind.SECOND_NO_THIRD, outs)],
+             _SLOT[SituationClass(ClassKind.FIRST_ONLY, outs + 1)])
     return tuple(tuple(block + i for block in _BLOCKS[leverage]) for i in cells)
 
 
@@ -284,7 +280,7 @@ class RateSummary:
         """Where a cell with this key adds in a row, or None when it adds
         nowhere: its season is outside ``years``, or no class has it, which
         only a table built by hand can hold."""
-        i = _SLOT[kind][outs]
+        i = _SLOT.get((kind, outs))
         years = self.years
         if i is None or years and not (years[0] <= season <= years[1]):
             return None

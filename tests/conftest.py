@@ -100,6 +100,24 @@ def run_half(tokens: list, at_game_end: bool = True):
     return replay.timelines[0], replay.diagnostics
 
 
+def final_score(replay: GameReplay) -> tuple[int, int]:
+    """(visitor, home): the runs of each half summed by the side batting."""
+    score = [0, 0]
+    for timeline in replay.timelines:
+        score[timeline.half_inning_key[2]] += timeline.runs
+    return score[0], score[1]
+
+
+def runs_on_play(timeline) -> list[int]:
+    """The runs scored on each play of a half, the play whose pre-play
+    state is ``snapshots[i]``: the batting side's score at the next
+    snapshot, or at the half's close, less its score at this one."""
+    scores = [snap.score_batting for snap in timeline.snapshots]
+    if scores:
+        scores.append(scores[0] + timeline.runs)
+    return [after - before for before, after in zip(scores, scores[1:])]
+
+
 # Outcome mix with no walk and no double play, and singles that stop the
 # runner from second at third.  Under those rules the chance of scoring is
 # the same for every occupancy pattern within a situation class, so the

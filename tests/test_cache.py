@@ -234,6 +234,23 @@ def test_repeated_key_rejected(tmp_path, row):
         read_summary(path)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
+def test_rows_out_of_order_rejected(tmp_path, quoted):
+    """The writer sorts its rows by key, so two distinct rows swapped are
+    damage, though neither repeats a key."""
+    cache = sample_cache()
+    if quoted:  # a quote anywhere sends the read through csv.reader
+        cache.innings.counts[('o"neil01', 2003)] = [1, 2]
+    lines = render_cache(cache).splitlines()
+    assert lines[2] != lines[3]
+    lines[2], lines[3] = lines[3], lines[2]
+    path = tmp_path / "swapped.cache"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for read in (read_cache, read_summary):
+        with pytest.raises(CacheError, match="sorts before the key of the row above"):
+            read(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case", ["good", "bad row", "not UTF-8", "missing"])
 def test_read_cache_restores_collector(tmp_path, enabled, case):

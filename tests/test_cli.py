@@ -971,7 +971,7 @@ REFUSALS = [
      "error: no pitcher reached the first boundary\n"),
     (["table1", "--cache", "REPEATED"],
      "error: bad cache row ['hpit0001', 'first_only', '1', '2000:hl', '5', '23']: "
-     "repeats the key of an earlier row\n"),
+     "repeats or sorts before the key of the row above\n"),
     (["ingest", "-i", "EVN", "-i", "COPY", "--cache", "OUT"],
      "error: game HOM200004010 is in both COPY and EVN\n"),
     (["query", "-i", "EVN", "-i", "COPY"],

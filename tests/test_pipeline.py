@@ -23,7 +23,9 @@ from baserisk.pipeline import (
 )
 from baserisk.state import replay_game
 from baserisk.stats import CountingMode, extract_observations
-from conftest import PIN_ALPHABET, broken_text, damaged_texts, decorated_texts, make_game_text
+from conftest import (
+    PIN_ALPHABET, broken_text, damaged_texts, decorated_texts, final_score, make_game_text,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,13 +71,12 @@ def test_state_traces_match_simulation(replayed):
     games, _, replays, _, _ = replayed
     halves_checked = 0
     for game, replay in zip(games, replays, strict=True):
-        assert replay.final_score == game.score
+        assert final_score(replay) == game.score
         for sim, timeline in zip(game.halves, replay.timelines, strict=True):
             assert timeline.half_inning_key == (game.game_id, sim.inning, sim.half)
             assert timeline.excluded is None
             assert timeline.complete
-            assert timeline.score_reliable
-            assert sum(timeline.runs_on_play) == sim.runs
+            assert timeline.runs == sim.runs
             assert len(timeline.snapshots) == len(sim.plays)
             start_score = timeline.snapshots[0].score_batting
             for snap, play in zip(timeline.snapshots, sim.plays, strict=True):

@@ -27,7 +27,15 @@ from baserisk.state import (
     replay_game,
     resolve_step,
 )
-from conftest import decorate, make_game_text, pin_corpus, replay_events, run_half
+from conftest import (
+    decorate,
+    final_score,
+    make_game_text,
+    pin_corpus,
+    replay_events,
+    run_half,
+    runs_on_play,
+)
 
 LOADED = FIRST | SECOND | THIRD
 
@@ -163,18 +171,19 @@ def test_worked_half_inning_walkthrough():
     assert len(timeline.snapshots) == 5
     third_snap = timeline.snapshots[2]
     assert third_snap.bases == FIRST | THIRD
-    assert timeline.runs_on_play == [0, 0, 0, 0, 0]
-    assert timeline.complete and timeline.outs_total == 3
+    assert [s.outs for s in timeline.snapshots] == [0, 0, 0, 1, 2]
+    assert runs_on_play(timeline) == [0, 0, 0, 0, 0]
+    assert timeline.complete
 
 
 def test_runs_on_play_counts_each_play():
     timeline, _ = run_half(["D7", "S8.2-H", "HR.1-H", "K", "K", "K"])
-    assert timeline.runs_on_play == [0, 1, 2, 0, 0, 0]
+    assert runs_on_play(timeline) == [0, 1, 2, 0, 0, 0]
 
 
 def test_walk_off_half_is_complete():
     timeline, _ = run_half(["K", "S8.B-1"], at_game_end=True)
-    assert timeline.complete and timeline.outs_total == 1
+    assert timeline.complete
 
 
 def test_truncated_half_is_incomplete():
@@ -229,10 +238,11 @@ def test_play_after_the_third_out_quarantines(tokens):
     replay = replay_events(events)
     top, bottom = replay.timelines
     assert top.excluded == "play after the third out"
-    assert (top.runs, top.outs_total, len(top.snapshots)) == (0, 3, 3)
+    assert (top.runs, [s.outs for s in top.snapshots]) == (0, [0, 1, 2])
     assert not top.firsts
-    assert replay.final_score == (0, 0)
-    assert not bottom.score_reliable and bottom.faced == {"vpit1": False}
+    assert final_score(replay) == (0, 0)
+    # tied in the 8th, yet not high leverage: the score is no longer trusted
+    assert bottom.faced == {"vpit1": False}
     assert [(d.code, d.detail, d.line_no) for d in replay.diagnostics] == [
         ("quarantined_half_inning", "play after the third out", 4)]
     assert resolve_step("HR", 0, 3) == (None, False, "play after the third out", 0, 0, 0)
@@ -257,7 +267,7 @@ def test_scores_accumulate_across_halves():
         (2, 1, "hbat4", "HR"), (2, 1, "hbat5", "HR"), (2, 1, "hbat6", "K"),
     ])
     replay = replay_text(text)
-    assert replay.final_score == (1, 2)
+    assert final_score(replay) == (1, 2)
     bottom2 = replay.timelines[-1]
     first = bottom2.snapshots[0]
     assert (first.score_batting, first.score_fielding) == (0, 1)
@@ -285,7 +295,7 @@ def test_replay_records_what_the_tallies_read():
     bottom = replay.timelines[-1]
     assert [(s.bases, s.outs) for s in bottom.snapshots] == [
         (0, 0), (SECOND, 0), (SECOND, 1), (SECOND | THIRD, 1), (0, 1), (FIRST, 1), (FIRST, 2)]
-    assert bottom.runs_on_play == [0, 0, 0, 3, 0, 0, 0] and bottom.runs == 3
+    assert runs_on_play(bottom) == [0, 0, 0, 3, 0, 0, 0] and bottom.runs == 3
     # within a run until the home run, which put the home side two ahead
     assert list(bottom.firsts.items()) == [
         (SituationClass(ClassKind.SECOND_NO_THIRD, 0), ("vpit1", 0, 0, True)),
@@ -323,7 +333,7 @@ def test_pinch_runner_swaps_in_place():
     for timeline in (r.timelines[0] for r in replays):
         assert [(s.bases, s.outs) for s in timeline.snapshots] == [
             (0, 0), (FIRST, 0), (FIRST | SECOND, 0)]
-        assert timeline.runs_on_play == [0, 0, 1]
+        assert runs_on_play(timeline) == [0, 0, 1]
 
 
 def test_no_play_emits_no_snapshot():
@@ -332,15 +342,18 @@ def test_no_play_emits_no_snapshot():
 
 
 def test_quarantine_marks_rest_of_game_unreliable():
-    text = make_game_text([
-        (1, 0, "vbat1", "GLORP"),
-        (1, 1, "hbat1", "K"), (1, 1, "hbat2", "K"), (1, 1, "hbat3", "K"),
-    ])
-    replay = replay_text(text)
-    top1, bottom1 = replay.timelines
-    assert top1.excluded is not None
-    assert not bottom1.score_reliable
-    assert bottom1.excluded is None  # still usable for all-innings stats
+    """A tied 8th is late and close, unless an earlier half was quarantined:
+    its runs are unknown, so no later snapshot is high leverage."""
+    for top, trusted in ((["K", "K", "K"], True), (["GLORP"], False)):
+        text = make_game_text(
+            [(8, 0, f"vbat{n}", token) for n, token in enumerate(top)]
+            + [(8, 1, "hbat1", "T9"), (8, 1, "hbat2", "K"), (8, 1, "hbat3", "K"),
+               (8, 1, "hbat4", "K")])
+        top8, bottom8 = replay_text(text).timelines
+        assert (top8.excluded is None) == trusted
+        assert bottom8.excluded is None  # still usable for all-innings stats
+        assert [high for *_, high in bottom8.firsts.values()] == [trusted, trusted]
+        assert bottom8.faced == {"vpit1": trusted}
 
 
 def test_incomplete_half_flagged():
@@ -386,9 +399,10 @@ def conserves_runners(play, bases, outs_recorded, runs, new_bases):
 
 
 def fold_half(tokens):
-    """The half-inning as apply_play sees it: (snapshot masks, runs per
-    play, outs, quarantine reason).  Every legal step conserves runners."""
-    bases, outs, masks, runs, excluded = 0, 0, [], [], None
+    """The half-inning as apply_play sees it: ((bases, outs) before each
+    play, runs per play, quarantine reason).  Every legal step conserves
+    runners."""
+    bases, outs, states, runs, excluded = 0, 0, [], [], None
     for token in tokens:
         try:
             play = parse_play_token(token)
@@ -403,10 +417,10 @@ def fold_half(tokens):
             excluded = str(exc)
             continue
         assert conserves_runners(play, bases, outs_recorded, scored, new_bases)
-        masks.append(bases)
+        states.append((bases, outs))
         runs.append(scored)
         bases, outs = new_bases, outs + outs_recorded
-    return masks, runs, outs, excluded
+    return states, runs, excluded
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,12 +428,11 @@ def fold_half(tokens):
 def test_replay_invariants(tokens):
     timeline, _ = run_half(tokens)
     assert fold_half(tokens) == (
-        [s.bases for s in timeline.snapshots], timeline.runs_on_play,
-        timeline.outs_total, timeline.excluded)
+        [(s.bases, s.outs) for s in timeline.snapshots], runs_on_play(timeline),
+        timeline.excluded)
     if timeline.excluded is not None:
         return
-    assert timeline.outs_total <= 3
-    assert all(runs >= 0 for runs in timeline.runs_on_play)
+    assert all(runs >= 0 for runs in runs_on_play(timeline))
 
 
 def test_resolve_step_matches_apply_play():

@@ -33,7 +33,7 @@ from baserisk.stats import (
     group_summary,
     rates,
 )
-from conftest import make_game_text, replay_events, run_half
+from conftest import make_game_text, replay_events, run_half, runs_on_play
 
 def bases(first=False, second=False, third=False):
     return (FIRST if first else 0) | (SECOND if second else 0) | (THIRD if third else 0)
@@ -157,7 +157,7 @@ def test_high_leverage_window():
 
 def test_unreliable_score_never_high_leverage():
     timeline = late_half(["T9", "K", "K", "K"], quarantine_first=True)
-    assert not timeline.score_reliable
+    assert timeline.faced == {"hpit1": False}
     obs = extract_observations(timeline)
     assert obs and not any(o.high_leverage for o in obs)
 
@@ -335,9 +335,10 @@ RISKY_PLAYS = ["S8.3-H", "ZZ9"]
 @st.composite
 def late_games(draw):
     """The lines of a game of consecutive halves in innings 7-10 whose
-    margins move as runs score.  A half may change pitchers mid-way, hold a
-    play that quarantines it (and leaves no later score trusted), or stop
-    short of its third out, cut off by the next half."""
+    margins move as runs score.  A half may open with a placed runner or
+    hold a play that quarantines it (either leaves no later score trusted),
+    change pitchers mid-way, or stop short of its third out, cut off by the
+    next half."""
     first = draw(st.integers(14, 19))  # 2 * inning + half
     lines = []
     for number in range(first, min(first + draw(st.integers(1, 5)), 22)):
@@ -352,32 +353,37 @@ def late_games(draw):
         if draw(st.booleans()):
             at = draw(st.integers(0, len(half_lines)))
             half_lines.insert(at, f'sub,rel{number},"Reliever",{1 - half},0,1')
+        if draw(st.integers(0, 7)) == 0:
+            half_lines.insert(0, f"radj,{team}run{number},2")
         lines += half_lines
     return lines
 
 
 def plain_walk(timelines, mode):
     """Cells, innings rows and each timeline's observations, from the
-    snapshots and runs of each usable half, written out plainly."""
+    snapshots and runs of each usable half of one game, written out
+    plainly.  A score is trusted while no earlier half is quarantined."""
     cells, innings, observations = {}, {}, []
+    trusted = True
     for t in timelines:
         observations.append([])
+        reliable, trusted = trusted, trusted and t.excluded is None
         if t.excluded is not None or not t.complete:
             continue
 
         def late_and_close(snap):
-            return (t.score_reliable and snap.inning in (8, 9)
+            return (reliable and snap.inning in (8, 9)
                     and abs(snap.score_batting - snap.score_fielding) <= 1)
 
-        seen = set()
+        seen, per_play = set(), runs_on_play(t)
         for idx, snap in enumerate(t.snapshots):
             situation = classify_state(snap.bases, snap.outs)
             if situation is None or situation in seen:
                 continue
             seen.add(situation)
-            later = sum(t.runs_on_play[idx:])
+            later = sum(per_play[idx:])
             if mode is CountingMode.EXCLUDE_PLAY:
-                later -= t.runs_on_play[idx]
+                later -= per_play[idx]
             observations[-1].append(SituationObservation(
                 t.half_inning_key, snap.pitcher_id, situation, later >= 1,
                 late_and_close(snap), t.season))

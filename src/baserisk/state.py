@@ -1,11 +1,11 @@
 """Base-out state reconstruction by replaying parsed plays.
 
-``replay_game`` walks a game account in order, emitting a pre-play Snapshot
-for every play that is not a no-play, and folding each play's effects into
-the next state.  Anything it cannot replay exactly (an unparseable token, an
-advance from an empty base, a fourth out, a play after the third out)
-quarantines the enclosing half-inning instead of guessing, and so does a
-runner placed on a base.
+``replay_game`` walks a game account in order, recording the pre-play
+base-out code ``bases << 2 | outs`` of every play that is not a no-play,
+and folding each play's effects into the next state.  Anything it cannot
+replay exactly (an unparseable token, an advance from an empty base, a
+fourth out, a play after the third out) quarantines the enclosing
+half-inning instead of guessing, and so does a runner placed on a base.
 
 No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
@@ -13,12 +13,12 @@ replay resolves each (effect text, occupancy, outs) only once per ingest
 task, through a memo that maps each token as written to one row of steps
 per effect text and holds only the plays that parse.
 
-The tallies read no snapshot.  Beside each one, replay keeps what they
-need of the open half-inning in loop locals: the first snapshot of each
-situation class, found by one lookup in a table of the base-out states,
-and each pitcher who faced a snapshot, with whether one of theirs was late
-and close.  When the half closes, ``_close`` builds its ``StateTimeline``
-once, as a tuple.  So the situation classes and the leverage window are
+The tallies read no code.  Beside the codes, replay keeps what they need
+of the open half-inning in loop locals: the first play of each situation
+class, found by one lookup in a table of the base-out states, and each
+pitcher who faced a play, with whether one of theirs was late and close.
+When the half closes, ``_close`` builds its ``StateTimeline`` once, as a
+tuple.  So the situation classes and the leverage window are
 defined here, next to the walk that applies them.
 """
 
@@ -39,7 +39,6 @@ __all__ = [
     "GameReplay",
     "IllegalState",
     "SituationClass",
-    "Snapshot",
     "StateTimeline",
     "apply_play",
     "classify_state",
@@ -50,11 +49,10 @@ __all__ = [
 
 FIRST, SECOND, THIRD = 1, 2, 4  # occupancy bit masks
 _BIT = (0, FIRST, SECOND, THIRD)  # indexed by Base; the batter stands on none
-# builds a Snapshot or a StateTimeline in half the time of its class's
-# Python-level __new__
+# builds a StateTimeline in half the time of its Python-level __new__
 _new_tuple = tuple.__new__
 
-# a snapshot is late and close in these innings, within this many runs,
+# a play is late and close in these innings, within this many runs,
 # while the game's running score is still trusted
 HIGH_LEVERAGE_INNINGS = (8, 9)
 HIGH_LEVERAGE_MARGIN = 1
@@ -91,26 +89,14 @@ def classify_state(bases: int, outs: int) -> SituationClass | None:
     return None
 
 
-# the class of every base-out state, at bases << 2 | outs; a snapshot never
-# shows 3 outs, since a play after the third out is refused, but the shift
-# keeps a slot for them
+# the class of every base-out state, at bases << 2 | outs; no play is
+# replayed at 3 outs, since a play after the third out is refused, but the
+# shift keeps a slot for them
 CLASS_AT = tuple(classify_state(bases, outs) for bases in range(8) for outs in range(4))
 
 
 class IllegalState(ValueError):
     """A play that cannot be applied to the current base-out state."""
-
-
-class Snapshot(NamedTuple):
-    """Pre-play state: everything needed to classify a situation.  A tuple,
-    since replay builds one per play."""
-
-    bases: int  # occupancy mask of FIRST, SECOND, THIRD
-    outs: int
-    score_batting: int
-    score_fielding: int
-    pitcher_id: str
-    inning: int
 
 
 class StateTimeline(NamedTuple):
@@ -119,15 +105,16 @@ class StateTimeline(NamedTuple):
     ``complete`` is False when the half was cut off short of three outs by
     anything other than the end of the game, and ``excluded`` is the
     quarantine reason, None when the half is usable.  ``firsts`` maps each
-    situation class, in the order met, to its first snapshot's (pitcher,
-    runs earlier in the half, runs on its play, high leverage), and
-    ``faced`` maps each pitcher with a snapshot to whether one of theirs
-    was high leverage.  The tallies read these in place of the snapshots.
+    situation class, in the order met, to its first play's (pitcher, runs
+    earlier in the half, runs on that play, high leverage), and ``faced``
+    maps each pitcher who faced a play to whether one of theirs was high
+    leverage.  The tallies read these; ``snapshots`` holds each play's
+    pre-play code ``bases << 2 | outs``.
     """
 
     half_inning_key: tuple[str, int, Half]
     season: int
-    snapshots: list[Snapshot]
+    snapshots: list[int]
     runs: int  # scored in the half
     complete: bool
     excluded: str | None
@@ -272,7 +259,7 @@ def resolve_step(token: str, bases: int, outs: int) -> Step:
 
 
 def _close(
-    key: tuple[str, int, Half], season: int, snapshots: list[Snapshot], runs: int,
+    key: tuple[str, int, Half], season: int, snapshots: list[int], runs: int,
     outs: int, at_game_end: bool, excluded: str | None,
     firsts: dict[SituationClass, tuple[str, int, int, bool]], faced: dict[str, bool],
     diagnostics: list[Diagnostic],
@@ -317,7 +304,7 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
     inning = half = None  # of the open half-inning, None before the first
     batting = bases = outs = 0  # bases is an occupancy mask
     opening = fielding = 0  # the batting side's score at the half's start, the other's
-    late = False  # the half is late and its score trusted: a close snapshot is high leverage
+    late = False  # the half is late and its score trusted: a close play is high leverage
     # the open half's quarantine reason: once set, its remaining plays are skipped
     excluded: str | None = None
     placed: PlacedRunner | None = None  # a runner placed before the next play
@@ -386,7 +373,7 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
             )
             continue
         score, pitcher = scores[batting], pitchers[1 - batting]
-        snapshots.append(_new_tuple(Snapshot, (bases, outs, score, fielding, pitcher, inning)))
+        snapshots.append(at)
         high = late and abs(score - fielding) <= HIGH_LEVERAGE_MARGIN
         situation = CLASS_AT[at]
         if situation is not None and situation not in firsts:

@@ -7,10 +7,10 @@ Three situation classes are tracked, each at a fixed out count:
 * exactly one runner, on first, 1 or 2 outs
 
 A half-inning contributes at most one observation per class, taken at the
-first qualifying snapshot; the recorded outcome is whether at least one run
-scored from that point to the end of the half-inning.  The classes and the
-high-leverage window are defined in ``state``, whose replay records each
-half's first snapshot per class and the pitchers who faced it; this module
+first play that starts in it; the recorded outcome is whether at least one
+run scored from that point to the end of the half-inning.  The classes and
+the high-leverage window are defined in ``state``, whose replay records
+each half's first play per class and the pitchers who faced it; this module
 turns that record into observations and tally cells.  The threshold for
 sending a runner compares the scoring rate lost by an out on the bases
 against the rate gained by taking the extra base:
@@ -64,9 +64,9 @@ __all__ = [
 
 
 class CountingMode(Enum):
-    """Whether a run scoring on the snapshot's own play counts as scoring
-    later in the inning.  The snapshot is the pre-play state, so the default
-    says yes; the alternative starts counting at the next play."""
+    """Whether a run scoring on the observed play itself counts as scoring
+    later in the inning.  The observation is of the pre-play state, so the
+    default says yes; the alternative starts counting at the next play."""
 
     INCLUDE_PLAY = "include"
     EXCLUDE_PLAY = "exclude"
@@ -106,7 +106,7 @@ def extract_observations(
     timeline: StateTimeline, mode: CountingMode = CountingMode.INCLUDE_PLAY
 ) -> list[SituationObservation]:
     """The observations of replay's record of the half: the first
-    qualifying snapshot per class, with its pitcher and leverage, and
+    qualifying play per class, with its pitcher and leverage, and
     whether a run scored from it to the end of the half.
 
     Quarantined and incomplete timelines yield nothing.
@@ -166,16 +166,16 @@ class InningCounts:
 
 def tally_halves(timelines: Iterable[StateTimeline], table: TallyTable,
                  innings: InningCounts, mode: CountingMode) -> int:
-    """Add each usable half's record straight into the table's cells and
-    the innings rows, as ``extract_observations``, ``TallyTable.add_all``
-    and ``InningCounts.add_timeline`` would, but with no observation built;
-    return the number of observations."""
+    """Add each half's record straight into the table's cells and the
+    innings rows, as ``extract_observations``, ``TallyTable.add_all`` and
+    ``InningCounts.add_timeline`` would, but with no observation built;
+    return the number of observations.  Every half must be complete and
+    unquarantined, as ``pipeline.iter_timelines`` yields them: this loop
+    does not check."""
     cells, counts = table.cells, innings.counts
     exclude = mode is CountingMode.EXCLUDE_PLAY
     observations = 0
     for timeline in timelines:
-        if timeline.excluded is not None or not timeline.complete:
-            continue
         season, runs, firsts = timeline.season, timeline.runs, timeline.firsts
         observations += len(firsts)
         for (kind, outs), (pid, earlier, on_play, high) in firsts.items():
@@ -193,7 +193,7 @@ def career_high_leverage_innings(
     innings: InningCounts, years: tuple[int, int] | None = None
 ) -> dict[str, int]:
     """Distinct half-innings in which each pitcher faced at least one
-    high-leverage snapshot, for every pitcher with an innings row (0 when
+    high-leverage play, for every pitcher with an innings row (0 when
     none of their seasons falls inside ``years``)."""
     careers: dict[str, int] = {}
     for (pid, season), (hl, _) in innings.counts.items():

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import pytest
 
-from baserisk.eventfile import GameAccount, Half, LineupEntry, PlayLine
+from baserisk.eventfile import GameAccount, Half, LineupEntry, PlacedRunner, PlayLine, SubLine
 from baserisk.oracle import (
     DEFAULT_ADVANCES,
     Outcome,
@@ -20,7 +22,7 @@ from baserisk.oracle import (
     emit_event_file,
     simulate_season,
 )
-from baserisk.state import GameReplay, replay_game
+from baserisk.state import GameReplay, replay_game, resolve_step
 
 
 @pytest.fixture(autouse=True)
@@ -69,23 +71,27 @@ def make_game_text(
     return "\n".join(lines) + "\n"
 
 
-def replay_events(events: list) -> GameReplay:
-    """Replay a game between the starting pitchers vpit1 and hpit1 whose
-    events are (inning, half, token) plays, each by a fresh batter, and
-    sub or radj records given as ``SubLine`` or ``PlacedRunner``."""
+def game_account(events: list) -> GameAccount:
+    """A game between the starting pitchers vpit1 and hpit1 whose events
+    are (inning, half, token) plays, each by a fresh batter, and sub or
+    radj records given as ``SubLine`` or ``PlacedRunner``."""
     items = [
         PlayLine(event[0], Half(event[1]), f"bat{n}", event[2], n + 1)
         if isinstance(event, tuple) else event
         for n, event in enumerate(events)
     ]
-    account = GameAccount(
+    return GameAccount(
         "TST200004010",
         {"visteam": "VIS", "hometeam": "HOM", "date": "2000/04/01"},
         [LineupEntry("vpit1", "V Pitcher", 0, 0, 1),
          LineupEntry("hpit1", "H Pitcher", 1, 0, 1)],
         items,
     )
-    return replay_game(account)
+
+
+def replay_events(events: list) -> GameReplay:
+    """Replay the game of ``game_account(events)``."""
+    return replay_game(game_account(events))
 
 
 def run_half(tokens: list, at_game_end: bool = True):
@@ -108,14 +114,74 @@ def final_score(replay: GameReplay) -> tuple[int, int]:
     return score[0], score[1]
 
 
-def runs_on_play(timeline) -> list[int]:
-    """The runs scored on each play of a half, the play whose pre-play
-    state is ``snapshots[i]``: the batting side's score at the next
-    snapshot, or at the half's close, less its score at this one."""
-    scores = [snap.score_batting for snap in timeline.snapshots]
-    if scores:
-        scores.append(scores[0] + timeline.runs)
-    return [after - before for before, after in zip(scores, scores[1:])]
+class WalkedPlay(NamedTuple):
+    code: int  # the pre-play base-out state, bases << 2 | outs
+    runs: int  # scored on the play
+    pitcher: str  # the fielding side's
+    batting: int  # the batting side's score before the play
+    fielding: int  # the fielding side's score
+
+
+@dataclass
+class WalkedHalf:
+    inning: int
+    half: Half
+    trusted: bool  # no earlier half of the game was quarantined
+    plays: list[WalkedPlay] = field(default_factory=list)
+    outs: int = 0
+    excluded: str | None = None  # the last quarantine reason met
+
+
+def walk_game(account: GameAccount) -> list[WalkedHalf]:
+    """The account's halves, played out line by line with ``resolve_step``
+    and nothing else of replay: no memo, no effect text, no record.
+
+    The rules are replay's, in its order.  A sub record for position 1
+    changes its side's pitcher.  A runner placed before a play quarantines
+    that play's half, if nothing has yet.  A parse error quarantines even a
+    quarantined half; otherwise a play in a quarantined half, or a no-play,
+    is skipped before an illegal step quarantines.  A half is trusted while
+    no earlier half of the game is quarantined.  Unlike replay, the walk
+    never drops a game: give it none that lacks a starting pitcher or has a
+    half that goes back.
+    """
+    pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}
+    scores = [0, 0]  # visitor, home
+    halves: list[WalkedHalf] = []
+    placed: PlacedRunner | None = None
+    bases = 0
+    for item in account.events:
+        if isinstance(item, PlacedRunner):
+            placed = item
+            continue
+        if isinstance(item, SubLine):
+            if item.position == 1:
+                pitchers[item.team] = item.player_id
+            continue
+        if not halves or (halves[-1].inning, halves[-1].half) != (item.inning, item.half):
+            trusted = all(h.excluded is None for h in halves)
+            halves.append(WalkedHalf(item.inning, item.half, trusted))
+            bases = 0
+        open_half = halves[-1]
+        if placed is not None:
+            if open_half.excluded is None:
+                open_half.excluded = f"runner {placed.runner_id} placed on base {placed.base}"
+            placed = None
+        parse_error, no_play, illegal, outs, runs, new_bases = resolve_step(
+            item.event_text, bases, open_half.outs)
+        if parse_error is None and (open_half.excluded is not None or no_play):
+            continue
+        if parse_error is not None or illegal is not None:
+            open_half.excluded = parse_error or illegal
+            continue
+        batting = int(item.half)
+        open_half.plays.append(WalkedPlay(
+            bases << 2 | open_half.outs, runs, pitchers[1 - batting],
+            scores[batting], scores[1 - batting]))
+        bases = new_bases
+        open_half.outs += outs
+        scores[batting] += runs
+    return halves
 
 
 # Outcome mix with no walk and no double play, and singles that stop the

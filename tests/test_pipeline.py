@@ -21,10 +21,11 @@ from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import (
     IngestResult, InputError, collect_observations, ingest_paths, ingest_text, iter_timelines,
 )
-from baserisk.state import replay_game
+from baserisk.state import classify_state, replay_game
 from baserisk.stats import CountingMode, extract_observations
 from conftest import (
     PIN_ALPHABET, broken_text, damaged_texts, decorated_texts, final_score, make_game_text,
+    walk_game,
 )
 
 
@@ -67,7 +68,8 @@ def test_play_lines_match_simulation(replayed):
 
 
 def test_state_traces_match_simulation(replayed):
-    """Replayed pre-play state agrees with the generator, half by half."""
+    """Replayed pre-play states, and the runs before and on each class's
+    first play, agree with the generator, half by half."""
     games, _, replays, _, _ = replayed
     halves_checked = 0
     for game, replay in zip(games, replays, strict=True):
@@ -77,12 +79,15 @@ def test_state_traces_match_simulation(replayed):
             assert timeline.excluded is None
             assert timeline.complete
             assert timeline.runs == sim.runs
-            assert len(timeline.snapshots) == len(sim.plays)
-            start_score = timeline.snapshots[0].score_batting
-            for snap, play in zip(timeline.snapshots, sim.plays, strict=True):
-                assert snap.bases == play.pre_mask
-                assert snap.outs == play.pre_outs
-                assert snap.score_batting - start_score == play.pre_runs
+            assert timeline.snapshots == [p.pre_mask << 2 | p.pre_outs for p in sim.plays]
+            after = [p.pre_runs for p in sim.plays[1:]] + [sim.runs]
+            firsts = {}
+            for play, runs_after in zip(sim.plays, after):
+                situation = classify_state(play.pre_mask, play.pre_outs)
+                if situation is not None and situation not in firsts:
+                    firsts[situation] = (play.pre_runs, runs_after - play.pre_runs)
+            assert [(situation, earlier, on_play) for situation, (_, earlier, on_play, _)
+                    in timeline.firsts.items()] == [(s, *runs) for s, runs in firsts.items()]
             halves_checked += 1
     assert halves_checked == 10_800
 
@@ -303,10 +308,12 @@ def test_midgame_sub_switches_credited_pitcher():
     for account in accounts:
         replay = replay_game(account)
         assert replay.diagnostics == []
-        for timeline in replay.timelines:
+        for timeline, walked in zip(replay.timelines, walk_game(account), strict=True):
             _, inning, half = timeline.half_inning_key
             fielding = "h" if half is Half.TOP else "v"
-            pitchers = [s.pitcher_id for s in timeline.snapshots]
+            pitchers = [play.pitcher for play in walked.plays]
+            # replay credits the pitchers the walk does, in the same order
+            assert list(timeline.faced) == list(dict.fromkeys(pitchers))
             if inning < 6:
                 assert set(pitchers) == {f"{fielding}pit0001"}
             elif inning == 6 and len(pitchers) >= 2:
@@ -855,7 +862,7 @@ def test_archive_ingest_matches_the_reference(seed, tmp_path, monkeypatch, capsy
 def _exclude_mode_tally(games):
     """Cells and innings rows of ``--counting-mode exclude`` from the
     simulator's record alone, by the rules of the benchmark's
-    ``reference_tally``, with a run on the snapshot's own play left out.
+    ``reference_tally``, with a run on the observed play itself left out.
     A play's runs are the next play's ``pre_runs`` less its own, or the
     half's runs less its own after its last play."""
     from reference import HIGH_LEVERAGE_INNINGS, HIGH_LEVERAGE_MARGIN, classify

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baserisk.eventfile import SubLine, assemble_games
+from baserisk.eventfile import SubLine, assemble_games, iter_games
+from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.playtoken import (
     Base,
     PlayKind,
@@ -21,20 +22,26 @@ from baserisk.state import (
     ClassKind,
     IllegalState,
     SituationClass,
-    Snapshot,
     apply_play,
+    classify_state,
     effect_text,
     replay_game,
     resolve_step,
 )
 from conftest import (
+    PIN_ALPHABET,
+    PIN_SEEDS,
+    damaged_texts,
     decorate,
+    decorated_texts,
     final_score,
+    game_account,
     make_game_text,
+    mutate,
     pin_corpus,
     replay_events,
     run_half,
-    runs_on_play,
+    walk_game,
 )
 
 LOADED = FIRST | SECOND | THIRD
@@ -165,20 +172,29 @@ def test_collision_without_force_is_illegal():
 # --- half-inning replay ------------------------------------------------------
 
 
+def codes(*states):
+    """The base-out codes of (bases, outs) states, as replay records them."""
+    return [bases << 2 | outs for bases, outs in states]
+
+
 def test_worked_half_inning_walkthrough():
     timeline, diags = run_half(["W", "S8/G.1-3", "K", "K", "3/G"])
     assert diags == []
-    assert len(timeline.snapshots) == 5
-    third_snap = timeline.snapshots[2]
-    assert third_snap.bases == FIRST | THIRD
-    assert [s.outs for s in timeline.snapshots] == [0, 0, 0, 1, 2]
-    assert runs_on_play(timeline) == [0, 0, 0, 0, 0]
+    assert timeline.snapshots == codes(
+        (0, 0), (FIRST, 0), (FIRST | THIRD, 0), (FIRST | THIRD, 1), (FIRST | THIRD, 2))
+    assert timeline.runs == 0
     assert timeline.complete
 
 
 def test_runs_on_play_counts_each_play():
-    timeline, _ = run_half(["D7", "S8.2-H", "HR.1-H", "K", "K", "K"])
-    assert runs_on_play(timeline) == [0, 1, 2, 0, 0, 0]
+    tokens = ["D7", "S8.2-H", "HR.1-H", "K", "K", "K"]
+    (walked,) = walk_game(game_account([(1, 0, token) for token in tokens]))
+    assert [play.runs for play in walked.plays] == [0, 1, 2, 0, 0, 0]
+    timeline, _ = run_half(tokens)
+    assert timeline.runs == 3
+    # the double's runner scored on the next play
+    assert timeline.firsts == {
+        SituationClass(ClassKind.SECOND_NO_THIRD, 0): ("hpit1", 0, 1, False)}
 
 
 def test_walk_off_half_is_complete():
@@ -213,20 +229,9 @@ def test_illegal_state_quarantines():
     assert timeline.snapshots == []  # nothing usable was recorded
 
 
-def test_snapshot_is_an_immutable_positional_record():
-    snap = Snapshot(FIRST | THIRD, 1, 3, 2, "hpit1", 9)
-    assert Snapshot._fields == (
-        "bases", "outs", "score_batting", "score_fielding", "pitcher_id", "inning")
-    assert (snap.bases, snap.outs, snap.score_batting, snap.score_fielding,
-            snap.pitcher_id, snap.inning) == (FIRST | THIRD, 1, 3, 2, "hpit1", 9)
-    with pytest.raises(AttributeError):
-        snap.outs = 2
-    assert not hasattr(snap, "__dict__")
-
-
 def test_snapshots_never_show_three_outs():
     timeline, _ = run_half(["K", "K", "W", "S8.1-3", "K"])
-    assert all(s.outs <= 2 for s in timeline.snapshots)
+    assert all(code & 3 <= 2 for code in timeline.snapshots)
 
 
 @pytest.mark.parametrize("tokens", [["K", "K", "K", "HR"], ["K", "K", "K", "S8", "S8"]])
@@ -238,7 +243,7 @@ def test_play_after_the_third_out_quarantines(tokens):
     replay = replay_events(events)
     top, bottom = replay.timelines
     assert top.excluded == "play after the third out"
-    assert (top.runs, [s.outs for s in top.snapshots]) == (0, [0, 1, 2])
+    assert (top.runs, top.snapshots) == (0, codes((0, 0), (0, 1), (0, 2)))
     assert not top.firsts
     assert final_score(replay) == (0, 0)
     # tied in the 8th, yet not high leverage: the score is no longer trusted
@@ -252,10 +257,14 @@ def test_play_after_the_third_out_quarantines(tokens):
 # --- whole-game replay -------------------------------------------------------
 
 
-def replay_text(text):
+def account_of(text):
     games, diags = assemble_games(text)
     assert diags == []
-    return replay_game(games[0])
+    return games[0]
+
+
+def replay_text(text):
+    return replay_game(account_of(text))
 
 
 def test_scores_accumulate_across_halves():
@@ -268,11 +277,50 @@ def test_scores_accumulate_across_halves():
     ])
     replay = replay_text(text)
     assert final_score(replay) == (1, 2)
-    bottom2 = replay.timelines[-1]
-    first = bottom2.snapshots[0]
-    assert (first.score_batting, first.score_fielding) == (0, 1)
-    later = bottom2.snapshots[2]
-    assert (later.score_batting, later.score_fielding) == (2, 1)
+    assert replay.timelines[-1].runs == 2
+    bottom2 = walk_game(account_of(text))[-1].plays
+    assert (bottom2[0].batting, bottom2[0].fielding) == (0, 1)
+    assert (bottom2[2].batting, bottom2[2].fielding) == (2, 1)
+
+
+def token_damaged_text() -> str:
+    """A relief-pitcher season with about one play token in ten replaced
+    by a decorated 0-3 edit mutation of a pin seed."""
+    rng = random.Random(10)
+    lines = emit_event_file(simulate_season(
+        default_model(), 30, seed=1000, season=1999, midgame_subs=True)).splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("play,") and rng.random() < 0.1:
+            head = line.rpartition(",")[0]
+            lines[i] = f"{head},{decorate(mutate(rng, PIN_SEEDS, PIN_ALPHABET), rng)}"
+    return "\n".join(lines) + "\n"
+
+
+def test_replay_matches_a_plain_walk_of_the_corpora():
+    """Through one play memo per file, as an ingest task shares it, replay
+    records the codes, runs, quarantine reason, completeness and pitchers
+    of a walk that resolves every play afresh, over the decorated, damaged
+    and token-damaged corpora.  Games that replay drops are left out."""
+    halves = quarantined = 0
+    for text in decorated_texts() + damaged_texts() + [token_damaged_text()]:
+        steps = {}
+        for account in iter_games(text, []):
+            if account is None:
+                continue
+            timelines = replay_game(account, steps).timelines
+            if not timelines:
+                continue
+            walked = walk_game(account)
+            for timeline, h in zip(timelines, walked, strict=True):
+                assert timeline.half_inning_key == (account.game_id, h.inning, h.half)
+                assert timeline.snapshots == [play.code for play in h.plays]
+                assert timeline.runs == sum(play.runs for play in h.plays)
+                assert timeline.excluded == h.excluded
+                assert timeline.complete == (h.outs == 3 or h is walked[-1])
+                assert list(timeline.faced) == list(dict.fromkeys(p.pitcher for p in h.plays))
+                halves += 1
+                quarantined += h.excluded is not None
+    assert halves > 1_000 and quarantined > 10
 
 
 def test_half_that_goes_back_drops_the_game():
@@ -285,17 +333,17 @@ def test_half_that_goes_back_drops_the_game():
 
 
 def test_replay_records_what_the_tallies_read():
-    """Beside the snapshots, a half records its runs, the first snapshot of
-    each class and whether each pitcher faced a late and close one."""
+    """Beside each play's base-out code, a half records its runs, the first
+    play of each class and whether each pitcher faced a late and close one."""
     relief = [SubLine(f"vpit{n}", "Relief", 0, 0, 1) for n in (2, 3)]
     replay = replay_events(
         [(8, 0, t) for t in ["HR", "K", "K", "K"]]
         + [(8, 1, t) if isinstance(t, str) else t
            for t in ["D7", "K", relief[0], "D7", "HR", relief[1], "S8", "K", "K"]])
     bottom = replay.timelines[-1]
-    assert [(s.bases, s.outs) for s in bottom.snapshots] == [
-        (0, 0), (SECOND, 0), (SECOND, 1), (SECOND | THIRD, 1), (0, 1), (FIRST, 1), (FIRST, 2)]
-    assert runs_on_play(bottom) == [0, 0, 0, 3, 0, 0, 0] and bottom.runs == 3
+    assert bottom.snapshots == codes(
+        (0, 0), (SECOND, 0), (SECOND, 1), (SECOND | THIRD, 1), (0, 1), (FIRST, 1), (FIRST, 2))
+    assert bottom.runs == 3
     # within a run until the home run, which put the home side two ahead
     assert list(bottom.firsts.items()) == [
         (SituationClass(ClassKind.SECOND_NO_THIRD, 0), ("vpit1", 0, 0, True)),
@@ -310,7 +358,7 @@ def test_replay_records_what_the_tallies_read():
 def test_snapshot_pitcher_is_fielding_side():
     text = make_game_text([(1, 0, "vbat1", "K")])
     replay = replay_text(text)
-    assert replay.timelines[0].snapshots[0].pitcher_id == "hpit1"
+    assert replay.timelines[0].faced == {"hpit1": False}
 
 
 def test_mid_inning_pitcher_change_shifts_credit():
@@ -321,8 +369,9 @@ def test_mid_inning_pitcher_change_shifts_credit():
         (1, 0, "vbat3", "K"),
     ])
     replay = replay_text(text)
-    pitchers = [s.pitcher_id for s in replay.timelines[0].snapshots]
-    assert pitchers == ["hpit1", "hpit2", "hpit2"]
+    assert list(replay.timelines[0].faced) == ["hpit1", "hpit2"]
+    (walked,) = walk_game(account_of(text))
+    assert [play.pitcher for play in walked.plays] == ["hpit1", "hpit2", "hpit2"]
 
 
 def test_pinch_runner_swaps_in_place():
@@ -331,19 +380,20 @@ def test_pinch_runner_swaps_in_place():
     with_sub = plays[:1] + ['sub,vbat9,"Runner",0,1,12'] + plays[1:]
     replays = [replay_text(make_game_text(lines)) for lines in (plays, with_sub)]
     for timeline in (r.timelines[0] for r in replays):
-        assert [(s.bases, s.outs) for s in timeline.snapshots] == [
-            (0, 0), (FIRST, 0), (FIRST | SECOND, 0)]
-        assert runs_on_play(timeline) == [0, 0, 1]
+        assert timeline.snapshots == codes((0, 0), (FIRST, 0), (FIRST | SECOND, 0))
+        # the third play, from second and first with none out, scored one
+        assert timeline.firsts == {
+            SituationClass(ClassKind.SECOND_NO_THIRD, 0): ("hpit1", 0, 1, False)}
 
 
 def test_no_play_emits_no_snapshot():
     timeline, _ = run_half(["NP", "K", "K", "K"])
-    assert len(timeline.snapshots) == 3
+    assert timeline.snapshots == codes((0, 0), (0, 1), (0, 2))
 
 
 def test_quarantine_marks_rest_of_game_unreliable():
     """A tied 8th is late and close, unless an earlier half was quarantined:
-    its runs are unknown, so no later snapshot is high leverage."""
+    its runs are unknown, so no later play is high leverage."""
     for top, trusted in ((["K", "K", "K"], True), (["GLORP"], False)):
         text = make_game_text(
             [(8, 0, f"vbat{n}", token) for n, token in enumerate(top)]
@@ -427,12 +477,16 @@ def fold_half(tokens):
 @given(st.lists(st.sampled_from(TOKEN_POOL), min_size=1, max_size=12))
 def test_replay_invariants(tokens):
     timeline, _ = run_half(tokens)
-    assert fold_half(tokens) == (
-        [(s.bases, s.outs) for s in timeline.snapshots], runs_on_play(timeline),
-        timeline.excluded)
-    if timeline.excluded is not None:
-        return
-    assert all(runs >= 0 for runs in runs_on_play(timeline))
+    states, runs, excluded = fold_half(tokens)
+    assert (timeline.snapshots, timeline.runs, timeline.excluded) == (
+        codes(*states), sum(runs), excluded)
+    assert all(scored >= 0 for scored in runs)
+    firsts = {}
+    for idx, (bases, outs) in enumerate(states):
+        situation = classify_state(bases, outs)
+        if situation is not None and situation not in firsts:
+            firsts[situation] = ("hpit1", sum(runs[:idx]), runs[idx], False)
+    assert timeline.firsts == firsts
 
 
 def test_resolve_step_matches_apply_play():

@@ -33,7 +33,7 @@ from baserisk.stats import (
     group_summary,
     rates,
 )
-from conftest import make_game_text, replay_events, run_half, runs_on_play
+from conftest import make_game_text, replay_events, run_half, walk_game
 
 def bases(first=False, second=False, third=False):
     return (FIRST if first else 0) | (SECOND if second else 0) | (THIRD if third else 0)
@@ -120,7 +120,7 @@ def test_first_occurrence_wins_dedup():
     # third and one out twice, the second time under a reliever whose play
     # scores the run
     timeline, _ = run_half(["K", "T9", "WP", relief(), "S8.3-H", "K", "K"])
-    assert [(s.bases, s.outs) for s in timeline.snapshots[2:4]] == [(THIRD, 1)] * 2
+    assert timeline.snapshots[2:4] == [THIRD << 2 | 1] * 2
     obs = extract_observations(timeline)
     assert [o.situation for o in obs].count(T1) == 1
     first = observed(timeline, T1)
@@ -324,7 +324,7 @@ def test_two_pitchers_in_one_half_both_credited():
     assert innings.counts == {("hpit1", 2000): [1, 1], ("p2", 2000): [1, 1]}
 
 
-# --- the tally path against a plain walk of the replayed snapshots ----------
+# --- the tally paths against a plain walk of the plays ----------------------
 
 # plays that record no out and are legal on any bases, one that is legal
 # only with a runner on third, and one that never parses
@@ -359,43 +359,38 @@ def late_games(draw):
     return lines
 
 
-def plain_walk(timelines, mode):
-    """Cells, innings rows and each timeline's observations, from the
-    snapshots and runs of each usable half of one game, written out
-    plainly.  A score is trusted while no earlier half is quarantined."""
+def plain_walk(account, mode):
+    """Cells, innings rows and each half's observations, from the plays of
+    ``walk_game`` over the account, written out plainly.  A play is late
+    and close in the 8th or 9th inning, within one run, in a trusted
+    half."""
     cells, innings, observations = {}, {}, []
-    trusted = True
-    for t in timelines:
+    halves = walk_game(account)
+    for h in halves:
         observations.append([])
-        reliable, trusted = trusted, trusted and t.excluded is None
-        if t.excluded is not None or not t.complete:
+        if h.excluded is not None or (h.outs < 3 and h is not halves[-1]):
             continue
-
-        def late_and_close(snap):
-            return (reliable and snap.inning in (8, 9)
-                    and abs(snap.score_batting - snap.score_fielding) <= 1)
-
-        seen, per_play = set(), runs_on_play(t)
-        for idx, snap in enumerate(t.snapshots):
-            situation = classify_state(snap.bases, snap.outs)
+        key = (account.game_id, h.inning, h.half)
+        high = [h.trusted and h.inning in (8, 9) and abs(p.batting - p.fielding) <= 1
+                for p in h.plays]
+        seen = set()
+        for idx, play in enumerate(h.plays):
+            situation = classify_state(play.code >> 2, play.code & 3)
             if situation is None or situation in seen:
                 continue
             seen.add(situation)
-            later = sum(per_play[idx:])
-            if mode is CountingMode.EXCLUDE_PLAY:
-                later -= per_play[idx]
+            start = idx + 1 if mode is CountingMode.EXCLUDE_PLAY else idx
+            later = sum(p.runs for p in h.plays[start:])
             observations[-1].append(SituationObservation(
-                t.half_inning_key, snap.pitcher_id, situation, later >= 1,
-                late_and_close(snap), t.season))
-            key = (snap.pitcher_id, situation.kind, situation.outs, t.season,
-                   late_and_close(snap))
-            cell = cells.setdefault(key, [0, 0])
+                key, play.pitcher, situation, later >= 1, high[idx], account.season))
+            cell = cells.setdefault(
+                (play.pitcher, situation.kind, situation.outs, account.season, high[idx]),
+                [0, 0])
             cell[0] += later >= 1
             cell[1] += 1
-        for pid in {snap.pitcher_id for snap in t.snapshots}:
-            row = innings.setdefault((pid, t.season), [0, 0])
-            row[0] += any(late_and_close(snap) for snap in t.snapshots
-                          if snap.pitcher_id == pid)
+        for pid in {p.pitcher for p in h.plays}:
+            row = innings.setdefault((pid, account.season), [0, 0])
+            row[0] += any(hi for p, hi in zip(h.plays, high) if p.pitcher == pid)
             row[1] += 1
     return cells, innings, observations
 
@@ -403,19 +398,27 @@ def plain_walk(timelines, mode):
 @settings(max_examples=300, deadline=None)
 @given(late_games())
 def test_tally_matches_a_plain_walk_of_replayed_halves(lines):
-    """Ingest's tallies and ``extract_observations`` read replay's record of
-    each half, never its snapshots: both agree with a walk of the snapshots
-    in both counting modes."""
+    """Each tally path reads replay's record of each half: ingest's cells
+    and innings rows, ``extract_observations``, and ``TallyTable.add_all``
+    and ``InningCounts.add_timeline`` over every timeline all agree with a
+    walk of the account's plays that reads nothing of replay, in both
+    counting modes."""
     text = make_game_text(lines)
     (account,) = iter_games(text, [])
     timelines = replay_game(account).timelines
     for mode in CountingMode:
-        cells, innings, observations = plain_walk(timelines, mode)
+        cells, innings, observations = plain_walk(account, mode)
         result = ingest_text(text, mode)
         assert result.table.cells == cells
         assert result.innings.counts == innings
         assert result.observations == sum(map(len, observations))
         assert [extract_observations(t, mode) for t in timelines] == observations
+        table, counts = TallyTable(), InningCounts()
+        for timeline in timelines:
+            table.add_all(extract_observations(timeline, mode))
+            counts.add_timeline(timeline)
+        assert table.cells == result.table.cells
+        assert counts.counts == result.innings.counts
 
 
 # --- threshold formula -------------------------------------------------------

@@ -33,7 +33,7 @@ from .cache import (
     write_cache,
 )
 from .eventfile import load_roster_names
-from .pipeline import InputError, collect_observations, ingest_paths
+from .pipeline import SUMMARY, InputError, collect_observations, ingest_paths
 from .reports import (
     Table1Cell,
     Table3Row,
@@ -250,7 +250,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
     if target in paths:
         raise DataError(f"cache {cache_path} would replace the input file {paths[target]}")
     result = ingest_paths(list(paths.values()), counting_mode, years, jobs=jobs)
-    if result.games == 0:
+    if result.counts["games"] == 0:
         raise DataError("no usable games in the given inputs")
     cache = StatsCache(
         table=result.table,
@@ -263,12 +263,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
     except OSError as exc:
         # the error names the temp file beside the target, not the target
         raise DataError(f"cannot write cache {cache_path}: {exc.strerror}")
-    click.echo(
-        f"games={result.games} skipped={result.games_skipped} "
-        f"half_innings={result.half_innings} quarantined={result.quarantined} "
-        f"incomplete={result.incomplete} observations={result.observations}",
-        err=True,
-    )
+    click.echo(" ".join(f"{key}={result.counts[key]}" for key in SUMMARY), err=True)
     for code in sorted(result.diagnostic_counts):
         click.echo(f"  {code}: {result.diagnostic_counts[code]}", err=True)
 

@@ -217,21 +217,19 @@ class OutcomeModel:
 def exact_score_probability(model: OutcomeModel, bases: int, outs: int) -> float:
     """P(at least one run scores before the third out) from the live state
     of occupancy mask ``bases`` and ``outs``, by dynamic programming over
-    the absorbing chain."""
+    the absorbing chain.  ``OutcomeModel`` refuses every backward or
+    passing advance, so a step that scores no run adds an out or puts one
+    more runner on base, and no state recurs."""
     if outs not in (0, 1, 2):
         raise ValueError(f"outs must be 0-2, got {outs}")
     if not 0 <= bases <= 7:
         raise ValueError(f"base mask {bases} out of range")
     memo: dict[tuple[int, int], float] = {}
-    on_stack: set[tuple[int, int]] = set()
 
     def probability(mask: int, k: int) -> float:
         key = (mask, k)
         if key in memo:
             return memo[key]
-        if key in on_stack:
-            raise InvalidModel("advance policy creates a state cycle")
-        on_stack.add(key)
         total = 0.0
         for outcome in Outcome:
             p = model.prob(outcome)
@@ -242,7 +240,6 @@ def exact_score_probability(model: OutcomeModel, bases: int, outs: int) -> float
                 total += p
             elif k + outs_added < 3:
                 total += p * probability(new_mask, k + outs_added)
-        on_stack.discard(key)
         memo[key] = total
         return total
 

@@ -223,7 +223,7 @@ def test_data_records_ignored():
     assert diags == []
     assert game.game_id == "TST200004010"
     result = ingest_text(text)
-    assert (result.games, result.games_skipped) == (1, 0)
+    assert (result.counts["games"], result.counts["skipped"]) == (1, 0)
     assert "malformed_record" not in result.diagnostic_counts
 
 

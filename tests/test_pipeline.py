@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from baserisk.eventfile import (
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import (
-    IngestResult, InputError, collect_observations, ingest_paths, ingest_text, iter_timelines,
+    SUMMARY, IngestResult, InputError, collect_observations, ingest_paths, ingest_text,
 )
 from baserisk.state import classify_state, replay_game
 from baserisk.stats import CountingMode, extract_observations
@@ -95,16 +96,13 @@ def test_state_traces_match_simulation(replayed):
 def test_ingest_counts_clean_season():
     games = simulate_season(default_model(), 100, seed=7)
     result = ingest_text(emit_event_file(games))
-    assert result.games == 100
-    assert result.games_skipped == 0
-    assert result.half_innings == 1800
-    assert result.quarantined == 0
-    assert result.incomplete == 0
+    observations = result.counts["observations"]
+    assert result.counts == Counter(games=100, half_innings=1800, observations=observations)
     assert result.diagnostic_counts == {}
     # every half contributes at most one observation per situation class
-    assert 0 < result.observations <= 3 * result.half_innings
+    assert 0 < observations <= 3 * 1800
     total = sum(cell[1] for cell in result.table.cells.values())
-    assert total == result.observations
+    assert total == observations
 
 
 def test_games_skipped_counts_every_dropped_block():
@@ -113,7 +111,7 @@ def test_games_skipped_counts_every_dropped_block():
     block = "".join(line for line in block.splitlines(keepends=True)
                     if not line.startswith("info,date"))
     result = ingest_text(block + block)
-    assert (result.games, result.games_skipped) == (0, 2)
+    assert result.counts == Counter(skipped=2)
     assert result.diagnostic_counts == {"missing_info": 2}
 
 
@@ -130,7 +128,7 @@ def test_date_after_malformed_record_sets_season(years, skipped, counts):
         date="1990/04/01",
     )
     result = ingest_text(text, years=years)
-    assert (result.games, result.games_skipped) == (0, skipped)
+    assert result.counts == Counter(skipped=skipped)
     assert result.diagnostic_counts == counts
 
 
@@ -145,7 +143,7 @@ def test_start_record_after_the_first_play_drops_the_game():
     assert [(d.code, d.line_no) for d in diags] == [("malformed_record", 11)]
     assert "after the game's first play" in diags[0].detail
     result = ingest_text(text)
-    assert (result.games, result.games_skipped) == (0, 1)
+    assert result.counts == Counter(skipped=1)
     assert result.diagnostic_counts == {"malformed_record": 1}
 
 
@@ -162,7 +160,7 @@ def test_placed_runner_quarantines_its_half(tokens):
     placed = ingest_text(text + "\n".join(extra) + "\n")
     assert plain.diagnostic_counts == {}
     assert placed.diagnostic_counts == {"placed_runner": 1}
-    assert (placed.half_innings, placed.quarantined) == (plain.half_innings + 1, 1)
+    assert placed.counts == plain.counts + Counter(half_innings=1, quarantined=1)
     assert placed.table.cells == plain.table.cells
     assert placed.innings.counts == plain.innings.counts
 
@@ -176,7 +174,7 @@ def test_lost_id_record_drops_the_merged_game():
     ids = [i for i, line in enumerate(lines) if line.startswith("id,")]
     merged = ingest_text("\n".join(lines[:ids[1]] + lines[ids[1] + 1:]))
     rest = ingest_text("\n".join(lines[ids[2]:]))
-    assert (merged.games, merged.games_skipped) == (4, 1)
+    assert (merged.counts["games"], merged.counts["skipped"]) == (4, 1)
     assert merged.diagnostic_counts == {"malformed_record": 1}
     assert merged.table.cells == rest.table.cells
     assert merged.innings.counts == rest.innings.counts
@@ -192,7 +190,7 @@ def test_lost_id_record_after_a_cut_off_first_half_drops_the_merged_game():
     first_play = next(i for i in range(ids[0], ids[1]) if lines[i].startswith("play,"))
     merged = ingest_text("\n".join(lines[:first_play + 2] + lines[ids[1] + 1:]))
     rest = ingest_text("\n".join(lines[ids[2]:]))
-    assert (merged.games, merged.games_skipped) == (4, 1)
+    assert (merged.counts["games"], merged.counts["skipped"]) == (4, 1)
     assert merged.diagnostic_counts == {"malformed_record": 1}
     assert merged.table.cells == rest.table.cells
     assert merged.innings.counts == rest.innings.counts
@@ -209,14 +207,14 @@ def test_ingest_heap_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.games == 600
+    assert result.counts["games"] == 600
     assert peak < 2 * 2**20
 
 
 def test_year_filter():
     text = emit_event_file(simulate_season(default_model(), 5, seed=1, season=1984))
-    assert ingest_text(text, years=(1984, 1984)).games == 5
-    assert ingest_text(text, years=(1985, 1990)).games == 0
+    assert ingest_text(text, years=(1984, 1984)).counts["games"] == 5
+    assert ingest_text(text, years=(1985, 1990)).counts["games"] == 0
 
 
 def test_ingest_workers_capped_at_file_count(tmp_path, monkeypatch):
@@ -241,7 +239,7 @@ def test_ingest_workers_capped_at_file_count(tmp_path, monkeypatch):
         path.write_text(emit_event_file(
             simulate_season(default_model(), 3, seed=seed, season=2000 + seed)))
         paths.append(path)
-    assert ingest_paths(paths, jobs=64).games == 6
+    assert ingest_paths(paths, jobs=64).counts["games"] == 6
     assert started == [2]
 
 
@@ -259,7 +257,7 @@ def test_only_worker_results_merge(tmp_path, monkeypatch, jobs, merges):
         path.write_text(emit_event_file(
             simulate_season(default_model(), 3, seed=seed, season=2000 + seed)))
         paths.append(path)
-    assert ingest_paths(paths, jobs=jobs).games == 9
+    assert ingest_paths(paths, jobs=jobs).counts["games"] == 9
     assert len(calls) == merges
 
 
@@ -267,7 +265,7 @@ def test_counting_mode_changes_numerators_only():
     text = emit_event_file(simulate_season(default_model(), 200, seed=9))
     include = ingest_text(text, CountingMode.INCLUDE_PLAY)
     exclude = ingest_text(text, CountingMode.EXCLUDE_PLAY)
-    assert include.observations == exclude.observations
+    assert include.counts == exclude.counts
     assert set(include.table.cells) == set(exclude.table.cells)
     scored = lambda result: sum(c[0] for c in result.table.cells.values())
     seen = lambda result: sum(c[1] for c in result.table.cells.values())
@@ -286,9 +284,8 @@ def test_parallel_ingest_matches_serial(tmp_path):
         paths.append(path)
     serial = ingest_paths(paths, jobs=1)
     parallel = ingest_paths(paths, jobs=4)
-    assert serial.games == parallel.games == 200
-    assert serial.observations == parallel.observations
-    assert serial.half_innings == parallel.half_innings
+    assert serial.counts == parallel.counts
+    assert serial.counts["games"] == 200
     # every worker's content digests come back for the fingerprint
     assert len(parallel.file_digests) == 8
     assert serial.file_digests == parallel.file_digests
@@ -336,7 +333,7 @@ def test_collect_observations_matches_ingest(tmp_path, mode, years):
         paths.append(path)
     result = ingest_paths(paths, mode, years)
     observations = list(collect_observations(paths, mode, years))
-    assert len(observations) == result.observations
+    assert len(observations) == result.counts["observations"]
     assert {obs.season for obs in observations} == ({2000} if years else {2000, 2010})
     rebuilt = type(result.table)()
     rebuilt.add_all(observations)
@@ -413,7 +410,8 @@ def test_ingest_paths_cache_pinned(archive, jobs, tmp_path):
     result = ingest_paths(_own_broken_ids(archive, tmp_path), years=WINDOW, jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
         "dc85477256e60d676f09e0b9f2a2c0983cc1dfd3b285029c903f782af9a528f0")
-    assert (result.games, result.games_skipped, result.observations) == (50, 2, 1144)
+    assert (result.counts["games"], result.counts["skipped"], result.counts["observations"]) == (
+        50, 2, 1144)
     assert result.diagnostic_counts == {
         "unknown_record_kind": 1, "missing_info": 2,
         "quarantined_half_inning": 1, "incomplete_half_inning": 1,
@@ -461,8 +459,8 @@ def test_decorated_ingest_pinned(decorated_archive, jobs, tmp_path):
     result = ingest_paths(_own_broken_ids(decorated_archive, tmp_path), jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
         "1d730f205167cd2f2281cbf8579f2696ece3281833f4592e1e5835f625c9c671")
-    assert (result.games, result.games_skipped, result.half_innings, result.quarantined,
-            result.incomplete, result.observations) == (42, 2, 756, 1, 1, 982)
+    assert result.counts == Counter(games=42, skipped=2, half_innings=756, quarantined=1,
+                                   incomplete=1, observations=982)
     assert result.diagnostic_counts == {
         "unknown_record_kind": 1, "missing_info": 2,
         "quarantined_half_inning": 1, "incomplete_half_inning": 1,
@@ -495,12 +493,39 @@ def test_damaged_ingest_pinned(damaged_archive, jobs):
     result = ingest_paths(damaged_archive, jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
         "34d2b3ae820ccf2d90e898af06e188be464ff329957cfd331940dfddf3e282a1")
-    assert (result.games, result.games_skipped, result.half_innings, result.quarantined,
-            result.incomplete, result.observations) == (28, 32, 504, 2, 2, 624)
+    assert result.counts == Counter(games=28, skipped=32, half_innings=504, quarantined=2,
+                                   incomplete=2, observations=624)
     assert sorted(result.diagnostic_counts.items()) == [
         ("incomplete_half_inning", 2), ("malformed_record", 20), ("missing_info", 1),
         ("orphan_player", 11), ("quarantined_half_inning", 2), ("unknown_record_kind", 22),
     ]
+
+
+def test_ingest_text_matches_a_one_file_ingest(tmp_path):
+    """A text and a file holding it count the same through the one ingest
+    loop: counters, diagnostic codes, cells and innings rows, over the
+    broken, decorated and damaged texts."""
+    path = tmp_path / "one.evn"
+    for text in [broken_text(), *decorated_texts(), *damaged_texts()]:
+        path.write_bytes(text.encode("latin-1"))
+        from_text, from_file = ingest_text(text), ingest_paths([path])
+        assert from_text.counts == from_file.counts
+        assert from_text.diagnostic_counts == from_file.diagnostic_counts
+        assert from_text.table.cells == from_file.table.cells
+        assert from_text.innings.counts == from_file.innings.counts
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fixture", ["archive", "decorated_archive", "damaged_archive"])
+def test_ingest_counts_only_summary_words(fixture, jobs, request, tmp_path):
+    """Every counter an ingest writes is one the summary line prints, so a
+    misspelt counter cannot drop out of it unseen."""
+    paths = request.getfixturevalue(fixture)
+    if fixture != "damaged_archive":
+        paths = _own_broken_ids(paths, tmp_path)
+    result = ingest_paths(paths, years=WINDOW if fixture == "archive" else None, jobs=jobs)
+    assert result.counts
+    assert set(result.counts) <= set(SUMMARY)
 
 
 def test_diagnostics_pinned(decorated_archive, damaged_archive):
@@ -538,9 +563,10 @@ def test_memo_holds_only_resolved_plays(damaged_archive, monkeypatch):
     that does not parse is resolved again at each of its plays, even where
     it shares its effect text's row with another token."""
     steps: state.StepMemo = {}
-    counts = IngestResult()
     for path in damaged_archive:
-        list(iter_timelines(path.read_text(encoding="latin-1"), None, counts, steps))
+        for account in iter_games(path.read_text(encoding="latin-1"), []):
+            if account is not None:
+                replay_game(account, steps)
     filled = [step for row in steps.values() for step in row if step is not None]
     assert filled
     assert all(step[0] is None for step in filled)
@@ -657,7 +683,7 @@ def test_start_line_built_in_an_earlier_file_still_refused_late(tmp_path):
     b.write_text(late)
     together = ingest_paths([a, b])
     apart = ingest_paths([a]).merge(ingest_paths([b]))
-    assert together.games_skipped == 1
+    assert together.counts["skipped"] == 1
     assert _tally_digest(together) == _tally_digest(apart)
     assert together.diagnostic_counts == apart.diagnostic_counts
 
@@ -667,7 +693,8 @@ def _task_games(paths: list[Path]) -> tuple[dict, dict]:
     counted the game, and the observations of each usable half."""
     result = IngestResult()
     halves = {}
-    for timeline in pipeline._file_timelines([str(p) for p in paths], None, result):
+    inputs = pipeline._read_files([str(p) for p in paths], result)
+    for timeline in pipeline.iter_timelines(inputs, None, result):
         game_id, inning, half = timeline.half_inning_key
         halves.setdefault(game_id, {})[inning, half] = extract_observations(timeline)
     return result.game_files, halves
@@ -785,7 +812,7 @@ def _tally_digest(result) -> str:
                    for (pid, kind, outs, season, lev), (num, den) in result.table.cells.items())
     innings = sorted((pid, season, hl, total)
                      for (pid, season), (hl, total) in result.innings.counts.items())
-    counters = (result.games, result.games_skipped, result.observations)
+    counters = (result.counts["games"], result.counts["skipped"], result.counts["observations"])
     return _digest(repr((cells, innings, counters)))
 
 

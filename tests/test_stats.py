@@ -411,7 +411,7 @@ def test_tally_matches_a_plain_walk_of_replayed_halves(lines):
         result = ingest_text(text, mode)
         assert result.table.cells == cells
         assert result.innings.counts == innings
-        assert result.observations == sum(map(len, observations))
+        assert result.counts["observations"] == sum(map(len, observations))
         assert [extract_observations(t, mode) for t in timelines] == observations
         table, counts = TallyTable(), InningCounts()
         for timeline in timelines:

@@ -201,11 +201,11 @@ def _read(
     except UnicodeDecodeError as exc:
         raise CacheError(f"{path} is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(_MAGIC):
+    # the first word is the magic itself, not a word that starts with it
+    words = lines[0].split() if lines and lines[0].startswith(_MAGIC) else []
+    if words[:1] != [_MAGIC]:
         raise CacheError(f"{path} is not a stats cache")
-    manifest = dict(
-        part.split("=", 1) for part in lines[0].split()[1:] if "=" in part
-    )
+    manifest = dict(part.split("=", 1) for part in words[1:] if "=" in part)
     if manifest.get("schema") != _SCHEMA:
         raise CacheError(f"unsupported cache schema {manifest.get('schema')!r}")
     try:

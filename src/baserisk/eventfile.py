@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
@@ -44,9 +43,6 @@ _KINDS = frozenset(
 
 # (kind, fields after the kind, line number)
 Record = tuple[str, list[str], int]
-
-# a line whose every quote opens or closes a cell that holds no comma
-_WHOLE_CELL_QUOTES = re.compile(r'(?:[^",]*|"[^",]*")(?:,(?:[^",]*|"[^",]*"))*')
 
 # lines are split this many characters of text at a time, or a little more
 _CHUNK = 1 << 16
@@ -156,15 +152,14 @@ def _record(line: str, line_no: int, diagnostics: list[Diagnostic]) -> list[str]
     """The cells of a stripped, non-empty line, its kind first, or ``None``
     with the diagnostic that drops the line.
 
-    A line no longer than csv's field limit whose quotes only wrap whole
-    cells without commas, as in a start record's ``"Jay Bell"``, splits the
-    same with str.split once its quotes are taken off.  The rest get a
-    reader each, so an unclosed quote costs only its own line.  An
-    unknown kind comes back as a com record whose first field is that kind,
-    with a diagnostic, so nothing is lost.
+    A line with no quote that fits csv's field limit splits the same with
+    str.split.  Any other line gets a reader of its own, so an unclosed
+    quote costs only its own line.  An unknown kind comes back as a com
+    record whose first field is that kind, with a diagnostic, so nothing is
+    lost.
     """
-    if len(line) <= csv.field_size_limit() and _WHOLE_CELL_QUOTES.fullmatch(line):
-        cells = line.replace('"', "").split(",")
+    if '"' not in line and len(line) <= csv.field_size_limit():
+        cells = line.split(",")
     else:
         try:
             cells = next(csv.reader(io.StringIO(line)))
@@ -182,8 +177,10 @@ def _record(line: str, line_no: int, diagnostics: list[Diagnostic]) -> list[str]
 
 
 def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
-    """Every record of the text as (kind, fields, line_no), split by the
-    rule ``iter_games`` splits lines by, and the tokenizer's diagnostics.
+    """Every record of the text as (kind, fields, line_no), and the
+    tokenizer's diagnostics.  A line splits as ``iter_games`` splits it:
+    with str.split when it holds no quote and fits csv's field limit, else
+    with csv.
 
     Every non-empty line gives exactly one record or one diagnostic; an
     unknown record kind gives a com record and a diagnostic.
@@ -326,18 +323,17 @@ def iter_games(
                     if batter not in known and orphan is None:
                         orphan = Diagnostic("orphan_player", f"batter {batter} not in lineup",
                                             line_no, game.game_id)
-                elif kind == "start":
-                    if game.events:
+                elif kind == "start" or kind == "sub":
+                    if kind == "start" and game.events:
                         # the next game's, after a lost id record
                         raise ValueError("after the game's first play, sub or radj record")
-                    entry = lineups[line] = LineupEntry(
+                    entry = (SubLine if kind == "sub" else LineupEntry)(
                         cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]))
-                    game.starters.append(entry)
-                    known.add(entry.player_id)
-                elif kind == "sub":
-                    entry = lineups[line] = SubLine(
-                        cells[1], cells[2], int(cells[3]), int(cells[4]), int(cells[5]))
-                    game.events.append(entry)
+                    if entry.team not in (0, 1):
+                        # replay keeps each side's pitcher under 0 or 1 only
+                        raise ValueError(f"team {entry.team} is neither 0 (visitor) nor 1 (home)")
+                    lineups[line] = entry
+                    (game.events if kind == "sub" else game.starters).append(entry)
                     known.add(entry.player_id)
                 elif kind == "radj":
                     game.events.append(PlacedRunner(cells[1], int(cells[2]), line_no))

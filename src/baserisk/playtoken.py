@@ -219,7 +219,9 @@ def parse_advances(text: str) -> list[Advance]:
 
 def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
     """Grammar for ground/fly outs: fielder strings with optional (base)
-    put-out targets, e.g. ``8``, ``64(1)3``, ``8(B)84(2)``, ``64(1)E3``."""
+    put-out targets, e.g. ``8``, ``64(1)3``, ``8(B)84(2)``, ``64(1)E3``.
+    ``basic`` starts with a digit, so its first segment retires a runner or
+    raises."""
     retired: set[Base] = set()
     i = 0
     while i < len(basic):
@@ -237,8 +239,6 @@ def _parse_fielded_out(basic: str, token: str) -> ParsedPlay:
             raise UnparseableEvent(token, f"bad out segment at {basic[i:]!r}")
         retired.add(runner)
         i = m.end()
-    if not retired:
-        raise UnparseableEvent(token, "empty out event")
     # a force out or an error on the relay: the batter reached first
     moves = {} if Base.BATTER in retired else {Base.BATTER: Base.FIRST}
     return ParsedPlay(PlayKind.FIELDED_OUT, moves, retired)
@@ -314,8 +314,6 @@ def parse_play_token(text: str) -> ParsedPlay:
     sections = _SECTION_RE.findall(event_part)
     if "/".join(sections) != event_part:
         raise UnparseableEvent(text, "unbalanced parentheses or empty section")
-    if not sections:
-        raise UnparseableEvent(text, "missing basic event")
 
     play = _parse_basic(sections[0], text)
     if dot:

@@ -266,11 +266,8 @@ class RateSummary:
         self.rows: dict[str, tuple[list[int], list[int]]] = {}
         if table is None:
             return
-        last = None
         for (pid, kind, outs, season, lev), (num, den) in table.cells.items():
-            if pid != last:  # a read cache holds each pitcher's cells in one run
-                nums, dens = self.row(pid)
-                last = pid
+            nums, dens = self.row(pid)
             i = self.slot(kind, outs, season, lev)
             if i is not None:
                 nums[i] += num
@@ -379,8 +376,6 @@ def decide(p: float, brt: float) -> Decision:
 @dataclass
 class BucketRow:
     label: str
-    low: int
-    high: int | None  # None for the open-ended top bucket
     pitchers: list[str]
     cumulative: BRTValue | None
     mean: float | None
@@ -388,14 +383,7 @@ class BucketRow:
     excluded: list[str]  # pitchers dropped from mean/stddev for empty cells
 
 
-def _bucket_row(
-    label: str,
-    low: int,
-    high: int | None,
-    members: list[str],
-    summary: RateSummary,
-    outs: int,
-) -> BucketRow:
+def _bucket_row(label: str, members: list[str], summary: RateSummary, outs: int) -> BucketRow:
     """Pooled high-leverage threshold of the members, no id twice, plus
     the spread of their own thresholds, leaving out members with an empty
     cell."""
@@ -413,7 +401,7 @@ def _bucket_row(
 
     mean = statistics.fmean(per_pitcher) if per_pitcher else None
     stddev = statistics.pstdev(per_pitcher) if per_pitcher else None
-    return BucketRow(label, low, high, sorted(members), cumulative, mean, stddev, excluded)
+    return BucketRow(label, sorted(members), cumulative, mean, stddev, excluded)
 
 
 def bucket_report(
@@ -442,7 +430,7 @@ def bucket_report(
             if career >= low and (high is None or career < high)
         )
         label = f"{low}+" if high is None else f"{low}-{high - 1}"
-        rows.append(_bucket_row(label, low, high, members, summary, outs))
+        rows.append(_bucket_row(label, members, summary, outs))
     if not any(row.pitchers for row in rows):
         raise EmptyBucket("no pitcher reached the first boundary")
     return rows
@@ -454,4 +442,4 @@ def group_summary(summary: RateSummary, pitcher_ids: list[str], outs: int) -> Bu
     if not pitcher_ids:
         raise EmptyBucket("empty pitcher list")
     members = list(dict.fromkeys(pitcher_ids))
-    return _bucket_row("leaders", 0, None, members, summary, outs)
+    return _bucket_row("leaders", members, summary, outs)

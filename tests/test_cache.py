@@ -143,6 +143,10 @@ def test_round_trip_of_ingested_season(tmp_path):
         "#baserisk-cache schema=9 counting_mode=include fingerprint=x\n",
         "#baserisk-cache schema=1 counting_mode=sideways fingerprint=x\n",
         "#baserisk-cache schema=1 fingerprint=x\n",
+        # a good cache but for its magic, which only starts with the right one
+        pytest.param(
+            render_cache(sample_cache()).replace("#baserisk-cache ", "#baserisk-cacheXYZ ", 1),
+            id="magic-with-a-suffix"),
     ],
 )
 def test_bad_manifest_rejected(tmp_path, text):
@@ -185,6 +189,9 @@ def test_bad_header_rejected(tmp_path):
         "riverma01,third_occupied,1,2003:hl,3,2\u0661",  # ... DIGIT ONE
         "riverma01,innings,0,2003,-0,21",
         '"riverma01",innings,0,2003,12,060',  # through csv.reader
+        # a quoted id over csv's field limit: an unreadable cache line
+        pytest.param(f'"{"r" * (csv.field_size_limit() + 1)}",innings,0,2003,12,60',
+                     id="id-over-field-limit"),
     ],
 )
 def test_bad_row_rejected(tmp_path, row):

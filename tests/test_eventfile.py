@@ -506,6 +506,24 @@ def test_repeated_malformed_lineup_line_drops_each_game():
         ("malformed_record", detail, 19, "G10200004010")])
 
 
+@pytest.mark.parametrize("kind", ["start", "sub"])
+@pytest.mark.parametrize("team", ["2", "7", "-1"])
+def test_lineup_team_neither_visitor_nor_home_is_malformed(kind, team):
+    """Replay keeps each side's pitcher under team 0 or 1, so a reliever of
+    another team left the pitcher it relieved on the mound.  The line drops
+    its game, and so does its repeat in a later game."""
+    line = f'{kind},hpit2,"Relief",{team},0,1'
+    body = [line, (1, 0, "vbat1", "K")] if kind == "start" else [(1, 0, "vbat1", "K"), line]
+    text = "".join(make_game_text(body, game_id=f"G{n}0200004010") for n in range(2))
+    detail = (f"{kind} ['hpit2', 'Relief', '{team}', '0', '1'] "
+              f"(team {team} is neither 0 (visitor) nor 1 (home))")
+    at = 9 if kind == "start" else 10
+    assert _games_and_diagnostics(text) == ([], [
+        ("malformed_record", detail, at, "G00200004010"),
+        ("malformed_record", detail, at + 10, "G10200004010")])
+    assert len(assemble_games(text.replace(f'",{team},0,1', '",1,0,1'))[0]) == 2
+
+
 def test_repeated_sub_line_makes_its_batter_known():
     sub = 'sub,vbat9,"Runner",0,1,12'
     known = make_game_text([(1, 0, "vbat1", "W"), sub, "play,1,0,vbat9,??,,K"],

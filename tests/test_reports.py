@@ -86,17 +86,16 @@ def test_table1_csv_matches_text_values():
     assert rows[4][0] == "threshold"
 
 
-def bucket(label, low, high, pitchers, cumulative, mean, stddev, excluded=()):
-    return BucketRow(label, low, high, list(pitchers), cumulative, mean,
-                     stddev, list(excluded))
+def bucket(label, pitchers, cumulative, mean, stddev, excluded=()):
+    return BucketRow(label, list(pitchers), cumulative, mean, stddev, list(excluded))
 
 
 def test_table2_layout():
     value = compute_brt(0.6, 0.4, 0.1)
     blocks = {
-        1: [bucket("100-149", 100, 149, ["a", "b"], value, 0.25, 0.01),
-            bucket("leaders", 0, None, ["c"], value, 0.3, 0.0)],
-        0: [bucket("100-149", 100, 149, ["a"], value, 0.5, None)],
+        1: [bucket("100-149", ["a", "b"], value, 0.25, 0.01),
+            bucket("leaders", ["c"], value, 0.3, 0.0)],
+        0: [bucket("100-149", ["a"], value, 0.5, None)],
     }
     text = render_table2(blocks)
     lines = text.splitlines()
@@ -112,15 +111,14 @@ def test_table2_layout():
 
 def test_table2_blank_stddev_singleton():
     value = compute_brt(0.6, 0.4, 0.1)
-    text = render_table2({0: [bucket("350+", 350, None, ["x"], value, 0.2, None)]},
+    text = render_table2({0: [bucket("350+", ["x"], value, 0.2, None)]},
                          fmt="csv")
     assert text.splitlines()[1] == "0,350+,1,0.333,0.200,,0"
 
 
 def test_table2_counts_dropped():
     value = compute_brt(0.6, 0.4, 0.1)
-    row = bucket("150-199", 150, 199, list("abcde"), value, 0.2, 0.1,
-                 excluded=["d", "e"])
+    row = bucket("150-199", list("abcde"), value, 0.2, 0.1, excluded=["d", "e"])
     text = render_table2({1: [row]})
     assert text.splitlines()[1].split()[-1] == "2"
 

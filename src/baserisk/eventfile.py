@@ -84,14 +84,10 @@ class SubLine(LineupEntry):
 LineupMemo = dict[str, LineupEntry]
 
 
-@dataclass(slots=True)
-class PlayLine:
-    # slots: a file holds one per plate appearance, and replay reads each
-    inning: int
-    half: Half
-    batter_id: str
-    event_text: str
-    line_no: int
+# One play record: (inning, half, batter id, event text, line number).  A
+# plain tuple, since a file holds one per plate appearance: it builds in a
+# sixth of a slotted dataclass's time, and replay unpacks it once.
+PlayLine = tuple[int, Half, str, str, int]
 
 
 @dataclass
@@ -279,9 +275,11 @@ def iter_games(
                         or cells[0] not in ("id", "info")):
                     held.append((line_no, line))
                     continue
-            elif ((entry := lineups.get(line)) is not None and game is not None
+            elif (line[0] == "s" and (entry := lineups.get(line)) is not None
+                    and game is not None
                     and (isinstance(entry, SubLine) or not game.events)):
-                # a start or sub line met before: its entry is built already
+                # a start or sub line met before: its entry is built already.
+                # Every key starts with "s", so no other line looks it up
                 (game.events if isinstance(entry, SubLine) else game.starters).append(entry)
                 known.add(entry.player_id)
                 continue
@@ -319,7 +317,7 @@ def iter_games(
                     if half is None:  # any other spelling: accepted or rejected as by int()
                         half = Half(int(cells[2]))
                     batter = cells[3]
-                    game.events.append(PlayLine(inning, half, batter, cells[6], line_no))
+                    game.events.append((inning, half, batter, cells[6], line_no))
                     if batter not in known and orphan is None:
                         orphan = Diagnostic("orphan_player", f"batter {batter} not in lineup",
                                             line_no, game.game_id)

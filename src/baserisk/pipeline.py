@@ -2,9 +2,10 @@
 
 One loop, ``iter_timelines``, walks a task's inputs into one
 ``IngestResult``: ``ingest`` tallies its half-innings and ``query`` extracts
-their observations.  The loop keeps two memos across its inputs, one of
-play steps by token and one of lineup entries by line, and drops both
-whole when either passes ``_MEMO_LIMIT`` entries.  Worker results under
+their observations.  The loop keeps three memos across its inputs, one of
+play steps by token, one of cleaned advance sections and one of lineup
+entries by line, and drops all three whole when the play or lineup memo
+passes ``_MEMO_LIMIT`` entries.  Worker results under
 ``--jobs N`` merge with plain integer addition, so any partition of the
 inputs produces the same tallies as a sequential pass, bit for bit.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 from .eventfile import Diagnostic, LineupMemo, iter_games
 # unused here, but the benchmark's span hooks wrap these two by name
 from .eventfile import assemble_games, tokenize_event_file
-from .state import StateTimeline, StepMemo, replay_game
+from .state import SectionMemo, StateTimeline, StepMemo, replay_game
 from .stats import (
     CountingMode,
     InningCounts,
@@ -40,8 +41,9 @@ __all__ = [
     "iter_timelines",
 ]
 
-# a task's play and lineup memos are dropped whole, before its next input,
-# once either holds more entries than this
+# a task's memos are dropped whole, before its next input, once its play or
+# lineup memo holds more entries than this; the section memo never holds
+# more than the play memo, since each of its keys came from a distinct token
 _MEMO_LIMIT = 65_536
 
 # the summary counters, in the order and words of ingest's summary line
@@ -83,7 +85,7 @@ def iter_timelines(
     result: IngestResult,
 ) -> Iterator[StateTimeline]:
     """Split, assemble and replay each ``(name, text)`` input's games, one
-    game at a time through one play memo and one lineup memo, yielding
+    game at a time through one play, section and lineup memo each, yielding
     every complete, unquarantined half-inning of the games inside
     ``years``.
 
@@ -96,18 +98,20 @@ def iter_timelines(
     outside ``years``, which ``iter_games`` drops unbuilt.
     """
     steps: StepMemo = {}
+    sections: SectionMemo = {}
     lineups: LineupMemo = {}
     counts = result.counts
     for source, text in inputs:
         if len(steps) > _MEMO_LIMIT or len(lineups) > _MEMO_LIMIT:
             steps.clear()
+            sections.clear()
             lineups.clear()
         diags: list[Diagnostic] = []
         for account in iter_games(text, diags, years, lineups):
             if account is None:  # dropped at assembly, with one diagnostic
                 counts["skipped"] += 1
                 continue
-            replay = replay_game(account, steps)
+            replay = replay_game(account, steps, sections)
             result.diagnostic_counts.update(diag.code for diag in replay.diagnostics)
             if not replay.timelines and replay.diagnostics:
                 counts["skipped"] += 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 __all__ = [
+    "MAX_TOKEN_LENGTH",
     "Advance",
     "Base",
     "MalformedAdvance",
@@ -126,6 +127,12 @@ class ParsedPlay:
     retired: set[Base] = field(default_factory=set)
     advances: list[Advance] = field(default_factory=list)
 
+
+# The longest token the parser takes, far above the 46 characters of the
+# longest token in the tests' pin corpus.  A longer one is refused before
+# any regex runs, so that no pattern spends more than linear time on a
+# damaged line.
+MAX_TOKEN_LENGTH = 512
 
 _FROM_BASE = {"B": Base.BATTER, "1": Base.FIRST, "2": Base.SECOND, "3": Base.THIRD}
 _TO_BASE = {"1": Base.FIRST, "2": Base.SECOND, "3": Base.THIRD, "H": Base.HOME}
@@ -300,10 +307,13 @@ def parse_play_token(text: str) -> ParsedPlay:
     """Parse a full play token such as ``S8/G.1-3`` or ``K+SB2``.
 
     Raises UnparseableEvent (or its subclass MalformedAdvance) on anything
-    that does not fit the grammar; no other exception escapes.
+    that does not fit the grammar; no other exception escapes.  A token
+    longer than ``MAX_TOKEN_LENGTH`` is refused first, quoting its start.
     """
     if not isinstance(text, str) or not text:
         raise UnparseableEvent(str(text), "empty event")
+    if len(text) > MAX_TOKEN_LENGTH:
+        raise UnparseableEvent(text[:40] + "...", f"longer than {MAX_TOKEN_LENGTH} characters")
     cleaned = text.replace("#", "").replace("?", "").replace("!", "")
     if not cleaned:
         raise UnparseableEvent(text, "nothing left after uncertainty markers")

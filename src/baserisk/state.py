@@ -11,7 +11,8 @@ No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
 replay resolves each (effect text, occupancy, outs) only once per ingest
 task, through a memo that maps each token as written to one row of steps
-per effect text and holds only the plays that parse.
+per effect text and holds only the plays that parse.  A second memo of the
+task cleans each distinct advance section of an effect text once.
 
 The tallies read no code.  Beside the codes, replay keeps what they need
 of the open half-inning in loop locals: the first play of each situation
@@ -28,8 +29,10 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .eventfile import Diagnostic, GameAccount, Half, PlacedRunner, PlayLine
-from .playtoken import Base, ParsedPlay, PlayKind, UnparseableEvent, parse_play_token
+from .eventfile import Diagnostic, GameAccount, Half, PlacedRunner
+from .playtoken import (
+    MAX_TOKEN_LENGTH, Base, ParsedPlay, PlayKind, UnparseableEvent, parse_play_token,
+)
 
 __all__ = [
     "CLASS_AT",
@@ -206,6 +209,10 @@ Step = tuple[str | None, bool, str | None, int, int, int]
 # effect text is a key too, so every token that reduces to it finds its row.
 # Shared by the files of one ingest task.
 StepMemo = dict[str, list[Step | None]]
+# an advance section as written -> the section less the notes on its safe
+# advances.  Far fewer sections than tokens carry notes, so each is cleaned
+# once per ingest task, whose files share the memo.
+SectionMemo = dict[str, str]
 
 # a basic event that is one whole parser section, up to the first "/", then
 # modifier sections that are not empty and hold no group
@@ -214,32 +221,53 @@ _PLAIN_EVENT_RE = re.compile(r"((?:[^/(]|\([^/)]*\))+)(?:/[^/()]+)*")
 _NOTED_SAFE_ADVANCE_RE = re.compile(r"([B123]-[123H])(?:\([^()]*\))+")
 
 
-def effect_text(token: str) -> str:
+def _clean_advances(advances: str) -> str:
+    """An advance section less the notes on each safe advance."""
+    return ";".join(
+        m.group(1) if (m := _NOTED_SAFE_ADVANCE_RE.fullmatch(part)) else part
+        for part in advances.split(";")
+    )
+
+
+def effect_text(token: str, sections: SectionMemo | None = None) -> str:
     """The token less what the parser accepts but ``apply_play`` never reads:
     the modifier sections (``S8/G34`` -> ``S8``) and the notes on a safe
     advance (``B-1(UR)`` -> ``B-1``).
 
-    A token with a ``#?!`` mark, a basic event that is not one whole
-    section, or a modifier that is empty or holds a parenthesis comes back
-    unchanged.  An advance that is not exactly a safe advance followed by
-    plain groups keeps its text: the groups of an ``X`` advance can cancel
-    the out.  ``resolve_step`` gives the same step for both texts, or a
-    parse error for both.
+    A token with a ``#?!`` mark or longer than the parser takes, a basic
+    event that is not one whole section, or a modifier that is empty or
+    holds a parenthesis comes back unchanged.  An advance that is not
+    exactly a safe advance followed by plain groups keeps its text: the
+    groups of an ``X`` advance can cancel the out.  ``resolve_step`` gives
+    the same step for both texts, or a parse error for both.  ``sections``
+    is a memo of cleaned advance sections to share with the other calls of
+    an ingest task; without it the call cleans its own.
     """
     if "/" not in token and "(" not in token:
         return token
-    if "#" in token or "?" in token or "!" in token:
+    if "#" in token or "?" in token or "!" in token or len(token) > MAX_TOKEN_LENGTH:
         return token
     event, dot, advances = token.partition(".")
-    plain = _PLAIN_EVENT_RE.fullmatch(event)
-    if plain is None:
-        return token
+    if "(" in event:
+        plain = _PLAIN_EVENT_RE.fullmatch(event)
+        if plain is None:
+            return token
+        basic = plain.group(1)
+    else:
+        # the pattern's whole test where there is no group: the basic event,
+        # up to the first "/", is not empty, and no modifier is empty or
+        # holds a ")"
+        basic, _, modifiers = event.partition("/")
+        if not basic or ")" in modifiers or "//" in event or event[-1] == "/":
+            return token
     if "(" in advances:
-        advances = ";".join(
-            m.group(1) if (m := _NOTED_SAFE_ADVANCE_RE.fullmatch(part)) else part
-            for part in advances.split(";")
-        )
-    return plain.group(1) + dot + advances
+        if sections is None:
+            sections = {}
+        cleaned = sections.get(advances)
+        if cleaned is None:
+            cleaned = sections[advances] = _clean_advances(advances)
+        advances = cleaned
+    return basic + dot + advances
 
 
 def resolve_step(token: str, bases: int, outs: int) -> Step:
@@ -278,18 +306,33 @@ def _close(
                       (key, season, snapshots, runs, complete, excluded, firsts, faced))
 
 
-def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameReplay:
+def replay_game(
+    account: GameAccount, steps: StepMemo | None = None, sections: SectionMemo | None = None,
+) -> GameReplay:
     """Replay a full game account into per-half-inning timelines.
 
-    ``steps`` is a play memo to share with the other games of an ingest
-    task; without it the game gets a memo of its own.  A token met for the
+    ``steps`` and ``sections`` are a play memo and a memo of cleaned
+    advance sections to share with the other games of an ingest task;
+    without them the game gets memos of its own.  A token met for the
     first time costs one ``effect_text`` call, and a step one
     ``resolve_step`` call.  Only plays that parse are stored, since a parse
     error quotes its own token.
+
+    A game whose starters list no pitcher for a side, or two for one side,
+    is dropped with one diagnostic.
     """
     game_id = account.game_id
     diagnostics: list[Diagnostic] = []
-    pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}
+    pitchers: dict[int, str] = {}
+    for entry in account.starters:
+        if entry.position != 1:
+            continue
+        if entry.team in pitchers:
+            diagnostics.append(Diagnostic(
+                "lineup_card", f"team {entry.team} lists two starting pitchers, "
+                f"{pitchers[entry.team]} and {entry.player_id}", game_id=game_id))
+            return GameReplay([], diagnostics)
+        pitchers[entry.team] = entry.player_id
     if 0 not in pitchers or 1 not in pitchers:
         diagnostics.append(
             Diagnostic("missing_info", "no starting pitcher listed", game_id=game_id)
@@ -297,6 +340,8 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
         return GameReplay([], diagnostics)
 
     memo: StepMemo = {} if steps is None else steps
+    if sections is None:
+        sections = {}
     season = account.season
     scores = [0, 0]  # visitor, home
     score_reliable = True  # no half so far was quarantined, so every run is known
@@ -310,26 +355,27 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
     placed: PlacedRunner | None = None  # a runner placed before the next play
 
     for item in account.events:
-        if not isinstance(item, PlayLine):
+        if type(item) is not tuple:  # a sub or radj record; a play is a plain tuple
             if isinstance(item, PlacedRunner):
                 placed = item
             elif item.position == 1:
                 pitchers[item.team] = item.player_id
             continue
-        if item.inning != inning or item.half != half:
+        play_inning, play_half, _, token, line_no = item
+        if play_inning != inning or play_half != half:
             if inning is not None:
-                if (item.inning, item.half) < (inning, half):
+                if (play_inning, play_half) < (inning, half):
                     # a game's account, a suspended game's too, runs in
                     # order, so a half that goes back belongs to another
                     # game whose id record is lost: drop the game
                     diagnostics.append(Diagnostic(
                         "halves_out_of_order",
-                        f"inning {item.inning} {item.half.name.lower()} after "
-                        f"inning {inning} {half.name.lower()}", item.line_no, game_id))
+                        f"inning {play_inning} {play_half.name.lower()} after "
+                        f"inning {inning} {half.name.lower()}", line_no, game_id))
                     return GameReplay([], diagnostics)
                 timelines.append(_close(key, season, snapshots, scores[batting] - opening,
                                         outs, False, excluded, firsts, faced, diagnostics))
-            inning, half = item.inning, item.half
+            inning, half = play_inning, play_half
             key = (game_id, inning, half)
             snapshots, firsts, faced, excluded = [], {}, {}, None
             batting, bases, outs = int(half), 0, 0
@@ -344,10 +390,9 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
                 diagnostics.append(
                     Diagnostic("placed_runner", excluded, placed.line_no, game_id))
             placed = None
-        token = item.event_text
         row = memo.get(token)
         if row is None:
-            effect = effect_text(token)
+            effect = effect_text(token, sections)
             row = memo.get(effect)
             if row is None:
                 row = memo[effect] = [None] * len(CLASS_AT)
@@ -369,7 +414,7 @@ def replay_game(account: GameAccount, steps: StepMemo | None = None) -> GameRepl
             # runs from here on are unknown, so later score margins are too
             score_reliable = False
             diagnostics.append(
-                Diagnostic("quarantined_half_inning", reason, item.line_no, game_id)
+                Diagnostic("quarantined_half_inning", reason, line_no, game_id)
             )
             continue
         score, pitcher = scores[batting], pitchers[1 - batting]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import pytest
 
-from baserisk.eventfile import GameAccount, Half, LineupEntry, PlacedRunner, PlayLine, SubLine
+from baserisk.eventfile import GameAccount, Half, LineupEntry, PlacedRunner, SubLine
 from baserisk.oracle import (
     DEFAULT_ADVANCES,
     Outcome,
@@ -76,7 +76,7 @@ def game_account(events: list) -> GameAccount:
     are (inning, half, token) plays, each by a fresh batter, and sub or
     radj records given as ``SubLine`` or ``PlacedRunner``."""
     items = [
-        PlayLine(event[0], Half(event[1]), f"bat{n}", event[2], n + 1)
+        (event[0], Half(event[1]), f"bat{n}", event[2], n + 1)
         if isinstance(event, tuple) else event
         for n, event in enumerate(events)
     ]
@@ -142,8 +142,8 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
     quarantined half; otherwise a play in a quarantined half, or a no-play,
     is skipped before an illegal step quarantines.  A half is trusted while
     no earlier half of the game is quarantined.  Unlike replay, the walk
-    never drops a game: give it none that lacks a starting pitcher or has a
-    half that goes back.
+    never drops a game: give it none that lacks a starting pitcher, lists
+    two for a side, or has a half that goes back.
     """
     pitchers = {e.team: e.player_id for e in account.starters if e.position == 1}
     scores = [0, 0]  # visitor, home
@@ -158,9 +158,10 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
             if item.position == 1:
                 pitchers[item.team] = item.player_id
             continue
-        if not halves or (halves[-1].inning, halves[-1].half) != (item.inning, item.half):
+        inning, half, _, token, _ = item
+        if not halves or (halves[-1].inning, halves[-1].half) != (inning, half):
             trusted = all(h.excluded is None for h in halves)
-            halves.append(WalkedHalf(item.inning, item.half, trusted))
+            halves.append(WalkedHalf(inning, half, trusted))
             bases = 0
         open_half = halves[-1]
         if placed is not None:
@@ -168,13 +169,13 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
                 open_half.excluded = f"runner {placed.runner_id} placed on base {placed.base}"
             placed = None
         parse_error, no_play, illegal, outs, runs, new_bases = resolve_step(
-            item.event_text, bases, open_half.outs)
+            token, bases, open_half.outs)
         if parse_error is None and (open_half.excluded is not None or no_play):
             continue
         if parse_error is not None or illegal is not None:
             open_half.excluded = parse_error or illegal
             continue
-        batting = int(item.half)
+        batting = int(half)
         open_half.plays.append(WalkedPlay(
             bases << 2 | open_half.outs, runs, pitchers[1 - batting],
             scores[batting], scores[1 - batting]))

@@ -14,6 +14,8 @@ import pytest
 import baserisk
 from baserisk import cli
 from baserisk.cli import DataError, _unique_inputs, main
+from baserisk.eventfile import Diagnostic, iter_games
+from baserisk.state import replay_game
 from baserisk.stats import RateSummary, TallyTable
 
 
@@ -141,6 +143,30 @@ def test_ingest_year_filter_drops_damage_outside_window(tmp_path, capsys):
     assert "\n  " not in summary
     # the two caches differ only in the fingerprint of their inputs
     assert both.read_text().splitlines()[1:] == alone.read_text().splitlines()[1:]
+
+
+def test_ingest_drops_a_game_with_a_second_starting_pitcher(tmp_path, capsys):
+    """A second position-1 start record for a team drops its game under
+    ``lineup_card``, naming the team and both pitchers, rather than
+    charging the first starter's plays to the second."""
+    evn, cache = tmp_path / "two.evn", tmp_path / "two.cache"
+    assert main(["simulate", "-o", str(evn), "--games", "2", "--seed", "1", "--subs"]) == 0
+    lines = evn.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("start,hpit0001,"))
+    lines.insert(at + 1, 'start,hpit0009,"Extra",1,0,1')
+    evn.write_text("\n".join(lines) + "\n")
+    game_id = lines[0].split(",")[1]
+    capsys.readouterr()
+    assert main(["ingest", "-i", str(evn), "--cache", str(cache)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("games=1 skipped=1 ")
+    assert "  lineup_card: 1\n" in err
+    (account,) = [game for game in iter_games("\n".join(lines[:at + 2]), []) if game]
+    assert replay_game(account).diagnostics == [Diagnostic(
+        "lineup_card", "team 1 lists two starting pitchers, hpit0001 and hpit0009",
+        game_id=game_id)]
+    rows = cache.read_text().splitlines()
+    assert not any(row.startswith("hpit0009,") for row in rows)
 
 
 def test_ingest_counts_a_repeated_input_once(workspace, capsys, monkeypatch):

@@ -14,7 +14,6 @@ from baserisk.eventfile import (
     _CHUNK,
     Diagnostic,
     Half,
-    PlayLine,
     SubLine,
     assemble_games,
     iter_games,
@@ -201,9 +200,9 @@ def test_assembled_events_typed_and_ordered():
     (game,), diags = assemble_games(text)
     assert diags == []
     kinds = [type(e) for e in game.events]
-    assert kinds == [PlayLine, SubLine, PlayLine]
+    assert kinds == [tuple, SubLine, tuple]  # a play is a plain PlayLine tuple
     play = game.events[0]
-    assert play.inning == 1 and play.half is Half.TOP
+    assert play == (1, Half.TOP, "vbat1", "K", 10) and play[1] is Half.TOP
     assert game.events[1].position == 1
 
 
@@ -312,7 +311,7 @@ def _game_row(game):
     events = [
         ("sub", ev.player_id, ev.name, ev.team, ev.batting_order, ev.position)
         if isinstance(ev, SubLine) else
-        ("play", ev.inning, int(ev.half), ev.batter_id, ev.event_text, ev.line_no)
+        ("play", ev[0], int(ev[1]), ev[2], ev[3], ev[4])
         for ev in game.events
     ]
     starters = [(s.player_id, s.name, s.team, s.batting_order, s.position)
@@ -442,8 +441,18 @@ def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
     brings back builds every play, with the diagnostics it has when no
     window is set."""
     built = []
-    real = eventfile.PlayLine
-    monkeypatch.setattr(eventfile, "PlayLine", lambda *args: built.append(args) or real(*args))
+
+    class Events(list):
+        """A game's events, which keep aside every play appended."""
+
+        def append(self, item):
+            if type(item) is tuple:
+                built.append(item)
+            super().append(item)
+
+    real = eventfile.GameAccount
+    monkeypatch.setattr(eventfile, "GameAccount",
+                        lambda game_id, info, starters, _: real(game_id, info, starters, Events()))
     window = (1984, 2011)
     outside = "".join(make_game_text(PLAYS[:3] + ["frobnicate,x"], game_id=f"OUT{year}04010",
                                      date=f"{date}/04/01")

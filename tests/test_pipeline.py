@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
@@ -16,7 +17,7 @@ import pytest
 from baserisk import cli, pipeline, state
 from baserisk.cache import StatsCache, read_cache, render_cache
 from baserisk.eventfile import (
-    Half, LineupEntry, PlayLine, assemble_games, iter_games, tokenize_event_file,
+    Half, LineupEntry, assemble_games, iter_games, tokenize_event_file,
 )
 from baserisk.oracle import default_model, emit_event_file, simulate_season
 from baserisk.pipeline import (
@@ -60,11 +61,7 @@ def test_play_lines_match_simulation(replayed):
             for sim in game.halves
             for play in sim.plays
         ]
-        parsed = [
-            (ev.inning, ev.half, ev.batter_id, ev.event_text)
-            for ev in account.events
-            if isinstance(ev, PlayLine)
-        ]
+        parsed = [ev[:4] for ev in account.events if type(ev) is tuple]
         assert parsed == simulated
 
 
@@ -596,7 +593,8 @@ def test_repeated_plays_resolve_once(tmp_path, monkeypatch):
     work = []
     for paths in ([first], [first, second], [first]):
         ingest_paths(paths)
-        assert len(effects) == len(set(effects))  # each token once per task
+        tokens = [token for token, _ in effects]
+        assert len(tokens) == len(set(tokens))  # each token once per task
         work.append((len(calls), len(effects)))
         calls.clear()
         effects.clear()
@@ -607,20 +605,51 @@ def test_repeated_plays_resolve_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", ["decorated", "damaged"])
 def test_memos_dropped_at_the_limit_count_the_same(case, request, tmp_path, monkeypatch):
     """Memos dropped whole before each file, once past a limit of 8
-    entries, change no count: they only cost the work again."""
+    entries, change no count: they only cost the work again.  A task
+    cleans each noted advance section once while its memos are kept, and
+    again after they are dropped; the damaged files note no advance."""
     if case == "decorated":
         paths = _own_broken_ids(request.getfixturevalue("decorated_archive"), tmp_path)
     else:
         paths = request.getfixturevalue("damaged_archive")
     effects = _counting_calls(monkeypatch, "effect_text")
+    cleaned = _counting_calls(monkeypatch, "_clean_advances")
     kept = ingest_paths(paths)
-    derived = len(effects)
+    derived, sections = len(effects), len(cleaned)
+    assert len(set(cleaned)) == sections
     effects.clear()
+    cleaned.clear()
     monkeypatch.setattr(pipeline, "_MEMO_LIMIT", 8)
     dropped = ingest_paths(paths)
     assert len(effects) > derived
+    assert (len(cleaned) > sections > 0) == (case == "decorated")
     assert _tally_digest(dropped) == _tally_digest(kept)
     assert dropped.diagnostic_counts == kept.diagnostic_counts
+
+
+def test_long_token_quarantines_its_half_only():
+    """A 128 KB play token, whose unclosed groups once cost the parser
+    time quadratic in its length, is refused in linear time and
+    quarantines its own half, as a short unparseable token there does."""
+    lines = emit_event_file(simulate_season(default_model(), 2, seed=1)).splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("play,")][40]
+    head = lines[at].rpartition(",")[0]
+
+    def with_token(token):
+        return "\n".join([*lines[:at], f"{head},{token}", *lines[at + 1:]]) + "\n"
+
+    # the line stays within csv's field limit, so it is read as a play
+    long = "S8.1-2(" + "(" * (131_000 - 7 - len(head))
+    start = time.perf_counter()
+    result = ingest_text(with_token(long))
+    assert time.perf_counter() - start < 2.0
+    reference = ingest_text(with_token("ZZ9"))
+    assert result.counts == reference.counts
+    assert result.counts["quarantined"] == 1
+    assert result.diagnostic_counts == reference.diagnostic_counts == {
+        "quarantined_half_inning": 1}
+    assert result.table.cells == reference.table.cells
+    assert result.innings.counts == reference.innings.counts
 
 
 def _lineup_texts() -> list[str]:

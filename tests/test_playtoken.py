@@ -2,11 +2,13 @@
 
 import hashlib
 import string
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from baserisk.playtoken import (
+    MAX_TOKEN_LENGTH,
     Advance,
     Base,
     MalformedAdvance,
@@ -199,6 +201,37 @@ def test_malformed_advance_is_unparseable():
     assert issubclass(MalformedAdvance, UnparseableEvent)
     with pytest.raises(MalformedAdvance):
         parse_advances("1-")
+
+
+# 128 KB tokens, csv's field limit: two shapes on which an unclosed group
+# makes a backtracking pattern cost time quadratic in the length, and two
+# long chains that it parses in linear time
+LONG_TOKENS = {
+    "unclosed groups": "6(" * 65_536,
+    "unclosed advance notes": "S8.1-2(" + "(" * (131_072 - 7),
+    "modifier chain": "S8" + "/G" * 65_535,
+    "closed groups": "(E6)" * 32_768,
+}
+
+
+@pytest.mark.parametrize("token", LONG_TOKENS.values(), ids=LONG_TOKENS.keys())
+def test_long_token_refused_before_any_pattern(token):
+    start = time.perf_counter()
+    with pytest.raises(UnparseableEvent, match=f"longer than {MAX_TOKEN_LENGTH} characters$"):
+        parse_play_token(token)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_token_bound_is_inclusive():
+    """A token of exactly the bound parses; one more character is refused,
+    with a message that quotes only the token's start."""
+    token = "S8/G" + "/G" * ((MAX_TOKEN_LENGTH - 4) // 2)
+    assert len(token) == MAX_TOKEN_LENGTH
+    assert parse_play_token(token).kind is PlayKind.SINGLE
+    with pytest.raises(UnparseableEvent) as refused:
+        parse_play_token(token + "G")
+    assert str(refused.value) == (
+        f"unparseable event {token[:40] + '...'!r}: longer than {MAX_TOKEN_LENGTH} characters")
 
 
 @given(st.text(alphabet=string.printable, max_size=40))

@@ -16,6 +16,7 @@ from baserisk.playtoken import (
     parse_play_token,
 )
 from baserisk.state import (
+    _PLAIN_EVENT_RE,
     FIRST,
     SECOND,
     THIRD,
@@ -580,3 +581,44 @@ def test_effect_text_matches_parser():
             step, reference = resolve_step(effect, mask, outs), resolve_step(token, mask, outs)
             assert step == reference, (token, effect, mask, outs)
     assert rewritten > 10_000
+
+
+def _token_stream() -> list[str]:
+    """The pin corpus, a decorated copy of it, and 20,000 mutations of the
+    pin seeds as criterion 8 makes them, half of them decorated."""
+    corpus = pin_corpus()
+    rng = random.Random(13)
+    corpus += [decorate(token, rng) for token in corpus]
+    rng = random.Random(17)
+    mutated = [mutate(rng, PIN_SEEDS, PIN_ALPHABET, 1) for _ in range(20_000)]
+    return corpus + mutated[::2] + [decorate(token, rng) for token in mutated[1::2]]
+
+
+def test_event_without_a_group_matches_the_pattern():
+    """For an event part with no "(" and no mark, the string tests accept
+    exactly what the pattern accepts: the effect text of a part the
+    pattern accepts is its basic event, and any other part is its own."""
+    events = {token.partition(".")[0] for token in _token_stream()}
+    events |= {"", "/", "S8/", "/G", "S8//G", "S8/G/", "S8/G)", "S8)/G", ")", "S8/G/L7"}
+    accepted = refused = 0
+    for event in events:
+        if "(" in event or "#" in event or "?" in event or "!" in event:
+            continue
+        plain = _PLAIN_EVENT_RE.fullmatch(event)
+        assert effect_text(event) == (event if plain is None else plain.group(1)), event
+        if "/" in event:  # else the part is its own effect text either way
+            accepted += plain is not None
+            refused += plain is None
+    assert accepted > 5_000 and refused > 500
+
+
+def test_effect_text_with_a_shared_section_memo():
+    """One section memo shared by a whole stream of tokens changes no
+    effect text, and it holds fewer sections than there are noted tokens."""
+    sections = {}
+    noted = set()
+    for token in _token_stream():
+        assert effect_text(token, sections) == effect_text(token), token
+        if effect_text(token) != token and "(" in token.partition(".")[2]:
+            noted.add(token)
+    assert 0 < len(sections) < len(noted)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import math
-import sys
 from pathlib import Path
 
 import click
@@ -46,8 +45,6 @@ from .stats import (
     CountingMode,
     EmptyBucket,
     EmptyCell,
-    InningCounts,
-    RateSummary,
     bucket_report,
     brt_from_rates,
     career_high_leverage_innings,
@@ -127,24 +124,15 @@ _counting_mode_option = click.option(
     callback=lambda ctx, param, value: CountingMode(value))
 
 
-def _load_summary(
-    path: str, years: tuple[int, int] | None
-) -> tuple[RateSummary, InningCounts]:
-    try:
-        return read_summary(path, years)
-    except FileNotFoundError:
-        raise DataError(f"cache not found: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read cache: {exc}")
-
-
 def _read_input(load, path, what: str):
-    """``load(path)``, with a file that cannot be read or is not UTF-8
-    text turned into a data error naming it."""
+    """``load(path)``, with a file that is missing, cannot be read or is
+    not UTF-8 text turned into a data error naming it."""
     try:
         return load(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not UTF-8 text: {exc}")
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {exc.filename}")
     except OSError as exc:
         raise DataError(f"cannot read {what}: {exc}")
 
@@ -274,7 +262,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 @_format_option
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
-    summary, _ = _load_summary(cache_path, years)
+    summary, _ = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
     cells = {}
     for scope, leverage in (("all", None), ("hl", True)):
         for outs in (1, 0):
@@ -299,7 +287,7 @@ def table1(cache_path, years, fmt):
 def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
            years, fmt):
     """Career-workload buckets of per-pitcher thresholds."""
-    summary, innings = _load_summary(cache_path, years)
+    summary, innings = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
     blocks = {}
     for outs in outs_list:
@@ -323,7 +311,7 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
 @_format_option
 def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt):
     """Per-pitcher thresholds for heavy high-leverage workloads."""
-    summary, innings = _load_summary(cache_path, years)
+    summary, innings = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
     eras = _read_input(load_era_csv, era_path, "era file") if era_path else {}
     names = {}
     if roster_paths:
@@ -365,7 +353,7 @@ def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
                                    "and no --outs, --leverage or --all-innings")
         value = compute_brt(*tsf)
     elif cache_path:
-        summary, _ = _load_summary(cache_path, years)
+        summary, _ = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
         lev = True if leverage else None
         if pitcher_id is not None:
             triple = summary.triple(pitcher_id, outs, lev)
@@ -482,6 +470,3 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -217,8 +217,8 @@ def _finish(
 def iter_games(
     text: str,
     diagnostics: list[Diagnostic],
-    years: tuple[int, int] | None = None,
-    lineups: LineupMemo | None = None,
+    years: tuple[int, int] | None,
+    lineups: LineupMemo,
 ) -> Iterator[GameAccount | None]:
     """Split the text into records, as ``tokenize_event_file`` does and
     with its diagnostics, and fill one GameAccount per id record as its
@@ -240,9 +240,8 @@ def iter_games(
 
     Lineup lines repeat: a team's starters and relievers come back game
     after game and file after file.  So every ``start`` or ``sub`` line
-    built is kept in ``lineups``, the caller's memo for a task of many
-    files, or a memo of the call's own, by the line's stripped text, and a
-    repeat of the line shares the built entry.  A repeat is taken from
+    built is kept in ``lineups``, the ingest task's memo, by the line's
+    stripped text, and a repeat of the line shares the built entry.  A repeat is taken from
     that memo only where its record would be accepted anew, in an open
     block and, for a ``start`` line, before the block's first event;
     elsewhere it is read as any line is, diagnostics and all.
@@ -260,8 +259,6 @@ def iter_games(
     held: list[tuple[int, str]] | None = None  # the open block's lines while outside years
     known: set[str] = set()  # the open block's starters and subs so far
     orphan: Diagnostic | None = None  # the open block's first play by a batter not known
-    if lineups is None:
-        lineups = {}
     lines = _lines(text)
     while True:
         for line_no, line in lines:
@@ -362,7 +359,7 @@ def iter_games(
 def assemble_games(text: str) -> tuple[list[GameAccount], list[Diagnostic]]:
     """Every game the text holds, and the diagnostics of its lines and games."""
     diagnostics: list[Diagnostic] = []
-    games = [game for game in iter_games(text, diagnostics) if game is not None]
+    games = [game for game in iter_games(text, diagnostics, None, {}) if game is not None]
     return games, diagnostics
 
 

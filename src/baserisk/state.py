@@ -229,7 +229,7 @@ def _clean_advances(advances: str) -> str:
     )
 
 
-def effect_text(token: str, sections: SectionMemo | None = None) -> str:
+def effect_text(token: str, sections: SectionMemo) -> str:
     """The token less what the parser accepts but ``apply_play`` never reads:
     the modifier sections (``S8/G34`` -> ``S8``) and the notes on a safe
     advance (``B-1(UR)`` -> ``B-1``).
@@ -240,8 +240,7 @@ def effect_text(token: str, sections: SectionMemo | None = None) -> str:
     exactly a safe advance followed by plain groups keeps its text: the
     groups of an ``X`` advance can cancel the out.  ``resolve_step`` gives
     the same step for both texts, or a parse error for both.  ``sections``
-    is a memo of cleaned advance sections to share with the other calls of
-    an ingest task; without it the call cleans its own.
+    is the ingest task's memo of cleaned advance sections.
     """
     if "/" not in token and "(" not in token:
         return token
@@ -261,8 +260,6 @@ def effect_text(token: str, sections: SectionMemo | None = None) -> str:
         if not basic or ")" in modifiers or "//" in event or event[-1] == "/":
             return token
     if "(" in advances:
-        if sections is None:
-            sections = {}
         cleaned = sections.get(advances)
         if cleaned is None:
             cleaned = sections[advances] = _clean_advances(advances)
@@ -306,17 +303,13 @@ def _close(
                       (key, season, snapshots, runs, complete, excluded, firsts, faced))
 
 
-def replay_game(
-    account: GameAccount, steps: StepMemo | None = None, sections: SectionMemo | None = None,
-) -> GameReplay:
+def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) -> GameReplay:
     """Replay a full game account into per-half-inning timelines.
 
-    ``steps`` and ``sections`` are a play memo and a memo of cleaned
-    advance sections to share with the other games of an ingest task;
-    without them the game gets memos of its own.  A token met for the
-    first time costs one ``effect_text`` call, and a step one
-    ``resolve_step`` call.  Only plays that parse are stored, since a parse
-    error quotes its own token.
+    ``steps`` and ``sections`` are the ingest task's play memo and memo
+    of cleaned advance sections.  A token met for the first time costs one
+    ``effect_text`` call, and a step one ``resolve_step`` call.  Only plays
+    that parse are stored, since a parse error quotes its own token.
 
     A game whose starters list no pitcher for a side, or two for one side,
     is dropped with one diagnostic.
@@ -339,9 +332,6 @@ def replay_game(
         )
         return GameReplay([], diagnostics)
 
-    memo: StepMemo = {} if steps is None else steps
-    if sections is None:
-        sections = {}
     season = account.season
     scores = [0, 0]  # visitor, home
     score_reliable = True  # no half so far was quarantined, so every run is known
@@ -390,13 +380,13 @@ def replay_game(
                 diagnostics.append(
                     Diagnostic("placed_runner", excluded, placed.line_no, game_id))
             placed = None
-        row = memo.get(token)
+        row = steps.get(token)
         if row is None:
             effect = effect_text(token, sections)
-            row = memo.get(effect)
+            row = steps.get(effect)
             if row is None:
-                row = memo[effect] = [None] * len(CLASS_AT)
-            memo[token] = row
+                row = steps[effect] = [None] * len(CLASS_AT)
+            steps[token] = row
         at = bases << 2 | outs
         step = row[at]
         if step is None:

@@ -91,7 +91,7 @@ def game_account(events: list) -> GameAccount:
 
 def replay_events(events: list) -> GameReplay:
     """Replay the game of ``game_account(events)``."""
-    return replay_game(game_account(events))
+    return replay_game(game_account(events), {}, {})
 
 
 def run_half(tokens: list, at_game_end: bool = True):

@@ -161,8 +161,8 @@ def test_ingest_drops_a_game_with_a_second_starting_pitcher(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("games=1 skipped=1 ")
     assert "  lineup_card: 1\n" in err
-    (account,) = [game for game in iter_games("\n".join(lines[:at + 2]), []) if game]
-    assert replay_game(account).diagnostics == [Diagnostic(
+    (account,) = [game for game in iter_games("\n".join(lines[:at + 2]), [], None, {}) if game]
+    assert replay_game(account, {}, {}).diagnostics == [Diagnostic(
         "lineup_card", "team 1 lists two starting pitchers, hpit0001 and hpit0009",
         game_id=game_id)]
     rows = cache.read_text().splitlines()

@@ -155,7 +155,7 @@ def test_games_stream_before_the_file_ends():
         make_game_text([(1, 0, "vbat1", "W")], game_id="BBB200004010").replace(
             "version,2", "frobnicate,x\nversion,2")
     diags = []
-    games = iter_games(text, diags)
+    games = iter_games(text, diags, None, {})
     assert next(games).game_id == "AAA200004010"
     assert diags == []
     assert next(games).game_id == "BBB200004010"
@@ -323,7 +323,7 @@ def front_end_rows(text, years):
     """Every game and diagnostic of the text, the diagnostics that exist
     at each yield placed before the game it yields."""
     diags, rows, seen = [], [], 0
-    for game in iter_games(text, diags, years):
+    for game in iter_games(text, diags, years, {}):
         assert len(diags) >= seen
         rows += [_diagnostic_row(d) for d in diags[seen:]]
         seen = len(diags)
@@ -458,7 +458,7 @@ def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
                                      date=f"{date}/04/01")
                       for year, date in [(1979, 1979), (1990, 1979), (1979, 2012)])
     diags = []
-    assert list(iter_games(outside, diags, window)) == []
+    assert list(iter_games(outside, diags, window, {})) == []
     assert (diags, built) == ([], [])
 
     late = "\n".join(_block("LAT197904010", "frobnicate,x", ",oops", *PLAYS,

@@ -38,7 +38,7 @@ def replayed():
     text = emit_event_file(games)
     tok_diags = tokenize_event_file(text)[1]
     accounts, asm_diags = assemble_games(text)
-    replays = [replay_game(account) for account in accounts]
+    replays = [replay_game(account, {}, {}) for account in accounts]
     return games, accounts, replays, tok_diags, asm_diags
 
 
@@ -300,7 +300,7 @@ def test_midgame_sub_switches_credited_pitcher():
     accounts, _ = assemble_games(emit_event_file(games))
     switches = 0
     for account in accounts:
-        replay = replay_game(account)
+        replay = replay_game(account, {}, {})
         assert replay.diagnostics == []
         for timeline, walked in zip(replay.timelines, walk_game(account), strict=True):
             _, inning, half = timeline.half_inning_key
@@ -537,9 +537,9 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
     rows = []
     for text in texts:
         diags = []
-        for account in iter_games(text, diags):
+        for account in iter_games(text, diags, None, {}):
             if account is not None:
-                rows += [astuple(d) for d in replay_game(account, steps).diagnostics]
+                rows += [astuple(d) for d in replay_game(account, steps, {}).diagnostics]
         rows += [astuple(d) for d in diags]
     assert len(rows) == 68
     assert _digest(repr(rows)) == (
@@ -561,9 +561,9 @@ def test_memo_holds_only_resolved_plays(damaged_archive, monkeypatch):
     it shares its effect text's row with another token."""
     steps: state.StepMemo = {}
     for path in damaged_archive:
-        for account in iter_games(path.read_text(encoding="latin-1"), []):
+        for account in iter_games(path.read_text(encoding="latin-1"), [], None, {}):
             if account is not None:
-                replay_game(account, steps)
+                replay_game(account, steps, {})
     filled = [step for row in steps.values() for step in row if step is not None]
     assert filled
     assert all(step[0] is None for step in filled)
@@ -572,8 +572,8 @@ def test_memo_holds_only_resolved_plays(damaged_archive, monkeypatch):
     plays = [(1, 0, "v1", "ZZ9"), (1, 0, "v2", "ZZ9/G"), (1, 1, "h1", "ZZ9")]
     text = make_game_text(plays) + make_game_text(plays, game_id="TST200004020")
     diags = []
-    for account in iter_games(text, diags):
-        diags += replay_game(account, steps).diagnostics
+    for account in iter_games(text, diags, None, {}):
+        diags += replay_game(account, steps, {}).diagnostics
     assert sorted(token for token, _, _ in calls) == ["ZZ9"] * 4 + ["ZZ9/G"] * 2
     assert steps["ZZ9"] is steps["ZZ9/G"]
     assert [d.detail.count("ZZ9/G") for d in diags] == [0, 1, 0] * 2
@@ -699,7 +699,7 @@ def test_start_line_built_in_an_earlier_file_still_refused_late(tmp_path):
     late = "\n".join(second) + "\n"
 
     alone, after = [], []
-    list(iter_games(late, alone))
+    list(iter_games(late, alone, None, {}))
     lineups = {}
     list(iter_games(first, [], None, lineups))
     assert line in lineups

@@ -216,7 +216,7 @@ def test_unparseable_token_quarantines():
 
 def test_quarantine_names_its_own_token():
     # both share one memo key, yet each reason quotes the token as written
-    assert effect_text("ZZ/G") == effect_text("ZZ/F") == "ZZ"
+    assert effect_text("ZZ/G", {}) == effect_text("ZZ/F", {}) == "ZZ"
     _, diags = run_half(["ZZ/G", "ZZ/F"])
     assert [d.detail for d in diags if d.code == "quarantined_half_inning"] == [
         "unparseable event 'ZZ/G': unrecognized basic event 'ZZ'",
@@ -265,7 +265,7 @@ def account_of(text):
 
 
 def replay_text(text):
-    return replay_game(account_of(text))
+    return replay_game(account_of(text), {}, {})
 
 
 def test_scores_accumulate_across_halves():
@@ -305,10 +305,10 @@ def test_replay_matches_a_plain_walk_of_the_corpora():
     halves = quarantined = 0
     for text in decorated_texts() + damaged_texts() + [token_damaged_text()]:
         steps = {}
-        for account in iter_games(text, []):
+        for account in iter_games(text, [], None, {}):
             if account is None:
                 continue
-            timelines = replay_game(account, steps).timelines
+            timelines = replay_game(account, steps, {}).timelines
             if not timelines:
                 continue
             walked = walk_game(account)
@@ -413,7 +413,7 @@ def test_incomplete_half_flagged():
         (1, 1, "hbat1", "K"), (1, 1, "hbat2", "K"), (1, 1, "hbat3", "K"),
     ])
     games, _ = assemble_games(text)
-    replay = replay_game(games[0])
+    replay = replay_game(games[0], {}, {})
     assert not replay.timelines[0].complete
     assert any(d.code == "incomplete_half_inning" for d in replay.diagnostics)
 
@@ -423,7 +423,7 @@ def test_missing_starting_pitcher_is_reported():
         'start,hpit1,"H Pitcher",1,0,1\n', ""
     )
     games, _ = assemble_games(text)
-    replay = replay_game(games[0])
+    replay = replay_game(games[0], {}, {})
     assert replay.timelines == []
     assert any(d.code == "missing_info" for d in replay.diagnostics)
 
@@ -559,7 +559,7 @@ def test_steps_pinned():
     ("HR", "HR"),
 ])
 def test_effect_text_examples(token, effect):
-    assert effect_text(token) == effect
+    assert effect_text(token, {}) == effect
 
 
 def test_effect_text_matches_parser():
@@ -571,7 +571,7 @@ def test_effect_text_matches_parser():
     corpus += [decorate(token, rng) for token in corpus]
     rewritten = 0
     for token in dict.fromkeys(corpus):
-        effect = effect_text(token)
+        effect = effect_text(token, {})
         if effect == token:
             continue
         rewritten += 1
@@ -605,7 +605,7 @@ def test_event_without_a_group_matches_the_pattern():
         if "(" in event or "#" in event or "?" in event or "!" in event:
             continue
         plain = _PLAIN_EVENT_RE.fullmatch(event)
-        assert effect_text(event) == (event if plain is None else plain.group(1)), event
+        assert effect_text(event, {}) == (event if plain is None else plain.group(1)), event
         if "/" in event:  # else the part is its own effect text either way
             accepted += plain is not None
             refused += plain is None
@@ -618,7 +618,7 @@ def test_effect_text_with_a_shared_section_memo():
     sections = {}
     noted = set()
     for token in _token_stream():
-        assert effect_text(token, sections) == effect_text(token), token
-        if effect_text(token) != token and "(" in token.partition(".")[2]:
+        assert effect_text(token, sections) == effect_text(token, {}), token
+        if effect_text(token, {}) != token and "(" in token.partition(".")[2]:
             noted.add(token)
     assert 0 < len(sections) < len(noted)

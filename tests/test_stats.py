@@ -404,8 +404,8 @@ def test_tally_matches_a_plain_walk_of_replayed_halves(lines):
     walk of the account's plays that reads nothing of replay, in both
     counting modes."""
     text = make_game_text(lines)
-    (account,) = iter_games(text, [])
-    timelines = replay_game(account).timelines
+    (account,) = iter_games(text, [], None, {})
+    timelines = replay_game(account, {}, {}).timelines
     for mode in CountingMode:
         cells, innings, observations = plain_walk(account, mode)
         result = ingest_text(text, mode)

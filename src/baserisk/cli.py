@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import math
+from functools import partial
 from pathlib import Path
 
 import click
@@ -262,7 +263,7 @@ def ingest(inputs, cache_path, years, counting_mode, jobs):
 @_format_option
 def table1(cache_path, years, fmt):
     """League-wide rates and thresholds, all innings vs high leverage."""
-    summary, _ = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
+    summary, _ = _read_input(partial(read_summary, years=years), cache_path, "cache")
     cells = {}
     for scope, leverage in (("all", None), ("hl", True)):
         for outs in (1, 0):
@@ -287,7 +288,7 @@ def table1(cache_path, years, fmt):
 def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
            years, fmt):
     """Career-workload buckets of per-pitcher thresholds."""
-    summary, innings = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
+    summary, innings = _read_input(partial(read_summary, years=years), cache_path, "cache")
     leaders = _read_input(_read_ids, leaders_path, "leaders file") if leaders_path else None
     blocks = {}
     for outs in outs_list:
@@ -311,7 +312,7 @@ def table2(cache_path, outs_list, boundaries, leaders_path, cohort_min_season,
 @_format_option
 def table3(cache_path, min_appearances, outs, era_path, roster_paths, years, fmt):
     """Per-pitcher thresholds for heavy high-leverage workloads."""
-    summary, innings = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
+    summary, innings = _read_input(partial(read_summary, years=years), cache_path, "cache")
     eras = _read_input(load_era_csv, era_path, "era file") if era_path else {}
     names = {}
     if roster_paths:
@@ -353,7 +354,7 @@ def decide_cmd(ctx, p, tsf, cache_path, pitcher_id, outs, leverage, years):
                                    "and no --outs, --leverage or --all-innings")
         value = compute_brt(*tsf)
     elif cache_path:
-        summary, _ = _read_input(lambda p: read_summary(p, years), cache_path, "cache")
+        summary, _ = _read_input(partial(read_summary, years=years), cache_path, "cache")
         lev = True if leverage else None
         if pitcher_id is not None:
             triple = summary.triple(pitcher_id, outs, lev)

@@ -191,16 +191,20 @@ def tokenize_event_file(text: str) -> tuple[list[Record], list[Diagnostic]]:
 
 
 def _finish(
-    game: GameAccount, error: Diagnostic | None, orphan: Diagnostic | None,
+    game: GameAccount, error: Diagnostic | None, orphan: Diagnostic | None, lost: bool,
     diagnostics: list[Diagnostic], mark: int, outside: bool,
 ) -> Iterator[GameAccount | None]:
     """Yield a closed block's game, or ``None`` with the one diagnostic that
-    drops it: its first malformed record, else a missing info record, else
-    its ``orphan`` play.  Yield nothing for a block whose season is
-    ``outside`` the years asked for, whose diagnostics since its id record,
-    at ``mark``, are deleted."""
+    drops it: for a block ``lost`` with a line that could not be read, that
+    line's, given already; else its first malformed record, else a missing
+    info record, else its ``orphan`` play.  Yield nothing for a block
+    whose season is ``outside`` the years asked for, whose diagnostics
+    since its id record, at ``mark``, are deleted."""
     if outside:
         del diagnostics[mark:]
+        return
+    if lost:
+        yield None
         return
     if error is None:
         for key in ("visteam", "hometeam", "date"):
@@ -225,13 +229,14 @@ def iter_games(
     records arrive; yield it as soon as the next id record or the end of
     the text closes it.
 
-    An account that fails structural validation (malformed cells, a start
-    record after its first play, sub or radj record, missing required info,
-    a play by a player never introduced) is dropped whole:
-    ``None`` is yielded in its place, with one diagnostic naming the game,
-    so it is never silently truncated.  With ``years``, a block of another
-    season is dropped at close without a yield, and so are its diagnostics.
-    Diagnostics that belong to no game block stay.
+    An account that fails structural validation (a line that cannot be
+    read, malformed cells, a start record after its first play, sub or radj
+    record, missing required info, a play by a player never introduced) is
+    dropped whole: ``None`` is yielded in its place, with one diagnostic
+    naming the game or the line, so it is never silently truncated.  With
+    ``years``, a block of another season is dropped at close without a
+    yield, and so are its diagnostics.  Diagnostics that belong to no game
+    block stay.
 
     A play's batter is checked as its line is read, against the block's
     start records and the sub records before it, and the first play by a
@@ -241,10 +246,10 @@ def iter_games(
     Lineup lines repeat: a team's starters and relievers come back game
     after game and file after file.  So every ``start`` or ``sub`` line
     built is kept in ``lineups``, the ingest task's memo, by the line's
-    stripped text, and a repeat of the line shares the built entry.  A repeat is taken from
-    that memo only where its record would be accepted anew, in an open
-    block and, for a ``start`` line, before the block's first event;
-    elsewhere it is read as any line is, diagnostics and all.
+    stripped text, and a repeat of the line shares the built entry.  A
+    repeat is taken from that memo only where its record would be accepted
+    anew, in an open block and, for a ``start`` line, before the block's
+    first event; elsewhere it is read as any line is, diagnostics and all.
 
     A block's season is its last ``info,date`` so far, else its game-id
     year.  While that is outside ``years`` the block's lines are held
@@ -259,6 +264,7 @@ def iter_games(
     held: list[tuple[int, str]] | None = None  # the open block's lines while outside years
     known: set[str] = set()  # the open block's starters and subs so far
     orphan: Diagnostic | None = None  # the open block's first play by a batter not known
+    lost = False  # a line of the open block could not be read
     lines = _lines(text)
     while True:
         for line_no, line in lines:
@@ -283,13 +289,16 @@ def iter_games(
             elif '"' in line or len(line) > limit or (cells := line.split(","))[0] not in _KINDS:
                 cells = _record(line, line_no, diagnostics)
                 if cells is None:
+                    lost = game is not None  # the open block, if any, is lost with it
                     continue
             kind = cells[0]
             if kind == "id":
                 if game is not None:
-                    yield from _finish(game, error, orphan, diagnostics, mark, held is not None)
+                    yield from _finish(game, error, orphan, lost, diagnostics, mark,
+                                       held is not None)
                 mark = len(diagnostics)
                 error = held = orphan = None
+                lost = False
                 known = set()
                 if len(cells) > 1 and cells[1]:
                     game = GameAccount(cells[1], {}, [], [])
@@ -353,7 +362,7 @@ def iter_games(
         else:
             break
     if game is not None:
-        yield from _finish(game, error, orphan, diagnostics, mark, held is not None)
+        yield from _finish(game, error, orphan, lost, diagnostics, mark, held is not None)
 
 
 def assemble_games(text: str) -> tuple[list[GameAccount], list[Diagnostic]]:

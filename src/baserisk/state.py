@@ -106,13 +106,13 @@ class StateTimeline(NamedTuple):
     """Replay's record of one half-inning, built once when it closes.
 
     ``complete`` is False when the half was cut off short of three outs by
-    anything other than the end of the game, and ``excluded`` is the
-    quarantine reason, None when the half is usable.  ``firsts`` maps each
-    situation class, in the order met, to its first play's (pitcher, runs
-    earlier in the half, runs on that play, high leverage), and ``faced``
-    maps each pitcher who faced a play to whether one of theirs was high
-    leverage.  The tallies read these; ``snapshots`` holds each play's
-    pre-play code ``bases << 2 | outs``.
+    anything other than a walk-off, and ``excluded`` is the quarantine
+    reason, None when the half is usable.  ``firsts`` maps each situation
+    class, in the order met, to its first play's (pitcher, runs earlier in
+    the half, runs on that play, high leverage), and ``faced`` maps each
+    pitcher who faced a play to whether one of theirs was high leverage.
+    The tallies read these; ``snapshots`` holds each play's pre-play code
+    ``bases << 2 | outs``.
     """
 
     half_inning_key: tuple[str, int, Half]
@@ -285,14 +285,14 @@ def resolve_step(token: str, bases: int, outs: int) -> Step:
 
 def _close(
     key: tuple[str, int, Half], season: int, snapshots: list[int], runs: int,
-    outs: int, at_game_end: bool, excluded: str | None,
+    outs: int, walk_off: bool, excluded: str | None,
     firsts: dict[SituationClass, tuple[str, int, int, bool]], faced: dict[str, bool],
     diagnostics: list[Diagnostic],
 ) -> StateTimeline:
     """The record of a half-inning closed after ``outs`` outs and ``runs``
-    runs; one cut off short of three before the game ends is reported
-    unless it was already quarantined."""
-    complete = outs == 3 or at_game_end
+    runs; one cut off short of three by anything but a ``walk_off`` is
+    reported unless it was already quarantined."""
+    complete = outs == 3 or walk_off
     if not complete and excluded is None:
         game_id, inning, _ = key
         diagnostics.append(Diagnostic(
@@ -422,7 +422,11 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
         scores[batting] = score + runs
 
     if inning is not None:
-        # the account simply ends: a walk-off or a home win with no bottom 9
+        # the account ends, and the game with it, short of three outs only
+        # where the home side went ahead in a trusted bottom half from the
+        # 9th on: any other such half was cut off with the file
+        walk_off = batting == 1 and inning >= 9 and score_reliable and (
+            opening <= fielding < scores[1])
         timelines.append(_close(key, season, snapshots, scores[batting] - opening,
-                                outs, True, excluded, firsts, faced, diagnostics))
+                                outs, walk_off, excluded, firsts, faced, diagnostics))
     return GameReplay(timelines, diagnostics)

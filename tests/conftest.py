@@ -94,14 +94,11 @@ def replay_events(events: list) -> GameReplay:
     return replay_game(game_account(events), {}, {})
 
 
-def run_half(tokens: list, at_game_end: bool = True):
+def run_half(tokens: list):
     """Replay a bare token list, with any ``SubLine`` among the tokens, as
-    the top of the first inning of a game, with fresh batters.  Unless
-    at_game_end, a no-play in the second inning follows, so the half closes
-    cut off rather than with the game."""
+    the top of the first inning of a game, with fresh batters.  The account
+    ends with it, so a half short of three outs is cut off."""
     events = [(1, Half.TOP, token) if isinstance(token, str) else token for token in tokens]
-    if not at_game_end:
-        events.append((2, Half.TOP, "NP"))
     replay = replay_events(events)
     return replay.timelines[0], replay.diagnostics
 
@@ -127,9 +124,11 @@ class WalkedHalf:
     inning: int
     half: Half
     trusted: bool  # no earlier half of the game was quarantined
+    opening: tuple[int, int]  # (visitor, home) when the half began
     plays: list[WalkedPlay] = field(default_factory=list)
     outs: int = 0
     excluded: str | None = None  # the last quarantine reason met
+    complete: bool = False
 
 
 def walk_game(account: GameAccount) -> list[WalkedHalf]:
@@ -141,7 +140,10 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
     that play's half, if nothing has yet.  A parse error quarantines even a
     quarantined half; otherwise a play in a quarantined half, or a no-play,
     is skipped before an illegal step quarantines.  A half is trusted while
-    no earlier half of the game is quarantined.  Unlike replay, the walk
+    no earlier half of the game is quarantined.  A half is complete at its
+    third out, and the account's last half also where it is a walk-off: a
+    trusted, unquarantined bottom half from the 9th on in which the home
+    side went from not ahead to ahead.  Unlike replay, the walk
     never drops a game: give it none that lacks a starting pitcher, lists
     two for a side, or has a half that goes back.
     """
@@ -161,7 +163,7 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
         inning, half, _, token, _ = item
         if not halves or (halves[-1].inning, halves[-1].half) != (inning, half):
             trusted = all(h.excluded is None for h in halves)
-            halves.append(WalkedHalf(inning, half, trusted))
+            halves.append(WalkedHalf(inning, half, trusted, tuple(scores)))
             bases = 0
         open_half = halves[-1]
         if placed is not None:
@@ -182,6 +184,13 @@ def walk_game(account: GameAccount) -> list[WalkedHalf]:
         bases = new_bases
         open_half.outs += outs
         scores[batting] += runs
+    for h in halves:
+        h.complete = h.outs == 3
+    if halves:
+        last = halves[-1]
+        visitor, home = last.opening
+        last.complete |= (last.half is Half.BOTTOM and last.inning >= 9 and last.trusted
+                          and last.excluded is None and home <= visitor < scores[1])
     return halves
 
 

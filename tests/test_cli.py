@@ -813,6 +813,17 @@ def test_config_rejects_garbage(tmp_path, capsys):
     assert "bad config line" in capsys.readouterr().err
 
 
+def test_config_not_found(tmp_path, capsys):
+    """A config file that does not exist is a data error naming it, as a
+    cache that does not exist is."""
+    cfg = tmp_path / "missing.cfg"
+    assert main(["--config", str(cfg), "table1", "--cache", "x"]) == 2
+    assert capsys.readouterr().err == f"error: config not found: {cfg}\n"
+    cache = tmp_path / "missing.cache"
+    assert main(["table1", "--cache", str(cache)]) == 2
+    assert capsys.readouterr().err == f"error: cache not found: {cache}\n"
+
+
 def test_config_not_utf8(tmp_path, capsys):
     cfg = unreadable(tmp_path, "latin1")
     assert main(["--config", str(cfg), "table1", "--cache", "x"]) == 2

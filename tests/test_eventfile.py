@@ -94,7 +94,27 @@ def test_line_numbers_at_every_line_break(brk):
     games, diags = assemble_games(brk.join(lines))
     assert games == []
     assert [(d.code, d.line_no) for d in diags] == [
-        ("unknown_record_kind", 3), ("unreadable_line", 4), ("malformed_record", 5)]
+        ("unknown_record_kind", 3), ("unreadable_line", 4)]
+    # the unreadable line alone drops the block; blanked, the play does
+    games, diags = assemble_games(brk.join(lines).replace(",oops", ""))
+    assert games == []
+    assert [(d.code, d.line_no) for d in diags] == [
+        ("unknown_record_kind", 3), ("malformed_record", 5)]
+
+
+def test_unreadable_line_drops_its_block_only():
+    """A line that cannot be read drops the block it falls in, with the
+    line's one diagnostic; before any id record it drops nothing."""
+    first = make_game_text([(1, 0, "vbat1", "K")])
+    second = make_game_text([(1, 0, "vbat1", "K")], game_id="TST200004020")
+    games, diags = assemble_games(",oops\n" + first + second)
+    assert [game.game_id for game in games] == ["TST200004010", "TST200004020"]
+    assert [(d.code, d.line_no) for d in diags] == [("unreadable_line", 1)]
+    diags = []
+    games = list(iter_games(first + ",oops\n" + second, diags, None, {}))
+    assert [game and game.game_id for game in games] == [None, "TST200004020"]
+    at = first.count("\n") + 1
+    assert [(d.code, d.line_no) for d in diags] == [("unreadable_line", at)]
 
 
 def test_line_numbers_across_mixed_line_breaks():
@@ -414,6 +434,8 @@ FRONT_END_INPUTS = {
     "hand_made": _hand_made_texts,
 }
 
+# hand_made re-recorded when an unreadable line began to drop its block:
+# SCF197904010 is dropped, and AAA199004010 no longer adds a malformed_record
 FRONT_END_PINS = {
     "pin_corpus":
         "bc6b43d6f744b736bb8b04aef8ecfe75511c38d9aaaac2128ea17013847b9898",
@@ -424,7 +446,7 @@ FRONT_END_PINS = {
     "damaged":
         "d5d6d4c37f9ba2148160115f2ea6a3e6ce918914e2bb1ec8a7b772b7be0f8e12",
     "hand_made":
-        "3ef8c578c0cf6dafb0af04e86d51241c61a227b31542905b4aa9a1e69b1d877b",
+        "bfed48242b6dc3f180cdb3675eae28d2ea0aaa13d92f26814f7327fd93c9a84d",
 }
 
 
@@ -439,7 +461,7 @@ def test_front_end_pinned(name):
 def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
     """A block outside the window builds no play; one that a late date
     brings back builds every play, with the diagnostics it has when no
-    window is set."""
+    window is set: its held unreadable line drops it when the line runs."""
     built = []
 
     class Events(list):
@@ -468,7 +490,7 @@ def test_out_of_window_lines_are_held_unbuilt(monkeypatch):
     assert rows == front_end_rows(late, None)
     assert [row[:2] for row in rows] == [
         ("diagnostic", "unknown_record_kind"), ("diagnostic", "unreadable_line"),
-        ("game", "LAT197904010")]
+        ("dropped",)]
 
 
 # --- lineup memo and the orphan check ----------------------------------------

@@ -193,6 +193,24 @@ def test_lost_id_record_after_a_cut_off_first_half_drops_the_merged_game():
     assert merged.innings.counts == rest.innings.counts
 
 
+def test_account_cut_off_with_its_file_leaves_its_half_incomplete():
+    """A file that ends one out into a game's top of the 1st, where no
+    walk-off can end the game, leaves that half incomplete with one
+    diagnostic, and its plays count nowhere: the tallies are those of the
+    file cut before the half's first play."""
+    lines = emit_event_file(simulate_season(default_model(), 6, seed=1)).splitlines()
+    assert lines[578] == "play,1,0,vbat0005,??,,6/L"
+    cut = ingest_text("\n".join(lines[:579]) + "\n")
+    assert cut.counts == Counter(games=6, half_innings=91, incomplete=1, observations=129)
+    assert cut.diagnostic_counts == {"incomplete_half_inning": 1}
+    last_id = max(i for i in range(579) if lines[i].startswith("id,"))
+    first_play = next(i for i in range(last_id, 579) if lines[i].startswith("play,"))
+    before = ingest_text("\n".join(lines[:first_play]) + "\n")
+    assert before.counts["half_innings"] == 90
+    assert cut.table.cells == before.table.cells
+    assert cut.innings.counts == before.innings.counts
+
+
 def test_ingest_heap_stays_small():
     """A 600-game file is ingested one game at a time from lines split a
     chunk at a time: the traced heap peak stays far below what the file's
@@ -479,7 +497,10 @@ def damaged_archive(tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_damaged_ingest_pinned(damaged_archive, jobs):
-    """Digest and counters computed before ingest streamed one game at a time."""
+    """Digest and counters computed before ingest streamed one game at a
+    time, and re-recorded when a half that ends its account short of three
+    outs without a walk-off became incomplete: HOM199604024's bottom 9th,
+    whose first out a damaged ``pla,`` line lost."""
     # no id names two game blocks, so counting dropped blocks or dropped ids
     # gives the same games_skipped
     ids = [fields[0]
@@ -489,11 +510,11 @@ def test_damaged_ingest_pinned(damaged_archive, jobs):
     assert len(ids) == len(set(ids))
     result = ingest_paths(damaged_archive, jobs=jobs)
     assert _cache_digest(result, CountingMode.INCLUDE_PLAY) == (
-        "34d2b3ae820ccf2d90e898af06e188be464ff329957cfd331940dfddf3e282a1")
+        "0a703063712e97c8859289dacd78f6b538695547a44d656189371e573d8127be")
     assert result.counts == Counter(games=28, skipped=32, half_innings=504, quarantined=2,
-                                   incomplete=2, observations=624)
+                                   incomplete=3, observations=623)
     assert sorted(result.diagnostic_counts.items()) == [
-        ("incomplete_half_inning", 2), ("malformed_record", 20), ("missing_info", 1),
+        ("incomplete_half_inning", 3), ("malformed_record", 20), ("missing_info", 1),
         ("orphan_player", 11), ("quarantined_half_inning", 2), ("unknown_record_kind", 22),
     ]
 
@@ -528,7 +549,8 @@ def test_ingest_counts_only_summary_words(fixture, jobs, request, tmp_path):
 def test_diagnostics_pinned(decorated_archive, damaged_archive):
     """Digest of every diagnostic, in order and with its wording, that
     assembly and replay give for the broken, decorated broken and damaged
-    files, computed before the replay loop was folded into one function."""
+    files, computed before the replay loop was folded into one function and
+    re-recorded with HOM199604024's incomplete bottom 9th, as above."""
     texts = [broken_text()] + [
         path.read_text(encoding="latin-1")
         for path in [decorated_archive[-1], *damaged_archive]
@@ -541,9 +563,9 @@ def test_diagnostics_pinned(decorated_archive, damaged_archive):
             if account is not None:
                 rows += [astuple(d) for d in replay_game(account, steps, {}).diagnostics]
         rows += [astuple(d) for d in diags]
-    assert len(rows) == 68
+    assert len(rows) == 69
     assert _digest(repr(rows)) == (
-        "d7ccd564393f4080bd5b99f3ea71aa0adf095eea507d48bb9c18dd5abd24f7b2")
+        "5a87dce0e0c8887b403677904ddd0af0d059c557f779ea8df326261285e76bc2")
 
 
 def _counting_calls(monkeypatch, name: str) -> list:
@@ -650,6 +672,23 @@ def test_long_token_quarantines_its_half_only():
         "quarantined_half_inning": 1}
     assert result.table.cells == reference.table.cells
     assert result.innings.counts == reference.innings.counts
+
+
+def test_line_over_the_field_limit_drops_its_game():
+    """A play line longer than csv's field limit cannot be read, so its
+    game is dropped with the line's one diagnostic, not counted without the
+    play; the other game counts as it does alone."""
+    lines = emit_event_file(simulate_season(default_model(), 2, seed=1)).splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("play,")][40]
+    head = lines[at].rpartition(",")[0]
+    result = ingest_text("\n".join([*lines[:at], f"{head},{'S' * 131_100}", *lines[at + 1:]]))
+    assert result.counts == Counter(games=1, skipped=1, half_innings=18, observations=19)
+    assert result.diagnostic_counts == {"unreadable_line": 1}
+    second = max(i for i, line in enumerate(lines) if line.startswith("id,"))
+    assert at < second
+    alone = ingest_text("\n".join(lines[second:]))
+    assert result.table.cells == alone.table.cells
+    assert result.innings.counts == alone.innings.counts
 
 
 def _lineup_texts() -> list[str]:
@@ -845,6 +884,7 @@ def _tally_digest(result) -> str:
     return _digest(repr((cells, innings, counters)))
 
 
+# the damaged digest re-recorded with HOM199604024's incomplete bottom 9th
 TALLY_DIGESTS = {
     "season-include":
         "0a2b5e0a712f06a0a070bd0b9c37f2b52a75734bd7786bd2d9510346162208f2",
@@ -855,7 +895,7 @@ TALLY_DIGESTS = {
     "decorated":
         "e96a864e8319d9224192241600939c5bdbc5b2a3175dac1b594e62023a7c7a68",
     "damaged":
-        "e3ff4a1b44c709add477d8b4bcb78cab1ee5d8f485765115cd5f4d1fd232c880",
+        "e743902a4409ad604e63f0d1367ec4a45103c00b0c67a93aa0ea8005c1d93c43",
 }
 
 

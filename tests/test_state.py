@@ -199,12 +199,22 @@ def test_runs_on_play_counts_each_play():
 
 
 def test_walk_off_half_is_complete():
-    timeline, _ = run_half(["K", "S8.B-1"], at_game_end=True)
-    assert timeline.complete
+    """The account ends short of three outs: a bottom of the 9th in which
+    the home side goes ahead with one out ends the game, complete; a top of
+    the 1st cut at one out is incomplete, and so is a bottom of the 9th in
+    which the home side only ties."""
+    top = [(9, 0, "K"), (9, 0, "HR"), (9, 0, "K"), (9, 0, "K")]
+    walk_off = replay_events(top + [(9, 1, "K"), (9, 1, "HR"), (9, 1, "HR")])
+    assert walk_off.timelines[-1].complete and walk_off.diagnostics == []
+    for events in ([(1, 0, "K")], top + [(9, 1, "K"), (9, 1, "HR")]):
+        replay = replay_events(events)
+        assert not replay.timelines[-1].complete
+        assert [(d.code, d.detail) for d in replay.diagnostics] == [
+            ("incomplete_half_inning", f"inning {events[-1][0]} ended after 1 outs")]
 
 
 def test_truncated_half_is_incomplete():
-    timeline, _ = run_half(["K"], at_game_end=False)
+    timeline, _ = run_half(["K"])
     assert not timeline.complete
 
 
@@ -317,7 +327,7 @@ def test_replay_matches_a_plain_walk_of_the_corpora():
                 assert timeline.snapshots == [play.code for play in h.plays]
                 assert timeline.runs == sum(play.runs for play in h.plays)
                 assert timeline.excluded == h.excluded
-                assert timeline.complete == (h.outs == 3 or h is walked[-1])
+                assert timeline.complete == h.complete
                 assert list(timeline.faced) == list(dict.fromkeys(p.pitcher for p in h.plays))
                 halves += 1
                 quarantined += h.excluded is not None

@@ -166,7 +166,7 @@ def test_quarantined_and_incomplete_yield_nothing():
     timeline, _ = run_half(["T9", "K", "ZZ9", "K", "K"])
     assert timeline.excluded is not None and timeline.firsts
     assert extract_observations(timeline) == []
-    truncated, _ = run_half(["T9", "K"], at_game_end=False)
+    truncated, _ = run_half(["T9", "K"])
     assert not truncated.complete and truncated.firsts
     assert extract_observations(truncated) == []
 
@@ -368,7 +368,7 @@ def plain_walk(account, mode):
     halves = walk_game(account)
     for h in halves:
         observations.append([])
-        if h.excluded is not None or (h.outs < 3 and h is not halves[-1]):
+        if h.excluded is not None or not h.complete:
             continue
         key = (account.game_id, h.inning, h.half)
         high = [h.trusted and h.inning in (8, 9) and abs(p.batting - p.fielding) <= 1

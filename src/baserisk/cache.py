@@ -9,9 +9,10 @@ rows with outs 0, numerator = high-leverage half-innings and denominator
 = all half-innings.  Rows are written sorted, so equal tallies produce
 byte-identical files.
 
-``csv.writer`` quotes only a field that holds a quote, a comma or a line
-break, so a cache whose text holds no quote splits the same with
-``str.split``; any other cache goes through ``csv.reader``.  Two readers
+The writer quotes a pitcher id as ``csv.writer`` would: only one that
+holds a quote or a comma, since it refuses a line break.  So a cache whose
+text holds no quote splits the same with ``str.split``; any other cache
+goes through ``csv.reader``.  Two readers
 share one loop of checks, and so refuse the same text with the same
 ``CacheError``: text that is not UTF-8, a row of the wrong width, counts
 outside 0 <= numerator <= denominator, a (class, outs) that is not one of
@@ -87,26 +88,28 @@ def render_cache(cache: StatsCache) -> str:
     does and such an id would read back as another key or a short row."""
     pids = {key[0] for key in cache.table.cells}
     pids.update(key[0] for key in cache.innings.counts)
+    # each id as csv.writer writes it: quoted, each quote doubled, where it
+    # holds a comma or a quote
+    fields = {}
     for pid in pids:
         # an id with no line break splits into itself, or nothing when empty
         if pid.splitlines() not in ([pid], []):
             raise CacheError(f"pitcher id {pid!r} holds a line break")
-    out = io.StringIO()
-    out.write(
+        fields[pid] = '"' + pid.replace('"', '""') + '"' if "," in pid or '"' in pid else pid
+    rows = [(pid, kind.value, outs, f"{season}:{'hl' if lev else 'other'}", num, den)
+            for (pid, kind, outs, season, lev), (num, den) in cache.table.cells.items()]
+    rows += [(pid, _INNINGS_CLASS, 0, str(season), hl, total)
+             for (pid, season), (hl, total) in cache.innings.counts.items()]
+    # the keys are unique, so the counts never decide the order
+    rows.sort()
+    lines = [
         f"{_MAGIC} schema={_SCHEMA} counting_mode={cache.counting_mode.value} "
-        f"fingerprint={cache.fingerprint}\n"
-    )
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HEADER)
-    rows = []
-    for (pid, kind, outs, season, lev), (num, den) in cache.table.cells.items():
-        stratum = f"{season}:{'hl' if lev else 'other'}"
-        rows.append((pid, kind.value, outs, stratum, num, den))
-    for (pid, season), (hl, total) in cache.innings.counts.items():
-        rows.append((pid, _INNINGS_CLASS, 0, str(season), hl, total))
-    for row in sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3])):
-        writer.writerow(row)
-    return out.getvalue()
+        f"fingerprint={cache.fingerprint}\n",
+        ",".join(_HEADER) + "\n",
+    ]
+    lines += [f"{fields[pid]},{kind},{outs},{stratum},{num},{den}\n"
+              for pid, kind, outs, stratum, num, den in rows]
+    return "".join(lines)
 
 
 def write_cache(path: str | Path, cache: StatsCache) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 from functools import partial
 from pathlib import Path
 
@@ -141,7 +142,7 @@ def _read_input(load, path, what: str):
 def _file_id(path: str) -> tuple[int, int]:
     """(device, inode) of the file ``path`` names, the same for every
     spelling of it and every hard link to it."""
-    stat = Path(path).stat()
+    stat = os.stat(path)
     return stat.st_dev, stat.st_ino
 
 

@@ -170,7 +170,8 @@ def _read_files(paths: list[str], result: IngestResult) -> Iterator[tuple[str, s
 
     for path in paths:
         try:
-            data = Path(path).read_bytes()
+            with open(path, "rb") as file:
+                data = file.read()
         except OSError as exc:
             raise InputError(f"cannot read input: {exc}") from None
         result.file_digests[path] = hashlib.sha256(data).hexdigest()

@@ -9,14 +9,17 @@ half-inning instead of guessing, and so does a runner placed on a base.
 
 No output reads which runner stands where, so the bases are a 3-bit
 occupancy mask throughout: ``apply_play`` resolves a play on the mask, and
-replay resolves each (effect text, occupancy, outs) only once per ingest
-task, through a memo that maps each token as written to one row of steps
-per effect text and holds only the plays that parse.  A second memo of the
-task cleans each distinct advance section of an effect text once.
+replay resolves each (effect text, base-out code) only once per ingest
+task, through a memo that maps each token as written to one row per effect
+text of a transition table over the 32 base-out codes.  A row's slot holds
+the play's move from that code: whether it is skipped, the next code, the
+runs scored and the code's situation class.  The memo holds only the plays
+that parse.  A second memo of the task cleans each distinct advance
+section of an effect text once.
 
 The tallies read no code.  Beside the codes, replay keeps what they need
-of the open half-inning in loop locals: the first play of each situation
-class, found by one lookup in a table of the base-out states, and each
+of the open half-inning in loop locals: the batting side's score, the
+fielding side's pitcher, the first play of each situation class, and each
 pitcher who faced a play, with whether one of theirs was late and close.
 When the half closes, ``_close`` builds its ``StateTimeline`` once, as a
 tuple.  So the situation classes and the leverage window are
@@ -204,11 +207,16 @@ def apply_play(bases: int, outs_before: int, play: ParsedPlay) -> tuple[int, int
 # (parse error, no-play, IllegalState message, outs recorded, runs scored,
 # new occupancy): everything a play does to the replay
 Step = tuple[str | None, bool, str | None, int, int, int]
-# a play token as written -> the row of its effect text, whose slot at
-# bases << 2 | outs holds that state's Step once a play there has parsed.  An
-# effect text is a key too, so every token that reduces to it finds its row.
-# Shared by the files of one ingest task.
-StepMemo = dict[str, list[Step | None]]
+# a Step as replay walks it from the base-out code it starts at: a skip mark
+# (None for a play, "" for a no-play, or the IllegalState message), the next
+# code bases << 2 | outs, the runs scored, and the start code's CLASS_AT
+Move = tuple[str | None, int, int, SituationClass | None]
+# a play token as written -> the row of its effect text in a transition
+# table of the 32 base-out codes: the slot at a code holds the play's Move
+# from there once a play there has parsed.  An effect text is a key too, so
+# every token that reduces to it finds its row.  Shared by the files of one
+# ingest task.
+StepMemo = dict[str, list[Move | None]]
 # an advance section as written -> the section less the notes on its safe
 # advances.  Far fewer sections than tokens carry notes, so each is cleaned
 # once per ingest task, whose files share the memo.
@@ -308,8 +316,10 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
 
     ``steps`` and ``sections`` are the ingest task's play memo and memo
     of cleaned advance sections.  A token met for the first time costs one
-    ``effect_text`` call, and a step one ``resolve_step`` call.  Only plays
-    that parse are stored, since a parse error quotes its own token.
+    ``effect_text`` call, and a move one ``resolve_step`` call.  Only plays
+    that parse are stored, since a parse error quotes its own token.  The
+    walk carries one base-out code, and keeps the batting side's score and
+    the fielding side's pitcher in locals while a half is open.
 
     A game whose starters list no pitcher for a side, or two for one side,
     is dropped with one diagnostic.
@@ -337,8 +347,10 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
     score_reliable = True  # no half so far was quarantined, so every run is known
     timelines: list[StateTimeline] = []
     inning = half = None  # of the open half-inning, None before the first
-    batting = bases = outs = 0  # bases is an occupancy mask
-    opening = fielding = 0  # the batting side's score at the half's start, the other's
+    batting = at = 0  # the open half's batting side and base-out code
+    # the batting side's score now and at the half's start, and the other's;
+    # these and the fielding side's pitcher are set when a half opens
+    score = opening = fielding = 0
     late = False  # the half is late and its score trusted: a close play is high leverage
     # the open half's quarantine reason: once set, its remaining plays are skipped
     excluded: str | None = None
@@ -350,6 +362,8 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
                 placed = item
             elif item.position == 1:
                 pitchers[item.team] = item.player_id
+                if item.team != batting:
+                    pitcher = item.player_id
             continue
         play_inning, play_half, _, token, line_no = item
         if play_inning != inning or play_half != half:
@@ -363,13 +377,15 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
                         f"inning {play_inning} {play_half.name.lower()} after "
                         f"inning {inning} {half.name.lower()}", line_no, game_id))
                     return GameReplay([], diagnostics)
-                timelines.append(_close(key, season, snapshots, scores[batting] - opening,
-                                        outs, False, excluded, firsts, faced, diagnostics))
+                scores[batting] = score
+                timelines.append(_close(key, season, snapshots, score - opening, at & 3,
+                                        False, excluded, firsts, faced, diagnostics))
             inning, half = play_inning, play_half
             key = (game_id, inning, half)
             snapshots, firsts, faced, excluded = [], {}, {}, None
-            batting, bases, outs = int(half), 0, 0
-            opening, fielding = scores[batting], scores[1 - batting]
+            batting, at = int(half), 0
+            score = opening = scores[batting]
+            fielding, pitcher = scores[1 - batting], pitchers[1 - batting]
             late = score_reliable and inning in HIGH_LEVERAGE_INNINGS
         if placed is not None:
             # the paper's seasons have no placed runner, so such a half is
@@ -387,46 +403,48 @@ def replay_game(account: GameAccount, steps: StepMemo, sections: SectionMemo) ->
             if row is None:
                 row = steps[effect] = [None] * len(CLASS_AT)
             steps[token] = row
-        at = bases << 2 | outs
-        step = row[at]
-        if step is None:
-            step = resolve_step(token, bases, outs)
-            if step[0] is None:
-                row[at] = step
-        parse_error, no_play, illegal, outs_recorded, runs, new_bases = step
-        # a parse error quarantines even a quarantined half; otherwise such a
-        # half or a no-play is skipped before an illegal step quarantines
-        if parse_error is None and (excluded is not None or no_play):
+        move = row[at]
+        if move is None:
+            parse_error, no_play, illegal, outs_recorded, runs, new_bases = resolve_step(
+                token, at >> 2, at & 3)
+            if parse_error is not None:
+                # never stored, since it quotes its own token; it quarantines
+                # even a quarantined half
+                excluded = parse_error
+                score_reliable = False
+                diagnostics.append(
+                    Diagnostic("quarantined_half_inning", parse_error, line_no, game_id))
+                continue
+            move = row[at] = ("" if no_play else illegal,
+                              new_bases << 2 | ((at & 3) + outs_recorded), runs, CLASS_AT[at])
+        skip, next_at, runs, situation = move
+        if skip is not None or excluded is not None:
+            # a quarantined half or a no-play is skipped before an illegal
+            # step quarantines
+            if skip and excluded is None:
+                excluded = skip
+                # runs from here on are unknown, so later score margins are too
+                score_reliable = False
+                diagnostics.append(
+                    Diagnostic("quarantined_half_inning", skip, line_no, game_id))
             continue
-        reason = illegal if parse_error is None else parse_error
-        if reason is not None:
-            excluded = reason
-            # runs from here on are unknown, so later score margins are too
-            score_reliable = False
-            diagnostics.append(
-                Diagnostic("quarantined_half_inning", reason, line_no, game_id)
-            )
-            continue
-        score, pitcher = scores[batting], pitchers[1 - batting]
         snapshots.append(at)
         high = late and abs(score - fielding) <= HIGH_LEVERAGE_MARGIN
-        situation = CLASS_AT[at]
         if situation is not None and situation not in firsts:
             firsts[situation] = (pitcher, score - opening, runs, high)
         if high:
             faced[pitcher] = True
         elif pitcher not in faced:
             faced[pitcher] = False
-        bases = new_bases
-        outs += outs_recorded
-        scores[batting] = score + runs
+        at = next_at
+        score += runs
 
     if inning is not None:
         # the account ends, and the game with it, short of three outs only
         # where the home side went ahead in a trusted bottom half from the
         # 9th on: any other such half was cut off with the file
         walk_off = batting == 1 and inning >= 9 and score_reliable and (
-            opening <= fielding < scores[1])
-        timelines.append(_close(key, season, snapshots, scores[batting] - opening,
-                                outs, walk_off, excluded, firsts, faced, diagnostics))
+            opening <= fielding < score)
+        timelines.append(_close(key, season, snapshots, score - opening, at & 3,
+                                walk_off, excluded, firsts, faced, diagnostics))
     return GameReplay(timelines, diagnostics)

@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import io
 import itertools
 import os
 from contextlib import nullcontext
@@ -121,6 +122,36 @@ def test_render_independent_of_insertion_order():
     mode = CountingMode.INCLUDE_PLAY
     assert render_cache(StatsCache(forward, innings, mode, "f" * 16)) == \
         render_cache(StatsCache(backward, innings, mode, "f" * 16))
+
+
+@pytest.mark.parametrize("pid", [
+    "a,b", 'a"b', '"', ",", " lead", "", "a\tb", "a\x00b", "ñé漢字", "riverma01",
+], ids=ascii)
+def test_render_matches_csv_writer(tmp_path, pid):
+    """The rows are those ``csv.writer`` writes, sorted by key, whatever the
+    pitcher id holds, and they read back."""
+    cache = sample_cache()
+    cache.table.cells[(pid, ClassKind.FIRST_ONLY, 1, 2003, True)] = [2, 5]
+    cache.innings.counts[(pid, 2003)] = [1, 9]
+    rows = [(p, kind.value, outs, f"{season}:{'hl' if lev else 'other'}", num, den)
+            for (p, kind, outs, season, lev), (num, den) in cache.table.cells.items()]
+    rows += [(p, "innings", 0, str(season), hl, total)
+             for (p, season), (hl, total) in cache.innings.counts.items()]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["pitcher_id", "class", "outs", "stratum", "numerator", "denominator"])
+    try:
+        writer.writerows(sorted(rows, key=lambda row: row[:4]))
+    except csv.Error:  # before Python 3.11, csv.writer refuses a NUL
+        pytest.skip("this csv module cannot write the id")
+    manifest, _, body = render_cache(cache).partition("\n")
+    assert manifest.startswith("#baserisk-cache ")
+    assert body == out.getvalue()
+    path = tmp_path / "stats.cache"
+    write_cache(path, cache)
+    loaded = read_cache(path)
+    assert loaded.table.cells == cache.table.cells
+    assert loaded.innings.counts == cache.innings.counts
 
 
 def test_round_trip_of_ingested_season(tmp_path):

@@ -578,17 +578,25 @@ def _counting_calls(monkeypatch, name: str) -> list:
 
 def test_memo_holds_only_resolved_plays(damaged_archive, monkeypatch):
     """A parse error quotes its own token, so it is never memoized: every
-    filled slot of the token index holds a step that parsed, and a token
-    that does not parse is resolved again at each of its plays, even where
-    it shares its effect text's row with another token."""
+    filled slot of the token index holds the move of a step that parsed,
+    for every token that finds the row, and a token that does not parse is
+    resolved again at each of its plays, even where it shares its effect
+    text's row with another token."""
     steps: state.StepMemo = {}
     for path in damaged_archive:
         for account in iter_games(path.read_text(encoding="latin-1"), [], None, {}):
             if account is not None:
                 replay_game(account, steps, {})
-    filled = [step for row in steps.values() for step in row if step is not None]
-    assert filled
-    assert all(step[0] is None for step in filled)
+    filled = [(token, at, move) for token, row in steps.items()
+              for at, move in enumerate(row) if move is not None]
+    skips = {move[0] for _, _, move in filled}
+    assert None in skips and skips - {None, ""}  # plays and refusals
+    for token, at, move in filled:
+        parse_error, no_play, illegal, outs, runs, bases = state.resolve_step(
+            token, at >> 2, at & 3)
+        assert parse_error is None
+        assert move == ("" if no_play else illegal, bases << 2 | ((at & 3) + outs), runs,
+                        state.CLASS_AT[at])
 
     calls = _counting_calls(monkeypatch, "resolve_step")
     plays = [(1, 0, "v1", "ZZ9"), (1, 0, "v2", "ZZ9/G"), (1, 1, "h1", "ZZ9")]

@@ -337,9 +337,11 @@ def late_games(draw):
     """The lines of a game of consecutive halves in innings 7-10 whose
     margins move as runs score.  A half may open with a placed runner or
     hold a play that quarantines it (either leaves no later score trusted),
-    change pitchers mid-way, or stop short of its third out, cut off by the
-    next half."""
+    change pitchers mid-way and bring the replaced one back, change the
+    batting side's pitcher, who takes over only when that side next fields,
+    or stop short of its third out, cut off by the next half."""
     first = draw(st.integers(14, 19))  # 2 * inning + half
+    pitchers = ["vpit1", "hpit1"]  # each side's, after the lines so far
     lines = []
     for number in range(first, min(first + draw(st.integers(1, 5)), 22)):
         inning, half = divmod(number, 2)
@@ -353,8 +355,18 @@ def late_games(draw):
         if draw(st.booleans()):
             at = draw(st.integers(0, len(half_lines)))
             half_lines.insert(at, f'sub,rel{number},"Reliever",{1 - half},0,1')
+            if draw(st.booleans()):
+                back = draw(st.integers(at + 1, len(half_lines)))
+                half_lines.insert(back, f'sub,{pitchers[1 - half]},"Back",{1 - half},0,1')
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(half_lines)))
+            half_lines.insert(at, f'sub,next{number},"Next",{half},0,1')
         if draw(st.integers(0, 7)) == 0:
             half_lines.insert(0, f"radj,{team}run{number},2")
+        for line in half_lines:
+            if isinstance(line, str) and line.startswith("sub,"):
+                _, pid, _, side, _ = line.split(",", 4)
+                pitchers[int(side)] = pid
         lines += half_lines
     return lines
 

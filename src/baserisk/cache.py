@@ -10,9 +10,11 @@ rows with outs 0, numerator = high-leverage half-innings and denominator
 byte-identical files.
 
 The writer quotes a pitcher id as ``csv.writer`` would: only one that
-holds a quote or a comma, since it refuses a line break.  So a cache whose
-text holds no quote splits the same with ``str.split``; any other cache
-goes through ``csv.reader``.  Two readers
+holds a quote or a comma, since it refuses a line break.  So in a cache
+whose text holds no quote a row's id ends at its first comma and its two
+counts follow its last two, as ``csv.reader`` would split them; any other
+cache goes through ``csv.reader``.  Either way a row reads as its pitcher
+id, one tail text ``class,outs,stratum`` and two count texts.  Two readers
 share one loop of checks, and so refuse the same text with the same
 ``CacheError``: text that is not UTF-8, a row of the wrong width, counts
 outside 0 <= numerator <= denominator, a (class, outs) that is not one of
@@ -21,14 +23,15 @@ outside 0 <= numerator <= denominator, a (class, outs) that is not one of
 writer writes, a count that is not in that form either (``03``, ``+3``,
 `` 3``, ``1_0``), and a row whose (pitcher_id, class, outs, stratum) key
 does not sort strictly after the row above's, as the writer sorts them:
-one comparison finds a repeated key and a row out of place.  The writer
-refuses a pitcher id that holds a line break.
+a repeated key or a row out of place.  The loop compares the id with the
+row above's, and the tail text with the row above's only where the two
+ids are equal.  The writer refuses a pitcher id that holds a line break.
 
 ``read_cache`` keeps every row under its own key, and so allocates two
 containers per row, a key tuple and a count list.  ``read_summary``, the
 report commands' read, adds each situation row straight into its
 pitcher's ``stats.RateSummary`` row and allocates those two only per
-innings row.  Each row's sort key lives until the next row is read.  None
+innings row.  A split row's lists live until the next row is read.  None
 of these form cycles.  The cyclic collector counts them toward its
 thresholds all the same and, left running, walks them again and again,
 freeing nothing: on the perfbench query cache (32,970 rows), one round of
@@ -45,8 +48,8 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 from .stats import CELLS, CountingMode, InningCounts, RateSummary, TallyTable
 
@@ -68,6 +71,7 @@ _INNINGS_CLASS = "innings"
 # the six (class, outs) cells, by their text
 _CELLS = {(cell.kind.value, str(cell.outs)): cell for cell in CELLS}
 _LEVERAGE = {"hl": True, "other": False}
+_UNSORTED = "repeats or sorts before the key of the row above"
 
 
 class CacheError(ValueError):
@@ -216,40 +220,56 @@ def _read(
     except (KeyError, ValueError) as exc:
         raise CacheError(f"bad counting mode in manifest: {exc}") from exc
 
-    # no quote: every row splits the same with str.split as with
-    # csv.reader, and a read takes a fifth less time.  Empty lines are
-    # skipped.
+    # no quote: a row's pitcher id ends at its first comma and its counts
+    # follow its last two, as csv.reader would split them, and a read
+    # takes a fifth less time.  Empty lines are skipped.
     body = filter(None, lines[2:])
-    if '"' in text:
-        rows = csv.reader(body)
-    else:
-        rows = map(str.split, body, repeat(","))
-    # a few hundred distinct (class, outs, stratum) tails and a few hundred
+    quoted = '"' in text
+    rows = csv.reader(body) if quoted else body
+
+    def tail_of(tail: str) -> tuple[dict | None, tuple | None, int | None]:
+        # a tail of other than three fields, from a row of the wrong width
+        # or a csv field that holds a comma, raises ValueError here, and
+        # _refuse words it
+        class_name, outs, stratum = tail.split(",")
+        return _row_tail(class_name, outs, stratum, innings, sink)
+
+    # a few hundred distinct "class,outs,stratum" tails and a few hundred
     # distinct count texts cover any number of rows, so each is checked
     # and converted once
-    tails = _Memo(lambda key: _row_tail(*key, innings, sink))
+    tails = _Memo(tail_of)
     counts = _Memo(_as_written)
-    above = ()  # the key of the row above; () sorts before every key
-    last = None
+    # the row above's pitcher id and tail; None stands above the first row,
+    # whose id may be empty
+    last = above = None
     try:
         header = next(csv.reader(lines[1:2]), None)
         if header != _HEADER:
             raise CacheError(f"unexpected cache header {header!r}")
         for row in rows:
             try:
-                pid, class_name, outs, stratum, num, den = row
-                store, key, slot = tails[class_name, outs, stratum]
+                if quoted:
+                    pid, class_name, outs, stratum, num, den = row
+                    tail = f"{class_name},{outs},{stratum}"
+                else:
+                    pid, rest = row.split(",", 1)
+                    tail, num, den = rest.rsplit(",", 2)
+                store, key, slot = tails[tail]
                 n, d = counts[num], counts[den]
                 if not 0 <= n <= d:
                     raise ValueError("counts must be 0 <= numerator <= denominator")
-                # the writer's rows sort strictly by key, and a valid tail's
-                # texts sort as the writer's values do
-                row_key = (pid, class_name, outs, stratum)
-                if row_key <= above:
-                    raise ValueError("repeats or sorts before the key of the row above")
-                above = row_key
+                # the writer's rows sort strictly by (pid, class, outs,
+                # stratum).  No class name is a prefix of another and outs
+                # is one digit, so a valid tail's text sorts as those three
+                # fields do, and the tails of one pitcher's rows compare as
+                # their keys do
                 if pid != last:
+                    if last is not None and pid < last:
+                        raise ValueError(_UNSORTED)
                     last, sums = pid, None
+                elif tail <= above:
+                    raise ValueError(_UNSORTED)
+                above = tail
                 if store is not None:
                     store[(pid,) + key] = [n, d]
                     continue
@@ -259,10 +279,25 @@ def _read(
                     nums[slot] += n
                     dens[slot] += d
             except ValueError as exc:
-                raise CacheError(f"bad cache row {row!r}: {exc}") from exc
+                _refuse(row if quoted else row.split(","), exc, innings, sink)
     except csv.Error as exc:
         raise CacheError(f"unreadable cache line: {exc}") from exc
     return mode, manifest.get("fingerprint", "")
+
+
+def _refuse(
+    row: list[str], exc: ValueError, innings: InningCounts, sink: TallyTable | RateSummary
+) -> NoReturn:
+    """Raise the ``CacheError`` for a body row, split into its fields, that
+    the read refused with ``exc``.  It names the first check the row fails
+    in the order width, tail, counts, key, as ``exc`` does for a row six
+    fields wide whose tail holds no comma."""
+    try:
+        _, class_name, outs, stratum, _, _ = row
+        _row_tail(class_name, outs, stratum, innings, sink)
+    except ValueError as first:
+        exc = first
+    raise CacheError(f"bad cache row {row!r}: {exc}") from exc
 
 
 def fingerprint_paths(digests: dict[str, str]) -> str:

@@ -195,6 +195,22 @@ def test_bad_header_rejected(tmp_path):
         read_cache(path)
 
 
+# a row of the wrong width is refused with the text of unpacking its
+# fields into six names
+WIDTH_REFUSALS = {
+    "riverma01,third_occupied,1,2003:hl,3":
+        "bad cache row ['riverma01', 'third_occupied', '1', '2003:hl', '3']: "
+        "not enough values to unpack (expected 6, got 5)",
+    "riverma01,third_occupied,1,2003:hl,3,21,7":
+        "bad cache row ['riverma01', 'third_occupied', '1', '2003:hl', '3', '21', '7']: "
+        "too many values to unpack (expected 6)",
+    "riverma01,third_occupied,1,2003,hl,3,21":
+        "bad cache row ['riverma01', 'third_occupied', '1', '2003', 'hl', '3', '21']: "
+        "too many values to unpack (expected 6)",
+    "garbage": "bad cache row ['garbage']: not enough values to unpack (expected 6, got 1)",
+}
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -202,6 +218,9 @@ def test_bad_header_rejected(tmp_path):
         "riverma01,no_such_class,1,2003:hl,3,21",
         "riverma01,innings,0,notaseason,3,21",
         "riverma01,third_occupied,1,2003:hl,3",  # short row
+        "riverma01,third_occupied,1,2003:hl,3,21,7",  # long row
+        "riverma01,third_occupied,1,2003,hl,3,21",  # a stratum split by a comma
+        "garbage",  # no comma at all
         "riverma01,third_occupied,1,2003:foo,3,21",  # neither hl nor other
         "riverma01,third_occupied,1,2003,3,21",  # bare season
         "riverma01,third_occupied,1,:hl,3,21",  # no season
@@ -227,12 +246,15 @@ def test_bad_header_rejected(tmp_path):
 )
 def test_bad_row_rejected(tmp_path, row):
     """Both readers refuse the row with the same text, the report read
-    even when the row's season lies outside its years."""
+    even when the row's season lies outside its years; a row of the wrong
+    width with the text of unpacking it into six fields."""
     good = render_cache(sample_cache()).splitlines()
     path = tmp_path / "bad.cache"
     path.write_text("\n".join([good[0], good[1], row]) + "\n", encoding="utf-8")
     with pytest.raises(CacheError) as whole:
         read_cache(path)
+    if row in WIDTH_REFUSALS:
+        assert str(whole.value) == WIDTH_REFUSALS[row]
     for years in (None, (2004, 2010)):
         with pytest.raises(CacheError) as summed:
             read_summary(path, years)
@@ -409,15 +431,28 @@ pitcher_ids = st.one_of(
 )
 counts = st.integers(0, 300).flatmap(lambda d: st.integers(0, d).map(lambda n: [n, d]))
 seasons = st.integers(1871, 2030)
-caches = st.builds(
-    lambda cells, innings, mode, fingerprint: StatsCache(
-        TallyTable(cells), InningCounts(innings), mode, fingerprint),
-    st.dictionaries(st.tuples(pitcher_ids, st.sampled_from(SITUATION_CELLS), seasons,
-                              st.booleans())
-                    .map(lambda k: (k[0], *k[1], k[2], k[3])), counts, max_size=25),
-    st.dictionaries(st.tuples(pitcher_ids, seasons), counts, max_size=8),
-    st.sampled_from(CountingMode),
-    st.text("0123456789abcdef", max_size=16),
+
+
+def caches_of(ids):
+    return st.builds(
+        lambda cells, innings, mode, fingerprint: StatsCache(
+            TallyTable(cells), InningCounts(innings), mode, fingerprint),
+        st.dictionaries(st.tuples(ids, st.sampled_from(SITUATION_CELLS), seasons,
+                                  st.booleans())
+                        .map(lambda k: (k[0], *k[1], k[2], k[3])), counts, max_size=25),
+        st.dictionaries(st.tuples(ids, seasons), counts, max_size=8),
+        st.sampled_from(CountingMode),
+        st.text("0123456789abcdef", max_size=16),
+    )
+
+
+caches = caches_of(pitcher_ids)
+# ids that hold a character sorting below the comma (a space, "!", "+") or
+# that are a prefix of another: a whole line, or the id and the tail joined
+# by a comma, sorts "p1!" before "p1", where the writer's key sorts it after
+sorting_ids = st.one_of(
+    pitcher_ids,
+    st.sampled_from(["", "p1", "p1!", "p1x", "p1 ", "p1+", " ", "!", "+", "p1,", '"p1']),
 )
 
 
@@ -470,3 +505,39 @@ def test_read_summary_matches_read_cache(tmp_path_factory, cache, years):
     assert set(summary.rows) == situated
     assert list(summary.rows.items()) == list(expected.rows.items())
     assert list(innings.counts.items()) == list(whole.innings.counts.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(caches_of(sorting_ids), st.data())
+def test_readers_refuse_exactly_the_unsorted(tmp_path_factory, cache, data):
+    """Both readers refuse a cache exactly when the (pitcher_id, class,
+    outs, stratum) keys of its ``csv.reader`` rows do not increase
+    strictly: as written, with two body lines swapped, or with a line that
+    repeats another's key with other counts."""
+    lines = render_cache(cache).splitlines()
+    body = lines[2:]
+    how = data.draw(st.sampled_from(["as written", "swap", "repeat"]) if body
+                    else st.just("as written"))
+    if how == "swap":
+        i, j = data.draw(st.lists(st.integers(0, len(body) - 1), min_size=2, max_size=2))
+        body[i], body[j] = body[j], body[i]
+    elif how == "repeat":
+        i = data.draw(st.integers(0, len(body) - 1))
+        at = data.draw(st.integers(0, len(body)))
+        n, d = data.draw(counts)
+        body.insert(at, f"{body[i].rsplit(',', 2)[0]},{n},{d}")
+    keys = [tuple(row[:4]) for row in csv.reader(body)]
+    ordered = all(above < key for above, key in zip(keys, keys[1:]))
+    event("quoted" if any('"' in line for line in body) else "split")
+    event(f"{how}, {'ordered' if ordered else 'unordered'}")
+    if keys and keys[0][0] == "":
+        event("an empty id first")
+    path = tmp_path_factory.getbasetemp() / f"order-{next(_NAMES)}.cache"
+    path.write_text("\n".join([*lines[:2], *body]) + "\n", encoding="utf-8")
+    refused = "repeats or sorts before the key of the row above"
+    try:
+        for read in (read_cache, read_summary):
+            with nullcontext() if ordered else pytest.raises(CacheError, match=refused):
+                read(path)
+    finally:
+        path.unlink()
